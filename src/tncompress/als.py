@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import contract_network
+from .contraction import ContractionPlan, contract_network, plan_for
 from .errors import NumericError, TopologyError
 from .tensor import as_array, k_unfold
-from .topology import TNFactorSet, TNTopology, mode_pairs, random_factor_set
+from .topology import TNFactorSet, TNTopology, random_factor_set
 
 PINV_RCOND = 1e-10
 # an attempt is abandoned after this many consecutive sweeps of < 1%
@@ -55,25 +55,23 @@ class AlsResult:
         return iter((self.factors, self.rse))
 
 
-def complement_matrix(f: TNFactorSet, n: int) -> np.ndarray:
+def complement_matrix(f: TNFactorSet, n: int,
+                      plan: ContractionPlan | None = None) -> np.ndarray:
     """Contract every factor except n into a matrix whose rows run over the
     little-endian multi-index of the remaining modes (ascending) and whose
     columns run over the bonds incident to mode n (ascending partner)."""
     topo = f.topology
-    order = topo.order
-    bond = {pair: order + i for i, pair in enumerate(mode_pairs(order))}
+    plan = plan_for(f, plan)
     operands = []
-    for k in range(1, order + 1):
-        if k == n:
-            continue
-        labels = [k - 1 if j == k else bond[(min(j, k), max(j, k))]
-                  for j in range(1, order + 1)]
-        operands.append(f.factors[k - 1])
-        operands.append(labels)
-    out = [k - 1 for k in range(1, order + 1) if k != n]
-    out += [bond[(min(j, n), max(j, n))] for j in range(1, order + 1) if j != n]
-    full = np.einsum(*operands, out, optimize="greedy")
-    rows = int(np.prod([topo.dims[k - 1] for k in range(1, order + 1) if k != n]))
+    for k in range(1, topo.order + 1):
+        if k != n:
+            operands.append(f.factors[k - 1])
+            operands.append(plan.labels[k - 1])
+    # factor n's axes other than its mode are exactly the bonds incident to n
+    out = [m for m in plan.modes if m != n - 1]
+    out += [lab for lab in plan.labels[n - 1] if lab != n - 1]
+    full = plan.einsum(("complement", n), *operands, out)
+    rows = int(np.prod(topo.dims)) // topo.dims[n - 1]
     return full.reshape((rows, -1), order="F")
 
 
@@ -97,6 +95,7 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
         return AlsResult(f, 0.0, np.zeros(0), 0, 0)
 
     unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
+    plan = ContractionPlan(topo)   # shared by every attempt and sweep
     used = 0
     attempt = 0
     best: tuple[float, TNFactorSet, list[float]] | None = None
@@ -108,7 +107,7 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
         stall = 0
         while used < cfg.max_sweeps:
             for n in range(1, topo.order + 1):
-                design = complement_matrix(f, n)
+                design = complement_matrix(f, n, plan)
                 gram = design.T @ design
                 block = unfoldings[n] @ design @ np.linalg.pinv(
                     gram, rcond=PINV_RCOND)
@@ -116,7 +115,8 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
                     raise NumericError(f"non-finite block update for factor {n}")
                 f.factors[n - 1] = _fold_factor(block, topo, n)
             used += 1
-            rse = float(np.linalg.norm(contract_network(f) - a) / norm)
+            rse = float(np.linalg.norm(contract_network(f, plan=plan) - a)
+                        / norm)
             history.append(rse)
             if best is None or rse < best[0]:
                 best = (rse, TNFactorSet(topo, [z.copy() for z in f.factors]),

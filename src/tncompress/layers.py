@@ -6,16 +6,20 @@ K x K x S x T tensor (spatial, spatial, in-channels, out-channels); a conv
 input is W x H x S.  FC weights are M x N matrices acting as y = W x, and
 are tensorized to (I_1..I_m, J_1..J_n) with little-endian flattening on
 both sides before decomposition.
+
+Every forward pass also takes a batch: an input with one extra leading
+axis (B x W x H x S for a conv, B x N for an FC layer) runs all B samples
+in one call and returns the outputs stacked along that axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log
 
 import numpy as np
 
-from .contraction import contract_network
+from .contraction import contract_network, network_labels
 from .errors import TopologyError
 from .tensor import as_array
 from .topology import TNFactorSet, tn_param_count, uniform_topology
@@ -113,117 +117,103 @@ def detensorize_matrix(t, plan: TensorizationPlan) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# layer specs
-
-@dataclass
-class LayerSpec:
-    """Tagged layer description; weights are a dense array or a factor set."""
-
-    kind: str                      # "conv" or "fc"
-    weights: object                # np.ndarray or TNFactorSet
-    plan: TensorizationPlan | None = None   # fc only
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def is_tn(self) -> bool:
-        return isinstance(self.weights, TNFactorSet)
-
-    def dense_param_count(self) -> int:
-        if self.kind == "conv":
-            k, _, s, t = self._conv_dims()
-            return k * k * s * t
-        return self.plan.rows * self.plan.cols
-
-    def _conv_dims(self):
-        if self.is_tn:
-            return self.weights.topology.dims
-        return self.weights.shape
-
-
-# ---------------------------------------------------------------------------
 # forward passes
+
+def _leading_batch(x, sample_ndim: int) -> tuple[np.ndarray, bool]:
+    """x with a leading batch axis, and whether x was a single sample."""
+    x = as_array(x)
+    if x.ndim == sample_ndim:
+        return x[None], True
+    return x, False
+
 
 def conv2d_dense(x, kernel) -> np.ndarray:
     """Valid stride-1 convolution of a W x H x S input with a K x K x S x T
-    kernel, yielding (W-K+1) x (H-K+1) x T."""
-    x = as_array(x)
+    kernel, yielding (W-K+1) x (H-K+1) x T.  A B x W x H x S batch yields
+    B x (W-K+1) x (H-K+1) x T."""
+    x, single = _leading_batch(x, 3)
     kernel = as_array(kernel)
-    if x.ndim != 3 or kernel.ndim != 4 or kernel.shape[0] != kernel.shape[1]:
+    if x.ndim != 4 or kernel.ndim != 4 or kernel.shape[0] != kernel.shape[1]:
         raise ValueError("expected W x H x S input and K x K x S x T kernel")
-    w, h, s = x.shape
+    _, w, h, s = x.shape
     k = kernel.shape[0]
     if kernel.shape[2] != s:
         raise ValueError("kernel in-channels do not match input")
     if w < k or h < k:
         raise ValueError("spatial size smaller than the kernel")
     wo, ho = w - k + 1, h - k + 1
-    out = np.zeros((wo, ho, kernel.shape[3]))
+    out = np.zeros((x.shape[0], wo, ho, kernel.shape[3]))
     for k1 in range(k):
         for k2 in range(k):
-            out += np.einsum("whs,st->wht",
-                             x[k1:k1 + wo, k2:k2 + ho, :], kernel[k1, k2])
-    return out
+            out += np.einsum("bwhs,st->bwht",
+                             x[:, k1:k1 + wo, k2:k2 + ho, :], kernel[k1, k2])
+    return out[0] if single else out
 
 
 def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
     """TN-format convolution: contract the in-channel factor over the full
     input, merge the two spatial factors over their shared bond, convolve,
-    then contract the out-channel factor."""
-    x = as_array(x)
+    then contract the out-channel factor.
+
+    x is W x H x S or a B x W x H x S batch, with the output shaped as in
+    `conv2d_dense`.  The FLOP count covers the whole call: the spatial
+    merge runs once per call, every other stage once per sample."""
+    x, single = _leading_batch(x, 3)
     topo = f.topology
     if topo.order != 4 or topo.dims[0] != topo.dims[1]:
         raise TopologyError("conv factor set must cover a K x K x S x T kernel")
     k, _, s, t = topo.dims
-    if x.ndim != 3 or x.shape[2] != s:
+    if x.ndim != 4 or x.shape[3] != s:
         raise TopologyError("input channels do not match the factor set")
-    w, h = x.shape[0], x.shape[1]
+    b, w, h = x.shape[:3]
     if w < k or h < k:
         raise ValueError("spatial size smaller than the kernel")
     z1, z2, z3, z4 = f.factors
     wo, ho = w - k + 1, h - k + 1
 
     # channel stage over the full spatial extent
-    p = np.einsum("whs,absc->whabc", x, z3)
+    p = np.einsum("nwhs,absc->nwhabc", x, z3)
     # spatial factors merged over their shared bond
     merged = np.einsum("xpad,pybe->xyabde", z1, z2)
     r14, r24, r34 = z4.shape[0], z4.shape[1], z4.shape[2]
-    q = np.zeros((wo, ho, r14, r24, r34))
+    q = np.zeros((b, wo, ho, r14, r24, r34))
     for k1 in range(k):
         for k2 in range(k):
-            q += np.einsum("abde,whabc->whdec",
-                           merged[k1, k2], p[k1:k1 + wo, k2:k2 + ho])
-    y = np.einsum("whdec,dect->wht", q, z4)
+            q += np.einsum("abde,nwhabc->nwhdec",
+                           merged[k1, k2], p[:, k1:k1 + wo, k2:k2 + ho])
+    y = np.einsum("nwhdec,dect->nwht", q, z4)
+    if single:
+        y = y[0]
     if not count_flops:
         return y
     r12, r13, r23 = z1.shape[1], z1.shape[2], z2.shape[2]
-    flops = (w * h * s * r13 * r23 * r34                # channel stage
-             + k * k * r12 * r13 * r23 * r14 * r24      # spatial merge
-             + wo * ho * k * k * r13 * r23 * r14 * r24 * r34  # convolution
-             + wo * ho * t * r14 * r24 * r34)           # out-channel stage
+    flops = (b * w * h * s * r13 * r23 * r34                # channel stage
+             + k * k * r12 * r13 * r23 * r14 * r24          # spatial merge
+             + b * wo * ho * k * k * r13 * r23 * r14 * r24 * r34  # convolution
+             + b * wo * ho * t * r14 * r24 * r34)           # out-channel stage
     return y, flops
 
 
 def fc_tn(x: np.ndarray, f: TNFactorSet, plan: TensorizationPlan) -> np.ndarray:
     """TN-format linear map: fold x into its input factorization, contract
-    through the factor network, flatten the output factorization."""
-    x = np.asarray(x)
+    through the factor network, flatten the output factorization.  x is an
+    N-vector, giving an M-vector, or a B x N batch, giving B x M."""
     if f.topology.dims != plan.dims:
         raise ValueError("factor set dims do not match the tensorization plan")
-    if x.shape != (plan.cols,):
-        raise ValueError(f"input length {x.shape} does not match plan")
-    m = len(plan.out_factors)
-    order = f.topology.order
-    from .topology import mode_pairs
-    bond = {pair: order + i for i, pair in enumerate(mode_pairs(order))}
-    operands = [x.reshape(plan.in_factors, order="F"),
-                list(range(m, order))]
-    for k in range(1, order + 1):
-        labels = [k - 1 if j == k else bond[(min(j, k), max(j, k))]
-                  for j in range(1, order + 1)]
-        operands.append(f.factors[k - 1])
-        operands.append(labels)
-    out = np.einsum(*operands, list(range(m)), optimize="greedy")
-    return out.flatten(order="F")
+    xb, single = _leading_batch(x, 1)
+    if xb.ndim != 2 or xb.shape[1] != plan.cols:
+        raise ValueError(f"input length {np.shape(x)} does not match plan")
+    labels, modes = network_labels(f.topology)
+    m, order = len(plan.out_factors), f.topology.order
+    batch = order * (order + 1) // 2      # first label the network leaves free
+    operands = [xb.T.reshape(plan.in_factors + (len(xb),), order="F"),
+                modes[m:] + [batch]]
+    for fac, labs in zip(f.factors, labels):
+        operands.append(fac)
+        operands.append(labs)
+    out = np.einsum(*operands, [batch] + modes[:m], optimize="greedy")
+    out = out.reshape((len(xb), plan.rows), order="F")
+    return out[0] if single else out
 
 
 def fc_dense_from_tn(f: TNFactorSet, plan: TensorizationPlan) -> np.ndarray:

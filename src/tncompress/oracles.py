@@ -11,13 +11,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .ranks import effective_rank  # re-exported for test convenience
 from .tensor import singular_values
 from .topology import TNFactorSet, mode_pairs
 
 __all__ = [
     "brute_force_contract", "generate_cp", "generate_tucker",
-    "check_theorem1", "bipartitions", "numerical_rank", "effective_rank",
+    "check_theorem1", "bipartitions", "numerical_rank",
     "RankBoundReport",
 ]
 

@@ -17,7 +17,8 @@ from .layers import (TensorizationPlan, conv2d_dense, conv2d_tn, fc_tn,
                      plan_tensorization, tensorize_matrix)
 from .model_io import ModelContainer, load_model, save_model
 from .ranks import KAPPA_RESOLUTION, ranks_from_curves, retention_curves
-from .toynet import make_dataset, make_net, softmax_cross_entropy
+from .toynet import (TinyCNN, make_dataset, make_net,
+                     softmax_cross_entropy)
 from .topology import (TNFactorSet, TNTopology, prune_rank_one_edges,
                        tn_param_count)
 from .training import train_stn
@@ -293,36 +294,31 @@ def compress_container(container: ModelContainer, kappa: float | None = None,
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _layer_apply(layer: _Layer):
+def _forward(layer: _Layer, x: np.ndarray) -> np.ndarray:
+    """Run a batch through one layer in its stored format."""
     if layer.fmt == "dense":
         w = layer.weight.astype(np.float64)
         if layer.kind == "conv":
-            return lambda x: conv2d_dense(x, w)
-        return lambda x: w @ x
+            return conv2d_dense(x, w)
+        return x @ w.T
     if layer.kind == "conv":
-        return lambda x: conv2d_tn(x, layer.factors)
-    return lambda x: fc_tn(x, layer.factors, layer.plan)
+        return conv2d_tn(x, layer.factors)
+    return fc_tn(x, layer.factors, layer.plan)
 
 
 def model_logits(container: ModelContainer, x: np.ndarray) -> np.ndarray:
     """Forward a batch through the container's architecture, dispatching
-    each layer to its dense or TN implementation."""
+    each layer to its dense or TN implementation; every layer runs once on
+    the whole batch."""
     arch = container.manifest["arch"]
     layers = container_layers(container)
-    apply_fns = [_layer_apply(layer) for layer in layers]
-    if arch == "mlp":
-        l1, l2 = apply_fns
-        return np.stack([l2(np.maximum(l1(np.asarray(xi, dtype=np.float64)), 0.0))
-                         for xi in x])
+    if arch not in ("mlp", "tinycnn"):
+        raise FormatError(f"unknown architecture {arch!r}")
+    first, second = layers
+    hidden = np.maximum(_forward(first, np.asarray(x, dtype=np.float64)), 0.0)
     if arch == "tinycnn":
-        conv, fc = apply_fns
-        logits = []
-        for xi in x:
-            act = np.maximum(conv(np.asarray(xi, dtype=np.float64)), 0.0)
-            flat = act.flatten(order="F")
-            logits.append(fc(flat))
-        return np.stack(logits)
-    raise FormatError(f"unknown architecture {arch!r}")
+        hidden = TinyCNN._flatten(hidden)
+    return _forward(second, hidden)
 
 
 def evaluate_container(container: ModelContainer, data_seed: int) -> dict:

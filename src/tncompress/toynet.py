@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .layers import conv2d_dense
+
 
 @dataclass
 class Dataset:
@@ -118,30 +120,19 @@ class TinyCNN:
         ]
 
     @staticmethod
-    def _conv(x, kernel):
-        wo = x.shape[1] - kernel.shape[0] + 1
-        ho = x.shape[2] - kernel.shape[0] + 1
-        out = np.zeros((x.shape[0], wo, ho, kernel.shape[3]))
-        for k1 in range(kernel.shape[0]):
-            for k2 in range(kernel.shape[1]):
-                out += np.einsum("bwhs,st->bwht",
-                                 x[:, k1:k1 + wo, k2:k2 + ho, :], kernel[k1, k2])
-        return out
-
-    @staticmethod
     def _flatten(a):
         # little-endian (w fastest, then h, then channel) per sample
         return a.transpose(0, 3, 2, 1).reshape(a.shape[0], -1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         kc, wfc = (w.astype(np.float64) for w in self.weights)
-        pre = self._conv(np.asarray(x, dtype=np.float64), kc)
+        pre = conv2d_dense(np.asarray(x, dtype=np.float64), kc)
         return self._flatten(np.maximum(pre, 0.0)) @ wfc.T
 
     def loss_and_grads(self, x, y):
         kc, wfc = (w.astype(np.float64) for w in self.weights)
         x = np.asarray(x, dtype=np.float64)
-        pre = self._conv(x, kc)
+        pre = conv2d_dense(x, kc)
         act = np.maximum(pre, 0.0)
         flat = self._flatten(act)
         logits = flat @ wfc.T

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from tncompress.als import AlsConfig, als_fit, complement_matrix
-from tncompress.contraction import contract_network
+from tncompress.contraction import ContractionPlan, contract_network
 from tncompress.errors import TopologyError
 from tncompress.tensor import k_unfold
-from tncompress.topology import (TNTopology, random_factor_set,
+from tncompress.topology import (TNTopology, mode_pairs, random_factor_set,
                                  uniform_topology)
 
 
@@ -23,6 +23,43 @@ def test_complement_matrix_reproduces_contraction():
         z_n = np.moveaxis(f.factors[n - 1], n - 1, 0).reshape(
             (topo.dims[n - 1], int(np.prod(bond_dims))), order="F")
         assert np.allclose(z_n @ design.T, k_unfold(x, n), atol=1e-12)
+
+
+def greedy_complement(f, n):
+    """The complement of factor n as one direct greedy einsum: remaining
+    modes ascending, then the bonds of n by ascending partner."""
+    topo = f.topology
+    order = topo.order
+    bond = {p: order + i for i, p in enumerate(mode_pairs(order))}
+    operands = []
+    for k in range(1, order + 1):
+        if k != n:
+            operands += [f.factors[k - 1],
+                         [k - 1 if j == k else bond[tuple(sorted((j, k)))]
+                          for j in range(1, order + 1)]]
+    out = [k - 1 for k in range(1, order + 1) if k != n]
+    out += [bond[tuple(sorted((j, n)))] for j in range(1, order + 1) if j != n]
+    full = np.einsum(*operands, out, optimize="greedy")
+    rows = int(np.prod(topo.dims)) // topo.dims[n - 1]
+    return full.reshape((rows, -1), order="F")
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_complement_matrix_planned_path_gives_greedy_bits(seed):
+    # order 2-4, dims 1-4, ranks 1-3: rank-1 bonds are common
+    rng = np.random.default_rng(seed)
+    order = int(rng.integers(2, 5))
+    dims = tuple(int(d) for d in rng.integers(1, 5, size=order))
+    topo = TNTopology(dims, {p: int(rng.integers(1, 4))
+                             for p in mode_pairs(order)})
+    plan = ContractionPlan(topo)
+    # the second factor set runs along the paths the first one planned
+    for s in (seed, seed + 100):
+        f = random_factor_set(topo, seed=s)
+        for n in range(1, order + 1):
+            expected = greedy_complement(f, n)
+            assert np.array_equal(complement_matrix(f, n), expected)
+            assert np.array_equal(complement_matrix(f, n, plan), expected)
 
 
 def test_exact_recovery_from_planted_factors():

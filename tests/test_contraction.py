@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tncompress.contraction import contract_network
+from tncompress.contraction import ContractionPlan, contract_network
+from tncompress.errors import TopologyError
 from tncompress.oracles import brute_force_contract
 from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
                                  random_factor_set, uniform_topology)
@@ -53,3 +54,51 @@ def test_brute_force_term_budget():
                            for k in range(1, 7)])
     with pytest.raises(ValueError, match="budget"):
         brute_force_contract(f)
+
+
+def random_topology(seed):
+    """Order 2-4, dims 1-4, bond ranks 1-3 (so rank-1 bonds are common)."""
+    rng = np.random.default_rng(seed)
+    order = int(rng.integers(2, 5))
+    dims = tuple(int(d) for d in rng.integers(1, 5, size=order))
+    return TNTopology(dims, {p: int(rng.integers(1, 4))
+                             for p in mode_pairs(order)})
+
+
+def greedy_network(f, squeeze):
+    """The full contraction as one direct greedy einsum, labels built from
+    the topology's documented axis layout."""
+    topo = f.topology
+    order = topo.order
+    bond = {p: order + i for i, p in enumerate(mode_pairs(order))}
+    operands = []
+    for k, fac in enumerate(f.factors, start=1):
+        axes = [(size, k - 1 if j == k else bond[tuple(sorted((j, k)))])
+                for j, size in enumerate(fac.shape, start=1)]
+        if squeeze:
+            axes = [(size, lab) for size, lab in axes
+                    if size > 1 or lab < order]
+        operands += [fac.reshape([size for size, _ in axes]),
+                     [lab for _, lab in axes]]
+    return np.einsum(*operands, list(range(order)), optimize="greedy")
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_planned_path_gives_greedy_bits(seed):
+    topo = random_topology(seed)
+    plan = ContractionPlan(topo)
+    # the second factor set runs along the paths the first one planned
+    for s in (seed, seed + 100):
+        f = random_factor_set(topo, seed=s)
+        for squeeze in (False, True):
+            expected = greedy_network(f, squeeze)
+            assert np.array_equal(contract_network(f, squeeze), expected)
+            assert np.array_equal(contract_network(f, squeeze, plan), expected)
+
+
+def test_plan_rejects_topology_with_other_ranks():
+    # TNTopology equality compares dims only, so the plan checks the ranks
+    plan = ContractionPlan(uniform_topology((3, 4, 2), 2))
+    f = random_factor_set(uniform_topology((3, 4, 2), 3), seed=0)
+    with pytest.raises(TopologyError):
+        contract_network(f, plan=plan)

@@ -8,8 +8,11 @@ from tncompress.layers import (TensorizationPlan, complexity_conv,
                                complexity_fc, conv2d_dense, conv2d_tn,
                                detensorize_matrix, fc_dense_from_tn, fc_tn,
                                plan_tensorization, tensorize_matrix)
+from tncompress.errors import TopologyError
 from tncompress.topology import (TNTopology, random_factor_set,
                                  uniform_topology)
+
+BATCHES = [1, 7]
 
 
 def conv2d_loops(x, kernel):
@@ -96,6 +99,47 @@ class TestConvForward:
         with pytest.raises(ValueError):
             conv2d_dense(np.zeros((2, 2, 2)), np.zeros((3, 3, 2, 2)))
 
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_batched_equals_stacked_samples(self, batch):
+        rng = np.random.default_rng(13)
+        topo = TNTopology((3, 3, 2, 5),
+                          {(1, 2): 2, (1, 3): 1, (1, 4): 2,
+                           (2, 3): 2, (2, 4): 1, (3, 4): 3})
+        f = random_factor_set(topo, seed=14)
+        kernel = rng.standard_normal((3, 3, 2, 5))
+        x = rng.standard_normal((batch, 7, 6, 2))
+        for fn, w in ((conv2d_tn, f), (conv2d_dense, kernel)):
+            got = fn(x, w)
+            assert got.shape == (batch, 5, 4, 5)
+            assert np.allclose(got, np.stack([fn(xi, w) for xi in x]),
+                               rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_batched_flop_count_shares_the_spatial_merge(self, batch):
+        f = random_factor_set(uniform_topology((3, 3, 2, 4), 2), seed=15)
+        x = np.zeros((batch, 8, 8, 2))
+        merge = 3 * 3 * 2 ** 5
+        single = conv2d_tn(x[0], f, count_flops=True)[1]
+        assert conv2d_tn(x, f, count_flops=True)[1] == \
+            batch * (single - merge) + merge
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_batched_shape_checks(self, batch):
+        f = random_factor_set(uniform_topology((3, 3, 2, 2), 1), seed=6)
+        kernel = np.zeros((3, 3, 2, 2))
+        with pytest.raises(TopologyError):
+            conv2d_tn(np.zeros((batch, 8, 8, 5)), f)  # wrong channel count
+        with pytest.raises(TopologyError):
+            conv2d_tn(np.zeros((batch, 1, 8, 8, 2)), f)
+        with pytest.raises(ValueError):
+            conv2d_tn(np.zeros((batch, 2, 2, 2)), f)
+        with pytest.raises(ValueError):
+            conv2d_dense(np.zeros((batch, 2, 2, 2)), kernel)
+        with pytest.raises(ValueError):
+            conv2d_dense(np.zeros((batch, 8, 8, 5)), kernel)
+        with pytest.raises(ValueError):
+            conv2d_dense(np.zeros((batch, 1, 8, 8, 2)), kernel)
+
 
 class TestFcForward:
     def test_tn_matches_dense_matvec(self):
@@ -118,6 +162,28 @@ class TestFcForward:
         f = random_factor_set(uniform_topology(plan.dims, 1), seed=11)
         with pytest.raises(ValueError):
             fc_tn(np.zeros(8), f, plan)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_batched_equals_stacked_samples(self, batch):
+        plan = plan_tensorization(12, 18)
+        topo = TNTopology(plan.dims, {(1, 2): 2, (1, 3): 1, (1, 4): 3,
+                                      (2, 3): 2, (2, 4): 1, (3, 4): 2})
+        f = random_factor_set(topo, seed=16)
+        x = np.random.default_rng(17).standard_normal((batch, 18))
+        got = fc_tn(x, f, plan)
+        assert got.shape == (batch, 12)
+        assert np.allclose(got, np.stack([fc_tn(xi, f, plan) for xi in x]),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(got, x @ fc_dense_from_tn(f, plan).T, atol=1e-10)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_batched_input_length_checked(self, batch):
+        plan = plan_tensorization(4, 9)
+        f = random_factor_set(uniform_topology(plan.dims, 1), seed=11)
+        with pytest.raises(ValueError):
+            fc_tn(np.zeros((batch, 8)), f, plan)
+        with pytest.raises(ValueError):
+            fc_tn(np.zeros((batch, 1, 9)), f, plan)
 
 
 class TestComplexity:
