@@ -67,11 +67,8 @@ def complement_matrix(f: TNFactorSet, n: int,
         if k != n:
             operands.append(f.factors[k - 1])
             operands.append(plan.labels[k - 1])
-    # factor n's axes other than its mode are exactly the bonds incident to n
-    out = [m for m in plan.modes if m != n - 1]
-    out += [lab for lab in plan.labels[n - 1] if lab != n - 1]
+    out, rows = plan.complements[n]
     full = plan.einsum(("complement", n), *operands, out)
-    rows = int(np.prod(topo.dims)) // topo.dims[n - 1]
     return full.reshape((rows, -1), order="F")
 
 

@@ -105,8 +105,22 @@ def _verify_theorem1(instances: int = 40) -> bool:
     return ok
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return USAGE_EXIT
+
+
+def _kappa_in_range(kappa: float) -> bool:
+    return 0.0 < kappa <= 1.0
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "compress":
+        if args.kappa is not None and not _kappa_in_range(args.kappa):
+            return _usage_error(f"--kappa must lie in (0, 1], got {args.kappa}")
+        if args.budget is not None and not args.budget > 1.0:
+            return _usage_error(f"--budget must exceed 1, got {args.budget}")
     try:
         if args.command == "train":
             pipeline.run_train(args.config, args.out, args.log)
@@ -126,9 +140,11 @@ def main(argv=None) -> int:
             try:
                 kappas = [float(k) for k in args.kappas.split(",") if k]
             except ValueError:
-                print("error: --kappas must be comma-separated numbers",
-                      file=sys.stderr)
-                return USAGE_EXIT
+                return _usage_error("--kappas must be comma-separated numbers")
+            bad = [k for k in kappas if not _kappa_in_range(k)]
+            if bad:
+                return _usage_error(
+                    f"--kappas values must lie in (0, 1], got {bad[0]}")
             pipeline.emit_tradeoff(args.model, kappas, args.out)
             print(f"wrote {len(kappas)} rows to {args.out}")
         elif args.command == "verify":
@@ -141,7 +157,7 @@ def main(argv=None) -> int:
                 return DATA_EXIT
         elif args.command == "report":
             print(pipeline.describe_model(args.model))
-    except (FileNotFoundError, FormatError, CorruptionError, ConfigError,
+    except (OSError, FormatError, CorruptionError, ConfigError,
             BudgetError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT

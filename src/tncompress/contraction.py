@@ -1,15 +1,22 @@
 """Contraction engine for generalized tensor networks.
 
 One label builder maps a topology to integer einsum labels, and a
-per-topology `ContractionPlan` holds those labels together with the greedy
-contraction path of each network built on them, planned on first use.
-Running np.einsum along the path that optimize="greedy" would pick gives
-the same bits as optimize="greedy" itself, so a plan changes speed only.
+per-topology `ContractionPlan` holds those labels together with a compiled
+step list for each network built on them, compiled on first use.  A step
+list is numpy's own contraction list for the greedy path: the operand
+positions each pairwise step pops and that step's einsum string.  Replaying
+it calls the kernels np.einsum(optimize="greedy") dispatches to
+(`bmm_einsum` for a pair, `c_einsum` otherwise) in the same order on the
+same operands, so a plan gives the same bits and skips only the per-call
+parsing and path work.
 """
 
 from __future__ import annotations
 
 import numpy as np
+# The kernels np.einsum runs each contraction step through (numpy >= 2.4);
+# a numpy without them fails here, at import.
+from numpy._core.einsumfunc import bmm_einsum, c_einsum
 
 from .errors import TopologyError
 from .topology import TNFactorSet, TNTopology, mode_pairs
@@ -29,9 +36,12 @@ def network_labels(topo: TNTopology) -> tuple[list[list[int]], list[int]]:
 
 
 class ContractionPlan:
-    """Labels of one topology and the greedy einsum paths of the networks
-    contracted over it, each computed on the first contraction that needs it.
+    """Labels of one topology, the output labels and row count of each
+    complement matrix, and a compiled step list for every network contracted
+    over it, each compiled on the first contraction that needs it.
 
+    A step is (operand positions to pop, einsum string, kernel), taken from
+    np.einsum_path(..., einsum_call=True), the list np.einsum itself walks.
     A plan is meant to live for one fit or one forward pass; there is no
     process-wide cache.  It accepts only factor sets whose topology has its
     dims and ranks (`TNTopology` equality compares dims only).
@@ -40,16 +50,31 @@ class ContractionPlan:
     def __init__(self, topo: TNTopology):
         self.topology = topo
         self.labels, self.modes = network_labels(topo)
-        self._paths: dict[object, list] = {}
+        # n -> (output labels, row count) of complement_matrix(f, n): the
+        # remaining modes ascending, then the bonds incident to mode n
+        size = int(np.prod(topo.dims))
+        self.complements = {
+            n: ([m for m in self.modes if m != n - 1]
+                + [lab for lab in self.labels[n - 1] if lab != n - 1],
+                size // topo.dims[n - 1])
+            for n in range(1, topo.order + 1)}
+        self._steps: dict[object, list] = {}
 
     def einsum(self, key, *operands) -> np.ndarray:
-        """np.einsum over interleaved operands along the greedy path stored
-        under key; operand shapes must be the same on every call with key."""
-        path = self._paths.get(key)
-        if path is None:
-            path = np.einsum_path(*operands, optimize="greedy")[0]
-            self._paths[key] = path
-        return np.einsum(*operands, optimize=path)
+        """np.einsum(*operands, optimize="greedy") over interleaved operands
+        by replaying the step list stored under key; operand shapes must be
+        the same on every call with key."""
+        steps = self._steps.get(key)
+        if steps is None:
+            _, contraction_list = np.einsum_path(*operands, optimize="greedy",
+                                                 einsum_call=True)
+            steps = [(inds, eq, bmm_einsum if len(inds) == 2 else c_einsum)
+                     for inds, eq, _ in contraction_list]
+            self._steps[key] = steps
+        arrays = list(operands[:-1:2])
+        for inds, eq, kernel in steps:
+            arrays.append(kernel(eq, *[arrays.pop(i) for i in inds]))
+        return arrays[0]
 
 
 def plan_for(f: TNFactorSet, plan: ContractionPlan | None) -> ContractionPlan:

@@ -199,10 +199,11 @@ def _layer_tensor(layer: _Layer) -> tuple[np.ndarray, TensorizationPlan | None]:
     return tensorize_matrix(layer.weight.astype(np.float64), plan), plan
 
 
-def _search_global_kappa(tensors: list[np.ndarray], target_ratio: float) -> float:
+def _search_global_kappa(tensors: list[np.ndarray], curve_sets: list[dict],
+                         target_ratio: float) -> float:
     """Binary search for the largest kappa whose per-layer rank tables (with
-    the keep-dense rule) fit the total parameter budget."""
-    curve_sets = [retention_curves(t)[0] for t in tensors]
+    the keep-dense rule) fit the total parameter budget; curve_sets holds
+    each tensor's retention curves."""
     dense_counts = [t.size for t in tensors]
     total_dense = sum(dense_counts)
 
@@ -246,17 +247,20 @@ def compress_container(container: ModelContainer, kappa: float | None = None,
     if any(layer.fmt != "dense" for layer in layers):
         raise FormatError("can only compress a dense-format model")
     prepared = [_layer_tensor(layer) for layer in layers]
-    if kappa is None:
-        kappa = _search_global_kappa([t for t, _ in prepared], budget)
-    elif not 0.0 < kappa <= 1.0:
+    if kappa is not None and not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+    if budget is not None and not budget > 1.0:
+        raise ValueError(f"budget must exceed 1, got {budget}")
+    curve_sets = [retention_curves(t)[0] for t, _ in prepared]
+    if kappa is None:
+        kappa = _search_global_kappa([t for t, _ in prepared], curve_sets,
+                                     budget)
 
     out = ModelContainer(manifest=dict(container.manifest))
     out.manifest["kappa"] = f"{kappa:.10f}"
     report = CompressionReport(kappa)
-    for layer, (tensor, plan) in zip(layers, prepared):
+    for layer, (tensor, plan), curves in zip(layers, prepared, curve_sets):
         prefix = f"layer.{layer.index}"
-        curves, _ = retention_curves(tensor)
         ranks = ranks_from_curves(curves, kappa)
         topo = TNTopology(tensor.shape, ranks)
         tn_params = tn_param_count(topo)

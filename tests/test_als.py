@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy._core import einsumfunc
 
 from tncompress.als import AlsConfig, als_fit, complement_matrix
 from tncompress.contraction import ContractionPlan, contract_network
@@ -60,6 +61,51 @@ def test_complement_matrix_planned_path_gives_greedy_bits(seed):
             expected = greedy_complement(f, n)
             assert np.array_equal(complement_matrix(f, n), expected)
             assert np.array_equal(complement_matrix(f, n, plan), expected)
+
+
+# order-3/4 topologies, each with at least one rank-1 bond
+PINNED_TOPOLOGIES = [
+    TNTopology((3, 4, 2), {(1, 2): 2, (1, 3): 1, (2, 3): 3}),
+    TNTopology((4, 3, 4), {(1, 2): 1, (1, 3): 1, (2, 3): 2}),
+    TNTopology((3, 2, 3, 2), {(1, 2): 2, (1, 3): 1, (1, 4): 2,
+                              (2, 3): 1, (2, 4): 3, (3, 4): 2}),
+    TNTopology((2, 3, 2, 3), {p: 1 for p in mode_pairs(4)}),
+]
+
+
+@pytest.mark.parametrize("topo", PINNED_TOPOLOGIES)
+def test_als_fit_compiles_each_plan_key_once(topo, monkeypatch):
+    target = np.random.default_rng(topo.order).standard_normal(topo.dims)
+    calls = []
+    real_einsum_path = np.einsum_path
+
+    def counting_einsum_path(*args, **kwargs):
+        calls.append(args)
+        return real_einsum_path(*args, **kwargs)
+
+    # np.einsum plans through einsumfunc.einsum_path on every call
+    monkeypatch.setattr(np, "einsum_path", counting_einsum_path)
+    monkeypatch.setattr(einsumfunc, "einsum_path", counting_einsum_path)
+    result = als_fit(target, topo, AlsConfig(max_sweeps=20, seed=1))
+    assert result.total_sweeps == 20
+    # one compile per key: the full network and each complement n
+    assert len(calls) == topo.order + 1
+
+
+@pytest.mark.parametrize("topo", PINNED_TOPOLOGIES)
+def test_als_fit_replay_gives_np_einsum_bits(topo, monkeypatch):
+    target = np.random.default_rng(topo.order).standard_normal(topo.dims)
+    cfg = AlsConfig(max_sweeps=20, seed=2)
+    replayed = als_fit(target, topo, cfg)
+    monkeypatch.setattr(ContractionPlan, "einsum",
+                        lambda self, key, *operands:
+                        np.einsum(*operands, optimize="greedy"))
+    direct = als_fit(target, topo, cfg)
+    assert np.array_equal(replayed.history, direct.history)
+    for got, want in zip(replayed.factors.factors, direct.factors.factors):
+        assert np.array_equal(got, want)
+    assert (replayed.attempts, replayed.total_sweeps) == \
+        (direct.attempts, direct.total_sweeps)
 
 
 def test_exact_recovery_from_planted_factors():

@@ -68,6 +68,34 @@ class TestExitCodes:
         assert rc == 2
         assert "unattainable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", [["--kappa", "1.5"], ["--kappa", "0"],
+                                        ["--kappa", "nan"],
+                                        ["--budget", "0.5"],
+                                        ["--budget", "1"]])
+    def test_out_of_range_compress_target_is_one(self, workspace, tmp_path,
+                                                  capsys, target):
+        out = tmp_path / "x.stnz"
+        rc = main(["compress", "--model", str(workspace / "dense.stnz"),
+                   *target, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_out_of_range_tradeoff_kappa_is_one(self, workspace, tmp_path,
+                                                capsys):
+        out = tmp_path / "curve.csv"
+        rc = main(["tradeoff", "--model", str(workspace / "dense.stnz"),
+                   "--kappas", "0.9,1.5", "--out", str(out)])
+        assert rc == 1
+        assert "1.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_directory_as_model_is_two(self, tmp_path, capsys):
+        rc = main(["report", "--model", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestPipeline:
     def test_train_wrote_model_and_log(self, workspace):

@@ -114,6 +114,13 @@ class TestCompression:
         with pytest.raises(ValueError):
             compress_container(container, kappa=0.5, budget=2.0)
 
+    @pytest.mark.parametrize("target", [{"kappa": 1.5}, {"kappa": 0.0},
+                                        {"budget": 0.5}, {"budget": 1.0}])
+    def test_out_of_range_target_rejected(self, target):
+        container = trained_container(steps=20)
+        with pytest.raises(ValueError):
+            compress_container(container, **target)
+
     def test_tn_forward_matches_reconstructed_dense(self):
         container = trained_container(steps=200)
         compressed, _ = compress_container(container, budget=2.0)
