@@ -51,9 +51,6 @@ class AlsResult:
     attempts: int
     total_sweeps: int
 
-    def __iter__(self):  # allow (factors, rse) unpacking
-        return iter((self.factors, self.rse))
-
 
 def complement_matrix(f: TNFactorSet, n: int,
                       plan: ContractionPlan | None = None) -> np.ndarray:

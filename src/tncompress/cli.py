@@ -13,7 +13,7 @@ import numpy as np
 from . import pipeline
 from .contraction import contract_network
 from .errors import (BudgetError, ConfigError, CorruptionError, FormatError,
-                     TrainingError)
+                     NumericError, TopologyError, TrainingError)
 from .oracles import brute_force_contract, check_theorem1, generate_cp, \
     generate_tucker
 from .topology import TNTopology, mode_pairs, random_factor_set
@@ -141,6 +141,8 @@ def main(argv=None) -> int:
                 kappas = [float(k) for k in args.kappas.split(",") if k]
             except ValueError:
                 return _usage_error("--kappas must be comma-separated numbers")
+            if not kappas:
+                return _usage_error("--kappas names no kappa value")
             bad = [k for k in kappas if not _kappa_in_range(k)]
             if bad:
                 return _usage_error(
@@ -158,7 +160,7 @@ def main(argv=None) -> int:
         elif args.command == "report":
             print(pipeline.describe_model(args.model))
     except (OSError, FormatError, CorruptionError, ConfigError,
-            BudgetError, TrainingError) as exc:
+            BudgetError, TrainingError, NumericError, TopologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
     return 0

@@ -12,11 +12,11 @@ import numpy as np
 
 from .admm import AdmmConfig
 from .als import AlsConfig, als_fit
-from .errors import BudgetError, ConfigError, FormatError
+from .errors import ConfigError, CorruptionError, FormatError
 from .layers import (TensorizationPlan, conv2d_dense, conv2d_tn, fc_tn,
                      plan_tensorization, tensorize_matrix)
 from .model_io import ModelContainer, load_model, save_model
-from .ranks import KAPPA_RESOLUTION, ranks_from_curves, retention_curves
+from .ranks import budget_kappa, ranks_from_curves, retention_curves
 from .toynet import (TinyCNN, make_dataset, make_net,
                      softmax_cross_entropy)
 from .topology import (TNFactorSet, TNTopology, prune_rank_one_edges,
@@ -126,29 +126,37 @@ class _Layer:
 
 def container_layers(container: ModelContainer) -> list[_Layer]:
     manifest = container.manifest
-    try:
-        count = int(manifest["layers"])
-    except KeyError as exc:
-        raise FormatError("manifest missing 'layers'") from exc
+
+    def value(key: str) -> str:
+        if key not in manifest:
+            raise FormatError(f"manifest missing {key!r}")
+        return manifest[key]
+
+    def tensor(name: str) -> np.ndarray:
+        if name not in container.tensors:
+            raise CorruptionError(f"model file missing tensor {name!r}")
+        return container.tensors[name]
+
+    count = int(value("layers"))
     layers = []
     for i in range(count):
         prefix = f"layer.{i}"
-        kind = manifest[f"{prefix}.kind"]
-        fmt = manifest[f"{prefix}.format"]
-        dims = _decode_dims(manifest[f"{prefix}.dims"])
+        kind = value(f"{prefix}.kind")
+        fmt = value(f"{prefix}.format")
+        dims = _decode_dims(value(f"{prefix}.dims"))
         layer = _Layer(i, kind, fmt, dims,
                        kept_dense=manifest.get(f"{prefix}.kept_dense") == "1")
         if f"{prefix}.plan_out" in manifest:
             layer.plan = TensorizationPlan(
                 _decode_dims(manifest[f"{prefix}.plan_out"]),
-                _decode_dims(manifest[f"{prefix}.plan_in"]))
+                _decode_dims(value(f"{prefix}.plan_in")))
         if fmt == "dense":
-            layer.weight = container.tensors[f"layer{i}/weight"]
+            layer.weight = tensor(f"layer{i}/weight")
         elif fmt == "tn":
-            ranks = _decode_ranks(manifest[f"{prefix}.ranks"])
+            ranks = _decode_ranks(value(f"{prefix}.ranks"))
             tensor_dims = layer.plan.dims if kind == "fc" else dims
             topo = TNTopology(tensor_dims, ranks)
-            factors = [container.tensors[f"layer{i}/factor{k}"].astype(np.float64)
+            factors = [tensor(f"layer{i}/factor{k}").astype(np.float64)
                        for k in range(topo.order)]
             layer.factors = TNFactorSet(topo, factors)
         else:
@@ -199,45 +207,6 @@ def _layer_tensor(layer: _Layer) -> tuple[np.ndarray, TensorizationPlan | None]:
     return tensorize_matrix(layer.weight.astype(np.float64), plan), plan
 
 
-def _search_global_kappa(tensors: list[np.ndarray], curve_sets: list[dict],
-                         target_ratio: float) -> float:
-    """Binary search for the largest kappa whose per-layer rank tables (with
-    the keep-dense rule) fit the total parameter budget; curve_sets holds
-    each tensor's retention curves."""
-    dense_counts = [t.size for t in tensors]
-    total_dense = sum(dense_counts)
-
-    def total_tn(kappa: float) -> int:
-        total = 0
-        for t, curves, dense in zip(tensors, curve_sets, dense_counts):
-            topo = TNTopology(t.shape, ranks_from_curves(curves, kappa))
-            total += min(tn_param_count(topo), dense)
-        return total
-
-    def feasible(kappa: float) -> bool:
-        return total_dense >= target_ratio * total_tn(kappa)
-
-    floor = sum(min(sum(t.shape), t.size) for t in tensors)
-    if total_dense < target_ratio * floor:
-        raise BudgetError(
-            f"target ratio {target_ratio} unattainable; best is "
-            f"{total_dense / floor:.4f}x", floor)
-    if feasible(1.0):
-        return 1.0
-    best = min(float(c[0]) for curves in curve_sets for c in curves.values())
-    lo, hi = 0.0, 1.0
-    for _ in range(32):
-        if hi - lo <= KAPPA_RESOLUTION:
-            break
-        mid = (lo + hi) / 2.0
-        if feasible(mid):
-            lo = mid
-            best = max(best, mid)
-        else:
-            hi = mid
-    return best
-
-
 def compress_container(container: ModelContainer, kappa: float | None = None,
                        budget: float | None = None,
                        als_cfg: AlsConfig = AlsConfig()) -> tuple[ModelContainer, CompressionReport]:
@@ -249,12 +218,10 @@ def compress_container(container: ModelContainer, kappa: float | None = None,
     prepared = [_layer_tensor(layer) for layer in layers]
     if kappa is not None and not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    if budget is not None and not budget > 1.0:
-        raise ValueError(f"budget must exceed 1, got {budget}")
     curve_sets = [retention_curves(t)[0] for t, _ in prepared]
     if kappa is None:
-        kappa = _search_global_kappa([t for t, _ in prepared], curve_sets,
-                                     budget)
+        kappa = budget_kappa([t.shape for t, _ in prepared], curve_sets,
+                             budget)
 
     out = ModelContainer(manifest=dict(container.manifest))
     out.manifest["kappa"] = f"{kappa:.10f}"
@@ -283,14 +250,14 @@ def compress_container(container: ModelContainer, kappa: float | None = None,
         else:
             cfg = AlsConfig(max_sweeps=als_cfg.max_sweeps, tol=als_cfg.tol,
                             seed=als_cfg.seed + layer.index)
-            factors, rse = als_fit(tensor, topo, cfg)
+            fit = als_fit(tensor, topo, cfg)
             out.manifest[f"{prefix}.format"] = "tn"
             out.manifest[f"{prefix}.ranks"] = _encode_ranks(ranks)
-            for k, f in enumerate(factors.factors):
+            for k, f in enumerate(fit.factors.factors):
                 out.tensors[f"layer{layer.index}/factor{k}"] = \
                     f.astype(np.float32)
             row.update(tn_params=tn_params, ratio=dense_params / tn_params,
-                       rse=f"{rse:.8f}", kept_dense=0)
+                       rse=f"{fit.rse:.8f}", kept_dense=0)
         report.rows.append(row)
     return out, report
 
@@ -381,7 +348,7 @@ def emit_tradeoff(model_path, kappas, out_path) -> list[dict]:
         raise FormatError("model carries no data_seed provenance")
     data_seed = int(container.manifest["data_seed"])
     seed = int(container.manifest.get("seed", 0))
-    layer_count = int(container.manifest["layers"])
+    layer_count = len(container_layers(container))
     rows = []
     for kappa in kappas:
         compressed, report = compress_container(

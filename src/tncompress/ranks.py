@@ -11,6 +11,7 @@ curve is kept alongside as metadata only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,52 +84,61 @@ class BudgetSearchResult(NamedTuple):
     dense_params: int
 
 
-def kappa_for_budget(t, target_ratio: float) -> BudgetSearchResult:
-    """Largest kappa whose rank table fits a dense/TN parameter budget.
+def budget_kappa(shapes, curve_sets, target_ratio: float) -> float:
+    """Largest kappa whose rank tables fit a total dense/TN parameter budget.
 
-    Since ranks are non-decreasing in kappa, feasibility is monotone and a
-    binary search on (0, 1] is valid.
+    shapes and curve_sets hold each tensor's shape and retention curves. A
+    tensor counts min(TN params, dense size), since a factor set that would
+    not shrink it is kept dense. Ranks are non-decreasing in kappa, so
+    feasibility is monotone and a binary search on (0, 1] is valid.
     """
-    if target_ratio <= 1.0:
+    if not target_ratio > 1.0:
         raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
-    a = as_array(t)
-    dense = a.size
-    curves, energy = retention_curves(a)
-
-    def params_at(kappa: float) -> int:
-        ranks = ranks_from_curves(curves, kappa)
-        return tn_param_count(TNTopology(a.shape, ranks))
+    dense_counts = [math.prod(shape) for shape in shapes]
+    total_dense = sum(dense_counts)
 
     def feasible(kappa: float) -> bool:
-        return dense >= target_ratio * params_at(kappa)
+        total_tn = 0
+        for shape, curves, dense in zip(shapes, curve_sets, dense_counts):
+            topo = TNTopology(shape, ranks_from_curves(curves, kappa))
+            total_tn += min(tn_param_count(topo), dense)
+        return total_dense >= target_ratio * total_tn
 
-    floor = sum(a.shape)  # all bonds at rank 1
-    if dense < target_ratio * floor:
+    # all bonds at rank 1, or dense where that is smaller
+    floor = sum(min(sum(shape), dense)
+                for shape, dense in zip(shapes, dense_counts))
+    if total_dense < target_ratio * floor:
         raise BudgetError(
             f"target ratio {target_ratio} unattainable; best is "
-            f"{dense / floor:.4f}x with {floor} parameters", floor)
-
+            f"{total_dense / floor:.4f}x with {floor} parameters", floor)
     if feasible(1.0):
-        best = 1.0
-    else:
-        # kappas at or below the first curve point give all-rank-1 tables,
-        # which the floor check above proved feasible.
-        best = min(float(c[0]) for c in curves.values())
-        lo, hi = 0.0, 1.0
-        for _ in range(32):
-            if hi - lo <= KAPPA_RESOLUTION:
-                break
-            mid = (lo + hi) / 2.0
-            if feasible(mid):
-                lo = mid
-                best = max(best, mid)
-            else:
-                hi = mid
+        return 1.0
+    # kappas at or below the first curve point give all-rank-1 tables,
+    # which the floor check above proved feasible.
+    best = min(float(c[0]) for curves in curve_sets for c in curves.values())
+    lo, hi = 0.0, 1.0
+    for _ in range(32):
+        if hi - lo <= KAPPA_RESOLUTION:
+            break
+        mid = (lo + hi) / 2.0
+        if feasible(mid):
+            lo = mid
+            best = max(best, mid)
+        else:
+            hi = mid
+    return best
 
-    ranks = ranks_from_curves(curves, best)
-    selection = RankSelection(best, ranks, curves, energy)
+
+def kappa_for_budget(t, target_ratio: float) -> BudgetSearchResult:
+    """Largest kappa whose rank table fits a dense/TN parameter budget: the
+    one-tensor case of budget_kappa."""
+    a = as_array(t)
+    curves, energy = retention_curves(a)
+    kappa = budget_kappa([a.shape], [curves], target_ratio)
+    ranks = ranks_from_curves(curves, kappa)
+    selection = RankSelection(kappa, ranks, curves, energy)
     tn = tn_param_count(TNTopology(a.shape, ranks))
-    return BudgetSearchResult(best, selection, dense / tn, tn, dense)
+    return BudgetSearchResult(kappa, selection, a.size / tn, tn, a.size)
 
 
 def effective_rank(mat: np.ndarray, kappa: float) -> int:

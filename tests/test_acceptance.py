@@ -83,7 +83,7 @@ def test_criterion_3_layer_equivalence(report):
 
     kernel = rng.standard_normal((3, 3, 4, 6))
     sel = determine_ranks(kernel, 1.0)
-    factors, conv_rse = als_fit(kernel, sel.topology(kernel.shape), cfg)
+    factors = als_fit(kernel, sel.topology(kernel.shape), cfg).factors
     x = rng.standard_normal((8, 8, 4))
     dense_out = conv2d_dense(x, kernel)
     tn_out = conv2d_tn(x, factors)
@@ -95,7 +95,7 @@ def test_criterion_3_layer_equivalence(report):
     assert plan.out_factors == (4, 4) and plan.in_factors == (4, 4)
     t = tensorize_matrix(w, plan)
     sel = determine_ranks(t, 1.0)
-    fc_factors, fc_rse = als_fit(t, sel.topology(t.shape), cfg)
+    fc_factors = als_fit(t, sel.topology(t.shape), cfg).factors
     v = rng.standard_normal(16)
     fc_err = (np.linalg.norm(fc_tn(v, fc_factors, plan) - w @ v)
               / np.linalg.norm(w @ v))

@@ -125,12 +125,12 @@ def test_history_is_monotone_non_increasing():
     assert result.history[-1] == pytest.approx(result.rse)
 
 
-def test_result_unpacks_to_factors_and_rse():
+def test_result_fields_hold_factors_and_rse():
     topo = uniform_topology((4, 4), 2)
     target = contract_network(random_factor_set(topo, seed=5))
-    factors, rse = als_fit(target, topo, AlsConfig(seed=5))
-    assert rse <= 1e-5
-    assert len(factors.factors) == 2
+    result = als_fit(target, topo, AlsConfig(seed=5))
+    assert result.rse <= 1e-5
+    assert len(result.factors.factors) == 2
 
 
 def test_full_rank_matrix_fit_is_near_exact():

@@ -1,8 +1,10 @@
 """CLI subcommands, exit codes, and end-to-end artifacts."""
 
+import numpy as np
 import pytest
 
 from tncompress.cli import main
+from tncompress.model_io import load_model, save_model
 
 TRAIN_CFG = """\
 arch = mlp
@@ -96,6 +98,59 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("target", [["--budget", "2"],
+                                        ["--kappa", "0.9"]])
+    def test_nan_weight_is_two(self, workspace, tmp_path, capsys, target):
+        container = load_model(workspace / "dense.stnz")
+        container.tensors["layer0/weight"][0, 0] = np.nan
+        save_model(tmp_path / "nan.stnz", container)
+        out, report = tmp_path / "x.stnz", tmp_path / "x.csv"
+        rc = main(["compress", "--model", str(tmp_path / "nan.stnz"),
+                   *target, "--out", str(out), "--report", str(report)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite" in err
+        assert not out.exists() and not report.exists()
+
+    def test_ranks_disagreeing_with_factors_is_two(self, workspace,
+                                                    tmp_path, capsys):
+        rc = main(["compress", "--model", str(workspace / "dense.stnz"),
+                   "--kappa", "0.5", "--out", str(tmp_path / "tn.stnz")])
+        assert rc == 0
+        container = load_model(tmp_path / "tn.stnz")
+        tn_layer = next(i for i in range(2)
+                        if container.manifest.get(f"layer.{i}.format") == "tn")
+        ranks = container.manifest[f"layer.{tn_layer}.ranks"]
+        container.manifest[f"layer.{tn_layer}.ranks"] = ranks.replace(
+            ":", ":9", 1)
+        save_model(tmp_path / "bad.stnz", container)
+        capsys.readouterr()
+        rc = main(["report", "--model", str(tmp_path / "bad.stnz")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda c: c.manifest.pop("layer.1.kind"), "layer.1.kind"),
+        (lambda c: c.manifest.pop("layer.0.format"), "layer.0.format"),
+        (lambda c: c.manifest.pop("layer.1.dims"), "layer.1.dims"),
+        (lambda c: c.manifest.update(layers="3"), "layer.2.kind"),
+        (lambda c: c.tensors.pop("layer0/weight"), "layer0/weight"),
+    ], ids=["no-kind", "no-format", "no-dims", "layer-count", "no-weight"])
+    def test_incomplete_model_file_is_two(self, workspace, tmp_path, capsys,
+                                          edit, key):
+        container = load_model(workspace / "dense.stnz")
+        edit(container)
+        save_model(tmp_path / "bad.stnz", container)
+        for argv in (["report"], ["eval", "--data",
+                                  str(workspace / "data.cfg")]):
+            rc = main([*argv, "--model", str(tmp_path / "bad.stnz")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert repr(key) in err
+
 
 class TestPipeline:
     def test_train_wrote_model_and_log(self, workspace):
@@ -153,10 +208,14 @@ class TestPipeline:
         ratios = [float(r.split(",")[1]) for r in rows]
         assert ratios == sorted(ratios)   # non-decreasing as kappa falls
 
-    def test_tradeoff_bad_kappas_is_usage_error(self, workspace, capsys):
-        rc = main(["tradeoff", "--model", str(workspace / "dense.stnz"),
-                   "--kappas", "a,b", "--out", "/dev/null"])
-        assert rc == 1
+    def test_tradeoff_bad_kappas_is_usage_error(self, workspace, tmp_path,
+                                                capsys):
+        out = tmp_path / "curve.csv"
+        for kappas in ("a,b", ","):
+            rc = main(["tradeoff", "--model", str(workspace / "dense.stnz"),
+                       "--kappas", kappas, "--out", str(out)])
+            assert rc == 1
+            assert not out.exists()
 
 
 def test_verify_oracle_suite(capsys):

@@ -1,13 +1,16 @@
 """Rank selection from mode-pair spectra and the budget search."""
 
+import math
+
 import numpy as np
 import pytest
 
 from tncompress.errors import BudgetError
 from tncompress.oracles import generate_cp
-from tncompress.ranks import (KAPPA_RESOLUTION, determine_ranks,
-                              effective_rank, kappa_for_budget,
-                              ranks_from_curves, retention_curves)
+from tncompress.ranks import (KAPPA_RESOLUTION, budget_kappa,
+                              determine_ranks, effective_rank,
+                              kappa_for_budget, ranks_from_curves,
+                              retention_curves)
 from tncompress.topology import TNTopology, tn_param_count
 
 
@@ -100,11 +103,49 @@ class TestKappaForBudget:
             assert grid[-1] <= res.kappa < grid[-1] + 1 / 256
             assert params_at(res.kappa) >= params_at(grid[-1])
 
+        # tensor lists, as a model-wide search sees them: one order-4 tensor
+        # plus small ones, of which at least one is kept dense (its TN count
+        # capped at its dense size) at the kappa found
+        capped_lists = 0
+        for i in range(10):
+            shapes = [tuple(int(d) for d in rng.integers(3, 7, size=4))]
+            shapes += [tuple(int(d) for d in
+                             rng.integers(2, 4, size=int(rng.integers(2, 4))))
+                       for _ in range(int(rng.integers(1, 3)))]
+            curve_sets = [retention_curves(rng.standard_normal(s))[0]
+                          for s in shapes]
+            kappa = budget_kappa(shapes, curve_sets, 2.0)
+            dense = sum(math.prod(s) for s in shapes)
+
+            def tn_counts(k):
+                return [(tn_param_count(
+                            TNTopology(s, ranks_from_curves(c, k))),
+                         math.prod(s)) for s, c in zip(shapes, curve_sets)]
+
+            def kept_dense_params(k):
+                return sum(min(tn, size) for tn, size in tn_counts(k))
+
+            if all(tn < size for tn, size in tn_counts(kappa)):
+                continue
+            capped_lists += 1
+            assert dense >= 2.0 * kept_dense_params(kappa)
+            grid = [g / 256 for g in range(1, 257)
+                    if dense >= 2.0 * kept_dense_params(g / 256)]
+            assert grid[-1] <= kappa < grid[-1] + 1 / 256
+            assert kept_dense_params(kappa) >= kept_dense_params(grid[-1])
+        assert capped_lists >= 5
+
     def test_unattainable_budget_reports_floor(self):
         t = np.random.default_rng(6).standard_normal((3, 3, 3))
         with pytest.raises(BudgetError) as exc:
             kappa_for_budget(t, 1000.0)
         assert exc.value.min_params == sum(t.shape)
+        # with a unit dim, all-rank-1 factors outnumber the dense entries,
+        # so the floor is the dense size, the count of a kept-dense tensor
+        unit = np.random.default_rng(6).standard_normal((1, 2, 2))
+        with pytest.raises(BudgetError, match="unattainable") as exc:
+            kappa_for_budget(unit, 1.5)
+        assert exc.value.min_params == unit.size
 
     def test_low_rank_tensor_feasible_at_kappa_one(self):
         t = generate_cp((6, 6, 6), r_cp=1, seed=7)
@@ -115,6 +156,8 @@ class TestKappaForBudget:
     def test_ratio_must_exceed_one(self):
         with pytest.raises(ValueError):
             kappa_for_budget(np.ones((2, 2)), 1.0)
+        with pytest.raises(ValueError):
+            kappa_for_budget(np.ones((2, 2)), float("nan"))
 
 
 def test_kappa_resolution_constant():
