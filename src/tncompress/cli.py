@@ -68,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _verify_oracle(instances: int = 60) -> bool:
+def _verify_oracle() -> bool:
     rng = np.random.default_rng(7)
-    ok = True
+    ok, instances = True, 60
     for i in range(instances):
         order = int(rng.integers(2, 5))
         dims = tuple(int(d) for d in rng.integers(2, 5, size=order))
@@ -86,9 +86,9 @@ def _verify_oracle(instances: int = 60) -> bool:
     return ok
 
 
-def _verify_theorem1(instances: int = 40) -> bool:
+def _verify_theorem1() -> bool:
     rng = np.random.default_rng(11)
-    ok = True
+    ok, instances = True, 40
     for i in range(instances):
         dims = tuple(int(d) for d in rng.integers(2, 6, size=4))
         if i % 2 == 0:

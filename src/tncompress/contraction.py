@@ -88,24 +88,13 @@ def plan_for(f: TNFactorSet, plan: ContractionPlan | None) -> ContractionPlan:
     return plan
 
 
-def contract_network(f: TNFactorSet, squeeze_unit_bonds: bool = False,
+def contract_network(f: TNFactorSet,
                      plan: ContractionPlan | None = None) -> np.ndarray:
-    """Multilinear contraction over all shared bond indices.
-
-    With squeeze_unit_bonds the rank-1 bond axes are dropped from the
-    factors before contracting; the result is unchanged because a size-1
-    shared index sums a single term.  Pass a plan to reuse its path over
-    repeated contractions of one topology.
-    """
-    topo = f.topology
+    """Multilinear contraction over all shared bond indices.  Pass a plan to
+    reuse its path over repeated contractions of one topology."""
     plan = plan_for(f, plan)
     operands = []
     for fac, labs in zip(f.factors, plan.labels):
-        if squeeze_unit_bonds:
-            keep = [ax for ax, size in enumerate(fac.shape)
-                    if size > 1 or labs[ax] < topo.order]
-            fac = fac.reshape([fac.shape[ax] for ax in keep])
-            labs = [labs[ax] for ax in keep]
         operands.append(fac)
         operands.append(labs)
-    return plan.einsum(("network", squeeze_unit_bonds), *operands, plan.modes)
+    return plan.einsum("network", *operands, plan.modes)

@@ -4,8 +4,8 @@ tensorization planning and parameter/FLOP accounting.
 Convolutions are valid-padding, stride 1, bias-free.  A conv kernel is a
 K x K x S x T tensor (spatial, spatial, in-channels, out-channels); a conv
 input is W x H x S.  FC weights are M x N matrices acting as y = W x, and
-are tensorized to (I_1..I_m, J_1..J_n) with little-endian flattening on
-both sides before decomposition.
+are tensorized to (I_1, I_2, J_1, J_2), two factors per side with
+little-endian flattening, before decomposition.
 
 Every forward pass also takes a batch: an input with one extra leading
 axis (B x W x H x S for a conv, B x N for an FC layer) runs all B samples
@@ -15,7 +15,7 @@ in one call and returns the outputs stacked along that axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import isqrt
 
 import numpy as np
 
@@ -28,58 +28,23 @@ from .topology import TNFactorSet, tn_param_count, uniform_topology
 # ---------------------------------------------------------------------------
 # tensorization planning
 
-def _factorizations(value: int, length: int, minimum: int = 2):
-    """Ascending tuples of factors >= minimum with the given product."""
-    if length == 1:
-        if value >= minimum:
-            yield (value,)
-        return
-    d = minimum
-    while d * d ** (length - 1) <= value:
-        if value % d == 0:
-            for rest in _factorizations(value // d, length - 1, d):
-                yield (d,) + rest
-        d += 1
-
-
-def _max_order(value: int) -> int:
-    """Number of prime factors with multiplicity."""
-    n, total, d = value, 0, 2
-    while d * d <= n:
-        while n % d == 0:
-            n //= d
-            total += 1
-        d += 1
-    return total + (1 if n > 1 else 0)
-
-
-def _split_dim(value: int, order: int) -> tuple[tuple[int, ...], bool]:
-    """Minimum log-variance split of value into `order` factors.  Falls back
-    to the largest feasible order padded with ones when `order` exceeds the
-    prime-factor count, and reports that via the flag."""
-    if order < 1:
-        raise ValueError("target order must be >= 1")
-    feasible_order = min(order, max(_max_order(value), 1))
-    best = None
-    for cand in _factorizations(value, feasible_order):
-        logs = [log(f) for f in cand]
-        mean = sum(logs) / len(logs)
-        var = sum((x - mean) ** 2 for x in logs) / len(logs)
-        key = (var, cand)
-        if best is None or key < best:
-            best = key
-    if best is None:  # value == 1
-        factors = (1,) * order
-        return factors, order > 1
-    factors = (1,) * (order - feasible_order) + best[1]
-    return factors, feasible_order < order
+def _split_dim(value: int) -> tuple[tuple[int, int], bool]:
+    """The divisor pair of value closest to its square root, smaller factor
+    first.  With no pair of factors >= 2 (value 1 or a prime) the split is
+    (1, value), reported via the flag."""
+    d = isqrt(value)
+    while d >= 2 and value % d:
+        d -= 1
+    if d < 2:
+        return (1, value), True
+    return (d, value // d), False
 
 
 @dataclass(frozen=True)
 class TensorizationPlan:
-    out_factors: tuple[int, ...]  # I_1..I_m, product M
-    in_factors: tuple[int, ...]   # J_1..J_n, product N
-    reduced: bool = False         # a side could not reach the target order
+    out_factors: tuple[int, ...]  # (I_1, I_2), product M
+    in_factors: tuple[int, ...]   # (J_1, J_2), product N
+    reduced: bool = False         # a side has no split into factors >= 2
 
     @property
     def rows(self) -> int:
@@ -94,11 +59,11 @@ class TensorizationPlan:
         return self.out_factors + self.in_factors
 
 
-def plan_tensorization(rows: int, cols: int, target_order: int = 2) -> TensorizationPlan:
+def plan_tensorization(rows: int, cols: int) -> TensorizationPlan:
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
-    out_factors, out_reduced = _split_dim(rows, target_order)
-    in_factors, in_reduced = _split_dim(cols, target_order)
+    out_factors, out_reduced = _split_dim(rows)
+    in_factors, in_reduced = _split_dim(cols)
     return TensorizationPlan(out_factors, in_factors, out_reduced or in_reduced)
 
 

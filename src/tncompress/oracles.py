@@ -100,11 +100,11 @@ def generalized_unfold(t: np.ndarray, row_modes, col_modes) -> np.ndarray:
     return a.reshape((rows, -1), order="F")
 
 
-def numerical_rank(mat: np.ndarray, threshold: float = RANK_THRESHOLD) -> int:
+def numerical_rank(mat: np.ndarray) -> int:
     s = singular_values(mat)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > threshold * s[0]))
+    return int(np.count_nonzero(s > RANK_THRESHOLD * s[0]))
 
 
 @dataclass

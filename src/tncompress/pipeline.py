@@ -137,23 +137,31 @@ def container_layers(container: ModelContainer) -> list[_Layer]:
             raise CorruptionError(f"model file missing tensor {name!r}")
         return container.tensors[name]
 
-    count = int(value("layers"))
+    def parsed(key: str, decode):
+        try:
+            return decode(value(key))
+        except ValueError:
+            raise FormatError(f"manifest {key!r} cannot be parsed: "
+                              f"{manifest[key]!r}") from None
+
+    count = parsed("layers", int)
     layers = []
     for i in range(count):
         prefix = f"layer.{i}"
         kind = value(f"{prefix}.kind")
         fmt = value(f"{prefix}.format")
-        dims = _decode_dims(value(f"{prefix}.dims"))
+        dims = parsed(f"{prefix}.dims", _decode_dims)
         layer = _Layer(i, kind, fmt, dims,
                        kept_dense=manifest.get(f"{prefix}.kept_dense") == "1")
-        if f"{prefix}.plan_out" in manifest:
+        # a TN fc layer needs its plan; a dense one may carry it
+        if f"{prefix}.plan_out" in manifest or (fmt, kind) == ("tn", "fc"):
             layer.plan = TensorizationPlan(
-                _decode_dims(manifest[f"{prefix}.plan_out"]),
-                _decode_dims(value(f"{prefix}.plan_in")))
+                parsed(f"{prefix}.plan_out", _decode_dims),
+                parsed(f"{prefix}.plan_in", _decode_dims))
         if fmt == "dense":
             layer.weight = tensor(f"layer{i}/weight")
         elif fmt == "tn":
-            ranks = _decode_ranks(value(f"{prefix}.ranks"))
+            ranks = parsed(f"{prefix}.ranks", _decode_ranks)
             tensor_dims = layer.plan.dims if kind == "fc" else dims
             topo = TNTopology(tensor_dims, ranks)
             factors = [tensor(f"layer{i}/factor{k}").astype(np.float64)
@@ -203,7 +211,7 @@ def _layer_tensor(layer: _Layer) -> tuple[np.ndarray, TensorizationPlan | None]:
     tensorized matrix for FC layers."""
     if layer.kind == "conv":
         return layer.weight.astype(np.float64), None
-    plan = plan_tensorization(layer.dims[0], layer.dims[1], target_order=2)
+    plan = plan_tensorization(layer.dims[0], layer.dims[1])
     return tensorize_matrix(layer.weight.astype(np.float64), plan), plan
 
 
@@ -277,15 +285,22 @@ def _forward(layer: _Layer, x: np.ndarray) -> np.ndarray:
     return fc_tn(x, layer.factors, layer.plan)
 
 
+def _arch(container: ModelContainer) -> str:
+    """The container's architecture; FormatError if absent or unknown."""
+    if "arch" not in container.manifest:
+        raise FormatError("manifest missing 'arch'")
+    arch = container.manifest["arch"]
+    if arch not in ("mlp", "tinycnn"):
+        raise FormatError(f"unknown architecture {arch!r}")
+    return arch
+
+
 def model_logits(container: ModelContainer, x: np.ndarray) -> np.ndarray:
     """Forward a batch through the container's architecture, dispatching
     each layer to its dense or TN implementation; every layer runs once on
     the whole batch."""
-    arch = container.manifest["arch"]
-    layers = container_layers(container)
-    if arch not in ("mlp", "tinycnn"):
-        raise FormatError(f"unknown architecture {arch!r}")
-    first, second = layers
+    arch = _arch(container)
+    first, second = container_layers(container)
     hidden = np.maximum(_forward(first, np.asarray(x, dtype=np.float64)), 0.0)
     if arch == "tinycnn":
         hidden = TinyCNN._flatten(hidden)
@@ -293,8 +308,7 @@ def model_logits(container: ModelContainer, x: np.ndarray) -> np.ndarray:
 
 
 def evaluate_container(container: ModelContainer, data_seed: int) -> dict:
-    arch = container.manifest["arch"]
-    data = make_dataset(arch, data_seed)
+    data = make_dataset(_arch(container), data_seed)
     logits = model_logits(container, data.x_test)
     loss, acc, _ = softmax_cross_entropy(logits, data.y_test)
     return {"loss": loss, "accuracy": acc}
@@ -373,7 +387,7 @@ def emit_tradeoff(model_path, kappas, out_path) -> list[dict]:
 def describe_model(model_path) -> str:
     container = load_model(model_path)
     layers = container_layers(container)
-    lines = [f"arch: {container.manifest['arch']}"]
+    lines = [f"arch: {_arch(container)}"]
     if "kappa" in container.manifest:
         lines.append(f"kappa: {container.manifest['kappa']}")
     total = 0

@@ -24,28 +24,26 @@ class Dataset:
     y_test: np.ndarray
 
 
-def make_blobs(seed: int, train: int = 512, test: int = 256,
-               separation: float = 1.5) -> Dataset:
-    """Two unit-variance Gaussian clusters at +-separation along the first
-    coordinate of an 8-dimensional space."""
+def make_blobs(seed: int) -> Dataset:
+    """512 training and 256 test points from two unit-variance Gaussian
+    clusters at +-1.5 along the first coordinate of an 8-dimensional space."""
     rng = np.random.default_rng(seed)
 
     def draw(n):
         half = n // 2
         y = np.repeat([0, 1], [half, n - half])
         x = rng.standard_normal((n, 8))
-        x[:, 0] += np.where(y == 0, -separation, separation)
+        x[:, 0] += np.where(y == 0, -1.5, 1.5)
         return x, y
 
-    x_tr, y_tr = draw(train)
-    x_te, y_te = draw(test)
+    x_tr, y_tr = draw(512)
+    x_te, y_te = draw(256)
     return Dataset(x_tr, y_tr, x_te, y_te)
 
 
-def make_stripes(seed: int, train: int = 512, test: int = 256,
-                 noise: float = 0.5) -> Dataset:
-    """8x8 single-channel images: horizontal stripes (class 0) vs vertical
-    stripes (class 1), plus Gaussian pixel noise."""
+def make_stripes(seed: int) -> Dataset:
+    """512 training and 256 test 8x8 single-channel images: horizontal vs
+    vertical stripes (class 0 / 1), plus Gaussian pixel noise of sd 0.5."""
     rng = np.random.default_rng(seed)
     rows = np.tile(np.where(np.arange(8) % 2 == 0, 1.0, -1.0)[:, None], (1, 8))
     patterns = np.stack([rows, rows.T])  # (class, 8, 8)
@@ -53,11 +51,11 @@ def make_stripes(seed: int, train: int = 512, test: int = 256,
     def draw(n):
         half = n // 2
         y = np.repeat([0, 1], [half, n - half])
-        x = patterns[y] + noise * rng.standard_normal((n, 8, 8))
+        x = patterns[y] + 0.5 * rng.standard_normal((n, 8, 8))
         return x[..., None], y  # add the channel axis
 
-    x_tr, y_tr = draw(train)
-    x_te, y_te = draw(test)
+    x_tr, y_tr = draw(512)
+    x_te, y_te = draw(256)
     return Dataset(x_tr, y_tr, x_te, y_te)
 
 
@@ -80,11 +78,11 @@ class MLP:
     arch = "mlp"
     input_shape = (8,)
 
-    def __init__(self, seed: int, hidden: int = 32):
+    def __init__(self, seed: int):
         rng = np.random.default_rng(seed)
         self.weights = [
-            (rng.standard_normal((hidden, 8)) / np.sqrt(8)).astype(np.float32),
-            (rng.standard_normal((2, hidden)) / np.sqrt(hidden)).astype(np.float32),
+            (rng.standard_normal((32, 8)) / np.sqrt(8)).astype(np.float32),
+            (rng.standard_normal((2, 32)) / np.sqrt(32)).astype(np.float32),
         ]
 
     def forward(self, x: np.ndarray) -> np.ndarray:

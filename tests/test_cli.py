@@ -29,6 +29,17 @@ def workspace(tmp_path_factory):
     return ws
 
 
+@pytest.fixture(scope="module")
+def tn_model(workspace):
+    """workspace / "tn.stnz": the dense model at budget 2, both layers TN."""
+    rc = main(["compress", "--model", str(workspace / "dense.stnz"),
+               "--budget", "2.0", "--out", str(workspace / "tn.stnz")])
+    assert rc == 0
+    manifest = load_model(workspace / "tn.stnz").manifest
+    assert manifest["layer.0.format"] == manifest["layer.1.format"] == "tn"
+    return workspace / "tn.stnz"
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -131,16 +142,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("edit, key", [
-        (lambda c: c.manifest.pop("layer.1.kind"), "layer.1.kind"),
-        (lambda c: c.manifest.pop("layer.0.format"), "layer.0.format"),
-        (lambda c: c.manifest.pop("layer.1.dims"), "layer.1.dims"),
-        (lambda c: c.manifest.update(layers="3"), "layer.2.kind"),
-        (lambda c: c.tensors.pop("layer0/weight"), "layer0/weight"),
-    ], ids=["no-kind", "no-format", "no-dims", "layer-count", "no-weight"])
-    def test_incomplete_model_file_is_two(self, workspace, tmp_path, capsys,
-                                          edit, key):
-        container = load_model(workspace / "dense.stnz")
+    @pytest.mark.parametrize("model, edit, key", [
+        ("dense", lambda c: c.manifest.pop("layer.1.kind"), "layer.1.kind"),
+        ("dense", lambda c: c.manifest.pop("layer.0.format"),
+         "layer.0.format"),
+        ("dense", lambda c: c.manifest.pop("layer.1.dims"), "layer.1.dims"),
+        ("dense", lambda c: c.manifest.update(layers="3"), "layer.2.kind"),
+        ("dense", lambda c: c.tensors.pop("layer0/weight"), "layer0/weight"),
+        ("dense", lambda c: c.manifest.pop("arch"), "arch"),
+        ("dense", lambda c: c.manifest.update(layers="x"), "layers"),
+        ("dense", lambda c: c.manifest.update({"layer.0.dims": "3xz"}),
+         "layer.0.dims"),
+        ("tn", lambda c: c.manifest.pop("layer.1.plan_out"),
+         "layer.1.plan_out"),
+        ("tn", lambda c: c.manifest.update({"layer.0.plan_in": "4x"}),
+         "layer.0.plan_in"),
+        ("tn", lambda c: c.manifest.update({"layer.1.ranks": "1-2:x"}),
+         "layer.1.ranks"),
+    ], ids=["no-kind", "no-format", "no-dims", "layer-count", "no-weight",
+            "no-arch", "bad-layers", "bad-dims", "tn-no-plan-out",
+            "tn-bad-plan-in", "tn-bad-ranks"])
+    def test_incomplete_model_file_is_two(self, workspace, tn_model, tmp_path,
+                                          capsys, model, edit, key):
+        path = tn_model if model == "tn" else workspace / "dense.stnz"
+        container = load_model(path)
         edit(container)
         save_model(tmp_path / "bad.stnz", container)
         for argv in (["report"], ["eval", "--data",

@@ -39,15 +39,6 @@ def test_matches_brute_force_on_random_instances():
         assert rel_err(contract_network(f), brute_force_contract(f)) <= 1e-5
 
 
-def test_squeeze_unit_bonds_is_exact():
-    topo = TNTopology((3, 4, 2, 3),
-                      {(1, 2): 2, (1, 3): 1, (1, 4): 1,
-                       (2, 3): 3, (2, 4): 1, (3, 4): 2})
-    f = random_factor_set(topo, seed=7)
-    assert np.allclose(contract_network(f, squeeze_unit_bonds=True),
-                       contract_network(f), atol=1e-12)
-
-
 def test_brute_force_term_budget():
     topo = uniform_topology((10,) * 6, 4)
     f = TNFactorSet(topo, [np.zeros(topo.factor_shape(k))
@@ -65,21 +56,15 @@ def random_topology(seed):
                              for p in mode_pairs(order)})
 
 
-def greedy_network(f, squeeze):
+def greedy_network(f):
     """The full contraction as one direct greedy einsum, labels built from
     the topology's documented axis layout."""
-    topo = f.topology
-    order = topo.order
+    order = f.topology.order
     bond = {p: order + i for i, p in enumerate(mode_pairs(order))}
     operands = []
     for k, fac in enumerate(f.factors, start=1):
-        axes = [(size, k - 1 if j == k else bond[tuple(sorted((j, k)))])
-                for j, size in enumerate(fac.shape, start=1)]
-        if squeeze:
-            axes = [(size, lab) for size, lab in axes
-                    if size > 1 or lab < order]
-        operands += [fac.reshape([size for size, _ in axes]),
-                     [lab for _, lab in axes]]
+        operands += [fac, [k - 1 if j == k else bond[tuple(sorted((j, k)))]
+                           for j in range(1, order + 1)]]
     return np.einsum(*operands, list(range(order)), optimize="greedy")
 
 
@@ -90,10 +75,9 @@ def test_planned_path_gives_greedy_bits(seed):
     # the second factor set runs along the paths the first one planned
     for s in (seed, seed + 100):
         f = random_factor_set(topo, seed=s)
-        for squeeze in (False, True):
-            expected = greedy_network(f, squeeze)
-            assert np.array_equal(contract_network(f, squeeze), expected)
-            assert np.array_equal(contract_network(f, squeeze, plan), expected)
+        expected = greedy_network(f)
+        assert np.array_equal(contract_network(f), expected)
+        assert np.array_equal(contract_network(f, plan), expected)
 
 
 def test_plan_rejects_topology_with_other_ranks():

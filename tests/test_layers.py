@@ -50,6 +50,21 @@ class TestPlanning:
         assert plan.out_factors == (1, 7)
         assert plan.reduced
 
+    def test_split_is_brute_force_most_balanced_pair(self):
+        def brute(v):
+            # for d <= v/d the gap v/d - d shrinks as the pair's log ratio does
+            pairs = [(v // d - d, (d, v // d)) for d in range(2, v + 1)
+                     if v % d == 0 and d <= v // d]
+            return (min(pairs)[1], False) if pairs else ((1, v), True)
+
+        split = {v: brute(v) for v in range(1, 513)}
+        for rows in range(1, 513):
+            for cols in range(1, 513):
+                plan = plan_tensorization(rows, cols)
+                assert (plan.out_factors, plan.in_factors) == \
+                    (split[rows][0], split[cols][0])
+                assert plan.reduced == (split[rows][1] or split[cols][1])
+
     def test_round_trip(self):
         plan = plan_tensorization(12, 6)
         mat = np.random.default_rng(0).standard_normal((12, 6))
