@@ -9,13 +9,12 @@ geometrically up to a cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import log
 
 import numpy as np
 
 from .errors import NumericError
-from .tensor import as_array, svd
+from .tensor import as_array, bipartitions, generalized_unfold, svd
 
 
 @dataclass(frozen=True)
@@ -33,23 +32,16 @@ def balanced_unfold(t) -> tuple[np.ndarray, BipartitionPlan]:
     a = as_array(t)
     if a.ndim < 2:
         raise ValueError("balanced unfolding needs an order >= 2 tensor")
-    modes = list(range(1, a.ndim + 1))
-    best = None
-    for size in range(1, a.ndim):
-        for extra in combinations(modes[1:], size - 1):
-            rows = (1,) + extra
-            cols = tuple(m for m in modes if m not in rows)
-            imbalance = abs(sum(log(a.shape[m - 1]) for m in rows)
-                            - sum(log(a.shape[m - 1]) for m in cols))
-            key = (imbalance, rows)
-            if best is None or key < best:
-                best = key
-    rows = best[1]
-    cols = tuple(m for m in modes if m not in rows)
-    plan = BipartitionPlan(rows, cols, tuple(a.shape))
-    perm = [m - 1 for m in rows + cols]
-    nrow = int(np.prod([a.shape[m - 1] for m in rows]))
-    return np.transpose(a, perm).reshape((nrow, -1), order="F"), plan
+    logs = [log(d) for d in a.shape]
+
+    def key(part):
+        rows, cols = part
+        return (abs(sum(logs[m - 1] for m in rows)
+                    - sum(logs[m - 1] for m in cols)), rows)
+
+    rows, cols = min(bipartitions(a.ndim), key=key)
+    return (generalized_unfold(a, rows, cols),
+            BipartitionPlan(rows, cols, tuple(a.shape)))
 
 
 def balanced_fold(mat: np.ndarray, plan: BipartitionPlan) -> np.ndarray:

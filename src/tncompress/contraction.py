@@ -43,8 +43,8 @@ class ContractionPlan:
     A step is (operand positions to pop, einsum string, kernel), taken from
     np.einsum_path(..., einsum_call=True), the list np.einsum itself walks.
     A plan is meant to live for one fit or one forward pass; there is no
-    process-wide cache.  It accepts only factor sets whose topology has its
-    dims and ranks (`TNTopology` equality compares dims only).
+    process-wide cache.  It accepts only factor sets whose topology equals
+    its own, dims and ranks.
     """
 
     def __init__(self, topo: TNTopology):
@@ -81,9 +81,7 @@ def plan_for(f: TNFactorSet, plan: ContractionPlan | None) -> ContractionPlan:
     """`plan` after checking it covers f's topology, or a fresh plan."""
     if plan is None:
         return ContractionPlan(f.topology)
-    topo = f.topology
-    if topo is not plan.topology and (topo.dims != plan.topology.dims
-                                      or topo.ranks != plan.topology.ranks):
+    if f.topology is not plan.topology and f.topology != plan.topology:
         raise TopologyError("factor set topology does not match the plan")
     return plan
 

@@ -22,7 +22,7 @@ import numpy as np
 from .contraction import contract_network, network_labels
 from .errors import TopologyError
 from .tensor import as_array
-from .topology import TNFactorSet, tn_param_count, uniform_topology
+from .topology import TNFactorSet
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +219,16 @@ def complexity_conv(k: int, s: int, t: int, w: int, h: int, r: int) -> dict:
 
 
 def complexity_fc(plan: TensorizationPlan, r: int, batch: int = 1) -> dict:
-    """Parameter and FLOP counts for a uniform-rank tensorized FC layer.
-    For the two-factor-per-side case the parameter count reduces to the
-    closed form (I_1 + I_2 + J_1 + J_2) * R^3."""
+    """Parameter and FLOP counts for a uniform-rank tensorized FC layer:
+    (I_1 + I_2 + J_1 + J_2) * R^3 parameters and
+    (M + N) * R^3 * (batch + R^2) FLOPs."""
     if r < 1 or batch < 1:
         raise ValueError("rank and batch must be positive")
-    topo = uniform_topology(plan.dims, r)
-    params = tn_param_count(topo)
-    order = len(plan.dims)
-    flops = (plan.rows + plan.cols) * r ** (order - 1) * (batch + r ** (order - 2))
+    params = sum(plan.dims) * r ** 3
     return {
         "dense_params": plan.rows * plan.cols,
         "tn_params": params,
         "ratio": plan.rows * plan.cols / params,
         "dense_flops": plan.rows * plan.cols * batch,
-        "tn_flops": flops,
+        "tn_flops": (plan.rows + plan.cols) * r ** 3 * (batch + r ** 2),
     }

@@ -7,11 +7,10 @@ comparing the two are meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .tensor import singular_values
+from .tensor import bipartitions, generalized_unfold, singular_values
 from .topology import TNFactorSet, mode_pairs
 
 __all__ = [
@@ -78,26 +77,6 @@ def generate_tucker(dims, ranks, seed: int) -> np.ndarray:
         mat = rng.standard_normal((d, r))
         t = np.moveaxis(np.tensordot(mat, t, axes=(1, k)), 0, k)
     return t
-
-
-def bipartitions(order: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All unordered mode bipartitions, canonically with mode 1 on the left."""
-    modes = list(range(1, order + 1))
-    result = []
-    for size in range(1, order):
-        for left in combinations(modes[1:], size - 1):
-            a = (1,) + left
-            b = tuple(m for m in modes if m not in a)
-            if b:
-                result.append((a, b))
-    return result
-
-
-def generalized_unfold(t: np.ndarray, row_modes, col_modes) -> np.ndarray:
-    axes = [m - 1 for m in row_modes] + [m - 1 for m in col_modes]
-    a = np.transpose(np.asarray(t), axes)
-    rows = int(np.prod([t.shape[m - 1] for m in row_modes]))
-    return a.reshape((rows, -1), order="F")
 
 
 def numerical_rank(mat: np.ndarray) -> int:

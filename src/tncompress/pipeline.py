@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -95,6 +96,17 @@ def _decode_dims(text: str) -> tuple[int, ...]:
     return tuple(int(d) for d in text.split("x"))
 
 
+def _parsed(manifest: dict[str, str], key: str, decode=str):
+    """decode(manifest[key]); FormatError naming key if absent or bad."""
+    if key not in manifest:
+        raise FormatError(f"manifest missing {key!r}")
+    try:
+        return decode(manifest[key])
+    except ValueError:
+        raise FormatError(f"manifest {key!r} cannot be parsed: "
+                          f"{manifest[key]!r}") from None
+
+
 def net_to_container(net, arch: str, provenance: dict[str, str]) -> ModelContainer:
     container = ModelContainer()
     container.manifest["arch"] = arch
@@ -112,6 +124,20 @@ def net_to_container(net, arch: str, provenance: dict[str, str]) -> ModelContain
     return container
 
 
+def _arch(container: ModelContainer) -> str:
+    """The container's architecture; FormatError if absent or unknown."""
+    arch = _parsed(container.manifest, "arch")
+    if arch not in ("mlp", "tinycnn"):
+        raise FormatError(f"unknown architecture {arch!r}")
+    return arch
+
+
+@cache
+def _arch_shapes(arch: str) -> tuple[tuple[int, ...], ...]:
+    """The weight shapes train writes for arch; any others are corrupt."""
+    return tuple(w.shape for w in make_net(arch, 0).weights)
+
+
 @dataclass
 class _Layer:
     index: int
@@ -125,43 +151,44 @@ class _Layer:
 
 
 def container_layers(container: ModelContainer) -> list[_Layer]:
+    """The layers, checked against the stored tensors and the arch; the
+    FormatError or CorruptionError names the key or tensor at fault."""
     manifest = container.manifest
-
-    def value(key: str) -> str:
-        if key not in manifest:
-            raise FormatError(f"manifest missing {key!r}")
-        return manifest[key]
+    arch = _arch(container)
 
     def tensor(name: str) -> np.ndarray:
         if name not in container.tensors:
             raise CorruptionError(f"model file missing tensor {name!r}")
         return container.tensors[name]
 
-    def parsed(key: str, decode):
-        try:
-            return decode(value(key))
-        except ValueError:
-            raise FormatError(f"manifest {key!r} cannot be parsed: "
-                              f"{manifest[key]!r}") from None
+    def mismatch(key: str, what: str):
+        raise FormatError(f"manifest {key!r} = {manifest[key]!r} does not "
+                          f"fit {what}")
 
-    count = parsed("layers", int)
+    count = _parsed(manifest, "layers", int)
     layers = []
     for i in range(count):
         prefix = f"layer.{i}"
-        kind = value(f"{prefix}.kind")
-        fmt = value(f"{prefix}.format")
-        dims = parsed(f"{prefix}.dims", _decode_dims)
+        kind = _parsed(manifest, f"{prefix}.kind")
+        fmt = _parsed(manifest, f"{prefix}.format")
+        dims = _parsed(manifest, f"{prefix}.dims", _decode_dims)
+        if kind != ("conv" if len(dims) == 4 else "fc"):
+            mismatch(f"{prefix}.kind", f"dims {dims}")
         layer = _Layer(i, kind, fmt, dims,
                        kept_dense=manifest.get(f"{prefix}.kept_dense") == "1")
         # a TN fc layer needs its plan; a dense one may carry it
         if f"{prefix}.plan_out" in manifest or (fmt, kind) == ("tn", "fc"):
             layer.plan = TensorizationPlan(
-                parsed(f"{prefix}.plan_out", _decode_dims),
-                parsed(f"{prefix}.plan_in", _decode_dims))
+                _parsed(manifest, f"{prefix}.plan_out", _decode_dims),
+                _parsed(manifest, f"{prefix}.plan_in", _decode_dims))
+            if (layer.plan.rows, layer.plan.cols) != dims:
+                mismatch(f"{prefix}.dims", f"plan {layer.plan.dims}")
         if fmt == "dense":
             layer.weight = tensor(f"layer{i}/weight")
+            if layer.weight.shape != dims:
+                mismatch(f"{prefix}.dims", f"weight {layer.weight.shape}")
         elif fmt == "tn":
-            ranks = parsed(f"{prefix}.ranks", _decode_ranks)
+            ranks = _parsed(manifest, f"{prefix}.ranks", _decode_ranks)
             tensor_dims = layer.plan.dims if kind == "fc" else dims
             topo = TNTopology(tensor_dims, ranks)
             factors = [tensor(f"layer{i}/factor{k}").astype(np.float64)
@@ -170,6 +197,8 @@ def container_layers(container: ModelContainer) -> list[_Layer]:
         else:
             raise FormatError(f"unknown layer format {fmt!r}")
         layers.append(layer)
+    if tuple(layer.dims for layer in layers) != _arch_shapes(arch):
+        mismatch("layers", f"arch {arch!r} weights {_arch_shapes(arch)}")
     return layers
 
 
@@ -285,24 +314,13 @@ def _forward(layer: _Layer, x: np.ndarray) -> np.ndarray:
     return fc_tn(x, layer.factors, layer.plan)
 
 
-def _arch(container: ModelContainer) -> str:
-    """The container's architecture; FormatError if absent or unknown."""
-    if "arch" not in container.manifest:
-        raise FormatError("manifest missing 'arch'")
-    arch = container.manifest["arch"]
-    if arch not in ("mlp", "tinycnn"):
-        raise FormatError(f"unknown architecture {arch!r}")
-    return arch
-
-
 def model_logits(container: ModelContainer, x: np.ndarray) -> np.ndarray:
     """Forward a batch through the container's architecture, dispatching
     each layer to its dense or TN implementation; every layer runs once on
     the whole batch."""
-    arch = _arch(container)
-    first, second = container_layers(container)
+    first, second = container_layers(container)    # checks the arch
     hidden = np.maximum(_forward(first, np.asarray(x, dtype=np.float64)), 0.0)
-    if arch == "tinycnn":
+    if container.manifest["arch"] == "tinycnn":
         hidden = TinyCNN._flatten(hidden)
     return _forward(second, hidden)
 
@@ -334,10 +352,18 @@ def run_train(config_path, out_path, log_path=None):
     return log
 
 
+def _natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def run_compress(model_path, out_path, kappa=None, budget=None,
                  report_path=None) -> CompressionReport:
     container = load_model(model_path)
-    seed = int(container.manifest.get("seed", 0))
+    manifest = container.manifest
+    seed = _parsed(manifest, "seed", _natural) if "seed" in manifest else 0
     compressed, report = compress_container(
         container, kappa=kappa, budget=budget, als_cfg=AlsConfig(seed=seed))
     save_model(out_path, compressed)
@@ -358,10 +384,9 @@ def emit_tradeoff(model_path, kappas, out_path) -> list[dict]:
     """Compress the model at each retention level and tabulate the size and
     accuracy trade-off; the dataset comes from the model's provenance."""
     container = load_model(model_path)
-    if "data_seed" not in container.manifest:
-        raise FormatError("model carries no data_seed provenance")
-    data_seed = int(container.manifest["data_seed"])
-    seed = int(container.manifest.get("seed", 0))
+    manifest = container.manifest
+    data_seed = _parsed(manifest, "data_seed", _natural)
+    seed = _parsed(manifest, "seed", _natural) if "seed" in manifest else 0
     layer_count = len(container_layers(container))
     rows = []
     for kappa in kappas:

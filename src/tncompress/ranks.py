@@ -7,10 +7,14 @@ smallest truncation length x whose squared norm retains a fraction kappa
 of the squared norm of the full summed vector.  Note this is the squared
 norm of the *summed* vector, not the summed spectral energy; the energy
 curve is kept alongside as metadata only.
+
+Under a storage budget, `budget_kappa` finds the largest retention-curve
+value (or 1.0) whose rank tables fit, by an exact search over those values.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,8 +25,6 @@ from .errors import BudgetError
 from .tensor import as_array, mn_unfold, singular_values
 from .topology import TNTopology, mode_pairs, tn_param_count
 
-# Binary search on kappa stops once the bracket is this narrow.
-KAPPA_RESOLUTION = 1.0 / 1024.0
 _EPS = 1e-12
 
 
@@ -70,8 +72,6 @@ def ranks_from_curves(curves: dict, kappa: float) -> dict[tuple[int, int], int]:
 
 
 def determine_ranks(t, kappa: float) -> RankSelection:
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
     curves, energy = retention_curves(t)
     return RankSelection(kappa, ranks_from_curves(curves, kappa), curves, energy)
 
@@ -89,8 +89,9 @@ def budget_kappa(shapes, curve_sets, target_ratio: float) -> float:
 
     shapes and curve_sets hold each tensor's shape and retention curves. A
     tensor counts min(TN params, dense size), since a factor set that would
-    not shrink it is kept dense. Ranks are non-decreasing in kappa, so
-    feasibility is monotone and a binary search on (0, 1] is valid.
+    not shrink it is kept dense. Rank tables change only at curve values, so
+    the answer is 1.0 or one of them; ranks are non-decreasing in kappa, so
+    feasibility is monotone and a bisection over those breakpoints is exact.
     """
     if not target_ratio > 1.0:
         raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
@@ -111,27 +112,17 @@ def budget_kappa(shapes, curve_sets, target_ratio: float) -> float:
         raise BudgetError(
             f"target ratio {target_ratio} unattainable; best is "
             f"{total_dense / floor:.4f}x with {floor} parameters", floor)
-    if feasible(1.0):
-        return 1.0
-    # kappas at or below the first curve point give all-rank-1 tables,
-    # which the floor check above proved feasible.
-    best = min(float(c[0]) for curves in curve_sets for c in curves.values())
-    lo, hi = 0.0, 1.0
-    for _ in range(32):
-        if hi - lo <= KAPPA_RESOLUTION:
-            break
-        mid = (lo + hi) / 2.0
-        if feasible(mid):
-            lo = mid
-            best = max(best, mid)
-        else:
-            hi = mid
-    return best
+    # the smallest breakpoint gives all-rank-1 tables, which the floor
+    # check above proved feasible
+    kappas = sorted({float(v) for curves in curve_sets
+                     for c in curves.values() for v in c if v < 1.0} | {1.0})
+    return kappas[bisect.bisect_left(kappas, True,
+                                     key=lambda k: not feasible(k)) - 1]
 
 
 def kappa_for_budget(t, target_ratio: float) -> BudgetSearchResult:
-    """Largest kappa whose rank table fits a dense/TN parameter budget: the
-    one-tensor case of budget_kappa."""
+    """Largest kappa (1.0 or a curve value) whose rank table fits a dense/TN
+    parameter budget: the one-tensor case of budget_kappa."""
     a = as_array(t)
     curves, energy = retention_curves(a)
     kappa = budget_kappa([a.shape], [curves], target_ratio)

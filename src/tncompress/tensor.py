@@ -8,7 +8,9 @@ order, and all reshapes below use order="F".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -94,6 +96,21 @@ def mn_unfold(t, m: int, n: int) -> np.ndarray:
     return a.reshape((a.shape[0], a.shape[1], -1), order="F")
 
 
+def bipartitions(order: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All unordered mode bipartitions, canonically with mode 1 on the left."""
+    modes = range(1, order + 1)
+    lefts = [(1,) + rest for size in range(order - 1)
+             for rest in combinations(modes[1:], size)]
+    return [(a, tuple(m for m in modes if m not in a)) for a in lefts]
+
+
+def generalized_unfold(t: np.ndarray, row_modes, col_modes) -> np.ndarray:
+    axes = [m - 1 for m in row_modes] + [m - 1 for m in col_modes]
+    a = np.transpose(np.asarray(t), axes)
+    rows = math.prod(t.shape[m - 1] for m in row_modes)
+    return a.reshape((rows, -1), order="F")
+
+
 def frobenius_norm(t) -> float:
     a = as_array(t)
     return float(np.linalg.norm(a.astype(np.float64).ravel()))
@@ -108,23 +125,25 @@ class SvdResult:
     v: np.ndarray
 
 
-def svd(mat: np.ndarray) -> SvdResult:
-    """Thin SVD with tiny singular values clamped to zero."""
+def _clamped_svd(mat: np.ndarray, compute_uv: bool):
+    """Thin SVD (u, s, vh), or s alone, of finite mat in float64, with
+    singular values below SV_CLAMP of the largest set to zero."""
     mat = np.asarray(mat, dtype=np.float64)
     if not np.all(np.isfinite(mat)):
         raise NumericError("SVD input contains non-finite entries")
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    res = np.linalg.svd(mat, full_matrices=False, compute_uv=compute_uv)
+    s = res.S if compute_uv else res
     if s.size and s[0] > 0:
         s = np.where(s < SV_CLAMP * s[0], 0.0, s)
+    return (res.U, s, res.Vh) if compute_uv else s
+
+
+def svd(mat: np.ndarray) -> SvdResult:
+    """Thin SVD with tiny singular values clamped to zero."""
+    u, s, vh = _clamped_svd(mat, compute_uv=True)
     return SvdResult(u, s, vh.T)
 
 
 def singular_values(mat: np.ndarray) -> np.ndarray:
     """Singular values only (descending), with the same clamping as svd()."""
-    mat = np.asarray(mat, dtype=np.float64)
-    if not np.all(np.isfinite(mat)):
-        raise NumericError("SVD input contains non-finite entries")
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size and s[0] > 0:
-        s = np.where(s < SV_CLAMP * s[0], 0.0, s)
-    return s
+    return _clamped_svd(mat, compute_uv=False)

@@ -8,7 +8,7 @@ size I_k.  Bonds of rank 1 are structurally present but non-influential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ def mode_pairs(order: int) -> list[tuple[int, int]]:
 @dataclass(frozen=True)
 class TNTopology:
     dims: tuple[int, ...]
-    ranks: dict[tuple[int, int], int] = field(compare=False)
+    ranks: dict[tuple[int, int], int]
 
     def __post_init__(self):
         n = len(self.dims)

@@ -72,19 +72,17 @@ def _run(net, data: Dataset, cfg: AdmmConfig, use_admm: bool):
         state.step = step
         log.rows.append(_log_row(step, loss, acc, state))
     net.weights = state.w
-    return net, log, state
+    return net, log
 
 
 def train_stn(net, data: Dataset, cfg: AdmmConfig):
     """SGD with one ADMM round every cfg.period steps."""
-    net, log, _ = _run(net, data, cfg, use_admm=True)
-    return net, log
+    return _run(net, data, cfg, use_admm=True)
 
 
 def train_sgd(net, data: Dataset, cfg: AdmmConfig):
     """Plain SGD baseline consuming the batch stream identically."""
-    net, log, _ = _run(net, data, cfg, use_admm=False)
-    return net, log
+    return _run(net, data, cfg, use_admm=False)
 
 
 def evaluate_net(net, x: np.ndarray, y: np.ndarray) -> dict:

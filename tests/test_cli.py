@@ -16,6 +16,9 @@ data_seed = 5
 
 DATA_CFG = "data_seed = 5\n"
 
+# the commands that load a model file's layers
+LOADERS = ("report", "eval", "compress")
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -142,39 +145,69 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("model, edit, key", [
-        ("dense", lambda c: c.manifest.pop("layer.1.kind"), "layer.1.kind"),
+    @pytest.mark.parametrize("model, edit, key, commands", [
+        ("dense", lambda c: c.manifest.pop("layer.1.kind"), "layer.1.kind",
+         LOADERS),
         ("dense", lambda c: c.manifest.pop("layer.0.format"),
-         "layer.0.format"),
-        ("dense", lambda c: c.manifest.pop("layer.1.dims"), "layer.1.dims"),
-        ("dense", lambda c: c.manifest.update(layers="3"), "layer.2.kind"),
-        ("dense", lambda c: c.tensors.pop("layer0/weight"), "layer0/weight"),
-        ("dense", lambda c: c.manifest.pop("arch"), "arch"),
-        ("dense", lambda c: c.manifest.update(layers="x"), "layers"),
+         "layer.0.format", LOADERS),
+        ("dense", lambda c: c.manifest.pop("layer.1.dims"), "layer.1.dims",
+         LOADERS),
+        ("dense", lambda c: c.manifest.update(layers="3"), "layer.2.kind",
+         LOADERS),
+        ("dense", lambda c: c.tensors.pop("layer0/weight"), "layer0/weight",
+         LOADERS),
+        ("dense", lambda c: c.manifest.pop("arch"), "arch", LOADERS),
+        ("dense", lambda c: c.manifest.update(layers="x"), "layers", LOADERS),
         ("dense", lambda c: c.manifest.update({"layer.0.dims": "3xz"}),
-         "layer.0.dims"),
+         "layer.0.dims", LOADERS),
         ("tn", lambda c: c.manifest.pop("layer.1.plan_out"),
-         "layer.1.plan_out"),
+         "layer.1.plan_out", LOADERS),
         ("tn", lambda c: c.manifest.update({"layer.0.plan_in": "4x"}),
-         "layer.0.plan_in"),
+         "layer.0.plan_in", LOADERS),
         ("tn", lambda c: c.manifest.update({"layer.1.ranks": "1-2:x"}),
-         "layer.1.ranks"),
+         "layer.1.ranks", LOADERS),
+        ("dense", lambda c: c.manifest.update(layers="1"), "layers",
+         LOADERS),
+        ("dense", lambda c: c.manifest.update(layers="-1"), "layers",
+         LOADERS),
+        ("dense", lambda c: c.manifest.update({"layer.0.kind": "conv"}),
+         "layer.0.kind", LOADERS),
+        ("dense", lambda c: c.manifest.update({"layer.0.dims": "0x8"}),
+         "layer.0.dims", LOADERS),
+        ("dense", lambda c: c.manifest.update({"layer.0.dims": "8x32"}),
+         "layer.0.dims", LOADERS),
+        ("tn", lambda c: c.manifest.update({"layer.0.dims": "16x16"}),
+         "layer.0.dims", LOADERS),
+        ("dense", lambda c: c.manifest.update(seed="x"), "seed",
+         ("compress", "tradeoff")),
+        ("dense", lambda c: c.manifest.update(seed="-1"), "seed",
+         ("compress", "tradeoff")),
+        ("dense", lambda c: c.manifest.update(data_seed="x"), "data_seed",
+         ("tradeoff",)),
     ], ids=["no-kind", "no-format", "no-dims", "layer-count", "no-weight",
             "no-arch", "bad-layers", "bad-dims", "tn-no-plan-out",
-            "tn-bad-plan-in", "tn-bad-ranks"])
+            "tn-bad-plan-in", "tn-bad-ranks", "one-layer", "negative-layers",
+            "kind-vs-weight", "zero-dim", "dims-vs-weight", "tn-dims-vs-plan",
+            "bad-seed", "negative-seed", "bad-data-seed"])
     def test_incomplete_model_file_is_two(self, workspace, tn_model, tmp_path,
-                                          capsys, model, edit, key):
+                                          capsys, model, edit, key, commands):
         path = tn_model if model == "tn" else workspace / "dense.stnz"
         container = load_model(path)
         edit(container)
         save_model(tmp_path / "bad.stnz", container)
-        for argv in (["report"], ["eval", "--data",
-                                  str(workspace / "data.cfg")]):
-            rc = main([*argv, "--model", str(tmp_path / "bad.stnz")])
+        out = tmp_path / "out"
+        argvs = {"report": ["report"],
+                 "eval": ["eval", "--data", str(workspace / "data.cfg")],
+                 "compress": ["compress", "--budget", "2", "--out", str(out)],
+                 "tradeoff": ["tradeoff", "--kappas", "0.9",
+                              "--out", str(out)]}
+        for command in commands:
+            rc = main([*argvs[command], "--model", str(tmp_path / "bad.stnz")])
             assert rc == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert repr(key) in err
+            assert not out.exists()
 
 
 class TestPipeline:

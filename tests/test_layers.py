@@ -225,3 +225,11 @@ class TestComplexity:
             info = complexity_fc(plan, r)
             assert info["tn_params"] == (4 + 4 + 4 + 4) * r ** 3
             assert info["dense_params"] == 256
+
+    def test_fc_flops_closed_form(self):
+        # (M + N) * R^3 * (batch + R^2) with M + N = 4 + 16
+        plan = plan_tensorization(4, 16)
+        assert complexity_fc(plan, 2)["tn_flops"] == 800
+        info = complexity_fc(plan, 3, batch=5)
+        assert info["tn_flops"] == 20 * 27 * (5 + 9)
+        assert info["dense_flops"] == 64 * 5

@@ -7,10 +7,9 @@ import pytest
 
 from tncompress.errors import BudgetError
 from tncompress.oracles import generate_cp
-from tncompress.ranks import (KAPPA_RESOLUTION, budget_kappa,
-                              determine_ranks, effective_rank,
-                              kappa_for_budget, ranks_from_curves,
-                              retention_curves)
+from tncompress.ranks import (budget_kappa, determine_ranks,
+                              effective_rank, kappa_for_budget,
+                              ranks_from_curves, retention_curves)
 from tncompress.topology import TNTopology, tn_param_count
 
 
@@ -135,6 +134,40 @@ class TestKappaForBudget:
             assert kept_dense_params(kappa) >= kept_dense_params(grid[-1])
         assert capped_lists >= 5
 
+    def test_search_is_exact_over_curve_breakpoints(self):
+        # brute force: the kappa found is 1.0 or a curve value, it fits the
+        # budget under keep-dense accounting, and no larger curve value does
+        rng = np.random.default_rng(8)
+        for i in range(10):
+            shapes = [tuple(int(d) for d in rng.integers(3, 7, size=4))]
+            shapes += [tuple(int(d) for d in
+                             rng.integers(2, 4, size=int(rng.integers(2, 4))))
+                       for _ in range(int(rng.integers(1, 3)))]
+            curve_sets = [retention_curves(rng.standard_normal(s))[0]
+                          for s in shapes]
+            ratio = float(rng.uniform(1.5, 3.0))
+            kappa = budget_kappa(shapes, curve_sets, ratio)
+            dense = sum(math.prod(s) for s in shapes)
+
+            def feasible(k):
+                return dense >= ratio * sum(
+                    min(tn_param_count(TNTopology(s, ranks_from_curves(c, k))),
+                        math.prod(s)) for s, c in zip(shapes, curve_sets))
+
+            values = {float(v) for curves in curve_sets
+                      for c in curves.values() for v in c if v < 1.0} | {1.0}
+            assert kappa in values
+            assert feasible(kappa)
+            assert not any(feasible(v) for v in values if v > kappa)
+
+    def test_breakpoints_closer_than_a_bisection_step(self):
+        # rank 3 (48 params) fits 64 / 1.3, rank 4 does not; the curve
+        # reaches rank 3 only 1e-4 above the rank-2 breakpoint
+        curve = np.array([0.5, 0.9, 0.9001, 0.95, 0.97, 0.98, 0.99, 1.0])
+        kappa = budget_kappa([(8, 8)], [{(1, 2): curve}], 1.3)
+        assert kappa == 0.9001
+        assert ranks_from_curves({(1, 2): curve}, kappa) == {(1, 2): 3}
+
     def test_unattainable_budget_reports_floor(self):
         t = np.random.default_rng(6).standard_normal((3, 3, 3))
         with pytest.raises(BudgetError) as exc:
@@ -159,6 +192,3 @@ class TestKappaForBudget:
         with pytest.raises(ValueError):
             kappa_for_budget(np.ones((2, 2)), float("nan"))
 
-
-def test_kappa_resolution_constant():
-    assert KAPPA_RESOLUTION == 1.0 / 1024.0

@@ -92,12 +92,14 @@ class TestSvd:
         # a numerically rank-1 matrix must report exactly one nonzero value
         u = np.random.default_rng(5).standard_normal(6)
         a = np.outer(u, u)
-        s = singular_values(a)
-        assert np.count_nonzero(s) == 1
+        for s in (singular_values(a), svd(a).s):
+            assert np.count_nonzero(s) == 1
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NumericError):
-            svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        for fn in (svd, singular_values):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(NumericError):
+                    fn(np.array([[1.0, bad], [0.0, 1.0]]))
 
     def test_frobenius_norm(self):
         a = np.array([[3.0, 0.0], [0.0, 4.0]])
