@@ -89,6 +89,8 @@ class AdmmConfig:
             raise ValueError("need 0 < mu0 <= mu_max")
         if self.period < 1:
             raise ValueError("period must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass

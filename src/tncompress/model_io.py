@@ -11,6 +11,7 @@ Tensor data is stored first-index-fastest (Fortran order).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -28,26 +29,32 @@ class ModelContainer:
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def parse_key_values(text: str, error: type[Exception],
+                     source: str) -> dict[str, str]:
+    """The `key = value` lines of text, skipping blanks and `#` comments,
+    whole-line or trailing; error names source and the line that lacks `=`
+    or holds bytes that are not UTF-8 (surrogate escapes)."""
+    entries = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise error(f"{source}:{lineno}: not UTF-8 text") from None
+        key, sep, value = line.split("#", 1)[0].partition("=")
+        if sep:
+            entries[key.strip()] = value.strip()
+        elif key.strip():
+            raise error(f"{source}:{lineno}: expected 'key = value'")
+    return entries
+
+
 def _manifest_bytes(manifest: dict[str, str]) -> bytes:
-    lines = []
     for key, value in manifest.items():
-        if "\n" in key or "\n" in str(value) or "=" in key:
+        if "=" in key or any("\n" in s or "#" in s or s != s.strip()
+                             for s in (key, str(value))):
             raise ValueError(f"manifest entry {key!r} is not encodable")
-        lines.append(f"{key} = {value}")
-    return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
-
-
-def _parse_manifest(blob: bytes) -> dict[str, str]:
-    manifest = {}
-    for line in blob.decode("utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"malformed manifest line {line!r}")
-        key, value = line.split("=", 1)
-        manifest[key.strip()] = value.strip()
-    return manifest
+    return "".join(f"{key} = {value}\n"
+                   for key, value in manifest.items()).encode("utf-8")
 
 
 def save_model(path, container: ModelContainer) -> None:
@@ -93,15 +100,20 @@ def load_model(path) -> ModelContainer:
     version = struct.unpack("<I", reader.take(4))[0]
     if version != VERSION:
         raise FormatError(f"unsupported model version {version}")
-    manifest = _parse_manifest(reader.take(reader.u64()))
+    manifest = parse_key_values(
+        reader.take(reader.u64()).decode("utf-8", "surrogateescape"),
+        FormatError, f"{path} manifest")
     tensors = {}
     for _ in range(reader.u64()):
-        name = reader.take(reader.u64()).decode("utf-8")
+        try:
+            name = reader.take(reader.u64()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("a tensor name is not UTF-8") from None
         order = reader.u64()
         dims = struct.unpack(f"<{order}Q", reader.take(8 * order))
         if any(d < 1 for d in dims):
             raise CorruptionError(f"tensor {name!r} has a non-positive dim")
-        count = int(np.prod(dims))
+        count = math.prod(dims)     # a Python int: no wrap-around
         data = np.frombuffer(reader.take(4 * count), dtype="<f4")
         if name in tensors:
             raise CorruptionError(f"duplicate tensor name {name!r}")

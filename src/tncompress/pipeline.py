@@ -16,9 +16,10 @@ from .als import AlsConfig, als_fit
 from .errors import ConfigError, CorruptionError, FormatError
 from .layers import (TensorizationPlan, conv2d_dense, conv2d_tn, fc_tn,
                      plan_tensorization, tensorize_matrix)
-from .model_io import ModelContainer, load_model, save_model
+from .model_io import (ModelContainer, load_model, parse_key_values,
+                       save_model)
 from .ranks import budget_kappa, ranks_from_curves, retention_curves
-from .toynet import (TinyCNN, make_dataset, make_net,
+from .toynet import (ARCHS, TinyCNN, make_dataset, make_net,
                      softmax_cross_entropy)
 from .topology import (TNFactorSet, TNTopology, prune_rank_one_edges,
                        tn_param_count)
@@ -28,48 +29,59 @@ from .training import train_stn
 # ---------------------------------------------------------------------------
 # key-value config files
 
+def _config_text(path) -> str:
+    """The file in text mode, bytes that are not UTF-8 as surrogate escapes."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return fh.read()
+
+
 def read_config(path) -> dict[str, str]:
-    config = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            config[key.strip()] = value.strip()
-    return config
+    return parse_key_values(_config_text(path), ConfigError, str(path))
 
 
-TRAIN_KEYS = {"arch", "lambda", "lr", "steps", "period", "mu0", "rho",
-              "mu_max", "batch", "seed", "data_seed"}
+def _parsed(entries: dict[str, str], key: str, decode=str,
+            error: type[Exception] = FormatError):
+    """decode(entries[key]); error names the key if it is absent or bad."""
+    source = "config" if error is ConfigError else "manifest"
+    if key not in entries:
+        raise error(f"{source} missing {key!r}")
+    try:
+        return decode(entries[key])
+    except ValueError:
+        raise error(f"{source} {key!r} cannot be parsed: "
+                    f"{entries[key]!r}") from None
+
+
+def _natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+# train config key -> (AdmmConfig field, parse); AdmmConfig owns the defaults
+TRAIN_FIELDS = {"lambda": ("lam", float), "lr": ("lr", float),
+                "steps": ("max_steps", int), "period": ("period", int),
+                "mu0": ("mu0", float), "rho": ("rho", float),
+                "mu_max": ("mu_max", float), "batch": ("batch_size", int),
+                "seed": ("seed", _natural)}
+TRAIN_KEYS = {"arch", "data_seed", *TRAIN_FIELDS}
 
 
 def parse_train_config(config: dict[str, str]) -> tuple[str, int, AdmmConfig]:
     unknown = set(config) - TRAIN_KEYS
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-    if "data_seed" not in config:
-        raise ConfigError("missing config key 'data_seed'")
-    arch = config.get("arch", "mlp")
-    if arch not in ("mlp", "tinycnn"):
+    arch = config.get("arch", ARCHS[0])
+    if arch not in ARCHS:
         raise ConfigError(f"unknown architecture {arch!r}")
+    data_seed = _parsed(config, "data_seed", _natural, ConfigError)
+    fields = {name: _parsed(config, key, parse, ConfigError)
+              for key, (name, parse) in TRAIN_FIELDS.items() if key in config}
     try:
-        cfg = AdmmConfig(
-            lam=float(config.get("lambda", 0.005)),
-            lr=float(config.get("lr", 0.05)),
-            max_steps=int(config.get("steps", 2000)),
-            period=int(config.get("period", 100)),
-            mu0=float(config.get("mu0", 1.0)),
-            rho=float(config.get("rho", 1.001)),
-            mu_max=float(config.get("mu_max", 10.0)),
-            batch_size=int(config.get("batch", 32)),
-            seed=int(config.get("seed", 0)),
-        )
+        return arch, data_seed, AdmmConfig(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return arch, int(config["data_seed"]), cfg
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +108,6 @@ def _decode_dims(text: str) -> tuple[int, ...]:
     return tuple(int(d) for d in text.split("x"))
 
 
-def _parsed(manifest: dict[str, str], key: str, decode=str):
-    """decode(manifest[key]); FormatError naming key if absent or bad."""
-    if key not in manifest:
-        raise FormatError(f"manifest missing {key!r}")
-    try:
-        return decode(manifest[key])
-    except ValueError:
-        raise FormatError(f"manifest {key!r} cannot be parsed: "
-                          f"{manifest[key]!r}") from None
-
-
 def net_to_container(net, arch: str, provenance: dict[str, str]) -> ModelContainer:
     container = ModelContainer()
     container.manifest["arch"] = arch
@@ -127,7 +128,7 @@ def net_to_container(net, arch: str, provenance: dict[str, str]) -> ModelContain
 def _arch(container: ModelContainer) -> str:
     """The container's architecture; FormatError if absent or unknown."""
     arch = _parsed(container.manifest, "arch")
-    if arch not in ("mlp", "tinycnn"):
+    if arch not in ARCHS:
         raise FormatError(f"unknown architecture {arch!r}")
     return arch
 
@@ -246,7 +247,7 @@ def _layer_tensor(layer: _Layer) -> tuple[np.ndarray, TensorizationPlan | None]:
 
 def compress_container(container: ModelContainer, kappa: float | None = None,
                        budget: float | None = None,
-                       als_cfg: AlsConfig = AlsConfig()) -> tuple[ModelContainer, CompressionReport]:
+                       seed: int = 0) -> tuple[ModelContainer, CompressionReport]:
     if (kappa is None) == (budget is None):
         raise ValueError("give exactly one of kappa or budget")
     layers = container_layers(container)
@@ -285,9 +286,7 @@ def compress_container(container: ModelContainer, kappa: float | None = None,
             row.update(tn_params=dense_params, ratio=1.0, rse=0.0,
                        kept_dense=1)
         else:
-            cfg = AlsConfig(max_sweeps=als_cfg.max_sweeps, tol=als_cfg.tol,
-                            seed=als_cfg.seed + layer.index)
-            fit = als_fit(tensor, topo, cfg)
+            fit = als_fit(tensor, topo, AlsConfig(seed=seed + layer.index))
             out.manifest[f"{prefix}.format"] = "tn"
             out.manifest[f"{prefix}.ranks"] = _encode_ranks(ranks)
             for k, f in enumerate(fit.factors.factors):
@@ -336,13 +335,14 @@ def evaluate_container(container: ModelContainer, data_seed: int) -> dict:
 # top-level entry points
 
 def run_train(config_path, out_path, log_path=None):
-    raw = open(config_path, encoding="utf-8").read()
-    arch, data_seed, cfg = parse_train_config(read_config(config_path))
+    text = _config_text(config_path)
+    arch, data_seed, cfg = parse_train_config(
+        parse_key_values(text, ConfigError, str(config_path)))
     net = make_net(arch, cfg.seed)
     data = make_dataset(arch, data_seed)
     net, log = train_stn(net, data, cfg)
     provenance = {
-        "config_hash": hashlib.sha256(raw.encode("utf-8")).hexdigest(),
+        "config_hash": hashlib.sha256(text.encode("utf-8")).hexdigest(),
         "seed": str(cfg.seed),
         "data_seed": str(data_seed),
     }
@@ -352,20 +352,13 @@ def run_train(config_path, out_path, log_path=None):
     return log
 
 
-def _natural(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(text)
-    return value
-
-
 def run_compress(model_path, out_path, kappa=None, budget=None,
                  report_path=None) -> CompressionReport:
     container = load_model(model_path)
     manifest = container.manifest
     seed = _parsed(manifest, "seed", _natural) if "seed" in manifest else 0
     compressed, report = compress_container(
-        container, kappa=kappa, budget=budget, als_cfg=AlsConfig(seed=seed))
+        container, kappa=kappa, budget=budget, seed=seed)
     save_model(out_path, compressed)
     if report_path is not None:
         report.write_csv(report_path)
@@ -374,10 +367,9 @@ def run_compress(model_path, out_path, kappa=None, budget=None,
 
 def run_eval(model_path, data_config_path) -> dict:
     container = load_model(model_path)
-    config = read_config(data_config_path)
-    if "data_seed" not in config:
-        raise ConfigError("missing config key 'data_seed'")
-    return evaluate_container(container, int(config["data_seed"]))
+    data_seed = _parsed(read_config(data_config_path), "data_seed", _natural,
+                        ConfigError)
+    return evaluate_container(container, data_seed)
 
 
 def emit_tradeoff(model_path, kappas, out_path) -> list[dict]:
@@ -391,7 +383,7 @@ def emit_tradeoff(model_path, kappas, out_path) -> list[dict]:
     rows = []
     for kappa in kappas:
         compressed, report = compress_container(
-            container, kappa=kappa, als_cfg=AlsConfig(seed=seed))
+            container, kappa=kappa, seed=seed)
         metrics = evaluate_container(compressed, data_seed)
         row = {"kappa": kappa, "total_ratio": report.total_ratio,
                "accuracy": metrics["accuracy"]}

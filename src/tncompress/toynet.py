@@ -149,12 +149,13 @@ class TinyCNN:
         return loss, acc, [dk, dwfc]
 
 
+ARCHS = ("mlp", "tinycnn")     # the first is train's default
+
+
 def make_net(arch: str, seed: int):
-    if arch == "mlp":
-        return MLP(seed)
-    if arch == "tinycnn":
-        return TinyCNN(seed)
-    raise ValueError(f"unknown architecture {arch!r}")
+    if arch not in ARCHS:
+        raise ValueError(f"unknown architecture {arch!r}")
+    return MLP(seed) if arch == "mlp" else TinyCNN(seed)
 
 
 def make_dataset(arch: str, seed: int) -> Dataset:

@@ -1,7 +1,13 @@
 """CLI subcommands, exit codes, and end-to-end artifacts."""
 
+import re
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tncompress.cli import main
 from tncompress.model_io import load_model, save_model
@@ -18,6 +24,43 @@ DATA_CFG = "data_seed = 5\n"
 
 # the commands that load a model file's layers
 LOADERS = ("report", "eval", "compress")
+
+MANIFEST_VALUES = [b"", b"x", b"-1", b"0", b"3", b"nan", b"1e400", b"9" * 30,
+                   b"8x32", b"0x8", b"2x2x2x2", b"1-2:x", b"1-2:99", b"mlp",
+                   b"tinycnn", b"tn", b"conv", b"\xff", b"a # b"]
+
+
+@st.composite
+def damaged(draw, blob: bytes) -> bytes:
+    """blob with flipped bytes, cut short, with a header word overwritten,
+    or with a manifest line edited, deleted or inserted."""
+    blob = bytearray(blob)
+    how = draw(st.sampled_from(["flip", "truncate", "word", "manifest"]))
+    if how == "flip":
+        for _ in range(draw(st.integers(1, 4))):
+            blob[draw(st.integers(0, len(blob) - 1))] ^= draw(
+                st.integers(1, 255))
+    elif how == "truncate":
+        del blob[draw(st.integers(0, len(blob) - 1)):]
+    elif how == "word":
+        i = draw(st.integers(0, len(blob) - 8))
+        blob[i:i + 8] = struct.pack("<Q", draw(st.sampled_from(
+            [0, 1, 2, 2 ** 31, 2 ** 32 + 1, 2 ** 62, 2 ** 64 - 1])))
+    else:
+        size = struct.unpack("<Q", blob[8:16])[0]
+        lines = bytes(blob[16:16 + size]).split(b"\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        value = draw(st.sampled_from(MANIFEST_VALUES))
+        edit = draw(st.sampled_from(["value", "delete", "insert"]))
+        if edit == "value":
+            lines[i] = lines[i].split(b"=")[0] + b"= " + value
+        elif edit == "delete":
+            del lines[i]
+        else:
+            lines.insert(i, value)
+        text = b"\n".join(lines)
+        blob[8:16 + size] = struct.pack("<Q", len(text)) + text
+    return bytes(blob)
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +252,54 @@ class TestExitCodes:
             assert repr(key) in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command, text, expect", [
+        ("train", "data_seed = x\n", "'data_seed'"),
+        ("train", "seed = -1\ndata_seed = 5\n", "'seed'"),
+        ("train", "lr = x\ndata_seed = 5\n", "'lr'"),
+        ("train", "batch = 0\ndata_seed = 5\n", "got 0"),
+        ("train", b"data_seed = 5\n# \xff\n", "cfg:2: not UTF-8"),
+        ("eval", "data_seed = x\n", "'data_seed'"),
+        ("eval", "data_seed = -1\n", "'data_seed'"),
+        ("eval", b"data_seed = \xff5\n", "cfg:1: not UTF-8"),
+    ], ids=["train-bad-data-seed", "train-negative-seed", "train-bad-lr",
+            "train-zero-batch", "train-not-utf8", "eval-bad-data-seed",
+            "eval-negative-data-seed", "eval-not-utf8"])
+    def test_bad_config_value_is_two(self, workspace, tmp_path, capsys,
+                                     command, text, expect):
+        cfg = tmp_path / "bad.cfg"
+        if isinstance(text, str):
+            cfg.write_text(text)
+        else:
+            cfg.write_bytes(text)
+        out = tmp_path / "out.stnz"
+        argvs = {"train": ["train", "--config", str(cfg), "--out", str(out)],
+                 "eval": ["eval", "--model", str(workspace / "dense.stnz"),
+                          "--data", str(cfg)]}
+        rc = main(argvs[command])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert expect in err
+        assert not out.exists()
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_damaged_model_files_exit_cleanly(self, workspace, tn_model,
+                                              data):
+        """Flipped bytes, truncations, header words and manifest lines:
+        every loader returns an exit code and raises nothing."""
+        source = data.draw(st.sampled_from([workspace / "dense.stnz",
+                                            tn_model]))
+        path = workspace / "damaged.stnz"
+        path.write_bytes(data.draw(damaged(source.read_bytes())))
+        # --kappa 1 keeps every layer dense: the load checks without ALS
+        argvs = [["report"],
+                 ["eval", "--data", str(workspace / "data.cfg")],
+                 ["compress", "--kappa", "1", "--out",
+                  str(workspace / "damaged-out.stnz")]]
+        for argv in argvs:
+            assert main([*argv, "--model", str(path)]) in (0, 1, 2)
+
 
 class TestPipeline:
     def test_train_wrote_model_and_log(self, workspace):
@@ -274,6 +365,16 @@ class TestPipeline:
                        "--kappas", kappas, "--out", str(out)])
             assert rc == 1
             assert not out.exists()
+
+
+def test_readme_train_config_trains(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"cat > train.cfg <<'EOF'\n(.*?\n)EOF\n", readme,
+                      re.S).group(1)
+    (tmp_path / "train.cfg").write_text(block)
+    rc = main(["train", "--config", str(tmp_path / "train.cfg"),
+               "--out", str(tmp_path / "dense.stnz")])
+    assert rc == 0, capsys.readouterr().err
 
 
 def test_verify_oracle_suite(capsys):

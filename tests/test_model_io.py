@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tncompress.errors import CorruptionError, FormatError
 from tncompress.model_io import (MAGIC, VERSION, ModelContainer, load_model,
-                                 save_model)
+                                 parse_key_values, save_model)
 
 
 def roundtrip(tmp_path, container):
@@ -95,6 +95,51 @@ def test_trailing_bytes_raise_corruption_error(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CorruptionError):
         load_model(path)
+
+
+def test_overflowing_dims_are_truncation(tmp_path):
+    """Dims whose product wraps in 64 bits ask for more bytes than exist."""
+    name = b"t"
+    blob = (MAGIC + struct.pack("<IQ", VERSION, 0) + struct.pack("<Q", 1)
+            + struct.pack("<Q", len(name)) + name
+            + struct.pack("<3Q", 2, 2 ** 32, 2 ** 32) + bytes(16))
+    path = tmp_path / "m.stnz"
+    path.write_bytes(blob)
+    with pytest.raises(CorruptionError, match="truncated"):
+        load_model(path)
+
+
+def test_non_utf8_manifest_is_format_error(tmp_path):
+    path, _ = roundtrip(tmp_path, ModelContainer(manifest={"arch": "mlp"}))
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"arch", b"\xffrch"))
+    with pytest.raises(FormatError, match="manifest:1: not UTF-8"):
+        load_model(path)
+
+
+def test_non_utf8_tensor_name_is_format_error(tmp_path):
+    container = ModelContainer(tensors={"t": np.ones(2, dtype=np.float32)})
+    path, _ = roundtrip(tmp_path, container)
+    blob = path.read_bytes()
+    i = blob.index(b"t", len(MAGIC))
+    path.write_bytes(blob[:i] + b"\xff" + blob[i + 1:])
+    with pytest.raises(FormatError, match="not UTF-8"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("note", "a # b"), ("#key", "1"), ("key", " 1")])
+def test_unencodable_manifest_entry_rejected(tmp_path, key, value):
+    with pytest.raises(ValueError, match="not encodable"):
+        save_model(tmp_path / "m.stnz", ModelContainer(manifest={key: value}))
+
+
+def test_parse_key_values_skips_comments():
+    text = "# head\na = 1  # tail\n\n b=x=y \n"
+    assert parse_key_values(text, FormatError, "src") == {"a": "1",
+                                                          "b": "x=y"}
+    with pytest.raises(FormatError, match="src:2: expected"):
+        parse_key_values("a = 1\nb\n", FormatError, "src")
 
 
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=4),

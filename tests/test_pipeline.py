@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tncompress.admm import AdmmConfig
 from tncompress.errors import BudgetError, ConfigError, FormatError
 from tncompress.layers import fc_dense_from_tn
-from tncompress.pipeline import (compress_container, container_layers,
-                                 evaluate_container, model_logits,
-                                 net_to_container, parse_train_config,
-                                 read_config)
+from tncompress.pipeline import (TRAIN_KEYS, compress_container,
+                                 container_layers, evaluate_container,
+                                 model_logits, net_to_container,
+                                 parse_train_config, read_config)
 from tncompress.toynet import make_dataset, make_net
 from tncompress.training import train_stn
 
@@ -54,6 +56,33 @@ class TestConfig:
     def test_bad_value_is_config_error(self):
         with pytest.raises(ConfigError):
             parse_train_config({"data_seed": "1", "rho": "0.5"})
+
+    @pytest.mark.parametrize("key, value", [("steps", "1.5"), ("batch", "")])
+    def test_bad_value_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}' cannot be parsed"):
+            parse_train_config({"data_seed": "1", key: value})
+
+
+CONFIG_KEYS = sorted(k.encode() for k in TRAIN_KEYS) + [b"momentum", b""]
+CONFIG_VALUES = [b"", b"x", b"-1", b"0", b"1", b"0.5", b"2.0", b"nan", b"inf",
+                 b"1e400", b"9" * 5000, b"mlp", b"tinycnn", b"\xff", b"=",
+                 b"5 # c", b"#"]
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.sampled_from(CONFIG_KEYS),
+              st.sampled_from([b" = ", b"=", b" ", b" == "]),
+              st.sampled_from(CONFIG_VALUES)).map(b"".join),
+    st.binary(max_size=12)), max_size=8).map(b"\n".join))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_config_texts_raise_only_config_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(blob)
+    try:
+        arch, data_seed, cfg = parse_train_config(read_config(path))
+    except ConfigError:
+        return
+    assert data_seed >= 0 and cfg.seed >= 0 and cfg.batch_size >= 1
 
 
 class TestContainerSchema:
