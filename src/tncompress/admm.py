@@ -9,7 +9,7 @@ geometrically up to a cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import isfinite, log
 
 import numpy as np
 
@@ -81,12 +81,18 @@ class AdmmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("lam", "mu0", "rho", "mu_max", "lr"):
+            value = getattr(self, name)
+            if not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
         if self.rho <= 1:
             raise ValueError("rho must exceed 1")
         if not 0 < self.mu0 <= self.mu_max:
             raise ValueError("need 0 < mu0 <= mu_max")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.period < 1:
             raise ValueError("period must be >= 1")
         if self.batch_size < 1:

@@ -4,10 +4,14 @@ Each sweep cycles the factors in mode order; the block update for factor n
 contracts every other factor into a design matrix and solves the exact
 least-squares problem via the normal equations with an SVD pseudo-inverse.
 Fully-connected networks have many poor local minima under plain random
-initialization, so the fit is multi-start: attempts that plateau far from
-convergence are abandoned and restarted with a fresh seed, all within one
-shared sweep budget.  The returned error history belongs to the winning
-attempt and is non-increasing by exact block minimization.
+initialization, so the fit runs in two phases within one shared sweep
+budget.  First, restarts with patience: each attempt starts from a fresh
+seed and ends at its first sweep of < 1% relative gain, and restarts stop
+once several attempts in a row fail to lower the best rse by a relative
+margin.  Then refine: the best attempt keeps sweeping until one sweep gains
+no more than the tolerance relative to its rse, or the budget runs out.
+The returned error history belongs to that attempt and is non-increasing
+by exact block minimization.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from .tensor import as_array, k_unfold
 from .topology import TNFactorSet, TNTopology, random_factor_set
 
 PINV_RCOND = 1e-10
-# an attempt is abandoned after this many consecutive sweeps of < 1%
-# relative improvement while still far above the tolerance
-_STALL_SWEEPS = 3
+# an attempt ends at its first sweep of less than this relative gain
 _STALL_RATIO = 0.01
-_FAR_FACTOR = 100.0
+# restarts stop after this many attempts in a row that fail to lower the
+# best rse by a relative _GAIN
+_PATIENCE = 8
+_GAIN = 1e-4
 _SEED_STRIDE = 1000003
 
 
@@ -76,6 +81,21 @@ def _fold_factor(mat: np.ndarray, topo: TNTopology, n: int) -> np.ndarray:
     return np.moveaxis(a, 0, n - 1)
 
 
+def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
+           unfoldings: dict[int, np.ndarray], plan: ContractionPlan) -> float:
+    """Update every factor of f in place, in mode order, by its exact
+    least-squares block solution; return the relative error afterwards."""
+    topo = f.topology
+    for n in range(1, topo.order + 1):
+        design = complement_matrix(f, n, plan)
+        gram = design.T @ design
+        block = unfoldings[n] @ design @ np.linalg.pinv(gram, rcond=PINV_RCOND)
+        if not np.all(np.isfinite(block)):
+            raise NumericError(f"non-finite block update for factor {n}")
+        f.factors[n - 1] = _fold_factor(block, topo, n)
+    return float(np.linalg.norm(contract_network(f, plan=plan) - a) / norm)
+
+
 def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
     """Fit factors minimizing the Frobenius error to t."""
     a = as_array(t).astype(np.float64)
@@ -90,42 +110,30 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
 
     unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
     plan = ContractionPlan(topo)   # shared by every attempt and sweep
-    used = 0
-    attempt = 0
-    best: tuple[float, TNFactorSet, list[float]] | None = None
-    while used < cfg.max_sweeps:
+    used = attempt = misses = 0
+    best_f, best = None, []   # the best attempt's factors and rse history
+    while used < cfg.max_sweeps and misses < _PATIENCE:
         f = random_factor_set(topo, cfg.seed + _SEED_STRIDE * attempt)
         attempt += 1
-        history: list[float] = []
-        prev = np.inf
-        stall = 0
+        history, prev = [], np.inf
         while used < cfg.max_sweeps:
-            for n in range(1, topo.order + 1):
-                design = complement_matrix(f, n, plan)
-                gram = design.T @ design
-                block = unfoldings[n] @ design @ np.linalg.pinv(
-                    gram, rcond=PINV_RCOND)
-                if not np.all(np.isfinite(block)):
-                    raise NumericError(f"non-finite block update for factor {n}")
-                f.factors[n - 1] = _fold_factor(block, topo, n)
+            rse = _sweep(f, a, norm, unfoldings, plan)
             used += 1
-            rse = float(np.linalg.norm(contract_network(f, plan=plan) - a)
-                        / norm)
             history.append(rse)
-            if best is None or rse < best[0]:
-                best = (rse, TNFactorSet(topo, [z.copy() for z in f.factors]),
-                        list(history))
-            if rse <= cfg.tol:
-                return AlsResult(best[1], best[0], np.array(best[2]),
-                                 attempt, used)
-            if prev - rse <= cfg.tol:
-                break  # converged to a plateau; restart
-            if (prev - rse) / max(rse, 1e-300) < _STALL_RATIO:
-                stall += 1
-                if stall >= _STALL_SWEEPS and rse > _FAR_FACTOR * cfg.tol:
-                    break  # stagnating far from the target; restart
-            else:
-                stall = 0
+            if rse <= cfg.tol or prev - rse < _STALL_RATIO * rse:
+                break
             prev = rse
-    rse, factors, history = best
-    return AlsResult(factors, rse, np.array(history), attempt, used)
+        if best and rse >= best[-1] * (1 - _GAIN):
+            misses += 1
+        else:
+            misses = 0
+        if not best or rse < best[-1]:
+            best_f, best = f, history
+        if best[-1] <= cfg.tol:
+            break
+    while used < cfg.max_sweeps and best[-1] > cfg.tol:
+        best.append(_sweep(best_f, a, norm, unfoldings, plan))
+        used += 1
+        if best[-2] - best[-1] <= cfg.tol * best[-1]:
+            break
+    return AlsResult(best_f, best[-1], np.array(best), attempt, used)

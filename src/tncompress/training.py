@@ -53,24 +53,28 @@ def _run(net, data: Dataset, cfg: AdmmConfig, use_admm: bool):
     state = AdmmState.init(net.weights, cfg)
     log = TrainingLog(layer_count=len(net.weights))
     n = len(data.x_train)
-    for step in range(1, cfg.max_steps + 1):
-        idx = rng.integers(0, n, size=cfg.batch_size)
-        xb, yb = data.x_train[idx], data.y_train[idx]
-        net.weights = state.w
-        loss, acc, grads = net.loss_and_grads(xb, yb)
-        if not np.isfinite(loss):
-            raise TrainingError(f"loss became non-finite at step {step}", step)
-        if use_admm and step % cfg.period == 0:
-            admm_w_update(state, grads, cfg)
-            admm_z_update(state, cfg)
-            admm_y_update(state, cfg)
-        else:
-            # plain SGD step (identical to admm_w_update with lam = 0)
-            for i, g in enumerate(grads):
-                state.w[i] = (state.w[i].astype(np.float64)
-                              - cfg.lr * g).astype(state.w[i].dtype)
-        state.step = step
-        log.rows.append(_log_row(step, loss, acc, state))
+    # overflow and NaN surface as one error from the non-finite loss and
+    # SVD input checks, not as numpy warnings
+    with np.errstate(all="ignore"):
+        for step in range(1, cfg.max_steps + 1):
+            idx = rng.integers(0, n, size=cfg.batch_size)
+            xb, yb = data.x_train[idx], data.y_train[idx]
+            net.weights = state.w
+            loss, acc, grads = net.loss_and_grads(xb, yb)
+            if not np.isfinite(loss):
+                raise TrainingError(f"loss became non-finite at step {step}",
+                                    step)
+            if use_admm and step % cfg.period == 0:
+                admm_w_update(state, grads, cfg)
+                admm_z_update(state, cfg)
+                admm_y_update(state, cfg)
+            else:
+                # plain SGD step (identical to admm_w_update with lam = 0)
+                for i, g in enumerate(grads):
+                    state.w[i] = (state.w[i].astype(np.float64)
+                                  - cfg.lr * g).astype(state.w[i].dtype)
+            state.step = step
+            log.rows.append(_log_row(step, loss, acc, state))
     net.weights = state.w
     return net, log
 

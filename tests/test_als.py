@@ -165,3 +165,32 @@ def test_config_validation():
         AlsConfig(max_sweeps=0)
     with pytest.raises(ValueError):
         AlsConfig(tol=0.0)
+
+
+def trained_like_target() -> np.ndarray:
+    """A rank-3 network plus noise, to be fitted at rank 2: like a trained
+    layer, every attempt plateaus far above the tolerance."""
+    x = contract_network(random_factor_set(uniform_topology((6, 6, 6), 3),
+                                           seed=1))
+    noise = np.random.default_rng(0).standard_normal(x.shape)
+    return x / np.linalg.norm(x) + 0.5 * noise / np.sqrt(x.size)
+
+
+def test_trained_like_fit_stops_before_the_sweep_budget():
+    cfg = AlsConfig()
+    result = als_fit(trained_like_target(), uniform_topology((6, 6, 6), 2),
+                     cfg)
+    assert result.rse > cfg.tol
+    # patience ends the restarts and refine ends at a plateau, so the
+    # budget is not spent on attempts that are thrown away
+    assert result.total_sweeps < cfg.max_sweeps
+    assert np.all(np.diff(result.history) <= 1e-7)
+    assert result.history[-1] == result.rse
+
+
+def test_same_seed_gives_identical_factors():
+    target, topo = trained_like_target(), uniform_topology((6, 6, 6), 2)
+    first, second = als_fit(target, topo), als_fit(target, topo)
+    assert np.array_equal(first.history, second.history)
+    for a, b in zip(first.factors.factors, second.factors.factors):
+        assert np.array_equal(a, b)

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -258,12 +259,22 @@ class TestExitCodes:
         ("train", "lr = x\ndata_seed = 5\n", "'lr'"),
         ("train", "batch = 0\ndata_seed = 5\n", "got 0"),
         ("train", b"data_seed = 5\n# \xff\n", "cfg:2: not UTF-8"),
+        ("train", "steps = -3\ndata_seed = 5\n", "max_steps must be >= 1"),
+        ("train", "lambda = nan\nsteps = 50\ndata_seed = 5\n",
+         "lam must be finite"),
+        ("train", "lr = inf\ndata_seed = 5\n", "lr must be finite"),
+        ("train", "mu0 = nan\ndata_seed = 5\n", "mu0 must be finite"),
+        ("train", "rho = nan\ndata_seed = 5\n", "rho must be finite"),
+        ("train", "mu_max = inf\ndata_seed = 5\n", "mu_max must be finite"),
+        ("train", "lr = 1e30\nsteps = 250\ndata_seed = 5\n", "non-finite"),
         ("eval", "data_seed = x\n", "'data_seed'"),
         ("eval", "data_seed = -1\n", "'data_seed'"),
         ("eval", b"data_seed = \xff5\n", "cfg:1: not UTF-8"),
     ], ids=["train-bad-data-seed", "train-negative-seed", "train-bad-lr",
-            "train-zero-batch", "train-not-utf8", "eval-bad-data-seed",
-            "eval-negative-data-seed", "eval-not-utf8"])
+            "train-zero-batch", "train-not-utf8", "train-negative-steps",
+            "train-nan-lambda", "train-inf-lr", "train-nan-mu0",
+            "train-nan-rho", "train-inf-mu-max", "train-diverging",
+            "eval-bad-data-seed", "eval-negative-data-seed", "eval-not-utf8"])
     def test_bad_config_value_is_two(self, workspace, tmp_path, capsys,
                                      command, text, expect):
         cfg = tmp_path / "bad.cfg"
@@ -275,8 +286,11 @@ class TestExitCodes:
         argvs = {"train": ["train", "--config", str(cfg), "--out", str(out)],
                  "eval": ["eval", "--model", str(workspace / "dense.stnz"),
                           "--data", str(cfg)]}
-        rc = main(argvs[command])
-        assert rc == 2
+        # a numpy warning would be one more stderr line outside pytest
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argvs[command])
+        assert rc == 2 and not caught
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert expect in err

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tncompress import pipeline
 from tncompress.admm import AdmmConfig
+from tncompress.als import AlsConfig, als_fit
 from tncompress.errors import BudgetError, ConfigError, FormatError
 from tncompress.layers import fc_dense_from_tn
 from tncompress.pipeline import (TRAIN_KEYS, compress_container,
@@ -124,6 +126,21 @@ class TestCompression:
         assert report.total_ratio >= 2.0
         assert report.total_dense == 320
         assert report.total_tn == sum(r["tn_params"] for r in report.rows)
+
+    def test_budget_fit_stops_before_the_sweep_budget(self, monkeypatch):
+        # trained layers never reach the ALS tolerance; each fit must still
+        # end well inside its sweep budget instead of restarting until the
+        # budget is spent
+        fits = []
+
+        def recording_als_fit(*args, **kwargs):
+            fits.append(als_fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(pipeline, "als_fit", recording_als_fit)
+        compress_container(trained_container(steps=200), budget=2.0)
+        assert fits
+        assert all(fit.total_sweeps < AlsConfig().max_sweeps for fit in fits)
 
     def test_unattainable_budget(self):
         container = trained_container(steps=20)
