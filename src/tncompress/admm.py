@@ -87,6 +87,8 @@ class AdmmConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
         if self.rho <= 1:
             raise ValueError("rho must exceed 1")
         if not 0 < self.mu0 <= self.mu_max:

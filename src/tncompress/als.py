@@ -1,8 +1,14 @@
 """Alternating least squares fitting of a tensor network to a dense tensor.
 
 Each sweep cycles the factors in mode order; the block update for factor n
-contracts every other factor into a design matrix and solves the exact
-least-squares problem via the normal equations with an SVD pseudo-inverse.
+contracts every other factor into a design matrix D and solves the exact
+least-squares problem through its normal equations, X·DᵀD = A_(n)·D, by
+an LU solve.  A singular gram (the solve fails or returns non-finite
+entries) falls back to the SVD pseudo-inverse.  A sweep's rse comes from
+the last block's normal equations, ‖A‖² − 2⟨A_(n)·D, X⟩ + ⟨X·DᵀD, X⟩,
+without contracting the network.  Where that sum is small against its
+terms, so that it cancels, and so wherever the tolerance is compared, the
+network is contracted instead, as it is once for the returned factors.
 Fully-connected networks have many poor local minima under plain random
 initialization, so the fit runs in two phases within one shared sweep
 budget.  First, restarts with patience: each attempt starts from a fresh
@@ -26,6 +32,11 @@ from .tensor import as_array, k_unfold
 from .topology import TNFactorSet, TNTopology, random_factor_set
 
 PINV_RCOND = 1e-10
+# A sweep's squared rse from the normal equations is a sum of terms up to
+# ‖X‖²·tr(gram)/‖A‖² in size and loses about eps times that to rounding.
+# Below this fraction of that scale, or of 1 (which covers every comparison
+# with tol), the sweep contracts the network for the exact rse instead.
+_EXACT_SQ_RSE = 1e-5
 # an attempt ends at its first sweep of less than this relative gain
 _STALL_RATIO = 0.01
 # restarts stop after this many attempts in a row that fail to lower the
@@ -74,26 +85,38 @@ def complement_matrix(f: TNFactorSet, n: int,
     return full.reshape((rows, -1), order="F")
 
 
-def _fold_factor(mat: np.ndarray, topo: TNTopology, n: int) -> np.ndarray:
-    """Reshape an I_n x (bond product) block solution back to factor form."""
-    bond_dims = [topo.rank(j, n) for j in range(1, topo.order + 1) if j != n]
-    a = mat.reshape([topo.dims[n - 1]] + bond_dims, order="F")
-    return np.moveaxis(a, 0, n - 1)
+def _exact_rse(f: TNFactorSet, a: np.ndarray, norm: float,
+               plan: ContractionPlan) -> float:
+    return float(np.linalg.norm(contract_network(f, plan=plan) - a) / norm)
 
 
 def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
            unfoldings: dict[int, np.ndarray], plan: ContractionPlan) -> float:
     """Update every factor of f in place, in mode order, by its exact
-    least-squares block solution; return the relative error afterwards."""
-    topo = f.topology
-    for n in range(1, topo.order + 1):
+    least-squares block solution; return the relative error afterwards,
+    from the last block's normal equations where they are accurate."""
+    for n in range(1, f.topology.order + 1):
         design = complement_matrix(f, n, plan)
         gram = design.T @ design
-        block = unfoldings[n] @ design @ np.linalg.pinv(gram, rcond=PINV_RCOND)
-        if not np.all(np.isfinite(block)):
-            raise NumericError(f"non-finite block update for factor {n}")
-        f.factors[n - 1] = _fold_factor(block, topo, n)
-    return float(np.linalg.norm(contract_network(f, plan=plan) - a) / norm)
+        rhs = unfoldings[n] @ design
+        try:
+            block = np.linalg.solve(gram, rhs.T).T
+        except np.linalg.LinAlgError:
+            block = None
+        if block is None or not np.all(np.isfinite(block)):
+            block = rhs @ np.linalg.pinv(gram, rcond=PINV_RCOND)
+            if not np.all(np.isfinite(block)):
+                raise NumericError(f"non-finite block update for factor {n}")
+        shape, perm = plan.folds[n]
+        f.factors[n - 1] = block.reshape(shape, order="F").transpose(perm)
+    # ‖A − X·Dᵀ‖² from the last block's normal equations
+    norm2 = norm ** 2
+    sq = (norm2 - 2.0 * np.vdot(rhs, block)
+          + np.vdot(block @ gram, block)) / norm2
+    scale = max(1.0, np.vdot(block, block) * np.trace(gram) / norm2)
+    if sq < _EXACT_SQ_RSE * scale:
+        return _exact_rse(f, a, norm, plan)
+    return float(np.sqrt(sq))
 
 
 def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
@@ -136,4 +159,5 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
         used += 1
         if best[-2] - best[-1] <= cfg.tol * best[-1]:
             break
+    best[-1] = _exact_rse(best_f, a, norm, plan)
     return AlsResult(best_f, best[-1], np.array(best), attempt, used)

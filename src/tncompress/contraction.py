@@ -37,7 +37,8 @@ def network_labels(topo: TNTopology) -> tuple[list[list[int]], list[int]]:
 
 class ContractionPlan:
     """Labels of one topology, the output labels and row count of each
-    complement matrix, and a compiled step list for every network contracted
+    complement matrix, the fold of each block solution back into its
+    factor, and a compiled step list for every network contracted
     over it, each compiled on the first contraction that needs it.
 
     A step is (operand positions to pop, einsum string, kernel), taken from
@@ -58,6 +59,14 @@ class ContractionPlan:
                 + [lab for lab in self.labels[n - 1] if lab != n - 1],
                 size // topo.dims[n - 1])
             for n in range(1, topo.order + 1)}
+        # n -> (shape, permutation) folding an I_n x (bond product) block
+        # solution, columns little-endian over the bonds of n, into factor
+        # n: reshape in F order to (I_n, bonds...), then move axis 0 to n-1
+        self.folds = {}
+        for n in range(1, topo.order + 1):
+            shape = topo.factor_shape(n)
+            self.folds[n] = (shape[n - 1:n] + shape[:n - 1] + shape[n:],
+                             [*range(1, n), 0, *range(n, topo.order)])
         self._steps: dict[object, list] = {}
 
     def einsum(self, key, *operands) -> np.ndarray:

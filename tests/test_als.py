@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy._core import einsumfunc
 
-from tncompress.als import AlsConfig, als_fit, complement_matrix
+from tncompress import als
+from tncompress.als import (PINV_RCOND, AlsConfig, _sweep, als_fit,
+                            complement_matrix)
 from tncompress.contraction import ContractionPlan, contract_network
 from tncompress.errors import TopologyError
 from tncompress.tensor import k_unfold
@@ -194,3 +198,116 @@ def test_same_seed_gives_identical_factors():
     assert np.array_equal(first.history, second.history)
     for a, b in zip(first.factors.factors, second.factors.factors):
         assert np.array_equal(a, b)
+
+
+def sweep_inputs(topo, seed):
+    """A random target and start for one topology, with what _sweep takes."""
+    a = np.random.default_rng(seed).standard_normal(topo.dims)
+    unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
+    return (random_factor_set(topo, seed), a, float(np.linalg.norm(a)),
+            unfoldings, ContractionPlan(topo))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_solve_update_matches_the_pinv_update(seed, monkeypatch):
+    # every design is taller than wide, so each gram is well-conditioned
+    topo = TNTopology((5, 6, 4), {(1, 2): 2, (1, 3): 3, (2, 3): 2})
+    f, a, norm, unfoldings, plan = sweep_inputs(topo, seed)
+    reference = random_factor_set(topo, seed)
+    for n in range(1, 4):
+        design = complement_matrix(f, n)
+        assert np.linalg.cond(design.T @ design) < 1e6
+    solved = _sweep(f, a, norm, unfoldings, plan)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    # every block update of the reference takes the pinv fallback
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    pinved = _sweep(reference, a, norm, unfoldings, plan)
+    assert solved == pytest.approx(pinved, rel=1e-10)
+    for got, want in zip(f.factors, reference.factors):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_singular_gram_takes_the_pinv_fallback(monkeypatch):
+    # two equal slices of factor 2 along its bond to mode 1 make two
+    # columns of factor 1's design equal: its gram is exactly singular
+    topo = uniform_topology((5, 4, 6), 3)
+    f, a, norm, unfoldings, plan = sweep_inputs(topo, 0)
+    f.factors[1][1] = f.factors[1][0]
+    design = complement_matrix(f, 1)
+    gram = design.T @ design
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(gram, np.eye(len(gram)))
+    expected = unfoldings[1] @ design @ np.linalg.pinv(gram, rcond=PINV_RCOND)
+    calls = []
+    real_pinv = np.linalg.pinv
+
+    def counting_pinv(*args, **kwargs):
+        calls.append(args)
+        return real_pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    rse = _sweep(f, a, norm, unfoldings, plan)
+    assert calls
+    assert np.array_equal(f.factors[0].reshape((5, -1), order="F"), expected)
+    assert all(np.all(np.isfinite(x)) for x in f.factors)
+    assert rse == pytest.approx(
+        np.linalg.norm(contract_network(f) - a) / norm, rel=1e-10)
+
+
+def assert_sweeps_give_exact_rse(topo, seed):
+    f, a, norm, unfoldings, plan = sweep_inputs(topo, seed)
+    for _ in range(3):
+        rse = _sweep(f, a, norm, unfoldings, plan)
+        exact = np.linalg.norm(contract_network(f) - a) / norm
+        assert rse == pytest.approx(exact, rel=1e-10)
+    return a, norm
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_sweep_rse_is_the_exact_rse(data):
+    """The normal-equation rse of a sweep, on order 2-4 topologies with
+    dims 1-4 and ranks 1-3 (unit bonds, and bonds above a mode size,
+    included), and the rse a fit returns."""
+    order = data.draw(st.integers(2, 4))
+    dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=order,
+                                    max_size=order)))
+    topo = TNTopology(dims, {p: data.draw(st.integers(1, 3))
+                             for p in mode_pairs(order)})
+    seed = data.draw(st.integers(0, 2 ** 16))
+    a, norm = assert_sweeps_give_exact_rse(topo, seed)
+    result = als_fit(a, topo, AlsConfig(max_sweeps=10, seed=seed))
+    exact = np.linalg.norm(contract_network(result.factors) - a) / norm
+    assert result.rse == pytest.approx(exact, rel=1e-12)
+    assert result.history[-1] == result.rse
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sweep_rse_is_exact_where_the_sum_cancels(seed):
+    # bonds above their mode sizes leave grams near-singular with no zero
+    # pivot: the solved blocks are large, and the normal-equation sum
+    # loses the rse to rounding unless the sweep contracts instead
+    topo = TNTopology((2, 4, 2, 1), {(1, 2): 1, (1, 3): 3, (1, 4): 3,
+                                     (2, 3): 3, (2, 4): 1, (3, 4): 2})
+    assert_sweeps_give_exact_rse(topo, seed)
+
+
+def test_fit_contracts_the_network_about_once(monkeypatch):
+    calls = []
+    real_contract = als.contract_network
+
+    def counting_contract(*args, **kwargs):
+        calls.append(args)
+        return real_contract(*args, **kwargs)
+
+    # perfbench traces the contraction at this same module attribute
+    monkeypatch.setattr(als, "contract_network", counting_contract)
+    result = als_fit(trained_like_target(), uniform_topology((6, 6, 6), 2))
+    # far from the tolerance, sweeps take their rse from the normal
+    # equations and only the returned factors are contracted
+    assert result.rse > 1e-2
+    assert result.total_sweeps >= 20
+    assert len(calls) <= 2

@@ -263,6 +263,8 @@ class TestExitCodes:
         ("train", "lambda = nan\nsteps = 50\ndata_seed = 5\n",
          "lam must be finite"),
         ("train", "lr = inf\ndata_seed = 5\n", "lr must be finite"),
+        ("train", "lr = 0\ndata_seed = 5\n", "lr must be positive, got 0"),
+        ("train", "lr = -1\ndata_seed = 5\n", "lr must be positive, got -1"),
         ("train", "mu0 = nan\ndata_seed = 5\n", "mu0 must be finite"),
         ("train", "rho = nan\ndata_seed = 5\n", "rho must be finite"),
         ("train", "mu_max = inf\ndata_seed = 5\n", "mu_max must be finite"),
@@ -272,7 +274,8 @@ class TestExitCodes:
         ("eval", b"data_seed = \xff5\n", "cfg:1: not UTF-8"),
     ], ids=["train-bad-data-seed", "train-negative-seed", "train-bad-lr",
             "train-zero-batch", "train-not-utf8", "train-negative-steps",
-            "train-nan-lambda", "train-inf-lr", "train-nan-mu0",
+            "train-nan-lambda", "train-inf-lr", "train-zero-lr",
+            "train-negative-lr", "train-nan-mu0",
             "train-nan-rho", "train-inf-mu-max", "train-diverging",
             "eval-bad-data-seed", "eval-negative-data-seed", "eval-not-utf8"])
     def test_bad_config_value_is_two(self, workspace, tmp_path, capsys,
