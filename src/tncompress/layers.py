@@ -28,23 +28,24 @@ from .topology import TNFactorSet
 # ---------------------------------------------------------------------------
 # tensorization planning
 
-def _split_dim(value: int) -> tuple[tuple[int, int], bool]:
+def _split_dim(value: int) -> tuple[int, int]:
     """The divisor pair of value closest to its square root, smaller factor
     first.  With no pair of factors >= 2 (value 1 or a prime) the split is
-    (1, value), reported via the flag."""
+    (1, value)."""
     d = isqrt(value)
     while d >= 2 and value % d:
         d -= 1
-    if d < 2:
-        return (1, value), True
-    return (d, value // d), False
+    return d, value // d
 
 
 @dataclass(frozen=True)
 class TensorizationPlan:
     out_factors: tuple[int, ...]  # (I_1, I_2), product M
     in_factors: tuple[int, ...]   # (J_1, J_2), product N
-    reduced: bool = False         # a side has no split into factors >= 2
+
+    @property
+    def reduced(self) -> bool:    # a side has no split into factors >= 2
+        return 1 in self.dims
 
     @property
     def rows(self) -> int:
@@ -62,9 +63,7 @@ class TensorizationPlan:
 def plan_tensorization(rows: int, cols: int) -> TensorizationPlan:
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
-    out_factors, out_reduced = _split_dim(rows)
-    in_factors, in_reduced = _split_dim(cols)
-    return TensorizationPlan(out_factors, in_factors, out_reduced or in_reduced)
+    return TensorizationPlan(_split_dim(rows), _split_dim(cols))
 
 
 def tensorize_matrix(mat: np.ndarray, plan: TensorizationPlan) -> np.ndarray:

@@ -68,10 +68,14 @@ TRAIN_FIELDS = {"lambda": ("lam", float), "lr": ("lr", float),
 TRAIN_KEYS = {"arch", "data_seed", *TRAIN_FIELDS}
 
 
-def parse_train_config(config: dict[str, str]) -> tuple[str, int, AdmmConfig]:
-    unknown = set(config) - TRAIN_KEYS
+def _reject_unknown(config: dict[str, str], keys: set[str]) -> None:
+    unknown = set(config) - keys
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
+
+
+def parse_train_config(config: dict[str, str]) -> tuple[str, int, AdmmConfig]:
+    _reject_unknown(config, TRAIN_KEYS)
     arch = config.get("arch", ARCHS[0])
     if arch not in ARCHS:
         raise ConfigError(f"unknown architecture {arch!r}")
@@ -246,22 +250,24 @@ def _layer_tensor(layer: _Layer) -> tuple[np.ndarray, TensorizationPlan | None]:
 
 
 def compress_container(container: ModelContainer, kappa: float | None = None,
-                       budget: float | None = None,
-                       seed: int = 0) -> tuple[ModelContainer, CompressionReport]:
+                       budget: float | None = None
+                       ) -> tuple[ModelContainer, CompressionReport]:
+    """Compress at kappa, or at the largest kappa that meets budget; ALS is
+    seeded from the container's `seed` provenance (0 if absent)."""
     if (kappa is None) == (budget is None):
         raise ValueError("give exactly one of kappa or budget")
+    manifest = container.manifest
+    seed = _parsed(manifest, "seed", _natural) if "seed" in manifest else 0
     layers = container_layers(container)
     if any(layer.fmt != "dense" for layer in layers):
         raise FormatError("can only compress a dense-format model")
     prepared = [_layer_tensor(layer) for layer in layers]
-    if kappa is not None and not 0.0 < kappa <= 1.0:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
     curve_sets = [retention_curves(t)[0] for t, _ in prepared]
     if kappa is None:
         kappa = budget_kappa([t.shape for t, _ in prepared], curve_sets,
                              budget)
 
-    out = ModelContainer(manifest=dict(container.manifest))
+    out = ModelContainer(manifest=dict(manifest))
     out.manifest["kappa"] = f"{kappa:.10f}"
     report = CompressionReport(kappa)
     for layer, (tensor, plan), curves in zip(layers, prepared, curve_sets):
@@ -354,11 +360,8 @@ def run_train(config_path, out_path, log_path=None):
 
 def run_compress(model_path, out_path, kappa=None, budget=None,
                  report_path=None) -> CompressionReport:
-    container = load_model(model_path)
-    manifest = container.manifest
-    seed = _parsed(manifest, "seed", _natural) if "seed" in manifest else 0
     compressed, report = compress_container(
-        container, kappa=kappa, budget=budget, seed=seed)
+        load_model(model_path), kappa=kappa, budget=budget)
     save_model(out_path, compressed)
     if report_path is not None:
         report.write_csv(report_path)
@@ -367,37 +370,33 @@ def run_compress(model_path, out_path, kappa=None, budget=None,
 
 def run_eval(model_path, data_config_path) -> dict:
     container = load_model(model_path)
-    data_seed = _parsed(read_config(data_config_path), "data_seed", _natural,
-                        ConfigError)
+    config = read_config(data_config_path)
+    _reject_unknown(config, {"data_seed"})
+    data_seed = _parsed(config, "data_seed", _natural, ConfigError)
     return evaluate_container(container, data_seed)
 
 
 def emit_tradeoff(model_path, kappas, out_path) -> list[dict]:
     """Compress the model at each retention level and tabulate the size and
     accuracy trade-off; the dataset comes from the model's provenance."""
+    if not kappas:
+        raise ValueError("give at least one kappa")
     container = load_model(model_path)
-    manifest = container.manifest
-    data_seed = _parsed(manifest, "data_seed", _natural)
-    seed = _parsed(manifest, "seed", _natural) if "seed" in manifest else 0
-    layer_count = len(container_layers(container))
+    data_seed = _parsed(container.manifest, "data_seed", _natural)
     rows = []
     for kappa in kappas:
-        compressed, report = compress_container(
-            container, kappa=kappa, seed=seed)
+        compressed, report = compress_container(container, kappa=kappa)
         metrics = evaluate_container(compressed, data_seed)
-        row = {"kappa": kappa, "total_ratio": report.total_ratio,
-               "accuracy": metrics["accuracy"]}
-        for r in report.rows:
-            row[f"ratio_l{r['layer']}"] = r["ratio"]
-        rows.append(row)
+        rows.append({"kappa": kappa, "total_ratio": report.total_ratio,
+                     **{f"ratio_l{r['layer']}": r["ratio"]
+                        for r in report.rows},
+                     "accuracy": metrics["accuracy"]})
     with open(out_path, "w", newline="") as fh:
-        cols = (["kappa", "total_ratio"]
-                + [f"ratio_l{i}" for i in range(layer_count)] + ["accuracy"])
         writer = csv.writer(fh)
-        writer.writerow(cols)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([f"{row[c]:.6f}" if isinstance(row[c], float)
-                             else row[c] for c in cols])
+            writer.writerow([f"{v:.6f}" if isinstance(v, float) else v
+                             for v in row.values()])
     return rows
 
 

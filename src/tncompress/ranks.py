@@ -1,12 +1,15 @@
 """Adaptive bond-rank selection from mode-pair spectra.
 
 For each mode pair (m, n) the tensor is unfolded into I_m x I_n frontal
-slices; the singular-value vectors of all slices (descending, zero-padded
-to min(I_m, I_n)) are summed positionally, and the bond rank is the
+slices; the singular-value vectors of all slices (descending, each of
+length min(I_m, I_n)) are summed positionally, and the bond rank is the
 smallest truncation length x whose squared norm retains a fraction kappa
 of the squared norm of the full summed vector.  Note this is the squared
 norm of the *summed* vector, not the summed spectral energy; the energy
 curve is kept alongside as metadata only.
+
+One cut rule, `_cut`, checks kappa and cuts a cumulative curve; it serves
+both the mode-pair curves (`ranks_from_curves`) and `effective_rank`.
 
 Under a storage budget, `budget_kappa` finds the largest retention-curve
 value (or 1.0) whose rank tables fit, by an exact search over those values.
@@ -39,36 +42,39 @@ class RankSelection:
         return TNTopology(tuple(int(d) for d in dims), dict(self.ranks))
 
 
+def _cumulative(v: np.ndarray) -> np.ndarray:
+    """Cumulative share of v's sum; all ones for a zero vector."""
+    total = v.sum()
+    return np.cumsum(v) / total if total > 0 else np.ones_like(v)
+
+
 def retention_curves(t) -> tuple[dict, dict]:
     """Cumulative retention-ratio curve per mode pair, plus the true
     spectral-energy curve kept as metadata."""
     a = as_array(t)
     curves, energy = {}, {}
     for m, n in mode_pairs(a.ndim):
-        slices = mn_unfold(a, m, n)
-        total = np.zeros(min(a.shape[m - 1], a.shape[n - 1]))
-        energy_total = np.zeros_like(total)
-        for k in range(slices.shape[2]):
-            s = singular_values(slices[:, :, k])
-            total[:s.size] += s
-            energy_total[:s.size] += s ** 2
-        sq = total ** 2
-        denom = sq.sum()
-        curves[(m, n)] = (np.cumsum(sq) / denom) if denom > 0 else np.ones_like(sq)
-        edenom = energy_total.sum()
-        energy[(m, n)] = (np.cumsum(energy_total) / edenom) if edenom > 0 \
-            else np.ones_like(energy_total)
+        # C x I_m x I_n: the frontal slices, one SVD call for all of them
+        s = singular_values(np.moveaxis(mn_unfold(a, m, n), -1, 0))
+        curves[(m, n)] = _cumulative(s.sum(axis=0) ** 2)
+        energy[(m, n)] = _cumulative((s ** 2).sum(axis=0))
     return curves, energy
 
 
-def ranks_from_curves(curves: dict, kappa: float) -> dict[tuple[int, int], int]:
+def _cut(curves, kappa: float) -> list[int]:
+    """Per cumulative curve, the smallest x whose value reaches kappa, or
+    the curve's length if none does; kappa must lie in (0, 1]."""
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    ranks = {}
-    for pair, curve in curves.items():
+    ranks = []
+    for curve in curves:
         hits = np.nonzero(curve >= kappa - _EPS)[0]
-        ranks[pair] = int(hits[0]) + 1 if hits.size else curve.size
+        ranks.append(int(hits[0]) + 1 if hits.size else curve.size)
     return ranks
+
+
+def ranks_from_curves(curves: dict, kappa: float) -> dict[tuple[int, int], int]:
+    return dict(zip(curves, _cut(curves.values(), kappa)))
 
 
 def determine_ranks(t, kappa: float) -> RankSelection:
@@ -134,12 +140,7 @@ def kappa_for_budget(t, target_ratio: float) -> BudgetSearchResult:
 
 def effective_rank(mat: np.ndarray, kappa: float) -> int:
     """Smallest x with ||sigma_{1:x}||^2 / ||sigma||^2 >= kappa; 0 for the
-    zero matrix."""
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    s = singular_values(np.asarray(mat))
-    total = float((s ** 2).sum())
-    if total == 0.0:
-        return 0
-    cum = np.cumsum(s ** 2) / total
-    return int(np.nonzero(cum >= kappa - _EPS)[0][0]) + 1
+    zero matrix, whose curve is empty."""
+    sq = singular_values(np.asarray(mat)) ** 2
+    total = sq.sum()
+    return _cut([np.cumsum(sq) / total if total > 0 else sq[:0]], kappa)[0]

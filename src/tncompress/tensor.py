@@ -126,15 +126,14 @@ class SvdResult:
 
 
 def _clamped_svd(mat: np.ndarray, compute_uv: bool):
-    """Thin SVD (u, s, vh), or s alone, of finite mat in float64, with
-    singular values below SV_CLAMP of the largest set to zero."""
+    """Thin SVD (u, s, vh), or s alone, of a finite matrix or stack in float64;
+    each matrix's singular values below SV_CLAMP of its largest become zero."""
     mat = np.asarray(mat, dtype=np.float64)
     if not np.all(np.isfinite(mat)):
         raise NumericError("SVD input contains non-finite entries")
     res = np.linalg.svd(mat, full_matrices=False, compute_uv=compute_uv)
     s = res.S if compute_uv else res
-    if s.size and s[0] > 0:
-        s = np.where(s < SV_CLAMP * s[0], 0.0, s)
+    s = np.where(s < SV_CLAMP * s[..., :1], 0.0, s)
     return (res.U, s, res.Vh) if compute_uv else s
 
 
@@ -145,5 +144,5 @@ def svd(mat: np.ndarray) -> SvdResult:
 
 
 def singular_values(mat: np.ndarray) -> np.ndarray:
-    """Singular values only (descending), with the same clamping as svd()."""
+    """Descending singular values of a matrix or a stack, clamped as svd()."""
     return _clamped_svd(mat, compute_uv=False)

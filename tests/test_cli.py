@@ -272,12 +272,14 @@ class TestExitCodes:
         ("eval", "data_seed = x\n", "'data_seed'"),
         ("eval", "data_seed = -1\n", "'data_seed'"),
         ("eval", b"data_seed = \xff5\n", "cfg:1: not UTF-8"),
+        ("eval", "data_seed = 1\nmomentum = 3\n", "'momentum'"),
     ], ids=["train-bad-data-seed", "train-negative-seed", "train-bad-lr",
             "train-zero-batch", "train-not-utf8", "train-negative-steps",
             "train-nan-lambda", "train-inf-lr", "train-zero-lr",
             "train-negative-lr", "train-nan-mu0",
             "train-nan-rho", "train-inf-mu-max", "train-diverging",
-            "eval-bad-data-seed", "eval-negative-data-seed", "eval-not-utf8"])
+            "eval-bad-data-seed", "eval-negative-data-seed", "eval-not-utf8",
+            "eval-unknown-key"])
     def test_bad_config_value_is_two(self, workspace, tmp_path, capsys,
                                      command, text, expect):
         cfg = tmp_path / "bad.cfg"

@@ -52,18 +52,24 @@ class TestPlanning:
 
     def test_split_is_brute_force_most_balanced_pair(self):
         def brute(v):
-            # for d <= v/d the gap v/d - d shrinks as the pair's log ratio does
+            # for d <= v/d the gap v/d - d shrinks as the pair's log ratio
+            # does; None where no pair of factors >= 2 exists
             pairs = [(v // d - d, (d, v // d)) for d in range(2, v + 1)
                      if v % d == 0 and d <= v // d]
-            return (min(pairs)[1], False) if pairs else ((1, v), True)
+            return min(pairs)[1] if pairs else None
 
         split = {v: brute(v) for v in range(1, 513)}
         for rows in range(1, 513):
             for cols in range(1, 513):
                 plan = plan_tensorization(rows, cols)
                 assert (plan.out_factors, plan.in_factors) == \
-                    (split[rows][0], split[cols][0])
-                assert plan.reduced == (split[rows][1] or split[cols][1])
+                    (split[rows] or (1, rows), split[cols] or (1, cols))
+                assert plan.reduced == (split[rows] is None
+                                        or split[cols] is None)
+
+    def test_reduced_follows_the_factors(self):
+        assert TensorizationPlan((1, 2), (12, 12)).reduced
+        assert not TensorizationPlan((2, 2), (3, 4)).reduced
 
     def test_round_trip(self):
         plan = plan_tensorization(12, 6)

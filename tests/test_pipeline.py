@@ -9,7 +9,8 @@ from tncompress import pipeline
 from tncompress.admm import AdmmConfig
 from tncompress.als import AlsConfig, als_fit
 from tncompress.errors import BudgetError, ConfigError, FormatError
-from tncompress.layers import fc_dense_from_tn
+from tncompress.layers import fc_dense_from_tn, plan_tensorization
+from tncompress.model_io import load_model, save_model
 from tncompress.pipeline import (TRAIN_KEYS, compress_container,
                                  container_layers, evaluate_container,
                                  model_logits, net_to_container,
@@ -184,6 +185,24 @@ class TestCompression:
         tn_logits = model_logits(compressed, x)
         dense_logits = model_logits(rebuilt_container, x)
         assert np.allclose(tn_logits, dense_logits, atol=1e-5)
+
+    def test_als_seed_comes_from_the_container(self, tmp_path):
+        # the library call fits as the CLI does: seeded by the provenance
+        save_model(tmp_path / "dense.stnz", trained_container(steps=200, seed=3))
+        pipeline.run_compress(tmp_path / "dense.stnz", tmp_path / "cli.stnz",
+                              budget=2.0)
+        compressed, _ = compress_container(load_model(tmp_path / "dense.stnz"),
+                                           budget=2.0)
+        save_model(tmp_path / "lib.stnz", compressed)
+        assert (tmp_path / "lib.stnz").read_bytes() == \
+            (tmp_path / "cli.stnz").read_bytes()
+
+    def test_loaded_plan_equals_the_planned_one(self):
+        container = trained_container("tinycnn", steps=150, data_seed=7)
+        compressed, _ = compress_container(container, budget=2.0)
+        fc = container_layers(compressed)[1]
+        assert fc.plan == plan_tensorization(2, 144)
+        assert fc.plan.reduced
 
     def test_tinycnn_compression_evaluates(self):
         container = trained_container("tinycnn", steps=150, data_seed=7)

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tncompress.errors import BudgetError
 from tncompress.oracles import generate_cp
 from tncompress.ranks import (budget_kappa, determine_ranks,
                               effective_rank, kappa_for_budget,
                               ranks_from_curves, retention_curves)
-from tncompress.topology import TNTopology, tn_param_count
+from tncompress.tensor import mn_unfold, singular_values
+from tncompress.topology import TNTopology, mode_pairs, tn_param_count
 
 
 class TestEffectiveRank:
@@ -192,3 +195,40 @@ class TestKappaForBudget:
         with pytest.raises(ValueError):
             kappa_for_budget(np.ones((2, 2)), float("nan"))
 
+
+def per_slice_curves(a):
+    """Reference retention curves: one SVD per frontal slice, summed in a
+    loop."""
+    curves, energy = {}, {}
+    for m, n in mode_pairs(a.ndim):
+        slices = mn_unfold(a, m, n)
+        total = np.zeros(min(a.shape[m - 1], a.shape[n - 1]))
+        energy_total = np.zeros_like(total)
+        for k in range(slices.shape[2]):
+            s = singular_values(slices[:, :, k])
+            total += s
+            energy_total += s ** 2
+        for table, v in ((curves, total ** 2), (energy, energy_total)):
+            table[(m, n)] = (np.cumsum(v) / v.sum() if v.sum() > 0
+                             else np.ones_like(v))
+    return curves, energy
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_retention_curves_match_the_per_slice_loop(data):
+    """Order 2-4, dims 1-5 (unit dims included), some slices zeroed."""
+    dims = tuple(data.draw(st.lists(st.integers(1, 5), min_size=2,
+                                    max_size=4)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    a = rng.standard_normal(dims)
+    if data.draw(st.booleans()):
+        a[..., data.draw(st.integers(0, dims[-1] - 1))] = 0.0
+    if data.draw(st.integers(0, 9)) == 0:
+        a[:] = 0.0
+    curves, energy = retention_curves(a)
+    ref_curves, ref_energy = per_slice_curves(a)
+    for got, want in ((curves, ref_curves), (energy, ref_energy)):
+        assert got.keys() == want.keys()
+        for pair in want:
+            assert np.array_equal(got[pair], want[pair]), pair

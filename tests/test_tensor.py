@@ -95,6 +95,30 @@ class TestSvd:
         for s in (singular_values(a), svd(a).s):
             assert np.count_nonzero(s) == 1
 
+    def test_zero_matrix_stays_zero(self):
+        for fn in (lambda a: svd(a).s, singular_values):
+            assert np.array_equal(fn(np.zeros((3, 2))), np.zeros(2))
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_stack_matches_per_matrix_calls(self, data):
+        """One call on a C x M x N stack equals C calls bit for bit, with
+        zero, rank-deficient and 1 x n matrices in the stack."""
+        c, m, n = (data.draw(st.integers(1, 5)) for _ in range(3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        stack = rng.standard_normal((c, m, n))
+        for k in range(c):
+            kind = data.draw(st.sampled_from(["full", "zero", "rank1"]))
+            if kind == "zero":
+                stack[k] = 0.0
+            elif kind == "rank1":
+                stack[k] = np.outer(rng.standard_normal(m),
+                                    rng.standard_normal(n))
+        s = singular_values(stack)
+        assert s.shape == (c, min(m, n))
+        for k in range(c):
+            assert np.array_equal(s[k], singular_values(stack[k]))
+
     def test_non_finite_rejected(self):
         for fn in (svd, singular_values):
             for bad in (np.nan, np.inf):
