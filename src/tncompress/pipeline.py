@@ -5,9 +5,12 @@ threshold or a storage budget, and evaluate either format."""
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
+import os
 from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,6 +252,28 @@ def _layer_tensor(layer: _Layer) -> tuple[np.ndarray, TensorizationPlan | None]:
     return tensorize_matrix(layer.weight.astype(np.float64), plan), plan
 
 
+class _Prepared(NamedTuple):
+    """What compressing a dense container needs at any kappa: the ALS seed
+    from its `seed` provenance (0 if absent), its layers, each layer's
+    tensor and plan, and each tensor's retention curves."""
+
+    seed: int
+    layers: list[_Layer]
+    tensors: list[tuple[np.ndarray, TensorizationPlan | None]]
+    curve_sets: list[dict]
+
+
+def _prepare(container: ModelContainer) -> _Prepared:
+    manifest = container.manifest
+    seed = _parsed(manifest, "seed", _natural) if "seed" in manifest else 0
+    layers = container_layers(container)
+    if any(layer.fmt != "dense" for layer in layers):
+        raise FormatError("can only compress a dense-format model")
+    tensors = [_layer_tensor(layer) for layer in layers]
+    return _Prepared(seed, layers, tensors,
+                     [retention_curves(t)[0] for t, _ in tensors])
+
+
 def compress_container(container: ModelContainer, kappa: float | None = None,
                        budget: float | None = None
                        ) -> tuple[ModelContainer, CompressionReport]:
@@ -256,21 +281,20 @@ def compress_container(container: ModelContainer, kappa: float | None = None,
     seeded from the container's `seed` provenance (0 if absent)."""
     if (kappa is None) == (budget is None):
         raise ValueError("give exactly one of kappa or budget")
-    manifest = container.manifest
-    seed = _parsed(manifest, "seed", _natural) if "seed" in manifest else 0
-    layers = container_layers(container)
-    if any(layer.fmt != "dense" for layer in layers):
-        raise FormatError("can only compress a dense-format model")
-    prepared = [_layer_tensor(layer) for layer in layers]
-    curve_sets = [retention_curves(t)[0] for t, _ in prepared]
+    prepared = _prepare(container)
     if kappa is None:
-        kappa = budget_kappa([t.shape for t, _ in prepared], curve_sets,
-                             budget)
+        kappa = budget_kappa([t.shape for t, _ in prepared.tensors],
+                             prepared.curve_sets, budget)
+    return _compress(container, prepared, kappa)
 
-    out = ModelContainer(manifest=dict(manifest))
+
+def _compress(container: ModelContainer, prepared: _Prepared, kappa: float
+              ) -> tuple[ModelContainer, CompressionReport]:
+    out = ModelContainer(manifest=dict(container.manifest))
     out.manifest["kappa"] = f"{kappa:.10f}"
     report = CompressionReport(kappa)
-    for layer, (tensor, plan), curves in zip(layers, prepared, curve_sets):
+    for layer, (tensor, plan), curves in zip(
+            prepared.layers, prepared.tensors, prepared.curve_sets):
         prefix = f"layer.{layer.index}"
         ranks = ranks_from_curves(curves, kappa)
         topo = TNTopology(tensor.shape, ranks)
@@ -292,7 +316,8 @@ def compress_container(container: ModelContainer, kappa: float | None = None,
             row.update(tn_params=dense_params, ratio=1.0, rse=0.0,
                        kept_dense=1)
         else:
-            fit = als_fit(tensor, topo, AlsConfig(seed=seed + layer.index))
+            fit = als_fit(tensor, topo,
+                          AlsConfig(seed=prepared.seed + layer.index))
             out.manifest[f"{prefix}.format"] = "tn"
             out.manifest[f"{prefix}.ranks"] = _encode_ranks(ranks)
             for k, f in enumerate(fit.factors.factors):
@@ -340,13 +365,28 @@ def evaluate_container(container: ModelContainer, data_seed: int) -> dict:
 # ---------------------------------------------------------------------------
 # top-level entry points
 
+def _check_writable(path) -> None:
+    """Raise, before any work is done, the OSError that opening path for
+    writing would raise for a missing directory or a directory in its way."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        code = errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
+
+
 def run_train(config_path, out_path, log_path=None):
+    for path in (out_path, log_path):
+        if path is not None:
+            _check_writable(path)
     text = _config_text(config_path)
     arch, data_seed, cfg = parse_train_config(
         parse_key_values(text, ConfigError, str(config_path)))
     net = make_net(arch, cfg.seed)
     data = make_dataset(arch, data_seed)
-    net, log = train_stn(net, data, cfg)
+    net, log = train_stn(net, data, cfg, log=log_path is not None)
     provenance = {
         "config_hash": hashlib.sha256(text.encode("utf-8")).hexdigest(),
         "seed": str(cfg.seed),
@@ -383,9 +423,10 @@ def emit_tradeoff(model_path, kappas, out_path) -> list[dict]:
         raise ValueError("give at least one kappa")
     container = load_model(model_path)
     data_seed = _parsed(container.manifest, "data_seed", _natural)
+    prepared = _prepare(container)
     rows = []
     for kappa in kappas:
-        compressed, report = compress_container(container, kappa=kappa)
+        compressed, report = _compress(container, prepared, kappa)
         metrics = evaluate_container(compressed, data_seed)
         rows.append({"kappa": kappa, "total_ratio": report.total_ratio,
                      **{f"ratio_l{r['layer']}": r["ratio"]

@@ -138,9 +138,13 @@ def kappa_for_budget(t, target_ratio: float) -> BudgetSearchResult:
     return BudgetSearchResult(kappa, selection, a.size / tn, tn, a.size)
 
 
-def effective_rank(mat: np.ndarray, kappa: float) -> int:
+def effective_rank(mat: np.ndarray, kappa: float) -> int | list[int]:
     """Smallest x with ||sigma_{1:x}||^2 / ||sigma||^2 >= kappa; 0 for the
-    zero matrix, whose curve is empty."""
+    zero matrix, whose curve is empty.  Given a stack of matrices, a list
+    with each matrix's rank, equal to one call per matrix."""
     sq = singular_values(np.asarray(mat)) ** 2
-    total = sq.sum()
-    return _cut([np.cumsum(sq) / total if total > 0 else sq[:0]], kappa)[0]
+    total = sq.sum(axis=-1, keepdims=True)
+    curves = np.cumsum(sq, axis=-1) / np.where(total > 0, total, 1.0)
+    ranks = _cut([c if t > 0 else c[:0] for c, t in
+                  zip(curves.reshape(-1, sq.shape[-1]), total.ravel())], kappa)
+    return ranks if sq.ndim > 1 else ranks[0]

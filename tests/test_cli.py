@@ -151,6 +151,22 @@ class TestExitCodes:
         assert "1.5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", [("nodir/m.stnz", None),
+                                       ("m.stnz", "nodir/l.csv"),
+                                       (".", None), ("m.stnz", ".")])
+    def test_unwritable_train_output_fails_before_training(
+            self, workspace, tmp_path, capsys, monkeypatch, where):
+        out, log = (str(tmp_path / p) if p else None for p in where)
+        # a run that got as far as training would raise TypeError here
+        monkeypatch.setattr("tncompress.pipeline.train_stn", None)
+        rc = main(["train", "--config", str(workspace / "train.cfg"),
+                   "--out", out] + (["--log", log] if log else []))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("**/*.stnz"))
+        assert not list(tmp_path.glob("**/*.csv"))
+
     def test_directory_as_model_is_two(self, tmp_path, capsys):
         rc = main(["report", "--model", str(tmp_path)])
         assert rc == 2

@@ -38,6 +38,31 @@ class TestEffectiveRank:
             effective_rank(np.eye(2), 0.0)
         with pytest.raises(ValueError):
             effective_rank(np.eye(2), 1.5)
+        with pytest.raises(ValueError):
+            effective_rank(np.zeros((2, 2, 2)), 1.5)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_stack_matches_per_matrix_calls(self, data):
+        """One call on a C x M x N stack gives the C per-matrix ranks, with
+        zero, low-rank and 1 x n matrices in the stack and spectra longer
+        than numpy's 8-wide pairwise summation block."""
+        c = data.draw(st.integers(1, 6))
+        m = data.draw(st.sampled_from([1, 2, 3, 5, 9, 12, 20]))
+        n = data.draw(st.sampled_from([1, 2, 4, 9, 13, 24]))
+        kappa = data.draw(st.sampled_from([0.1, 0.5, 0.9, 0.99, 1.0]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        stack = rng.standard_normal((c, m, n))
+        for k in range(c):
+            kind = data.draw(st.sampled_from(["full", "zero", "low"]))
+            if kind == "zero":
+                stack[k] = 0.0
+            elif kind == "low":
+                stack[k] = (rng.standard_normal((m, 2))
+                            @ rng.standard_normal((2, n)))
+        ranks = effective_rank(stack, kappa)
+        assert ranks == [effective_rank(stack[k], kappa) for k in range(c)]
+        assert all(type(r) is int for r in ranks)
 
 
 class TestDetermineRanks:

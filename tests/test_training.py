@@ -1,9 +1,15 @@
 """Toy networks, gradient correctness, and the training loop."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
 
-from tncompress.admm import AdmmConfig
+from tncompress import training
+from tncompress.admm import (AdmmConfig, AdmmState, admm_w_update,
+                             admm_y_update, admm_z_update, balanced_unfold)
+from tncompress.ranks import effective_rank
 from tncompress.toynet import (MLP, TinyCNN, make_blobs, make_dataset,
                                make_net, make_stripes, softmax_cross_entropy,
                                toy_backward)
@@ -104,7 +110,7 @@ class TestTrainingLoop:
     def test_log_tracks_mu_schedule(self):
         data = make_blobs(0)
         cfg = AdmmConfig(max_steps=250, period=50, seed=0)
-        _, log = train_stn(make_net("mlp", 0), data, cfg)
+        _, log = train_stn(make_net("mlp", 0), data, cfg, log=True)
         assert len(log.rows) == 250
         rounds = 0
         for step, row in enumerate(log.rows, start=1):
@@ -116,7 +122,7 @@ class TestTrainingLoop:
     def test_log_columns(self, tmp_path):
         data = make_blobs(0)
         _, log = train_stn(make_net("mlp", 0), data,
-                           AdmmConfig(max_steps=5, seed=0))
+                           AdmmConfig(max_steps=5, seed=0), log=True)
         assert log.header() == ["step", "loss", "accuracy", "mu",
                                 "gap_l0", "gap_l1", "effrank_l0", "effrank_l1"]
         path = tmp_path / "log.csv"
@@ -124,3 +130,82 @@ class TestTrainingLoop:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 6
         assert lines[0] == "step,loss,accuracy,mu,gap_l0,gap_l1,effrank_l0,effrank_l1"
+
+
+def per_step_reference(net, data, cfg):
+    """The ADMM training loop with its log row built at every step, one
+    balanced unfolding and one effective rank per layer: the weights and
+    the rows the chunked log must reproduce."""
+    rng = np.random.default_rng(cfg.seed)
+    state = AdmmState.init(net.weights, cfg)
+    rows = []
+    with np.errstate(all="ignore"):
+        for step in range(1, cfg.max_steps + 1):
+            idx = rng.integers(0, len(data.x_train), size=cfg.batch_size)
+            net.weights = state.w
+            loss, acc, grads = net.loss_and_grads(data.x_train[idx],
+                                                  data.y_train[idx])
+            if step % cfg.period == 0:
+                admm_w_update(state, grads, cfg)
+                admm_z_update(state, cfg)
+                admm_y_update(state, cfg)
+            else:
+                state.w = [(w.astype(np.float64) - cfg.lr * g).astype(w.dtype)
+                           for w, g in zip(state.w, grads)]
+            row = {"step": step, "loss": f"{loss:.6f}",
+                   "accuracy": f"{acc:.4f}", "mu": f"{state.mu:.6f}"}
+            for i, gap in enumerate(state.gaps()):
+                row[f"gap_l{i}"] = f"{gap:.6f}"
+            for i, w in enumerate(state.w):
+                row[f"effrank_l{i}"] = effective_rank(balanced_unfold(w)[0],
+                                                      training.LOG_RANK_KAPPA)
+            rows.append(row)
+    return state.w, rows
+
+
+class TestChunkedLog:
+    @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
+    @pytest.mark.parametrize("period", [1, 7])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_matches_per_step_rows(self, arch, period, lam, tmp_path):
+        """130 steps: two full 64-step chunks and a remainder of 2."""
+        data = make_dataset(arch, 1)
+        cfg = AdmmConfig(lam=lam, period=period, max_steps=130, seed=2)
+        net, log = train_stn(make_net(arch, 2), data, cfg, log=True)
+        weights, rows = per_step_reference(make_net(arch, 2), data, cfg)
+        for a, b in zip(net.weights, weights):
+            assert np.array_equal(a, b)
+        assert [list(r.items()) for r in log.rows] == \
+            [list(r.items()) for r in rows]
+        log.write_csv(tmp_path / "log.csv")
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        assert (tmp_path / "log.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("steps", [1, 64, 130])
+    def test_log_costs_one_stacked_rank_per_layer_per_chunk(self, monkeypatch,
+                                                           steps):
+        calls = {"effective_rank": 0, "balanced_unfold": 0}
+
+        def counted(name):
+            real = getattr(training, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(training, name, counted(name))
+        cfg = AdmmConfig(max_steps=steps, period=7, seed=0)
+        _, log = train_stn(make_net("mlp", 0), make_blobs(0), cfg)
+        assert log is None
+        assert calls == {"effective_rank": 0, "balanced_unfold": 0}
+        _, log = train_stn(make_net("mlp", 0), make_blobs(0), cfg, log=True)
+        assert len(log.rows) == steps
+        chunks = math.ceil(steps / training.LOG_CHUNK)
+        assert calls == {"effective_rank": 2 * chunks,
+                         "balanced_unfold": 2 * chunks}
