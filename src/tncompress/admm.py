@@ -103,11 +103,12 @@ class AdmmConfig:
 
 @dataclass
 class AdmmState:
-    """Per-layer (W, Z, Y) triple plus the shared penalty weight."""
+    """Per-layer W, Z, Y and unfolding plan, plus the shared penalty weight."""
 
     w: list[np.ndarray]
     z: list[np.ndarray]
     y: list[np.ndarray]
+    plans: list[BipartitionPlan]
     mu: float
     step: int = 0
 
@@ -116,6 +117,7 @@ class AdmmState:
         return cls(w=[np.array(w) for w in weights],
                    z=[np.array(w) for w in weights],
                    y=[np.zeros_like(w) for w in weights],
+                   plans=[balanced_unfold(w)[1] for w in weights],
                    mu=cfg.mu0)
 
     def gaps(self) -> list[float]:
@@ -138,10 +140,10 @@ def admm_w_update(state: AdmmState, gradients: list[np.ndarray],
 
 
 def admm_z_update(state: AdmmState, cfg: AdmmConfig) -> None:
-    """Z <- fold(svt(unfold(W - Y / mu), 1 / mu)) per layer."""
-    for i, w in enumerate(state.w):
+    """Z <- fold(svt(unfold(W - Y / mu), 1 / mu)) per layer, by its plan."""
+    for i, (w, plan) in enumerate(zip(state.w, state.plans)):
         target = w.astype(np.float64) - state.y[i] / state.mu
-        mat, plan = balanced_unfold(target)
+        mat = generalized_unfold(target, plan.row_modes, plan.col_modes)
         state.z[i] = balanced_fold(svt(mat, 1.0 / state.mu), plan)
 
 

@@ -91,6 +91,13 @@ def _leading_batch(x, sample_ndim: int) -> tuple[np.ndarray, bool]:
     return x, False
 
 
+def conv_windows(x: np.ndarray, k: int) -> np.ndarray:
+    """The B*W'*H' x K*K*S window matrix of a B x W x H x S batch; numpy
+    raises ValueError for a window larger than the input."""
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * x.shape[3])
+
+
 def conv2d_dense(x, kernel) -> np.ndarray:
     """Valid stride-1 convolution of a W x H x S input with a K x K x S x T
     kernel, yielding (W-K+1) x (H-K+1) x T.  A B x W x H x S batch yields
@@ -103,14 +110,8 @@ def conv2d_dense(x, kernel) -> np.ndarray:
     k = kernel.shape[0]
     if kernel.shape[2] != s:
         raise ValueError("kernel in-channels do not match input")
-    if w < k or h < k:
-        raise ValueError("spatial size smaller than the kernel")
-    wo, ho = w - k + 1, h - k + 1
-    out = np.zeros((x.shape[0], wo, ho, kernel.shape[3]))
-    for k1 in range(k):
-        for k2 in range(k):
-            out += np.einsum("bwhs,st->bwht",
-                             x[:, k1:k1 + wo, k2:k2 + ho, :], kernel[k1, k2])
+    out = (conv_windows(x, k) @ kernel.reshape(k * k * s, -1)).reshape(
+        len(x), w - k + 1, h - k + 1, -1)
     return out[0] if single else out
 
 

@@ -285,11 +285,13 @@ def compress_container(container: ModelContainer, kappa: float | None = None,
     if kappa is None:
         kappa = budget_kappa([t.shape for t, _ in prepared.tensors],
                              prepared.curve_sets, budget)
-    return _compress(container, prepared, kappa)
+    return _compress(container, prepared, kappa, {})
 
 
-def _compress(container: ModelContainer, prepared: _Prepared, kappa: float
-              ) -> tuple[ModelContainer, CompressionReport]:
+def _compress(container: ModelContainer, prepared: _Prepared, kappa: float,
+              fits: dict) -> tuple[ModelContainer, CompressionReport]:
+    """Compress at kappa.  fits maps (layer index, encoded ranks) to its ALS
+    fit: a known key reuses it, as a refit (seeded per layer) is the same."""
     out = ModelContainer(manifest=dict(container.manifest))
     out.manifest["kappa"] = f"{kappa:.10f}"
     report = CompressionReport(kappa)
@@ -316,8 +318,11 @@ def _compress(container: ModelContainer, prepared: _Prepared, kappa: float
             row.update(tn_params=dense_params, ratio=1.0, rse=0.0,
                        kept_dense=1)
         else:
-            fit = als_fit(tensor, topo,
-                          AlsConfig(seed=prepared.seed + layer.index))
+            key = (layer.index, row["ranks"])
+            if key not in fits:
+                fits[key] = als_fit(
+                    tensor, topo, AlsConfig(seed=prepared.seed + layer.index))
+            fit = fits[key]
             out.manifest[f"{prefix}.format"] = "tn"
             out.manifest[f"{prefix}.ranks"] = _encode_ranks(ranks)
             for k, f in enumerate(fit.factors.factors):
@@ -365,22 +370,22 @@ def evaluate_container(container: ModelContainer, data_seed: int) -> dict:
 # ---------------------------------------------------------------------------
 # top-level entry points
 
-def _check_writable(path) -> None:
-    """Raise, before any work is done, the OSError that opening path for
-    writing would raise for a missing directory or a directory in its way."""
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    elif not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-        code = errno.ENOENT
-    else:
-        return
-    raise OSError(code, os.strerror(code), str(path))
+def _check_writable(*paths) -> None:
+    """Raise, before any work is done, the OSError that opening each given
+    path for writing would raise for a missing directory or a directory in
+    its way; a path of None is skipped."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            code = errno.ENOENT
+        else:
+            continue
+        raise OSError(code, os.strerror(code), str(path))
 
 
 def run_train(config_path, out_path, log_path=None):
-    for path in (out_path, log_path):
-        if path is not None:
-            _check_writable(path)
+    _check_writable(out_path, log_path)
     text = _config_text(config_path)
     arch, data_seed, cfg = parse_train_config(
         parse_key_values(text, ConfigError, str(config_path)))
@@ -400,6 +405,7 @@ def run_train(config_path, out_path, log_path=None):
 
 def run_compress(model_path, out_path, kappa=None, budget=None,
                  report_path=None) -> CompressionReport:
+    _check_writable(out_path, report_path)
     compressed, report = compress_container(
         load_model(model_path), kappa=kappa, budget=budget)
     save_model(out_path, compressed)
@@ -418,15 +424,18 @@ def run_eval(model_path, data_config_path) -> dict:
 
 def emit_tradeoff(model_path, kappas, out_path) -> list[dict]:
     """Compress the model at each retention level and tabulate the size and
-    accuracy trade-off; the dataset comes from the model's provenance."""
+    accuracy trade-off; the dataset comes from the model's provenance.
+    Each distinct (layer, rank table) is fitted once per call."""
     if not kappas:
         raise ValueError("give at least one kappa")
+    _check_writable(out_path)
     container = load_model(model_path)
     data_seed = _parsed(container.manifest, "data_seed", _natural)
     prepared = _prepare(container)
+    fits = {}
     rows = []
     for kappa in kappas:
-        compressed, report = _compress(container, prepared, kappa)
+        compressed, report = _compress(container, prepared, kappa, fits)
         metrics = evaluate_container(compressed, data_seed)
         rows.append({"kappa": kappa, "total_ratio": report.total_ratio,
                      **{f"ratio_l{r['layer']}": r["ratio"]

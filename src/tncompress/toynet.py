@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import conv2d_dense
+from .layers import conv2d_dense, conv_windows
 
 
 @dataclass
@@ -130,7 +130,10 @@ class TinyCNN:
     def loss_and_grads(self, x, y):
         kc, wfc = (w.astype(np.float64) for w in self.weights)
         x = np.asarray(x, dtype=np.float64)
-        pre = conv2d_dense(x, kc)
+        k = len(kc)
+        win = conv_windows(x, k)    # the kernel gradient reuses it
+        pre = (win @ kc.reshape(win.shape[1], -1)).reshape(
+            len(x), x.shape[1] - k + 1, x.shape[2] - k + 1, -1)
         act = np.maximum(pre, 0.0)
         flat = self._flatten(act)
         logits = flat @ wfc.T
@@ -140,12 +143,7 @@ class TinyCNN:
         dact = dflat.reshape(act.shape[0], act.shape[3], act.shape[2],
                              act.shape[1]).transpose(0, 3, 2, 1)
         dpre = dact * (pre > 0)
-        dk = np.zeros_like(kc)
-        wo, ho = pre.shape[1], pre.shape[2]
-        for k1 in range(kc.shape[0]):
-            for k2 in range(kc.shape[1]):
-                dk[k1, k2] = np.einsum("bwhs,bwht->st",
-                                       x[:, k1:k1 + wo, k2:k2 + ho, :], dpre)
+        dk = (win.T @ dpre.reshape(len(win), -1)).reshape(kc.shape)
         return loss, acc, [dk, dwfc]
 
 

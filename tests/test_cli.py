@@ -167,6 +167,24 @@ class TestExitCodes:
         assert not list(tmp_path.glob("**/*.stnz"))
         assert not list(tmp_path.glob("**/*.csv"))
 
+    @pytest.mark.parametrize("command", [
+        ["compress", "--budget", "2", "--out", "c.stnz",
+         "--report", "nodir/r.csv"],
+        ["compress", "--kappa", "0.9", "--out", "nodir/c.stnz"],
+        ["tradeoff", "--kappas", "0.9,0.8", "--out", "nodir/t.csv"]])
+    def test_unwritable_output_fails_before_loading(
+            self, workspace, tmp_path, capsys, monkeypatch, command):
+        # a run that got as far as loading the model would raise TypeError
+        monkeypatch.setattr("tncompress.pipeline.load_model", None)
+        argv = [str(tmp_path / a) if a.endswith((".stnz", ".csv")) else a
+                for a in command]
+        rc = main(argv + ["--model", str(workspace / "dense.stnz")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("**/*.stnz"))
+        assert not list(tmp_path.glob("**/*.csv"))
+
     def test_directory_as_model_is_two(self, tmp_path, capsys):
         rc = main(["report", "--model", str(tmp_path)])
         assert rc == 2

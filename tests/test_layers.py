@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tncompress.contraction import contract_network
 from tncompress.layers import (TensorizationPlan, complexity_conv,
@@ -11,6 +13,7 @@ from tncompress.layers import (TensorizationPlan, complexity_conv,
 from tncompress.errors import TopologyError
 from tncompress.topology import (TNTopology, random_factor_set,
                                  uniform_topology)
+from tncompress.toynet import TinyCNN, softmax_cross_entropy
 
 BATCHES = [1, 7]
 
@@ -134,6 +137,56 @@ class TestConvForward:
             assert got.shape == (batch, 5, 4, 5)
             assert np.allclose(got, np.stack([fn(xi, w) for xi in x]),
                                rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 4), s=st.integers(1, 4), t=st.integers(1, 4),
+           batch=st.integers(1, 5), data=st.data())
+    def test_window_matmul_matches_loop_oracle(self, k, s, t, batch, data):
+        w = data.draw(st.integers(k, 8))
+        h = data.draw(st.integers(k, 8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x = rng.standard_normal((batch, w, h, s))
+        kernel = rng.standard_normal((k, k, s, t))
+        got = conv2d_dense(x, kernel)
+        expected = np.stack([conv2d_loops(xi, kernel) for xi in x])
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected) <= \
+            1e-12 * max(np.linalg.norm(expected), 1e-300)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), batch=st.integers(1, 8))
+    def test_tinycnn_kernel_gradient_matches_tap_loop(self, seed, batch):
+        net = TinyCNN(seed)
+        rng = np.random.default_rng(seed + 1)
+        x = rng.standard_normal((batch,) + TinyCNN.input_shape)
+        y = rng.integers(0, 2, batch)
+        loss, _, (dk, dwfc) = net.loss_and_grads(x, y)
+
+        # the backward pass with the convolution and its kernel gradient
+        # written as a loop over the K x K taps
+        kc, wfc = (w.astype(np.float64) for w in net.weights)
+        k = kc.shape[0]
+        wo, ho = x.shape[1] - k + 1, x.shape[2] - k + 1
+        pre = np.zeros((batch, wo, ho, kc.shape[3]))
+        for k1 in range(k):
+            for k2 in range(k):
+                pre += np.einsum("bwhs,st->bwht",
+                                 x[:, k1:k1 + wo, k2:k2 + ho], kc[k1, k2])
+        act = np.maximum(pre, 0.0)
+        flat = act.transpose(0, 3, 2, 1).reshape(batch, -1)
+        ref_loss, _, dlogits = softmax_cross_entropy(flat @ wfc.T, y)
+        dpre = (dlogits @ wfc).reshape(act.transpose(0, 3, 2, 1).shape
+                                       ).transpose(0, 3, 2, 1) * (pre > 0)
+        ref_dk = np.zeros_like(kc)
+        for k1 in range(k):
+            for k2 in range(k):
+                ref_dk[k1, k2] = np.einsum(
+                    "bwhs,bwht->st", x[:, k1:k1 + wo, k2:k2 + ho], dpre)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert np.linalg.norm(dwfc - dlogits.T @ flat) <= \
+            1e-12 * max(np.linalg.norm(dwfc), 1e-300)
+        assert np.linalg.norm(dk - ref_dk) <= \
+            1e-12 * max(np.linalg.norm(ref_dk), 1e-300)
 
     @pytest.mark.parametrize("batch", BATCHES)
     def test_batched_flop_count_shares_the_spatial_merge(self, batch):

@@ -210,3 +210,40 @@ class TestCompression:
         assert report.total_ratio >= 1.5
         metrics = evaluate_container(compressed, 7)
         assert 0.0 <= metrics["accuracy"] <= 1.0
+
+
+class TestTradeoff:
+    KAPPAS = [k / 100 for k in range(50, 101, 5)]
+
+    @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
+    def test_each_rank_table_is_fitted_once(self, arch, tmp_path,
+                                            monkeypatch):
+        container = trained_container(arch, steps=200, seed=3)
+        save_model(tmp_path / "dense.stnz", container)
+        # what separate single-kappa calls fit: every (layer, ranks) row
+        # that is not kept dense
+        fitted = []
+        for kappa in self.KAPPAS:
+            _, report = compress_container(container, kappa=kappa)
+            fitted += [(r["layer"], r["ranks"]) for r in report.rows
+                       if not r["kept_dense"]]
+        assert len(set(fitted)) < len(fitted)     # the grid repeats tables
+
+        lines = []
+        for i, kappa in enumerate(self.KAPPAS):
+            path = tmp_path / f"one{i}.csv"
+            pipeline.emit_tradeoff(tmp_path / "dense.stnz", [kappa], path)
+            header, row = path.read_bytes().splitlines(keepends=True)
+            lines += [header] * (i == 0) + [row]
+
+        calls = []
+
+        def counting_als_fit(*args, **kwargs):
+            calls.append(args[1])
+            return als_fit(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "als_fit", counting_als_fit)
+        pipeline.emit_tradeoff(tmp_path / "dense.stnz", self.KAPPAS,
+                               tmp_path / "grid.csv")
+        assert len(calls) == len(set(fitted))
+        assert (tmp_path / "grid.csv").read_bytes() == b"".join(lines)
