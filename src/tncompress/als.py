@@ -18,6 +18,22 @@ margin.  Then refine: the best attempt keeps sweeping until one sweep gains
 no more than the tolerance relative to its rse, or the budget runs out.
 The returned error history belongs to that attempt and is non-increasing
 by exact block minimization.
+
+The restarts run in rounds of _PATIENCE attempts side by side, as one
+stack of factor sets: a stacked sweep makes one batched complement per
+mode, one stacked gram and right-hand side and one stacked solve, where
+the attempts one at a time would make _PATIENCE of each.  Each attempt of
+a round, once it has ended, is replayed in attempt order through the
+one-at-a-time rules (the sweep budget, patience, the best rse, the tol
+stop), and the attempts after the stopping point are dropped, so the
+attempts, sweeps, history and factors of a fit are those of running its
+attempts one after another, to the bit.  A set's bits depend on how its
+factors are laid out in memory, and a fresh start is laid out unlike a
+swept factor, so an ended slot is not refilled while its round runs: the
+next round starts all its attempts together.  An attempt that the budget
+cuts short of where its slot stopped, or whose stacked update left the
+solve for the pseudo-inverse, is rerun alone; a non-finite update of an
+attempt past the stopping point never fails the fit.
 """
 
 from __future__ import annotations
@@ -72,51 +88,163 @@ def complement_matrix(f: TNFactorSet, n: int,
                       plan: ContractionPlan | None = None) -> np.ndarray:
     """Contract every factor except n into a matrix whose rows run over the
     little-endian multi-index of the remaining modes (ascending) and whose
-    columns run over the bonds incident to mode n (ascending partner)."""
+    columns run over the bonds incident to mode n (ascending partner); for
+    a stack of K sets, a K x rows x columns stack of them."""
     topo = f.topology
     plan = plan_for(f, plan)
+    stack = [plan.batch_label] if f.batch else []
     operands = []
     for k in range(1, topo.order + 1):
         if k != n:
             operands.append(f.factors[k - 1])
-            operands.append(plan.labels[k - 1])
+            operands.append(stack + plan.labels[k - 1])
     out, rows = plan.complements[n]
-    full = plan.einsum(("complement", n), *operands, out)
-    return full.reshape((rows, -1), order="F")
+    full = plan.einsum(("complement", n, f.batch), *operands, out + stack)
+    if not f.batch:
+        return full.reshape((rows, -1), order="F")
+    # the batch label comes last, so each set's matrix is laid out as alone
+    return np.moveaxis(full.reshape((rows, -1, f.batch), order="F"), -1, 0)
 
 
-def _exact_rse(f: TNFactorSet, a: np.ndarray, norm: float,
-               plan: ContractionPlan) -> float:
-    return float(np.linalg.norm(contract_network(f, plan=plan) - a) / norm)
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.vdot of each pair of a stack, by the kernel np.vdot runs."""
+    k = len(x)
+    return (x.reshape(k, 1, -1) @ y.reshape(k, -1, 1)).reshape(k)
+
+
+def _block_solutions(gram: np.ndarray, rhs: np.ndarray):
+    """The blocks X of a stack of normal equations X·gram = rhs, by one LU
+    solve of the stack, and the mask of the sets whose gram is singular
+    (the solve fails or gives non-finite entries), or None if there are
+    none.  Each of those takes the SVD pseudo-inverse alone; its block
+    stays non-finite where that fails too (a non-finite gram)."""
+    try:
+        block = np.linalg.solve(gram, rhs.mT).mT
+        if np.isfinite(block).all():
+            return block, None
+    except np.linalg.LinAlgError:
+        block = np.empty(rhs.mT.shape).mT
+        for k in range(len(gram)):
+            try:
+                block[k] = np.linalg.solve(gram[k], rhs[k].T).T
+            except np.linalg.LinAlgError:
+                block[k] = np.nan
+    singular = ~np.isfinite(block).all(axis=(1, 2))
+    for k in np.flatnonzero(singular):
+        try:
+            pinv = rhs[k] @ np.linalg.pinv(gram[k], rcond=PINV_RCOND)
+        except np.linalg.LinAlgError:   # the SVD does not converge
+            pinv = np.full(rhs[k].shape, np.nan)
+        if len(block) == 1:
+            block = pinv[None]      # the unstacked update's own layout
+        else:
+            block[k] = pinv
+    return block, singular
 
 
 def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
-           unfoldings: dict[int, np.ndarray], plan: ContractionPlan) -> float:
+           unfoldings: dict[int, np.ndarray], plan: ContractionPlan):
     """Update every factor of f in place, in mode order, by its exact
     least-squares block solution; return the relative error afterwards,
-    from the last block's normal equations where they are accurate."""
+    from the last block's normal equations where they are accurate.
+
+    A stack of K sets returns K errors.  A set whose update left the
+    stacked solve gets NaN, as its pinv block is laid out unlike the
+    stack's (so its bits are not those it would get alone), and a
+    non-finite block is zeroed; a single set raises NumericError instead."""
+    sets = max(f.batch, 1)
+    fell_back = np.zeros(sets, dtype=bool)
     for n in range(1, f.topology.order + 1):
         design = complement_matrix(f, n, plan)
-        gram = design.T @ design
+        if not f.batch:
+            design = design[None]       # a stack of one
+        gram = design.mT @ design
         rhs = unfoldings[n] @ design
-        try:
-            block = np.linalg.solve(gram, rhs.T).T
-        except np.linalg.LinAlgError:
-            block = None
-        if block is None or not np.all(np.isfinite(block)):
-            block = rhs @ np.linalg.pinv(gram, rcond=PINV_RCOND)
-            if not np.all(np.isfinite(block)):
+        block, singular = _block_solutions(gram, rhs)
+        if singular is not None:
+            failed = ~np.isfinite(block).all(axis=(1, 2))
+            if failed.any() and not f.batch:
                 raise NumericError(f"non-finite block update for factor {n}")
+            block[failed] = 0.0
+            fell_back |= singular
         shape, perm = plan.folds[n]
-        f.factors[n - 1] = block.reshape(shape, order="F").transpose(perm)
+        factor = block.reshape((sets,) + shape, order="F").transpose(perm)
+        f.factors[n - 1] = factor if f.batch else factor[0]
     # ‖A − X·Dᵀ‖² from the last block's normal equations
     norm2 = norm ** 2
-    sq = (norm2 - 2.0 * np.vdot(rhs, block)
-          + np.vdot(block @ gram, block)) / norm2
-    scale = max(1.0, np.vdot(block, block) * np.trace(gram) / norm2)
-    if sq < _EXACT_SQ_RSE * scale:
-        return _exact_rse(f, a, norm, plan)
-    return float(np.sqrt(sq))
+    sq = (norm2 - 2.0 * _dots(rhs, block)
+          + _dots(block @ gram, block)) / norm2
+    scale = np.maximum(1.0, _dots(block, block)
+                       * np.trace(gram, axis1=1, axis2=2) / norm2)
+    exact = sq < _EXACT_SQ_RSE * scale
+    if not exact.any():
+        rse = np.sqrt(sq)
+    else:   # contract each such set alone
+        rse = np.sqrt(np.where(exact, 0.0, sq))
+        for k in np.flatnonzero(exact):
+            one = f if not f.batch else TNFactorSet(
+                f.topology, [x[k] for x in f.factors])
+            rse[k] = np.linalg.norm(contract_network(one, plan) - a) / norm
+    if not f.batch:
+        return float(rse[0])
+    rse[fell_back] = np.nan
+    return rse
+
+
+def _ends(rse: float, prev: float, tol: float) -> bool:
+    """Whether an attempt ends at this sweep: it reached tol or gained less
+    than _STALL_RATIO over its previous sweep."""
+    return rse <= tol or prev - rse < _STALL_RATIO * rse
+
+
+def _attempt(a: np.ndarray, norm: float, unfoldings: dict[int, np.ndarray],
+             plan: ContractionPlan, seed: int, cap: int,
+             tol: float) -> tuple[TNFactorSet, list[float]]:
+    """One attempt alone: sweeps from the start `seed` gives until it ends,
+    or for cap sweeps; its factors and rse history."""
+    f = random_factor_set(plan.topology, seed)
+    history, prev = [], np.inf
+    while len(history) < cap:
+        history.append(_sweep(f, a, norm, unfoldings, plan))
+        if _ends(history[-1], prev, tol):
+            break
+        prev = history[-1]
+    return f, history
+
+
+def _round(a: np.ndarray, norm: float, unfoldings: dict[int, np.ndarray],
+           plan: ContractionPlan, seeds: list[int], tol: float, caps):
+    """Run one attempt per seed side by side as one stack, and yield each
+    attempt's (factors, history), in seed order, once it has ended.
+
+    `caps` is a zero-argument callable giving an upper bound on the sweeps
+    any attempt not yet yielded may take; an attempt that reaches it stops
+    there.  A slot whose sweep left the stacked solve yields None: its
+    attempt is to be run alone.  The caller stops the round by closing it.
+    """
+    topo = plan.topology
+    starts = [random_factor_set(topo, seed).factors for seed in seeds]
+    stack = TNFactorSet(topo, [np.stack(fs) for fs in zip(*starts)],
+                        batch=len(seeds))
+    histories = [[] for _ in seeds]
+    prev = np.full(len(seeds), np.inf)
+    records = {}
+    for k in range(len(seeds)):
+        while k not in records:
+            rse = _sweep(stack, a, norm, unfoldings, plan)
+            cap = caps()
+            for j in range(k, len(seeds)):
+                if j in records:
+                    continue
+                if np.isnan(rse[j]):
+                    records[j] = None
+                    continue
+                histories[j].append(float(rse[j]))
+                if _ends(rse[j], prev[j], tol) or len(histories[j]) >= cap:
+                    factors = [x[j].copy(order="K") for x in stack.factors]
+                    records[j] = TNFactorSet(topo, factors), histories[j]
+                prev[j] = rse[j]
+        yield records.pop(k)
 
 
 def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
@@ -136,22 +264,29 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
     used = attempt = misses = 0
     best_f, best = None, []   # the best attempt's factors and rse history
     while used < cfg.max_sweeps and misses < _PATIENCE:
-        f = random_factor_set(topo, cfg.seed + _SEED_STRIDE * attempt)
-        attempt += 1
-        history, prev = [], np.inf
-        while used < cfg.max_sweeps:
-            rse = _sweep(f, a, norm, unfoldings, plan)
-            used += 1
-            history.append(rse)
-            if rse <= cfg.tol or prev - rse < _STALL_RATIO * rse:
+        seeds = [cfg.seed + _SEED_STRIDE * (attempt + k)
+                 for k in range(_PATIENCE)]
+        attempts = _round(a, norm, unfoldings, plan, seeds, cfg.tol,
+                          lambda: cfg.max_sweeps - used)
+        for seed, record in zip(seeds, attempts):
+            cap = cfg.max_sweeps - used
+            if record is None or len(record[1]) > cap:
+                record = _attempt(a, norm, unfoldings, plan, seed, cap,
+                                  cfg.tol)
+            f, history = record
+            attempt += 1
+            used += len(history)
+            rse = history[-1]
+            if best and rse >= best[-1] * (1 - _GAIN):
+                misses += 1
+            else:
+                misses = 0
+            if not best or rse < best[-1]:
+                best_f, best = f, history
+            if (best[-1] <= cfg.tol or used >= cfg.max_sweeps
+                    or misses >= _PATIENCE):
                 break
-            prev = rse
-        if best and rse >= best[-1] * (1 - _GAIN):
-            misses += 1
-        else:
-            misses = 0
-        if not best or rse < best[-1]:
-            best_f, best = f, history
+        attempts.close()
         if best[-1] <= cfg.tol:
             break
     while used < cfg.max_sweeps and best[-1] > cfg.tol:
@@ -159,5 +294,6 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
         used += 1
         if best[-2] - best[-1] <= cfg.tol * best[-1]:
             break
-    best[-1] = _exact_rse(best_f, a, norm, plan)
+    best[-1] = float(np.linalg.norm(contract_network(best_f, plan=plan) - a)
+                     / norm)
     return AlsResult(best_f, best[-1], np.array(best), attempt, used)

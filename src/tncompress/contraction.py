@@ -41,6 +41,14 @@ class ContractionPlan:
     factor, and a compiled step list for every network contracted
     over it, each compiled on the first contraction that needs it.
 
+    A stack of K factor sets (`TNFactorSet` with batch K > 0) is contracted
+    in one pass under the batch label, the first label the network leaves
+    free: it leads every factor's labels and the network's output, and ends
+    each complement's output, under keys of their own.  Each set's slice is
+    computed by the same kernel calls, on the same values laid out alike,
+    as that set alone would be, so a stacked set gets the bits it would get
+    alone wherever its factors are laid out as they would be alone.
+
     A step is (operand positions to pop, einsum string, kernel), taken from
     np.einsum_path(..., einsum_call=True), the list np.einsum itself walks.
     A plan is meant to live for one fit or one forward pass; there is no
@@ -51,6 +59,7 @@ class ContractionPlan:
     def __init__(self, topo: TNTopology):
         self.topology = topo
         self.labels, self.modes = network_labels(topo)
+        self.batch_label = topo.order * (topo.order + 1) // 2
         # n -> (output labels, row count) of complement_matrix(f, n): the
         # remaining modes ascending, then the bonds incident to mode n
         size = int(np.prod(topo.dims))
@@ -59,14 +68,16 @@ class ContractionPlan:
                 + [lab for lab in self.labels[n - 1] if lab != n - 1],
                 size // topo.dims[n - 1])
             for n in range(1, topo.order + 1)}
-        # n -> (shape, permutation) folding an I_n x (bond product) block
-        # solution, columns little-endian over the bonds of n, into factor
-        # n: reshape in F order to (I_n, bonds...), then move axis 0 to n-1
+        # n -> (shape, permutation) folding a stack of I_n x (bond product)
+        # block solutions, columns little-endian over the bonds of n, into
+        # a stack of factor n: reshape in F order to (sets, I_n, bonds...)
+        # with shape the part after the sets, then move axis 1 to n
         self.folds = {}
         for n in range(1, topo.order + 1):
             shape = topo.factor_shape(n)
             self.folds[n] = (shape[n - 1:n] + shape[:n - 1] + shape[n:],
-                             [*range(1, n), 0, *range(n, topo.order)])
+                             [0, *range(2, n + 1), 1,
+                              *range(n + 1, topo.order + 1)])
         self._steps: dict[object, list] = {}
 
     def einsum(self, key, *operands) -> np.ndarray:
@@ -97,11 +108,13 @@ def plan_for(f: TNFactorSet, plan: ContractionPlan | None) -> ContractionPlan:
 
 def contract_network(f: TNFactorSet,
                      plan: ContractionPlan | None = None) -> np.ndarray:
-    """Multilinear contraction over all shared bond indices.  Pass a plan to
-    reuse its path over repeated contractions of one topology."""
+    """Multilinear contraction over all shared bond indices, one network per
+    set of a stack.  Pass a plan to reuse its path over repeated
+    contractions of one topology."""
     plan = plan_for(f, plan)
+    stack = [plan.batch_label] if f.batch else []
     operands = []
     for fac, labs in zip(f.factors, plan.labels):
         operands.append(fac)
-        operands.append(labs)
-    return plan.einsum("network", *operands, plan.modes)
+        operands.append(stack + labs)
+    return plan.einsum(("network", f.batch), *operands, stack + plan.modes)

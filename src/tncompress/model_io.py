@@ -6,7 +6,9 @@ Layout (all integers little-endian):
     tensor count u64 | per tensor: name length u64, name bytes,
     order u64, dims u64 * order, data float32 * prod(dims)
 
-Tensor data is stored first-index-fastest (Fortran order).
+Tensor data is stored first-index-fastest (Fortran order).  A payload
+that holds NaN or inf is corrupt: `load_model` refuses it, so no command
+computes on it.
 """
 
 from __future__ import annotations
@@ -117,6 +119,8 @@ def load_model(path) -> ModelContainer:
         data = np.frombuffer(reader.take(4 * count), dtype="<f4")
         if name in tensors:
             raise CorruptionError(f"duplicate tensor name {name!r}")
+        if not np.isfinite(data).all():
+            raise CorruptionError(f"tensor {name!r} holds non-finite values")
         tensors[name] = data.reshape(dims, order="F").copy()
     if reader.pos != len(blob):
         raise CorruptionError("trailing bytes after the last tensor")

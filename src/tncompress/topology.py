@@ -52,14 +52,19 @@ class TNTopology:
 
 @dataclass
 class TNFactorSet:
+    """Factors of one topology.  With batch > 0 it is a stack of that many
+    factor sets: every factor carries a leading axis over the sets."""
+
     topology: TNTopology
     factors: list[np.ndarray]
+    batch: int = 0
 
     def __post_init__(self):
         if len(self.factors) != self.topology.order:
             raise TopologyError("factor count must equal the topology order")
+        lead = (self.batch,) if self.batch else ()
         for k, f in enumerate(self.factors, start=1):
-            want = self.topology.factor_shape(k)
+            want = lead + self.topology.factor_shape(k)
             if tuple(f.shape) != want:
                 raise TopologyError(
                     f"factor {k} has shape {tuple(f.shape)}, expected {want}")

@@ -1,5 +1,7 @@
 """Alternating least squares fitting."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,13 @@ from hypothesis import strategies as st
 from numpy._core import einsumfunc
 
 from tncompress import als
-from tncompress.als import (PINV_RCOND, AlsConfig, _sweep, als_fit,
+from tncompress.als import (PINV_RCOND, AlsConfig, AlsResult, _sweep, als_fit,
                             complement_matrix)
 from tncompress.contraction import ContractionPlan, contract_network
-from tncompress.errors import TopologyError
+from tncompress.errors import NumericError, TopologyError
 from tncompress.tensor import k_unfold
-from tncompress.topology import (TNTopology, mode_pairs, random_factor_set,
-                                 uniform_topology)
+from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
+                                 random_factor_set, uniform_topology)
 
 
 def test_complement_matrix_reproduces_contraction():
@@ -90,10 +92,12 @@ def test_als_fit_compiles_each_plan_key_once(topo, monkeypatch):
     # np.einsum plans through einsumfunc.einsum_path on every call
     monkeypatch.setattr(np, "einsum_path", counting_einsum_path)
     monkeypatch.setattr(einsumfunc, "einsum_path", counting_einsum_path)
-    result = als_fit(target, topo, AlsConfig(max_sweeps=20, seed=1))
-    assert result.total_sweeps == 20
-    # one compile per key: the full network and each complement n
-    assert len(calls) == topo.order + 1
+    result = als_fit(target, topo, AlsConfig(seed=1))
+    # the restarts ran more than one round of stacked sweeps
+    assert result.attempts > als._PATIENCE
+    # one compile per key: the full network, and each complement n both
+    # stacked (the restarts) and alone (refine)
+    assert len(calls) == 2 * topo.order + 1
 
 
 @pytest.mark.parametrize("topo", PINNED_TOPOLOGIES)
@@ -311,3 +315,224 @@ def test_fit_contracts_the_network_about_once(monkeypatch):
     assert result.rse > 1e-2
     assert result.total_sweeps >= 20
     assert len(calls) <= 2
+
+
+# ---------------------------------------------------------------------------
+# stacked restarts
+
+def sequential_als_fit(t, topo, cfg=AlsConfig()):
+    """als_fit with its restart phase run one attempt after another: the
+    policy whose attempts, sweeps, history and factor bits the stacked
+    rounds must reproduce."""
+    a = np.asarray(t, dtype=np.float64)
+    norm = np.linalg.norm(a)
+    if norm == 0.0:
+        return als_fit(t, topo, cfg)
+    unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
+    plan = ContractionPlan(topo)
+    used = attempt = misses = 0
+    best_f, best = None, []
+    while used < cfg.max_sweeps and misses < als._PATIENCE:
+        f = random_factor_set(topo, cfg.seed + als._SEED_STRIDE * attempt)
+        attempt += 1
+        history, prev = [], np.inf
+        while used < cfg.max_sweeps:
+            rse = _sweep(f, a, norm, unfoldings, plan)
+            used += 1
+            history.append(rse)
+            if rse <= cfg.tol or prev - rse < als._STALL_RATIO * rse:
+                break
+            prev = rse
+        if best and rse >= best[-1] * (1 - als._GAIN):
+            misses += 1
+        else:
+            misses = 0
+        if not best or rse < best[-1]:
+            best_f, best = f, history
+        if best[-1] <= cfg.tol:
+            break
+    while used < cfg.max_sweeps and best[-1] > cfg.tol:
+        best.append(_sweep(best_f, a, norm, unfoldings, plan))
+        used += 1
+        if best[-2] - best[-1] <= cfg.tol * best[-1]:
+            break
+    best[-1] = float(np.linalg.norm(contract_network(best_f, plan) - a)
+                     / norm)
+    return AlsResult(best_f, best[-1], np.array(best), attempt, used)
+
+
+def assert_same_fit(got, want):
+    assert (got.attempts, got.total_sweeps) == \
+        (want.attempts, want.total_sweeps)
+    assert np.array_equal(got.history, want.history)
+    assert got.rse == want.rse
+    for x, y in zip(got.factors.factors, want.factors.factors):
+        assert np.array_equal(x, y)
+
+
+def fit_target(topo, seed, planted):
+    """Noise, which every attempt plateaus far above tol on, or a planted
+    network, which an attempt can fit to tol."""
+    if planted:
+        return contract_network(random_factor_set(topo, seed + 50))
+    return np.random.default_rng(seed).standard_normal(topo.dims)
+
+
+@pytest.mark.parametrize("max_sweeps", [1, 3, 7, 20, 300])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("topo", PINNED_TOPOLOGIES)
+def test_stacked_restarts_give_the_sequential_fit(topo, planted, seed,
+                                                  max_sweeps):
+    # the small budgets cut attempts inside the restart phase
+    target = fit_target(topo, seed, planted)
+    cfg = AlsConfig(max_sweeps=max_sweeps, seed=seed)
+    assert_same_fit(als_fit(target, topo, cfg),
+                    sequential_als_fit(target, topo, cfg))
+
+
+def test_attempts_the_budget_cuts_short_are_rerun_alone(monkeypatch):
+    reruns = []
+    real_attempt = als._attempt
+
+    def counting_attempt(*args):
+        reruns.append(args)
+        return real_attempt(*args)
+
+    monkeypatch.setattr(als, "_attempt", counting_attempt)
+    for topo in PINNED_TOPOLOGIES:
+        target = fit_target(topo, 0, False)
+        cfg = AlsConfig(max_sweeps=7, seed=0)
+        assert_same_fit(als_fit(target, topo, cfg),
+                        sequential_als_fit(target, topo, cfg))
+    assert reruns
+
+
+def poison_starts(monkeypatch, seeds):
+    """Make the starts drawn from seeds hold NaN in their last factor, so
+    that their first block update is non-finite; returns the poisoned
+    seeds drawn."""
+    real_start = als.random_factor_set
+    drawn = []
+
+    def start(topo, seed):
+        f = real_start(topo, seed)
+        if seed in seeds:
+            drawn.append(seed)
+            f.factors[-1][...] = np.nan
+        return f
+
+    monkeypatch.setattr(als, "random_factor_set", start)
+    return drawn
+
+
+def test_a_failing_start_past_the_stopping_point_leaves_the_fit(monkeypatch):
+    topo = PINNED_TOPOLOGIES[2]
+    target, cfg = fit_target(topo, 1, False), AlsConfig(seed=1)
+    clean = als_fit(target, topo, cfg)
+    # the last round ran starts that the sequential policy never reaches
+    rounds = -(-clean.attempts // als._PATIENCE)
+    assert clean.attempts < rounds * als._PATIENCE
+    drawn = poison_starts(monkeypatch, {
+        cfg.seed + als._SEED_STRIDE * i
+        for i in range(clean.attempts, rounds * als._PATIENCE)})
+    assert_same_fit(als_fit(target, topo, cfg), clean)
+    assert drawn
+
+
+def test_a_failing_start_before_the_stopping_point_fails_the_fit(
+        monkeypatch):
+    topo = PINNED_TOPOLOGIES[2]
+    cfg = AlsConfig(seed=1)
+    poison_starts(monkeypatch, {cfg.seed + als._SEED_STRIDE})
+    with pytest.raises(NumericError):
+        als_fit(fit_target(topo, 1, False), topo, cfg)
+
+
+def stack_of(sets):
+    """The factor sets as one stack (copies of their factors)."""
+    return TNFactorSet(sets[0].topology,
+                       [np.stack(fs) for fs in zip(*(f.factors
+                                                     for f in sets))],
+                       batch=len(sets))
+
+
+def assert_stacked_sweep_is_each_set_alone(stack, sets, a):
+    """One sweep of the stack against one sweep of each set alone: the same
+    rse and factors, bit for bit, except that a set whose update alone
+    takes the pinv gets NaN in the stack (the fit reruns it alone).
+    Returns the stack's rse."""
+    norm = float(np.linalg.norm(a))
+    unfoldings = {n: k_unfold(a, n) for n in range(1, a.ndim + 1)}
+    plan = ContractionPlan(stack.topology)
+    rse = _sweep(stack, a, norm, unfoldings, plan)
+    for k, f in enumerate(sets):
+        with mock.patch.object(np.linalg, "pinv",
+                               wraps=np.linalg.pinv) as pinv:
+            alone = _sweep(f, a, norm, unfoldings, plan)
+        if pinv.called:
+            assert np.isnan(rse[k])
+            continue
+        assert rse[k] == pytest.approx(alone, rel=1e-12)
+        assert rse[k] == alone
+        for x, y in zip(stack.factors, f.factors):
+            np.testing.assert_allclose(x[k], y, rtol=1e-12,
+                                       atol=1e-12 * np.abs(y).max())
+            assert np.array_equal(x[k], y)
+    return rse
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_stacked_contractions_are_each_set_alone(data):
+    """A batched complement, a batched network and a stacked sweep against
+    each set alone, on order 2-4 topologies with dims 1-4 and ranks 1-3
+    (unit bonds, and bonds above a mode size, included): equal to 1e-12
+    relative, and in fact bit for bit."""
+    order = data.draw(st.integers(2, 4))
+    dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=order,
+                                    max_size=order)))
+    topo = TNTopology(dims, {p: data.draw(st.integers(1, 3))
+                             for p in mode_pairs(order)})
+    seed = data.draw(st.integers(0, 2 ** 16))
+    sets = [random_factor_set(topo, seed + k) for k in range(als._PATIENCE)]
+    stack = stack_of(sets)
+    plan = ContractionPlan(topo)
+    stacked = contract_network(stack, plan)
+    for k, f in enumerate(sets):
+        assert np.array_equal(stacked[k], contract_network(f, plan))
+    for n in range(1, order + 1):
+        design = complement_matrix(stack, n, plan)
+        for k, f in enumerate(sets):
+            alone = complement_matrix(f, n, plan)
+            np.testing.assert_allclose(design[k], alone, rtol=1e-12,
+                                       atol=1e-12 * np.abs(alone).max())
+            assert np.array_equal(design[k], alone)
+    a = np.random.default_rng(seed).standard_normal(dims)
+    assert_stacked_sweep_is_each_set_alone(stack, sets, a)
+
+
+def test_a_singular_slot_alone_takes_the_pinv(monkeypatch):
+    # as in test_singular_gram_takes_the_pinv_fallback, for slot 2 only
+    topo = uniform_topology((5, 4, 6), 3)
+    sets = [random_factor_set(topo, s) for s in range(als._PATIENCE)]
+    sets[2].factors[1][1] = sets[2].factors[1][0]
+    design = complement_matrix(sets[2], 1)
+    stack = stack_of(sets)
+    a = np.random.default_rng(0).standard_normal(topo.dims)
+    grams = []
+    real_pinv = np.linalg.pinv
+
+    def recording_pinv(gram, *args, **kwargs):
+        grams.append(gram.copy())
+        return real_pinv(gram, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", recording_pinv)
+    _sweep(stack_of(sets), a, float(np.linalg.norm(a)),
+           {n: k_unfold(a, n) for n in range(1, 4)}, ContractionPlan(topo))
+    assert len(grams) == 1
+    assert np.array_equal(grams[0], design.T @ design)
+    monkeypatch.setattr(np.linalg, "pinv", real_pinv)
+    rse = assert_stacked_sweep_is_each_set_alone(stack, sets, a)
+    assert np.isnan(rse[2])
+    assert np.all(np.isfinite(np.delete(rse, 2)))

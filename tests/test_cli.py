@@ -205,6 +205,26 @@ class TestExitCodes:
         assert "non-finite" in err
         assert not out.exists() and not report.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("model, tensor", [("dense", "layer0/weight"),
+                                               ("tn", "layer1/factor2")])
+    def test_non_finite_payload_is_two(self, workspace, tn_model, tmp_path,
+                                       capsys, command, value, model,
+                                       tensor):
+        container = load_model(workspace / f"{model}.stnz")
+        container.tensors[tensor].flat[0] = value
+        save_model(tmp_path / "bad.stnz", container)
+        argv = [command, "--model", str(tmp_path / "bad.stnz")]
+        if command == "eval":
+            argv += ["--data", str(workspace / "data.cfg")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # and no numpy warning
+            rc = main(argv)
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"error: tensor '{tensor}' holds non-finite values\n")
+
     def test_ranks_disagreeing_with_factors_is_two(self, workspace,
                                                     tmp_path, capsys):
         rc = main(["compress", "--model", str(workspace / "dense.stnz"),

@@ -48,6 +48,21 @@ def test_empty_container(tmp_path):
     assert loaded.tensors == {}
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, shape", [("layer0/weight", (32, 8)),
+                                         ("layer1/factor2", (1, 2, 3, 2))])
+def test_non_finite_payload_is_corrupt(tmp_path, value, name, shape):
+    tensor = np.ones(shape, dtype=np.float32)
+    tensor.flat[-1] = value
+    path = tmp_path / "model.stnz"
+    save_model(path, ModelContainer(manifest={"arch": "mlp"},
+                                    tensors={"other": np.ones(3, np.float32),
+                                             name: tensor}))
+    with pytest.raises(CorruptionError,
+                       match=f"^tensor '{name}' holds non-finite values$"):
+        load_model(path)
+
+
 def test_header_layout(tmp_path):
     path, _ = roundtrip(tmp_path, ModelContainer(manifest={"k": "v"}))
     blob = path.read_bytes()

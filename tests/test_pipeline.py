@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tncompress import pipeline
 from tncompress.admm import AdmmConfig
 from tncompress.als import AlsConfig, als_fit
+from tncompress.cli import main
 from tncompress.errors import BudgetError, ConfigError, FormatError
 from tncompress.layers import fc_dense_from_tn, plan_tensorization
 from tncompress.model_io import load_model, save_model
@@ -247,3 +248,34 @@ class TestTradeoff:
                                tmp_path / "grid.csv")
         assert len(calls) == len(set(fitted))
         assert (tmp_path / "grid.csv").read_bytes() == b"".join(lines)
+
+
+@pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
+def test_cli_writes_the_bytes_of_the_sequential_restarts(arch, tmp_path,
+                                                         capsys,
+                                                         monkeypatch):
+    """compress at three budgets and tradeoff on the README grid write the
+    same bytes with the stacked restarts as with one attempt at a time."""
+    from test_als import sequential_als_fit
+
+    model = tmp_path / "dense.stnz"
+    save_model(model, trained_container(arch, steps=200, seed=3))
+
+    def outputs(tag):
+        blobs = []
+        for budget in ("1.5", "2", "3"):
+            out = tmp_path / f"{tag}-{budget}.stnz"
+            report = out.with_suffix(".csv")
+            assert main(["compress", "--model", str(model), "--budget",
+                         budget, "--out", str(out), "--report",
+                         str(report)]) == 0
+            blobs += [out.read_bytes(), report.read_bytes()]
+        curve = tmp_path / f"{tag}-curve.csv"
+        assert main(["tradeoff", "--model", str(model), "--kappas",
+                     "1.0,0.9,0.8,0.7", "--out", str(curve)]) == 0
+        blobs.append(curve.read_bytes())
+        return blobs, capsys.readouterr().out.replace(tag, "<tag>")
+
+    stacked = outputs("stacked")
+    monkeypatch.setattr(pipeline, "als_fit", sequential_als_fit)
+    assert outputs("sequential") == stacked
