@@ -22,17 +22,18 @@ from .errors import TopologyError
 from .topology import TNFactorSet, TNTopology, mode_pairs
 
 
-def network_labels(topo: TNTopology) -> tuple[list[list[int]], list[int]]:
+def network_labels(topo: TNTopology) -> tuple[list[list[int]], list[int], int]:
     """Integer einsum labels: modes get 0..N-1, bonds N, N+1, ... in
-    `mode_pairs` order.  Returns the labels of each factor's axes and the
-    mode labels; label N(N+1)/2 and up are free for callers."""
+    `mode_pairs` order.  Returns the labels of each factor's axes, the
+    mode labels and N(N+1)/2, the first label the network leaves free;
+    it and the labels above it are free for callers."""
     n = topo.order
     bond = {pair: n + i for i, pair in enumerate(mode_pairs(n))}
     per_factor = []
     for k in range(1, n + 1):
         per_factor.append([k - 1 if j == k else bond[(min(j, k), max(j, k))]
                            for j in range(1, n + 1)])
-    return per_factor, list(range(n))
+    return per_factor, list(range(n)), n + len(bond)
 
 
 class ContractionPlan:
@@ -58,8 +59,7 @@ class ContractionPlan:
 
     def __init__(self, topo: TNTopology):
         self.topology = topo
-        self.labels, self.modes = network_labels(topo)
-        self.batch_label = topo.order * (topo.order + 1) // 2
+        self.labels, self.modes, self.batch_label = network_labels(topo)
         # n -> (output labels, row count) of complement_matrix(f, n): the
         # remaining modes ascending, then the bonds incident to mode n
         size = int(np.prod(topo.dims))

@@ -120,6 +120,11 @@ def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
     input, merge the two spatial factors over their shared bond, convolve,
     then contract the out-channel factor.
 
+    The convolution stage is one `conv2d_dense` call: its batch is the
+    samples times the in-channel factor's bond to the out-channel factor
+    (B·r34 x W x H x r13·r23), and its kernel the merged spatial factors
+    (K x K x r13·r23 x r14·r24).
+
     x is W x H x S or a B x W x H x S batch, with the output shaped as in
     `conv2d_dense`.  The FLOP count covers the whole call: the spatial
     merge runs once per call, every other stage once per sample."""
@@ -136,22 +141,20 @@ def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
     z1, z2, z3, z4 = f.factors
     wo, ho = w - k + 1, h - k + 1
 
-    # channel stage over the full spatial extent
-    p = np.einsum("nwhs,absc->nwhabc", x, z3)
+    r12, r13, r23 = z1.shape[1], z1.shape[2], z2.shape[2]
+    r14, r24, r34 = z4.shape[0], z4.shape[1], z4.shape[2]
+    # channel stage over the full spatial extent, its bond c in the batch
+    p = np.einsum("nwhs,absc->ncwhab", x, z3)
     # spatial factors merged over their shared bond
     merged = np.einsum("xpad,pybe->xyabde", z1, z2)
-    r14, r24, r34 = z4.shape[0], z4.shape[1], z4.shape[2]
-    q = np.zeros((b, wo, ho, r14, r24, r34))
-    for k1 in range(k):
-        for k2 in range(k):
-            q += np.einsum("abde,nwhabc->nwhdec",
-                           merged[k1, k2], p[:, k1:k1 + wo, k2:k2 + ho])
-    y = np.einsum("nwhdec,dect->nwht", q, z4)
+    q = conv2d_dense(p.reshape(b * r34, w, h, r13 * r23),
+                     merged.reshape(k, k, r13 * r23, r14 * r24))
+    y = np.einsum("ncwhde,dect->nwht",
+                  q.reshape(b, r34, wo, ho, r14, r24), z4)
     if single:
         y = y[0]
     if not count_flops:
         return y
-    r12, r13, r23 = z1.shape[1], z1.shape[2], z2.shape[2]
     flops = (b * w * h * s * r13 * r23 * r34                # channel stage
              + k * k * r12 * r13 * r23 * r14 * r24          # spatial merge
              + b * wo * ho * k * k * r13 * r23 * r14 * r24 * r34  # convolution
@@ -168,9 +171,8 @@ def fc_tn(x: np.ndarray, f: TNFactorSet, plan: TensorizationPlan) -> np.ndarray:
     xb, single = _leading_batch(x, 1)
     if xb.ndim != 2 or xb.shape[1] != plan.cols:
         raise ValueError(f"input length {np.shape(x)} does not match plan")
-    labels, modes = network_labels(f.topology)
-    m, order = len(plan.out_factors), f.topology.order
-    batch = order * (order + 1) // 2      # first label the network leaves free
+    labels, modes, batch = network_labels(f.topology)
+    m = len(plan.out_factors)
     operands = [xb.T.reshape(plan.in_factors + (len(xb),), order="F"),
                 modes[m:] + [batch]]
     for fac, labs in zip(f.factors, labels):

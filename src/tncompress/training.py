@@ -4,7 +4,7 @@ every weight tensor toward a low-rank balanced unfolding."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -80,6 +80,7 @@ class TrainingLog:
 
 def _run(net, data: Dataset, cfg: AdmmConfig, use_admm: bool, log: bool):
     rng = np.random.default_rng(cfg.seed)
+    sgd = replace(cfg, lam=0.0)     # a W-update with lam = 0 is plain SGD
     state = AdmmState.init(net.weights, cfg)
     history = TrainingLog(layer_count=len(net.weights)) if log else None
     n = len(data.x_train)
@@ -99,10 +100,7 @@ def _run(net, data: Dataset, cfg: AdmmConfig, use_admm: bool, log: bool):
                 admm_z_update(state, cfg)
                 admm_y_update(state, cfg)
             else:
-                # plain SGD step (identical to admm_w_update with lam = 0)
-                for i, g in enumerate(grads):
-                    state.w[i] = (state.w[i].astype(np.float64)
-                                  - cfg.lr * g).astype(state.w[i].dtype)
+                admm_w_update(state, grads, sgd)
             state.step = step
             if history is not None:
                 history.record(step, loss, acc, state)

@@ -79,9 +79,25 @@ PINNED_TOPOLOGIES = [
 ]
 
 
+def count_reruns(monkeypatch):
+    """Record the seed of every round of one the fit runs: each attempt it
+    reruns alone."""
+    reruns = []
+    real_round = als._round
+
+    def counting_round(a, norm, unfoldings, plan, seeds, *rest):
+        if len(seeds) == 1:
+            reruns.append(seeds[0])
+        return real_round(a, norm, unfoldings, plan, seeds, *rest)
+
+    monkeypatch.setattr(als, "_round", counting_round)
+    return reruns
+
+
 @pytest.mark.parametrize("topo", PINNED_TOPOLOGIES)
 def test_als_fit_compiles_each_plan_key_once(topo, monkeypatch):
     target = np.random.default_rng(topo.order).standard_normal(topo.dims)
+    reruns = count_reruns(monkeypatch)
     calls = []
     real_einsum_path = np.einsum_path
 
@@ -95,9 +111,10 @@ def test_als_fit_compiles_each_plan_key_once(topo, monkeypatch):
     result = als_fit(target, topo, AlsConfig(seed=1))
     # the restarts ran more than one round of stacked sweeps
     assert result.attempts > als._PATIENCE
-    # one compile per key: the full network, and each complement n both
-    # stacked (the restarts) and alone (refine)
-    assert len(calls) == 2 * topo.order + 1
+    # one compile per key: the full network, each complement n both
+    # stacked (the restarts) and alone (refine), and each as a stack of
+    # one if the fit reran an attempt
+    assert len(calls) == 2 * topo.order + 1 + (topo.order if reruns else 0)
 
 
 @pytest.mark.parametrize("topo", PINNED_TOPOLOGIES)
@@ -392,14 +409,7 @@ def test_stacked_restarts_give_the_sequential_fit(topo, planted, seed,
 
 
 def test_attempts_the_budget_cuts_short_are_rerun_alone(monkeypatch):
-    reruns = []
-    real_attempt = als._attempt
-
-    def counting_attempt(*args):
-        reruns.append(args)
-        return real_attempt(*args)
-
-    monkeypatch.setattr(als, "_attempt", counting_attempt)
+    reruns = count_reruns(monkeypatch)
     for topo in PINNED_TOPOLOGIES:
         target = fit_target(topo, 0, False)
         cfg = AlsConfig(max_sweeps=7, seed=0)
@@ -426,18 +436,45 @@ def poison_starts(monkeypatch, seeds):
     return drawn
 
 
+def poison_the_last_round(monkeypatch, cfg, clean):
+    """Poison the starts of the clean fit's last round that the sequential
+    policy never reaches; returns the poisoned seeds drawn."""
+    rounds = -(-clean.attempts // als._PATIENCE)
+    assert clean.attempts < rounds * als._PATIENCE
+    return poison_starts(monkeypatch, {
+        cfg.seed + als._SEED_STRIDE * i
+        for i in range(clean.attempts, rounds * als._PATIENCE)})
+
+
 def test_a_failing_start_past_the_stopping_point_leaves_the_fit(monkeypatch):
     topo = PINNED_TOPOLOGIES[2]
     target, cfg = fit_target(topo, 1, False), AlsConfig(seed=1)
     clean = als_fit(target, topo, cfg)
-    # the last round ran starts that the sequential policy never reaches
-    rounds = -(-clean.attempts // als._PATIENCE)
-    assert clean.attempts < rounds * als._PATIENCE
-    drawn = poison_starts(monkeypatch, {
-        cfg.seed + als._SEED_STRIDE * i
-        for i in range(clean.attempts, rounds * als._PATIENCE)})
+    drawn = poison_the_last_round(monkeypatch, cfg, clean)
     assert_same_fit(als_fit(target, topo, cfg), clean)
     assert drawn
+
+
+def test_a_failing_start_keeps_the_stacked_solve_one_call(monkeypatch):
+    topo = PINNED_TOPOLOGIES[2]
+    target, cfg = fit_target(topo, 1, False), AlsConfig(seed=1)
+    solves = []
+    real_solve = np.linalg.solve
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    clean = als_fit(target, topo, cfg)
+    clean_solves = len(solves)
+    solves.clear()
+    drawn = poison_the_last_round(monkeypatch, cfg, clean)
+    als_fit(target, topo, cfg)
+    assert drawn
+    # a failed set takes a live set's block, so its gram never makes the
+    # stacked solve fall back to one solve per set
+    assert len(solves) <= clean_solves
 
 
 def test_a_failing_start_before_the_stopping_point_fails_the_fit(

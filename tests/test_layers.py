@@ -11,8 +11,8 @@ from tncompress.layers import (TensorizationPlan, complexity_conv,
                                detensorize_matrix, fc_dense_from_tn, fc_tn,
                                plan_tensorization, tensorize_matrix)
 from tncompress.errors import TopologyError
-from tncompress.topology import (TNTopology, random_factor_set,
-                                 uniform_topology)
+from tncompress.topology import (TNTopology, mode_pairs,
+                                 random_factor_set, uniform_topology)
 from tncompress.toynet import TinyCNN, softmax_cross_entropy
 
 BATCHES = [1, 7]
@@ -142,16 +142,23 @@ class TestConvForward:
     @given(k=st.integers(1, 4), s=st.integers(1, 4), t=st.integers(1, 4),
            batch=st.integers(1, 5), data=st.data())
     def test_window_matmul_matches_loop_oracle(self, k, s, t, batch, data):
+        """conv2d_dense, and conv2d_tn on a random rank table (ranks 1-3,
+        rank-1 bonds included), against the loop oracle."""
         w = data.draw(st.integers(k, 8))
         h = data.draw(st.integers(k, 8))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        topo = TNTopology((k, k, s, t), {p: data.draw(st.integers(1, 3))
+                                         for p in mode_pairs(4)})
+        rng = np.random.default_rng(seed)
         x = rng.standard_normal((batch, w, h, s))
         kernel = rng.standard_normal((k, k, s, t))
-        got = conv2d_dense(x, kernel)
-        expected = np.stack([conv2d_loops(xi, kernel) for xi in x])
-        assert got.shape == expected.shape
-        assert np.linalg.norm(got - expected) <= \
-            1e-12 * max(np.linalg.norm(expected), 1e-300)
+        f = random_factor_set(topo, seed)
+        for got, kern in ((conv2d_dense(x, kernel), kernel),
+                          (conv2d_tn(x, f), contract_network(f))):
+            expected = np.stack([conv2d_loops(xi, kern) for xi in x])
+            assert got.shape == expected.shape
+            assert np.linalg.norm(got - expected) <= \
+                1e-12 * max(np.linalg.norm(expected), 1e-300)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), batch=st.integers(1, 8))
