@@ -3,10 +3,10 @@
 Each sweep cycles the factors in mode order; the block update for factor n
 contracts every other factor into a design matrix D and solves the exact
 least-squares problem through its normal equations, X·DᵀD = A_(n)·D, by
-an LU solve.  A singular gram (the solve fails or returns non-finite
-entries) falls back to the SVD pseudo-inverse.  A sweep's rse comes from
-the last block's normal equations, ‖A‖² − 2⟨A_(n)·D, X⟩ + ⟨X·DᵀD, X⟩,
-without contracting the network.  Where that sum is small against its
+an LU solve.  In an attempt's own run, a singular gram (the solve fails
+or returns non-finite entries) falls back to the SVD pseudo-inverse.  A
+sweep's rse comes from the last block's normal equations,
+‖A‖² − 2⟨A_(n)·D, X⟩ + ⟨X·DᵀD, X⟩, without contracting the network.  Where that sum is small against its
 terms, so that it cancels, and so wherever the tolerance is compared, the
 network is contracted instead, as it is once for the returned factors.
 Fully-connected networks have many poor local minima under plain random
@@ -30,10 +30,11 @@ attempts, sweeps, history and factors of a fit are those of running its
 attempts one after another, to the bit.  A set's bits depend on how its
 factors are laid out in memory, and a fresh start is laid out unlike a
 swept factor, so an ended slot is not refilled while its round runs: the
-next round starts all its attempts together.  An attempt that the budget
-cuts short of where its slot stopped, or whose stacked update left the
-solve for the pseudo-inverse, is rerun as a round of one; a non-finite
-update of an attempt past the stopping point never fails the fit.
+next round starts all its attempts together.  A stack never takes the
+pseudo-inverse: a set whose stacked solve fails is dead, and an attempt
+that died, or that the budget cuts short of where its slot stopped, is
+rerun as a round of one, its own run; so a non-finite update of an
+attempt past the stopping point never fails the fit.
 
 Refine sweeps its one attempt unstacked: a stack of one adds a batched
 einsum (about 5 µs) and a batch-axis move (about 5.6 µs) per complement,
@@ -117,16 +118,12 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.reshape(k, 1, -1) @ y.reshape(k, -1, 1)).reshape(k)
 
 
-def _block_solutions(gram: np.ndarray, rhs: np.ndarray):
+def _block_solutions(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The blocks X of a stack of normal equations X·gram = rhs, by one LU
-    solve of the stack, and the mask of the sets whose gram is singular
-    (the solve fails or gives non-finite entries), or None if there are
-    none.  Each of those takes the SVD pseudo-inverse alone; its block
-    stays non-finite where that fails too (a non-finite gram)."""
+    solve of the stack, or by one solve per set if that raises; a set whose
+    own solve raises gets NaN."""
     try:
-        block = np.linalg.solve(gram, rhs.mT).mT
-        if np.isfinite(block).all():
-            return block, None
+        return np.linalg.solve(gram, rhs.mT).mT
     except np.linalg.LinAlgError:
         block = np.empty(rhs.mT.shape).mT
         for k in range(len(gram)):
@@ -134,17 +131,7 @@ def _block_solutions(gram: np.ndarray, rhs: np.ndarray):
                 block[k] = np.linalg.solve(gram[k], rhs[k].T).T
             except np.linalg.LinAlgError:
                 block[k] = np.nan
-    singular = ~np.isfinite(block).all(axis=(1, 2))
-    for k in np.flatnonzero(singular):
-        try:
-            pinv = rhs[k] @ np.linalg.pinv(gram[k], rcond=PINV_RCOND)
-        except np.linalg.LinAlgError:   # the SVD does not converge
-            pinv = np.full(rhs[k].shape, np.nan)
-        if len(block) == 1:
-            block = pinv[None]      # the unstacked update's own layout
-        else:
-            block[k] = pinv
-    return block, singular
+        return block
 
 
 def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
@@ -154,28 +141,34 @@ def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
     from the last block's normal equations where they are accurate.
 
     A stack of K sets returns K errors.  A single set or a stack of one is
-    its attempt's own run: it keeps its pinv block and raises NumericError
-    on a non-finite one.  In a larger stack, a set whose update left the
-    stacked solve gets NaN, as its pinv block is laid out unlike the
-    stack's (so its bits are not those it would get alone), and a
-    non-finite block takes a live set's (or zeros), so that the stack's
-    later solves stay one call."""
+    its attempt's own run: where its solve fails it takes the pinv block,
+    and it raises NumericError on a non-finite one.  A larger stack never
+    takes the pinv: a set whose solve fails is dead, its rse NaN, and it
+    takes a live set's block (or zeros), so that the stack's later solves
+    stay one call."""
     sets = max(f.batch, 1)
-    fell_back = np.zeros(sets, dtype=bool)
+    dead = np.zeros(sets, dtype=bool)
     for n in range(1, f.topology.order + 1):
         design = complement_matrix(f, n, plan)
         if not f.batch:
             design = design[None]       # a stack of one
         gram = design.mT @ design
         rhs = unfoldings[n] @ design
-        block, singular = _block_solutions(gram, rhs)
-        if singular is not None:
-            failed = ~np.isfinite(block).all(axis=(1, 2))
-            if sets == 1 and failed[0]:
-                raise NumericError(f"non-finite block update for factor {n}")
-            live = np.flatnonzero(~failed)
-            block[failed] = block[live[0]] if len(live) else 0.0
-            fell_back |= singular
+        block = _block_solutions(gram, rhs)
+        if not np.isfinite(block).all():
+            if sets > 1:
+                dead |= ~np.isfinite(block).all(axis=(1, 2))
+                live = np.flatnonzero(~dead)
+                block[dead] = block[live[0]] if len(live) else 0.0
+            else:
+                try:    # in the unstacked update's own layout
+                    block = (rhs[0] @ np.linalg.pinv(
+                        gram[0], rcond=PINV_RCOND))[None]
+                except np.linalg.LinAlgError:   # the SVD does not converge
+                    pass
+                if not np.isfinite(block).all():
+                    raise NumericError(
+                        f"non-finite block update for factor {n}")
         shape, perm = plan.folds[n]
         factor = block.reshape((sets,) + shape, order="F").transpose(perm)
         f.factors[n - 1] = factor if f.batch else factor[0]
@@ -194,8 +187,7 @@ def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
             one = f if not f.batch else TNFactorSet(
                 f.topology, [x[k] for x in f.factors])
             rse[k] = np.linalg.norm(contract_network(one, plan) - a) / norm
-    if sets > 1:
-        rse[fell_back] = np.nan
+    rse[dead] = np.nan
     return rse if f.batch else float(rse[0])
 
 
@@ -212,8 +204,8 @@ def _round(a: np.ndarray, norm: float, unfoldings: dict[int, np.ndarray],
 
     `caps` is a zero-argument callable giving an upper bound on the sweeps
     any attempt not yet yielded may take; an attempt that reaches it stops
-    there.  In a round of more than one, a slot whose sweep left the
-    stacked solve yields None: its attempt is to be run as a round of one.
+    there.  A slot whose stacked solve failed yields None: its attempt is
+    to be rerun as a round of one (a round of one raises instead).
     The caller stops the round by closing it.
     """
     topo = plan.topology
@@ -230,7 +222,7 @@ def _round(a: np.ndarray, norm: float, unfoldings: dict[int, np.ndarray],
             for j in range(k, len(seeds)):
                 if j in records:
                     continue
-                if len(seeds) > 1 and np.isnan(rse[j]):
+                if np.isnan(rse[j]):
                     records[j] = None
                     continue
                 histories[j].append(float(rse[j]))
@@ -249,8 +241,8 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
             f"tensor dims {tuple(a.shape)} do not match topology {topo.dims}")
     norm = np.linalg.norm(a)
     if norm == 0.0:
-        f = random_factor_set(topo, cfg.seed)
-        f = TNFactorSet(topo, [np.zeros_like(z) for z in f.factors])
+        f = TNFactorSet(topo, [np.zeros(topo.factor_shape(k))
+                               for k in range(1, topo.order + 1)])
         return AlsResult(f, 0.0, np.zeros(0), 0, 0)
 
     unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}

@@ -7,8 +7,8 @@ Layout (all integers little-endian):
     order u64, dims u64 * order, data float32 * prod(dims)
 
 Tensor data is stored first-index-fastest (Fortran order).  A payload
-that holds NaN or inf is corrupt: `load_model` refuses it, so no command
-computes on it.
+that holds NaN or inf is corrupt: `save_model` refuses to write it and
+`load_model` refuses to read it, so no command computes on it.
 """
 
 from __future__ import annotations
@@ -59,22 +59,31 @@ def _manifest_bytes(manifest: dict[str, str]) -> bytes:
                    for key, value in manifest.items()).encode("utf-8")
 
 
+def _tensor_bytes(name: str, tensor) -> bytes:
+    arr = np.asarray(tensor)
+    with np.errstate(over="ignore"):    # an overflow is inf, refused below
+        data = arr.astype("<f4")
+    if not np.isfinite(data).all():
+        raise ValueError(f"tensor {name!r} holds non-finite values")
+    blob = name.encode("utf-8")
+    return (struct.pack("<Q", len(blob)) + blob
+            + struct.pack(f"<Q{arr.ndim}Q", arr.ndim, *arr.shape)
+            + data.flatten(order="F").tobytes())
+
+
 def save_model(path, container: ModelContainer) -> None:
+    """Write container to path; every check runs before the file is
+    opened, so a refused container leaves no file."""
     manifest = _manifest_bytes(container.manifest)
+    tensors = [_tensor_bytes(name, tensor)
+               for name, tensor in container.tensors.items()]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(manifest)))
         fh.write(manifest)
-        fh.write(struct.pack("<Q", len(container.tensors)))
-        for name, tensor in container.tensors.items():
-            blob = name.encode("utf-8")
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            arr = np.asarray(tensor)
-            fh.write(struct.pack("<Q", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.astype("<f4").flatten(order="F").tobytes())
+        fh.write(struct.pack("<Q", len(tensors)))
+        fh.writelines(tensors)
 
 
 class _Reader:

@@ -565,8 +565,13 @@ def test_a_singular_slot_alone_takes_the_pinv(monkeypatch):
         return real_pinv(gram, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "pinv", recording_pinv)
-    _sweep(stack_of(sets), a, float(np.linalg.norm(a)),
-           {n: k_unfold(a, n) for n in range(1, 4)}, ContractionPlan(topo))
+    norm = float(np.linalg.norm(a))
+    unfoldings = {n: k_unfold(a, n) for n in range(1, 4)}
+    # the stack never takes the pinv; slot 2's own run does, once
+    _sweep(stack_of(sets), a, norm, unfoldings, ContractionPlan(topo))
+    assert grams == []
+    alone = TNFactorSet(topo, [x.copy() for x in sets[2].factors])
+    _sweep(alone, a, norm, unfoldings, ContractionPlan(topo))
     assert len(grams) == 1
     assert np.array_equal(grams[0], design.T @ design)
     monkeypatch.setattr(np.linalg, "pinv", real_pinv)

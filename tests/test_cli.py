@@ -192,10 +192,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("target", [["--budget", "2"],
                                         ["--kappa", "0.9"]])
-    def test_nan_weight_is_two(self, workspace, tmp_path, capsys, target):
+    def test_nan_weight_is_two(self, workspace, tmp_path, capsys,
+                               save_non_finite, target):
         container = load_model(workspace / "dense.stnz")
-        container.tensors["layer0/weight"][0, 0] = np.nan
-        save_model(tmp_path / "nan.stnz", container)
+        save_non_finite(tmp_path / "nan.stnz", container, "layer0/weight",
+                        0, np.nan)
         out, report = tmp_path / "x.stnz", tmp_path / "x.csv"
         rc = main(["compress", "--model", str(tmp_path / "nan.stnz"),
                    *target, "--out", str(out), "--report", str(report)])
@@ -210,11 +211,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("model, tensor", [("dense", "layer0/weight"),
                                                ("tn", "layer1/factor2")])
     def test_non_finite_payload_is_two(self, workspace, tn_model, tmp_path,
-                                       capsys, command, value, model,
-                                       tensor):
+                                       capsys, save_non_finite, command,
+                                       value, model, tensor):
         container = load_model(workspace / f"{model}.stnz")
-        container.tensors[tensor].flat[0] = value
-        save_model(tmp_path / "bad.stnz", container)
+        save_non_finite(tmp_path / "bad.stnz", container, tensor, 0, value)
         argv = [command, "--model", str(tmp_path / "bad.stnz")]
         if command == "eval":
             argv += ["--data", str(workspace / "data.cfg")]
@@ -450,7 +450,13 @@ def test_readme_train_config_trains(tmp_path, capsys):
     assert rc == 0, capsys.readouterr().err
 
 
-def test_verify_oracle_suite(capsys):
-    rc = main(["verify", "--suite", "oracle"])
+@pytest.mark.parametrize("suite", ["oracle", "theorem1", "all"])
+def test_verify_oracle_suite(capsys, suite):
+    names = ["oracle", "theorem1"] if suite == "all" else [suite]
+    rc = main(["verify", "--suite", suite])
     assert rc == 0
-    assert "PASS" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "PASS" in out
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"{name} suite" for name in names]
+    assert all(": PASS (" in line for line in out.splitlines())

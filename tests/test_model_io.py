@@ -1,6 +1,7 @@
 """Binary model container round-trips and corruption handling."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -51,15 +52,42 @@ def test_empty_container(tmp_path):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name, shape", [("layer0/weight", (32, 8)),
                                          ("layer1/factor2", (1, 2, 3, 2))])
-def test_non_finite_payload_is_corrupt(tmp_path, value, name, shape):
+def test_non_finite_payload_is_corrupt(tmp_path, save_non_finite, value,
+                                      name, shape):
     tensor = np.ones(shape, dtype=np.float32)
-    tensor.flat[-1] = value
     path = tmp_path / "model.stnz"
-    save_model(path, ModelContainer(manifest={"arch": "mlp"},
-                                    tensors={"other": np.ones(3, np.float32),
-                                             name: tensor}))
+    save_non_finite(path, ModelContainer(
+        manifest={"arch": "mlp"},
+        tensors={"other": np.ones(3, np.float32), name: tensor}),
+        name, -1, value)
     with pytest.raises(CorruptionError,
                        match=f"^tensor '{name}' holds non-finite values$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
+def test_save_refuses_non_finite_tensor(tmp_path, value):
+    # 1e39 is finite in float64 but overflows the float32 payload
+    tensor = np.ones((2, 3))
+    tensor[1, 2] = value
+    path = tmp_path / "model.stnz"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # and no numpy overflow warning
+        with pytest.raises(ValueError, match="^tensor 'layer0/weight' holds "
+                                             "non-finite values$"):
+            save_model(path, ModelContainer(
+                manifest={"arch": "mlp"},
+                tensors={"other": np.ones(3), "layer0/weight": tensor}))
+    assert not path.exists()
+
+
+def test_duplicate_tensor_name_is_corrupt(tmp_path):
+    one = (struct.pack("<Q", 1) + b"t" + struct.pack("<QQ", 1, 1)
+           + struct.pack("<f", 1.0))
+    path = tmp_path / "m.stnz"
+    path.write_bytes(MAGIC + struct.pack("<IQ", VERSION, 0)
+                     + struct.pack("<Q", 2) + one + one)
+    with pytest.raises(CorruptionError, match="duplicate tensor name 't'"):
         load_model(path)
 
 

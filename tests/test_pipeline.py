@@ -16,7 +16,8 @@ from tncompress.pipeline import (TRAIN_KEYS, compress_container,
                                  container_layers, evaluate_container,
                                  model_logits, net_to_container,
                                  parse_train_config, read_config)
-from tncompress.toynet import make_dataset, make_net
+from tncompress.toynet import (make_dataset, make_net,
+                               softmax_cross_entropy)
 from tncompress.training import train_stn
 
 
@@ -101,6 +102,21 @@ class TestContainerSchema:
         from tncompress.model_io import ModelContainer
         with pytest.raises(FormatError):
             container_layers(ModelContainer(manifest={"arch": "mlp"}))
+
+
+@pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
+@pytest.mark.parametrize("seed", range(4))
+def test_net_forward_is_model_logits(arch, seed):
+    """net.forward, the benchmark's independent accuracy reference, gives
+    the container forward's logits and the training loss, bit for bit."""
+    net = make_net(arch, seed)
+    data = make_dataset(arch, seed)
+    x, y = data.x_test, data.y_test
+    logits = net.forward(x)
+    assert np.array_equal(logits,
+                          model_logits(net_to_container(net, arch, {}), x))
+    assert (softmax_cross_entropy(logits, y)[:2]
+            == net.loss_and_grads(x, y)[:2])
 
 
 class TestCompression:
