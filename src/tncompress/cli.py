@@ -159,7 +159,7 @@ def main(argv=None) -> int:
                 return DATA_EXIT
         elif args.command == "report":
             print(pipeline.describe_model(args.model))
-    except (OSError, FormatError, CorruptionError, ConfigError,
+    except (OSError, MemoryError, FormatError, CorruptionError, ConfigError,
             BudgetError, TrainingError, NumericError, TopologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT

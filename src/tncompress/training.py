@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from math import isfinite
 
 import numpy as np
 
@@ -13,25 +15,34 @@ from .admm import (AdmmConfig, AdmmState, admm_w_update, admm_y_update,
 from .errors import TrainingError
 from .ranks import effective_rank
 from .tensor import generalized_unfold
-from .toynet import Dataset
+from .toynet import Dataset, softmax_cross_entropy
 
 LOG_RANK_KAPPA = 0.9
-# steps per stacked effective-rank SVD, and so the most weight copies a
-# log holds at once
+# steps per index draw and per stacked gap and effective-rank pass, and so
+# the most weight copies a log holds at once
 LOG_CHUNK = 64
+# at most this many batch indices per draw (512 KiB) unless one step needs
+# more, so a large batch draws fewer steps at once instead of holding 64
+# steps' indices beside a step's activations
+CHUNK_INDICES = 1 << 16
 
 
 @dataclass
 class TrainingLog:
     """Per-step rows of loss, accuracy, mu, ADMM gaps and effective ranks.
 
-    A step's effective ranks are filled in when its chunk of LOG_CHUNK steps
-    is flushed: one stacked SVD per layer covers the whole chunk."""
+    The training loop draws its batch indices per chunk of LOG_CHUNK (64)
+    steps, and the log takes its gaps and effective ranks per chunk too: a
+    step's are filled in when its chunk is flushed, with, per layer, one
+    stacked dot product per run of steps that share a Z and one stacked SVD
+    for the whole chunk."""
 
     layer_count: int
     rows: list[dict] = field(default_factory=list)
-    _pending: list[list[np.ndarray]] = field(default_factory=list,
-                                             repr=False)
+    # per recorded step, its W and Z lists: the step replaces every array
+    # it changes, so references suffice
+    _pending: list[tuple[list[np.ndarray], list[np.ndarray]]] = field(
+        default_factory=list, repr=False)
 
     def header(self) -> list[str]:
         cols = ["step", "loss", "accuracy", "mu"]
@@ -42,23 +53,35 @@ class TrainingLog:
         return cols
 
     def record(self, step, loss, acc, state: AdmmState) -> None:
-        row = {"step": step, "loss": f"{loss:.6f}", "accuracy": f"{acc:.4f}",
-               "mu": f"{state.mu:.6f}"}
-        for i, gap in enumerate(state.gaps()):
-            row[f"gap_l{i}"] = f"{gap:.6f}"
-        self.rows.append(row)
-        # the step replaces every weight array, so references suffice
-        self._pending.append(list(state.w))
+        self.rows.append({"step": step, "loss": f"{loss:.6f}",
+                          "accuracy": f"{acc:.4f}", "mu": f"{state.mu:.6f}"})
+        self._pending.append((list(state.w), list(state.z)))
         if len(self._pending) == LOG_CHUNK:
             self.flush()
 
     def flush(self) -> None:
-        """Fill in the effective ranks of the steps recorded since the last
-        flush."""
+        """Fill in the gaps and effective ranks of the steps recorded since
+        the last flush."""
         if not self._pending:
             return
         rows = self.rows[-len(self._pending):]
-        for i, weights in enumerate(zip(*self._pending)):
+        step_ws, step_zs = zip(*self._pending)
+        ws, zs = list(zip(*step_ws)), list(zip(*step_zs))   # per layer
+        for i, (weights, zs_i) in enumerate(zip(ws, zs)):
+            # Z is float32 until the first ADMM round and float64 after, so
+            # each run of steps sharing one Z is taken in that Z's dtype, as
+            # ||Z - W|| of one step is
+            at = 0
+            for _, run in groupby(zs_i, key=id):
+                end = at + len(list(run))
+                diff = (zs_i[at] - np.stack(weights[at:end])).reshape(
+                    end - at, -1)
+                # the dot kernel np.linalg.norm runs on one vector
+                gaps = np.sqrt(diff[:, None, :] @ diff[:, :, None])
+                for row, gap in zip(rows[at:end], gaps.ravel().tolist()):
+                    row[f"gap_l{i}"] = f"{gap:.6f}"
+                at = end
+        for i, weights in enumerate(ws):
             _, plan = balanced_unfold(weights[0])
             # with the step as the last (slowest) column mode, the chunk
             # unfolds to one rows x (cols * steps) matrix
@@ -72,10 +95,11 @@ class TrainingLog:
         self._pending.clear()
 
     def write_csv(self, path) -> None:
+        header = self.header()
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=self.header())
-            writer.writeheader()
-            writer.writerows(self.rows)
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([row[col] for col in header] for row in self.rows)
 
 
 def _run(net, data: Dataset, cfg: AdmmConfig, use_admm: bool, log: bool):
@@ -84,26 +108,31 @@ def _run(net, data: Dataset, cfg: AdmmConfig, use_admm: bool, log: bool):
     state = AdmmState.init(net.weights, cfg)
     history = TrainingLog(layer_count=len(net.weights)) if log else None
     n = len(data.x_train)
+    # a chunk's indices are one draw; they equal one draw per step, since
+    # the generator buffers its spare 32-bit half in the bit generator
+    chunk = max(1, min(LOG_CHUNK, CHUNK_INDICES // cfg.batch_size))
     # overflow and NaN surface as one error from the non-finite loss and
     # SVD input checks, not as numpy warnings
     with np.errstate(all="ignore"):
-        for step in range(1, cfg.max_steps + 1):
-            idx = rng.integers(0, n, size=cfg.batch_size)
-            xb, yb = data.x_train[idx], data.y_train[idx]
-            net.weights = state.w
-            loss, acc, grads = net.loss_and_grads(xb, yb)
-            if not np.isfinite(loss):
-                raise TrainingError(f"loss became non-finite at step {step}",
-                                    step)
-            if use_admm and step % cfg.period == 0:
-                admm_w_update(state, grads, cfg)
-                admm_z_update(state, cfg)
-                admm_y_update(state, cfg)
-            else:
-                admm_w_update(state, grads, sgd)
-            state.step = step
-            if history is not None:
-                history.record(step, loss, acc, state)
+        for first in range(1, cfg.max_steps + 1, chunk):
+            draws = rng.integers(0, n, size=(
+                min(chunk, cfg.max_steps + 1 - first), cfg.batch_size))
+            for step, idx in enumerate(draws, start=first):
+                net.weights = state.w
+                loss, acc, grads = net.loss_and_grads(data.x_train[idx],
+                                                      data.y_train[idx])
+                if not isfinite(loss):
+                    raise TrainingError(
+                        f"loss became non-finite at step {step}", step)
+                if use_admm and step % cfg.period == 0:
+                    admm_w_update(state, grads, cfg)
+                    admm_z_update(state, cfg)
+                    admm_y_update(state, cfg)
+                else:
+                    admm_w_update(state, grads, sgd)
+                state.step = step
+                if history is not None:
+                    history.record(step, loss, acc, state)
         if history is not None:
             history.flush()
     net.weights = state.w
@@ -122,7 +151,6 @@ def train_sgd(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
 
 
 def evaluate_net(net, x: np.ndarray, y: np.ndarray) -> dict:
-    from .toynet import softmax_cross_entropy
     logits = net.forward(x)
     loss, acc, _ = softmax_cross_entropy(logits, y)
     return {"loss": loss, "accuracy": acc}

@@ -323,6 +323,10 @@ class TestExitCodes:
         ("train", "rho = nan\ndata_seed = 5\n", "rho must be finite"),
         ("train", "mu_max = inf\ndata_seed = 5\n", "mu_max must be finite"),
         ("train", "lr = 1e30\nsteps = 250\ndata_seed = 5\n", "non-finite"),
+        ("train", "lr = 1e30\nsteps = 1000000000000\ndata_seed = 5\n",
+         "non-finite at step 3"),
+        ("train", "batch = 1000000000000000\ndata_seed = 5\n",
+         "Unable to allocate"),
         ("eval", "data_seed = x\n", "'data_seed'"),
         ("eval", "data_seed = -1\n", "'data_seed'"),
         ("eval", b"data_seed = \xff5\n", "cfg:1: not UTF-8"),
@@ -332,6 +336,7 @@ class TestExitCodes:
             "train-nan-lambda", "train-inf-lr", "train-zero-lr",
             "train-negative-lr", "train-nan-mu0",
             "train-nan-rho", "train-inf-mu-max", "train-diverging",
+            "train-diverging-endless", "train-huge-batch",
             "eval-bad-data-seed", "eval-negative-data-seed", "eval-not-utf8",
             "eval-unknown-key"])
     def test_bad_config_value_is_two(self, workspace, tmp_path, capsys,

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tncompress import training
 from tncompress.admm import (AdmmConfig, AdmmState, admm_w_update,
@@ -14,6 +16,20 @@ from tncompress.toynet import (MLP, TinyCNN, make_blobs, make_dataset,
                                make_net, make_stripes, softmax_cross_entropy,
                                toy_backward)
 from tncompress.training import evaluate_net, train_sgd, train_stn
+
+
+def reference_softmax_cross_entropy(logits, labels):
+    """The loss head as first written, one numpy call per step of the
+    formula: the bits softmax_cross_entropy must reproduce."""
+    logits = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    n = logits.shape[0]
+    loss = float(-np.log(probs[np.arange(n), labels] + 1e-300).mean())
+    acc = float((logits.argmax(axis=1) == labels).mean())
+    grad = probs.copy()
+    grad[np.arange(n), labels] -= 1.0
+    return loss, acc, grad / n
 
 
 def finite_difference_grads(net, x, y, eps=1e-5):
@@ -70,6 +86,26 @@ class TestNets:
         loss, _, grad = softmax_cross_entropy(logits, labels)
         assert loss == pytest.approx(np.log(2.0))
         assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-12)
+
+    @given(batch=st.integers(1, 69), classes=st.integers(1, 4),
+           scale=st.floats(-3, 3), ties=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_softmax_cross_entropy_matches_reference_bits(
+            self, batch, classes, scale, ties, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal((batch, classes)) * 10.0 ** scale
+        if ties:    # rounding makes equal logits, so argmax ties
+            logits = np.round(logits)
+        labels = rng.integers(0, classes, batch)
+        loss, acc, grad = softmax_cross_entropy(logits.copy(), labels)
+        ref_loss, ref_acc, ref_grad = reference_softmax_cross_entropy(
+            logits, labels)
+        assert type(loss) is float and type(acc) is float
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert np.float64(acc).tobytes() == np.float64(ref_acc).tobytes()
+        assert grad.dtype == ref_grad.dtype and grad.shape == ref_grad.shape
+        assert grad.tobytes() == ref_grad.tobytes()
 
     @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
     def test_gradients_match_finite_differences(self, arch):
@@ -133,8 +169,9 @@ class TestTrainingLoop:
 
 
 def per_step_reference(net, data, cfg):
-    """The ADMM training loop with its log row built at every step, one
-    balanced unfolding and one effective rank per layer: the weights and
+    """The ADMM training loop with one index draw per step and its log row
+    built at every step: one gap per layer from AdmmState.gaps, one
+    balanced unfolding and one effective rank per layer.  The weights and
     the rows the chunked log must reproduce."""
     rng = np.random.default_rng(cfg.seed)
     state = AdmmState.init(net.weights, cfg)
@@ -163,49 +200,104 @@ def per_step_reference(net, data, cfg):
     return state.w, rows
 
 
+def count_draws(monkeypatch) -> list[tuple]:
+    """Make every generator made from here on record the shape of each
+    batch-index draw in the returned list."""
+    shapes = []
+    real_rng = np.random.default_rng
+
+    class CountedGenerator:
+        def __init__(self, seed):
+            self.generator = real_rng(seed)
+
+        def integers(self, low, high, size):
+            shapes.append(size)
+            return self.generator.integers(low, high, size=size)
+
+    monkeypatch.setattr(np.random, "default_rng", CountedGenerator)
+    return shapes
+
+
+def assert_log_matches_per_step(arch, period, lam, batch, tmp_path):
+    """130 steps: two full 64-step chunks and a remainder of 2."""
+    data = make_dataset(arch, 1)
+    cfg = AdmmConfig(lam=lam, period=period, max_steps=130,
+                     batch_size=batch, seed=2)
+    net, log = train_stn(make_net(arch, 2), data, cfg, log=True)
+    weights, rows = per_step_reference(make_net(arch, 2), data, cfg)
+    for a, b in zip(net.weights, weights):
+        assert np.array_equal(a, b)
+    assert [list(r.items()) for r in log.rows] == \
+        [list(r.items()) for r in rows]
+    log.write_csv(tmp_path / "log.csv")
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    assert (tmp_path / "log.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+
+
 class TestChunkedLog:
     @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
-    @pytest.mark.parametrize("period", [1, 7])
+    @pytest.mark.parametrize("period", [1, 7, 100])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_matches_per_step_rows(self, arch, period, lam, tmp_path):
-        """130 steps: two full 64-step chunks and a remainder of 2."""
-        data = make_dataset(arch, 1)
-        cfg = AdmmConfig(lam=lam, period=period, max_steps=130, seed=2)
-        net, log = train_stn(make_net(arch, 2), data, cfg, log=True)
-        weights, rows = per_step_reference(make_net(arch, 2), data, cfg)
-        for a, b in zip(net.weights, weights):
-            assert np.array_equal(a, b)
-        assert [list(r.items()) for r in log.rows] == \
-            [list(r.items()) for r in rows]
-        log.write_csv(tmp_path / "log.csv")
-        with open(tmp_path / "ref.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        assert (tmp_path / "log.csv").read_bytes() == \
-            (tmp_path / "ref.csv").read_bytes()
+        """At period 100 the second chunk holds steps whose Z is still the
+        float32 copy of the initial weights and steps whose Z is float64."""
+        assert_log_matches_per_step(arch, period, lam, 32, tmp_path)
+
+    @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
+    @pytest.mark.parametrize("period", [1, 7, 100])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("batch", [1, 33])
+    def test_odd_batch_matches_per_step_rows(self, arch, period, lam, batch,
+                                             tmp_path):
+        """An odd batch leaves half of a 64-bit draw in the generator, so a
+        chunk's draw must pick up where the last one left off."""
+        assert_log_matches_per_step(arch, period, lam, batch, tmp_path)
 
     @pytest.mark.parametrize("steps", [1, 64, 130])
     def test_log_costs_one_stacked_rank_per_layer_per_chunk(self, monkeypatch,
                                                            steps):
-        calls = {"effective_rank": 0, "balanced_unfold": 0}
+        calls = {"effective_rank": 0, "balanced_unfold": 0, "gaps": 0}
 
-        def counted(name):
-            real = getattr(training, name)
+        def counted(owner, name):
+            real = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return real(*args, **kwargs)
-            return wrapper
+            monkeypatch.setattr(owner, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(training, name, counted(name))
+        nets, data = [make_net("mlp", 0), make_net("mlp", 0)], make_blobs(0)
+        counted(training, "effective_rank")
+        counted(training, "balanced_unfold")
+        counted(AdmmState, "gaps")
+        draws = count_draws(monkeypatch)
         cfg = AdmmConfig(max_steps=steps, period=7, seed=0)
-        _, log = train_stn(make_net("mlp", 0), make_blobs(0), cfg)
-        assert log is None
-        assert calls == {"effective_rank": 0, "balanced_unfold": 0}
-        _, log = train_stn(make_net("mlp", 0), make_blobs(0), cfg, log=True)
-        assert len(log.rows) == steps
         chunks = math.ceil(steps / training.LOG_CHUNK)
+        _, log = train_stn(nets[0], data, cfg)
+        assert log is None
+        assert calls == {"effective_rank": 0, "balanced_unfold": 0, "gaps": 0}
+        assert len(draws) == chunks
+        draws.clear()
+        _, log = train_stn(nets[1], data, cfg, log=True)
+        assert len(log.rows) == steps
         assert calls == {"effective_rank": 2 * chunks,
-                         "balanced_unfold": 2 * chunks}
+                         "balanced_unfold": 2 * chunks, "gaps": 0}
+        assert len(draws) == chunks
+
+    def test_large_batch_draws_fewer_steps_at_once(self, monkeypatch):
+        """A batch of 33 with a cap of 99 indices draws 3 steps at a time,
+        and trains to the same bits as 64 steps at a time."""
+        data = make_blobs(0)
+        cfg = AdmmConfig(max_steps=10, period=7, batch_size=33, seed=0)
+        expected, _ = train_stn(make_net("mlp", 0), data, cfg)
+        net = make_net("mlp", 0)
+        monkeypatch.setattr(training, "CHUNK_INDICES", 99)
+        draws = count_draws(monkeypatch)
+        net, _ = train_stn(net, data, cfg)
+        assert draws == [(3, 33)] * 3 + [(1, 33)]
+        for a, b in zip(net.weights, expected.weights):
+            assert np.array_equal(a, b)
