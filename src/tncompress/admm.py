@@ -120,10 +120,6 @@ class AdmmState:
                    plans=[balanced_unfold(w)[1] for w in weights],
                    mu=cfg.mu0)
 
-    def gaps(self) -> list[float]:
-        return [float(np.linalg.norm((z - w).ravel()))
-                for z, w in zip(self.z, self.w)]
-
 
 def admm_w_update(state: AdmmState, gradients: list[np.ndarray],
                   cfg: AdmmConfig) -> None:

@@ -1,22 +1,22 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data/format/config error.
+
+`main` may be called repeatedly in one process: every call parses with the
+same argparse tree, built by the first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 import numpy as np
 
 from . import pipeline
-from .contraction import contract_network
 from .errors import (BudgetError, ConfigError, CorruptionError, FormatError,
                      NumericError, TopologyError, TrainingError)
-from .oracles import brute_force_contract, check_theorem1, generate_cp, \
-    generate_tucker
-from .topology import TNTopology, mode_pairs, random_factor_set
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -29,7 +29,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def shared_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args keeps no state on it."""
     parser = _Parser(prog="tncompress",
                      description="Train, compress, and evaluate tensor-network models.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -69,6 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _verify_oracle() -> bool:
+    from .contraction import contract_network
+    from .oracles import brute_force_contract
+    from .topology import TNTopology, mode_pairs, random_factor_set
+
     rng = np.random.default_rng(7)
     ok, instances = True, 60
     for i in range(instances):
@@ -87,6 +93,8 @@ def _verify_oracle() -> bool:
 
 
 def _verify_theorem1() -> bool:
+    from .oracles import check_theorem1, generate_cp, generate_tucker
+
     rng = np.random.default_rng(11)
     ok, instances = True, 40
     for i in range(instances):
@@ -115,7 +123,7 @@ def _kappa_in_range(kappa: float) -> bool:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = shared_parser().parse_args(argv)
     if args.command == "compress":
         if args.kappa is not None and not _kappa_in_range(args.kappa):
             return _usage_error(f"--kappa must lie in (0, 1], got {args.kappa}")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .admm import (AdmmConfig, AdmmState, admm_w_update, admm_y_update,
                    admm_z_update, balanced_unfold)
-from .errors import TrainingError
+from .errors import ConfigError, TrainingError
 from .ranks import effective_rank
 from .tensor import generalized_unfold
 from .toynet import Dataset, softmax_cross_entropy
@@ -115,8 +115,12 @@ def _run(net, data: Dataset, cfg: AdmmConfig, use_admm: bool, log: bool):
     # SVD input checks, not as numpy warnings
     with np.errstate(all="ignore"):
         for first in range(1, cfg.max_steps + 1, chunk):
-            draws = rng.integers(0, n, size=(
-                min(chunk, cfg.max_steps + 1 - first), cfg.batch_size))
+            try:
+                draws = rng.integers(0, n, size=(
+                    min(chunk, cfg.max_steps + 1 - first), cfg.batch_size))
+            except ValueError as exc:   # a size numpy cannot address
+                raise ConfigError(
+                    f"batch {cfg.batch_size} is too large: {exc}") from None
             for step, idx in enumerate(draws, start=first):
                 net.weights = state.w
                 loss, acc, grads = net.loss_and_grads(data.x_train[idx],

@@ -1,7 +1,11 @@
 """CLI subcommands, exit codes, and end-to-end artifacts."""
 
+import argparse
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tncompress import cli
 from tncompress.cli import main
 from tncompress.model_io import load_model, save_model
 
@@ -327,6 +332,10 @@ class TestExitCodes:
          "non-finite at step 3"),
         ("train", "batch = 1000000000000000\ndata_seed = 5\n",
          "Unable to allocate"),
+        ("train", "batch = 2000000000000000000\nseed = 0\ndata_seed = 0\n",
+         "batch 2000000000000000000 is too large"),
+        ("train", "batch = 10000000000000000000000000\ndata_seed = 0\n",
+         "batch 10000000000000000000000000 is too large"),
         ("eval", "data_seed = x\n", "'data_seed'"),
         ("eval", "data_seed = -1\n", "'data_seed'"),
         ("eval", b"data_seed = \xff5\n", "cfg:1: not UTF-8"),
@@ -337,6 +346,7 @@ class TestExitCodes:
             "train-negative-lr", "train-nan-mu0",
             "train-nan-rho", "train-inf-mu-max", "train-diverging",
             "train-diverging-endless", "train-huge-batch",
+            "train-unaddressable-batch", "train-batch-beyond-int64",
             "eval-bad-data-seed", "eval-negative-data-seed", "eval-not-utf8",
             "eval-unknown-key"])
     def test_bad_config_value_is_two(self, workspace, tmp_path, capsys,
@@ -443,6 +453,89 @@ class TestPipeline:
                        "--kappas", kappas, "--out", str(out)])
             assert rc == 1
             assert not out.exists()
+
+
+class TestSharedParser:
+    """Every main call parses with one argparse tree; no parse may leave
+    state on it that a later parse sees."""
+
+    def test_log_does_not_carry_over(self, workspace, tmp_path):
+        cfg = str(workspace / "train.cfg")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "a"),
+                     "--log", str(tmp_path / "a.csv")]) == 0
+        (tmp_path / "a.csv").unlink()
+        assert main(["train", "--config", cfg,
+                     "--out", str(tmp_path / "b")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+    def test_targets_do_not_carry_over(self, workspace, tmp_path, capsys):
+        dense = str(workspace / "dense.stnz")
+        assert main(["compress", "--model", dense, "--budget", "2.0",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["compress", "--model", dense, "--kappa", "0.9",
+                     "--out", str(tmp_path / "b")]) == 0
+        capsys.readouterr()
+        both = ["compress", "--model", dense, "--budget", "2", "--kappa",
+                "0.5", "--out", str(tmp_path / "c")]
+        with pytest.raises(SystemExit) as exc:
+            main(both)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            cli.shared_parser.__wrapped__().parse_args(both)
+        assert err == capsys.readouterr().err
+        assert err.splitlines()[0].startswith("usage: tncompress compress")
+        assert err.splitlines()[-1] == ("tncompress compress: error: argument "
+                                        "--kappa: not allowed with argument "
+                                        "--budget")
+        assert not (tmp_path / "c").exists()
+
+    def test_eval_after_errors_and_help(self, workspace, monkeypatch,
+                                        capsys):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counted_init)
+        cli.shared_parser.cache_clear()
+        evaluate = ["eval", "--model", str(workspace / "dense.stnz"),
+                    "--data", str(workspace / "data.cfg")]
+        assert main(evaluate) == 0
+        first = capsys.readouterr().out
+        for argv, code in ((["eval", "--model"], 1), (["train", "--help"], 0),
+                           (["--help"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        capsys.readouterr()
+        assert main(evaluate) == 0
+        assert capsys.readouterr().out == first
+        assert len(built) == 7      # the top parser and six subcommands
+
+
+def test_eval_does_not_import_the_oracles(workspace):
+    """The verify-only modules load only for verify."""
+    script = (
+        "import sys\n"
+        "from tncompress.cli import main\n"
+        f"rc = main(['eval', '--model', {str(workspace / 'dense.stnz')!r}, "
+        f"'--data', {str(workspace / 'data.cfg')!r}])\n"
+        "print(rc, 'tncompress.oracles' in sys.modules)\n"
+        "rc = main(['verify', '--suite', 'all'])\n"
+        "print(rc, 'tncompress.oracles' in sys.modules)\n")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].startswith("loss=")
+    assert lines[1] == "0 False"
+    assert lines[-1] == "0 True"
 
 
 def test_readme_train_config_trains(tmp_path, capsys):
