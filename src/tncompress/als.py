@@ -3,40 +3,35 @@
 Each sweep cycles the factors in mode order; the block update for factor n
 contracts every other factor into a design matrix D and solves the exact
 least-squares problem through its normal equations, X·DᵀD = A_(n)·D, by
-an LU solve.  In an attempt's own run, a singular gram (the solve fails
-or returns non-finite entries) falls back to the SVD pseudo-inverse.  A
-sweep's rse comes from the last block's normal equations,
+an LU solve.  A singular gram (the solve fails or returns non-finite
+entries) falls back to the SVD pseudo-inverse.  A sweep's rse comes from
+the last block's normal equations,
 ‖A‖² − 2⟨A_(n)·D, X⟩ + ⟨X·DᵀD, X⟩, without contracting the network.  Where that sum is small against its
 terms, so that it cancels, and so wherever the tolerance is compared, the
 network is contracted instead, as it is once for the returned factors.
 Fully-connected networks have many poor local minima under plain random
 initialization, so the fit runs in two phases within one shared sweep
-budget.  First, restarts with patience: each attempt starts from a fresh
-seed and ends at its first sweep of < 1% relative gain, and restarts stop
-once several attempts in a row fail to lower the best rse by a relative
-margin.  Then refine: the best attempt keeps sweeping until one sweep gains
-no more than the tolerance relative to its rse, or the budget runs out.
-The returned error history belongs to that attempt and is non-increasing
-by exact block minimization.
+budget.  First, restarts in rounds: a round sweeps _ROUND fresh starts
+until each has ended once, at its first sweep of < 1% relative gain or at
+the tolerance, and a start's result is its state and history when its
+round ends; restarts stop after a round that fails to lower the best rse
+by a relative margin.  Then refine: the best start keeps sweeping until
+one sweep gains no more than the tolerance relative to its rse, or the
+budget runs out.  The returned error history belongs to that start and is
+non-increasing by exact block minimization.
 
-The restarts run in rounds of _PATIENCE attempts side by side, as one
-stack of factor sets: a stacked sweep makes one batched complement per
-mode, one stacked gram and right-hand side and one stacked solve, where
-the attempts one at a time would make _PATIENCE of each.  Each attempt of
-a round, once it has ended, is replayed in attempt order through the
-one-at-a-time rules (the sweep budget, patience, the best rse, the tol
-stop), and the attempts after the stopping point are dropped, so the
-attempts, sweeps, history and factors of a fit are those of running its
-attempts one after another, to the bit.  A set's bits depend on how its
-factors are laid out in memory, and a fresh start is laid out unlike a
-swept factor, so an ended slot is not refilled while its round runs: the
-next round starts all its attempts together.  A stack never takes the
-pseudo-inverse: a set whose stacked solve fails is dead, and an attempt
-that died, or that the budget cuts short of where its slot stopped, is
-rerun as a round of one, its own run; so a non-finite update of an
-attempt past the stopping point never fails the fit.
+A round runs its starts side by side, as one stack of factor sets: a
+stacked sweep makes one batched complement per mode, one stacked gram and
+right-hand side and one stacked solve, where the starts one at a time
+would make _ROUND of each, and it counts once against the budget, as a
+refine sweep does.  A set's bits depend on how its factors are laid out
+in memory, and a fresh start is laid out unlike a swept factor, so a slot
+that has ended is not refilled: it sweeps on until its round ends.  A
+start whose update is non-finite even by the pseudo-inverse is dead and
+is dropped from its round; a fit with no live start, or whose refine goes
+non-finite, raises NumericError.
 
-Refine sweeps its one attempt unstacked: a stack of one adds a batched
+Refine sweeps its one start unstacked: a stack of one adds a batched
 einsum (about 5 µs) and a batch-axis move (about 5.6 µs) per complement,
 144 → 184-200 µs for an order-4 sweep, or 5-10% of a `compress` op at
 about 45 refine sweeps.
@@ -59,11 +54,11 @@ PINV_RCOND = 1e-10
 # Below this fraction of that scale, or of 1 (which covers every comparison
 # with tol), the sweep contracts the network for the exact rse instead.
 _EXACT_SQ_RSE = 1e-5
-# an attempt ends at its first sweep of less than this relative gain
+# a start ends at its first sweep of less than this relative gain
 _STALL_RATIO = 0.01
-# restarts stop after this many attempts in a row that fail to lower the
-# best rse by a relative _GAIN
-_PATIENCE = 8
+# a round stacks this many starts; restarts stop after a round that fails
+# to lower the best rse by a relative _GAIN
+_ROUND = 8
 _GAIN = 1e-4
 _SEED_STRIDE = 1000003
 
@@ -85,9 +80,9 @@ class AlsConfig:
 class AlsResult:
     factors: TNFactorSet
     rse: float
-    history: np.ndarray     # per-sweep rse of the returned attempt
-    attempts: int
-    total_sweeps: int
+    history: np.ndarray     # per-sweep rse of the returned start
+    attempts: int           # starts drawn, _ROUND per round
+    total_sweeps: int       # stacked sweeps plus refine sweeps
 
 
 def complement_matrix(f: TNFactorSet, n: int,
@@ -140,12 +135,10 @@ def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
     least-squares block solution; return the relative error afterwards,
     from the last block's normal equations where they are accurate.
 
-    A stack of K sets returns K errors.  A single set or a stack of one is
-    its attempt's own run: where its solve fails it takes the pinv block,
-    and it raises NumericError on a non-finite one.  A larger stack never
-    takes the pinv: a set whose solve fails is dead, its rse NaN, and it
-    takes a live set's block (or zeros), so that the stack's later solves
-    stay one call."""
+    A stack of K sets returns K errors.  A set whose solve fails takes the
+    pinv block of its own gram.  A set whose block is still non-finite is
+    dead, its rse NaN, and it takes a live set's block (or zeros), so that
+    the stack's later solves stay one call."""
     sets = max(f.batch, 1)
     dead = np.zeros(sets, dtype=bool)
     for n in range(1, f.topology.order + 1):
@@ -156,19 +149,15 @@ def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
         rhs = unfoldings[n] @ design
         block = _block_solutions(gram, rhs)
         if not np.isfinite(block).all():
-            if sets > 1:
-                dead |= ~np.isfinite(block).all(axis=(1, 2))
-                live = np.flatnonzero(~dead)
-                block[dead] = block[live[0]] if len(live) else 0.0
-            else:
-                try:    # in the unstacked update's own layout
-                    block = (rhs[0] @ np.linalg.pinv(
-                        gram[0], rcond=PINV_RCOND))[None]
+            for k in np.flatnonzero(~np.isfinite(block).all(axis=(1, 2))):
+                try:
+                    block[k] = rhs[k] @ np.linalg.pinv(gram[k],
+                                                       rcond=PINV_RCOND)
                 except np.linalg.LinAlgError:   # the SVD does not converge
                     pass
-                if not np.isfinite(block).all():
-                    raise NumericError(
-                        f"non-finite block update for factor {n}")
+            dead |= ~np.isfinite(block).all(axis=(1, 2))
+            live = np.flatnonzero(~dead)
+            block[dead] = block[live[0]] if len(live) else 0.0
         shape, perm = plan.folds[n]
         factor = block.reshape((sets,) + shape, order="F").transpose(perm)
         f.factors[n - 1] = factor if f.batch else factor[0]
@@ -191,46 +180,29 @@ def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
     return rse if f.batch else float(rse[0])
 
 
-def _ends(rse: float, prev: float, tol: float) -> bool:
-    """Whether an attempt ends at this sweep: it reached tol or gained less
-    than _STALL_RATIO over its previous sweep."""
-    return rse <= tol or prev - rse < _STALL_RATIO * rse
-
-
 def _round(a: np.ndarray, norm: float, unfoldings: dict[int, np.ndarray],
-           plan: ContractionPlan, seeds: list[int], tol: float, caps):
-    """Run one attempt per seed side by side as one stack, and yield each
-    attempt's (factors, history), in seed order, once it has ended.
-
-    `caps` is a zero-argument callable giving an upper bound on the sweeps
-    any attempt not yet yielded may take; an attempt that reaches it stops
-    there.  A slot whose stacked solve failed yields None: its attempt is
-    to be rerun as a round of one (a round of one raises instead).
-    The caller stops the round by closing it.
-    """
+           plan: ContractionPlan, seeds: list[int], tol: float, budget: int):
+    """Sweep one start per seed side by side, as one stack, until each has
+    ended once (it reached tol, gained less than _STALL_RATIO over its
+    previous sweep, or died) or `budget` sweeps are done.  Return the start
+    of least final rse as (factors, history).  A dead start's rse is NaN
+    from its death on, so if every start died, the history ends in NaN."""
     topo = plan.topology
     starts = [random_factor_set(topo, seed).factors for seed in seeds]
     stack = TNFactorSet(topo, [np.stack(fs) for fs in zip(*starts)],
                         batch=len(seeds))
-    histories = [[] for _ in seeds]
-    prev = np.full(len(seeds), np.inf)
-    records = {}
-    for k in range(len(seeds)):
-        while k not in records:
-            rse = _sweep(stack, a, norm, unfoldings, plan)
-            cap = caps()
-            for j in range(k, len(seeds)):
-                if j in records:
-                    continue
-                if np.isnan(rse[j]):
-                    records[j] = None
-                    continue
-                histories[j].append(float(rse[j]))
-                if _ends(rse[j], prev[j], tol) or len(histories[j]) >= cap:
-                    factors = [x[j].copy(order="K") for x in stack.factors]
-                    records[j] = TNFactorSet(topo, factors), histories[j]
-                prev[j] = rse[j]
-        yield records.pop(k)
+    rses, prev = [], np.full(len(seeds), np.inf)
+    ended = np.zeros(len(seeds), dtype=bool)
+    while not ended.all() and len(rses) < budget:
+        rse = _sweep(stack, a, norm, unfoldings, plan)
+        rse[np.isnan(prev)] = np.nan    # a dead start stays dead
+        ended |= (np.isnan(rse) | (rse <= tol)
+                  | (prev - rse < _STALL_RATIO * rse))
+        rses.append(rse)
+        prev = rse
+    k = int(np.argmin(np.nan_to_num(rse, nan=np.inf)))
+    factors = [x[k].copy(order="K") for x in stack.factors]
+    return TNFactorSet(topo, factors), [float(r[k]) for r in rses]
 
 
 def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
@@ -246,42 +218,30 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
         return AlsResult(f, 0.0, np.zeros(0), 0, 0)
 
     unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
-    plan = ContractionPlan(topo)   # shared by every attempt and sweep
-    used = attempt = misses = 0
-    best_f, best = None, []   # the best attempt's factors and rse history
-
-    def caps():
-        return cfg.max_sweeps - used
-
-    while used < cfg.max_sweeps and misses < _PATIENCE:
-        seeds = [cfg.seed + _SEED_STRIDE * (attempt + k)
-                 for k in range(_PATIENCE)]
-        attempts = _round(a, norm, unfoldings, plan, seeds, cfg.tol, caps)
-        for seed, record in zip(seeds, attempts):
-            if record is None or len(record[1]) > caps():
-                record, = _round(a, norm, unfoldings, plan, [seed], cfg.tol,
-                                 caps)
-            f, history = record
-            attempt += 1
-            used += len(history)
-            rse = history[-1]
-            if best and rse >= best[-1] * (1 - _GAIN):
-                misses += 1
-            else:
-                misses = 0
-            if not best or rse < best[-1]:
-                best_f, best = f, history
-            if (best[-1] <= cfg.tol or used >= cfg.max_sweeps
-                    or misses >= _PATIENCE):
-                break
-        attempts.close()
-        if best[-1] <= cfg.tol:
+    plan = ContractionPlan(topo)   # shared by every start and sweep
+    used = attempts = 0
+    best_f, best = None, [np.inf]   # the best start's factors and history
+    while used < cfg.max_sweeps and best[-1] > cfg.tol:
+        seeds = [cfg.seed + _SEED_STRIDE * (attempts + k)
+                 for k in range(_ROUND)]
+        f, history = _round(a, norm, unfoldings, plan, seeds, cfg.tol,
+                            cfg.max_sweeps - used)
+        attempts += _ROUND
+        used += len(history)
+        prior = best[-1]
+        if history[-1] < prior:
+            best_f, best = f, history
+        if best[-1] >= prior * (1 - _GAIN):
             break
+    if best_f is None:
+        raise NumericError("no ALS start has a finite block update")
     while used < cfg.max_sweeps and best[-1] > cfg.tol:
         best.append(_sweep(best_f, a, norm, unfoldings, plan))
         used += 1
+        if np.isnan(best[-1]):
+            raise NumericError("non-finite block update in refine")
         if best[-2] - best[-1] <= cfg.tol * best[-1]:
             break
     best[-1] = float(np.linalg.norm(contract_network(best_f, plan=plan) - a)
                      / norm)
-    return AlsResult(best_f, best[-1], np.array(best), attempt, used)
+    return AlsResult(best_f, best[-1], np.array(best), attempts, used)

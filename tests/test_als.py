@@ -1,7 +1,5 @@
 """Alternating least squares fitting."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,25 +77,9 @@ PINNED_TOPOLOGIES = [
 ]
 
 
-def count_reruns(monkeypatch):
-    """Record the seed of every round of one the fit runs: each attempt it
-    reruns alone."""
-    reruns = []
-    real_round = als._round
-
-    def counting_round(a, norm, unfoldings, plan, seeds, *rest):
-        if len(seeds) == 1:
-            reruns.append(seeds[0])
-        return real_round(a, norm, unfoldings, plan, seeds, *rest)
-
-    monkeypatch.setattr(als, "_round", counting_round)
-    return reruns
-
-
 @pytest.mark.parametrize("topo", PINNED_TOPOLOGIES)
 def test_als_fit_compiles_each_plan_key_once(topo, monkeypatch):
     target = np.random.default_rng(topo.order).standard_normal(topo.dims)
-    reruns = count_reruns(monkeypatch)
     calls = []
     real_einsum_path = np.einsum_path
 
@@ -110,11 +92,10 @@ def test_als_fit_compiles_each_plan_key_once(topo, monkeypatch):
     monkeypatch.setattr(einsumfunc, "einsum_path", counting_einsum_path)
     result = als_fit(target, topo, AlsConfig(seed=1))
     # the restarts ran more than one round of stacked sweeps
-    assert result.attempts > als._PATIENCE
-    # one compile per key: the full network, each complement n both
-    # stacked (the restarts) and alone (refine), and each as a stack of
-    # one if the fit reran an attempt
-    assert len(calls) == 2 * topo.order + 1 + (topo.order if reruns else 0)
+    assert result.attempts > als._ROUND
+    # one compile per key: the full network, and each complement n both
+    # stacked (the restarts) and alone (refine)
+    assert len(calls) == 2 * topo.order + 1
 
 
 @pytest.mark.parametrize("topo", PINNED_TOPOLOGIES)
@@ -178,11 +159,15 @@ def test_dim_mismatch_raises():
         als_fit(np.zeros((3, 4)), uniform_topology((4, 3), 1))
 
 
-def test_sweep_budget_is_respected():
+@pytest.mark.parametrize("max_sweeps", [1, 3, 7, 20, 300])
+def test_sweep_budget_is_respected(max_sweeps):
     topo = uniform_topology((6, 6, 6), 3)
     target = np.random.default_rng(7).standard_normal((6, 6, 6))
-    result = als_fit(target, topo, AlsConfig(max_sweeps=10, seed=7))
-    assert result.total_sweeps <= 10
+    result = als_fit(target, topo, AlsConfig(max_sweeps=max_sweeps, seed=7))
+    assert result.total_sweeps <= max_sweeps
+    # a stacked sweep counts once, and the winner was swept in each one
+    assert len(result.history) <= result.total_sweeps
+    assert result.attempts % als._ROUND == 0
 
 
 def test_config_validation():
@@ -194,7 +179,7 @@ def test_config_validation():
 
 def trained_like_target() -> np.ndarray:
     """A rank-3 network plus noise, to be fitted at rank 2: like a trained
-    layer, every attempt plateaus far above the tolerance."""
+    layer, every start plateaus far above the tolerance."""
     x = contract_network(random_factor_set(uniform_topology((6, 6, 6), 3),
                                            seed=1))
     noise = np.random.default_rng(0).standard_normal(x.shape)
@@ -206,8 +191,8 @@ def test_trained_like_fit_stops_before_the_sweep_budget():
     result = als_fit(trained_like_target(), uniform_topology((6, 6, 6), 2),
                      cfg)
     assert result.rse > cfg.tol
-    # patience ends the restarts and refine ends at a plateau, so the
-    # budget is not spent on attempts that are thrown away
+    # a round without gain ends the restarts and refine ends at a plateau,
+    # so the budget is not spent on starts that are thrown away
     assert result.total_sweeps < cfg.max_sweeps
     assert np.all(np.diff(result.history) <= 1e-7)
     assert result.history[-1] == result.rse
@@ -337,36 +322,46 @@ def test_fit_contracts_the_network_about_once(monkeypatch):
 # ---------------------------------------------------------------------------
 # stacked restarts
 
-def sequential_als_fit(t, topo, cfg=AlsConfig()):
-    """als_fit with its restart phase run one attempt after another: the
-    policy whose attempts, sweeps, history and factor bits the stacked
-    rounds must reproduce."""
+def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset()):
+    """als_fit with each round's starts run one after another: each start
+    is swept alone to its first stall, then on to the round's length, the
+    longest of those runs.  The stacked rounds must reproduce its
+    attempts, sweeps, history and factor bits.  Starts drawn from the
+    seeds in `dropped` are drawn but never swept, as a dead start is
+    dropped from its round."""
     a = np.asarray(t, dtype=np.float64)
     norm = np.linalg.norm(a)
     if norm == 0.0:
         return als_fit(t, topo, cfg)
     unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
     plan = ContractionPlan(topo)
-    used = attempt = misses = 0
-    best_f, best = None, []
-    while used < cfg.max_sweeps and misses < als._PATIENCE:
-        f = random_factor_set(topo, cfg.seed + als._SEED_STRIDE * attempt)
-        attempt += 1
-        history, prev = [], np.inf
-        while used < cfg.max_sweeps:
-            rse = _sweep(f, a, norm, unfoldings, plan)
-            used += 1
-            history.append(rse)
-            if rse <= cfg.tol or prev - rse < als._STALL_RATIO * rse:
-                break
-            prev = rse
-        if best and rse >= best[-1] * (1 - als._GAIN):
-            misses += 1
-        else:
-            misses = 0
-        if not best or rse < best[-1]:
-            best_f, best = f, history
-        if best[-1] <= cfg.tol:
+    used = attempts = 0
+    best_f, best = None, [np.inf]
+    while used < cfg.max_sweeps and best[-1] > cfg.tol:
+        runs = []
+        for k in range(als._ROUND):
+            seed = cfg.seed + als._SEED_STRIDE * (attempts + k)
+            if seed in dropped:
+                continue
+            f = random_factor_set(topo, seed)
+            history, prev = [], np.inf
+            while len(history) < cfg.max_sweeps - used:
+                rse = _sweep(f, a, norm, unfoldings, plan)
+                history.append(rse)
+                if rse <= cfg.tol or prev - rse < als._STALL_RATIO * rse:
+                    break
+                prev = rse
+            runs.append((f, history))
+        attempts += als._ROUND
+        length = max(len(history) for _, history in runs)
+        used += length
+        prior = best[-1]
+        for f, history in runs:
+            while len(history) < length:
+                history.append(_sweep(f, a, norm, unfoldings, plan))
+            if history[-1] < best[-1]:
+                best_f, best = f, history
+        if best[-1] >= prior * (1 - als._GAIN):
             break
     while used < cfg.max_sweeps and best[-1] > cfg.tol:
         best.append(_sweep(best_f, a, norm, unfoldings, plan))
@@ -375,7 +370,7 @@ def sequential_als_fit(t, topo, cfg=AlsConfig()):
             break
     best[-1] = float(np.linalg.norm(contract_network(best_f, plan) - a)
                      / norm)
-    return AlsResult(best_f, best[-1], np.array(best), attempt, used)
+    return AlsResult(best_f, best[-1], np.array(best), attempts, used)
 
 
 def assert_same_fit(got, want):
@@ -388,8 +383,8 @@ def assert_same_fit(got, want):
 
 
 def fit_target(topo, seed, planted):
-    """Noise, which every attempt plateaus far above tol on, or a planted
-    network, which an attempt can fit to tol."""
+    """Noise, which every start plateaus far above tol on, or a planted
+    network, which a start can fit to tol."""
     if planted:
         return contract_network(random_factor_set(topo, seed + 50))
     return np.random.default_rng(seed).standard_normal(topo.dims)
@@ -401,33 +396,23 @@ def fit_target(topo, seed, planted):
 @pytest.mark.parametrize("topo", PINNED_TOPOLOGIES)
 def test_stacked_restarts_give_the_sequential_fit(topo, planted, seed,
                                                   max_sweeps):
-    # the small budgets cut attempts inside the restart phase
+    # the small budgets cut rounds inside the restart phase
     target = fit_target(topo, seed, planted)
     cfg = AlsConfig(max_sweeps=max_sweeps, seed=seed)
     assert_same_fit(als_fit(target, topo, cfg),
                     sequential_als_fit(target, topo, cfg))
 
 
-def test_attempts_the_budget_cuts_short_are_rerun_alone(monkeypatch):
-    reruns = count_reruns(monkeypatch)
-    for topo in PINNED_TOPOLOGIES:
-        target = fit_target(topo, 0, False)
-        cfg = AlsConfig(max_sweeps=7, seed=0)
-        assert_same_fit(als_fit(target, topo, cfg),
-                        sequential_als_fit(target, topo, cfg))
-    assert reruns
-
-
-def poison_starts(monkeypatch, seeds):
-    """Make the starts drawn from seeds hold NaN in their last factor, so
-    that their first block update is non-finite; returns the poisoned
-    seeds drawn."""
+def poison_starts(monkeypatch, seeds=None):
+    """Make the starts drawn from seeds (every seed if None) hold NaN in
+    their last factor, so that their first block update is non-finite;
+    returns the poisoned seeds drawn."""
     real_start = als.random_factor_set
     drawn = []
 
     def start(topo, seed):
         f = real_start(topo, seed)
-        if seed in seeds:
+        if seeds is None or seed in seeds:
             drawn.append(seed)
             f.factors[-1][...] = np.nan
         return f
@@ -436,23 +421,30 @@ def poison_starts(monkeypatch, seeds):
     return drawn
 
 
-def poison_the_last_round(monkeypatch, cfg, clean):
-    """Poison the starts of the clean fit's last round that the sequential
-    policy never reaches; returns the poisoned seeds drawn."""
-    rounds = -(-clean.attempts // als._PATIENCE)
-    assert clean.attempts < rounds * als._PATIENCE
-    return poison_starts(monkeypatch, {
-        cfg.seed + als._SEED_STRIDE * i
-        for i in range(clean.attempts, rounds * als._PATIENCE)})
-
-
-def test_a_failing_start_past_the_stopping_point_leaves_the_fit(monkeypatch):
+def test_a_failing_start_is_dropped_from_its_round(monkeypatch):
     topo = PINNED_TOPOLOGIES[2]
     target, cfg = fit_target(topo, 1, False), AlsConfig(seed=1)
-    clean = als_fit(target, topo, cfg)
-    drawn = poison_the_last_round(monkeypatch, cfg, clean)
-    assert_same_fit(als_fit(target, topo, cfg), clean)
+    poisoned = {cfg.seed + als._SEED_STRIDE}
+    want = sequential_als_fit(target, topo, cfg, dropped=poisoned)
+    drawn = poison_starts(monkeypatch, poisoned)
+    assert_same_fit(als_fit(target, topo, cfg), want)
     assert drawn
+
+
+def test_a_dead_start_stays_out_of_its_round(monkeypatch):
+    # start 0 dies at its first update and takes start 1's blocks, so it
+    # sweeps on as a copy of start 1; the round must still give start 1
+    topo = PINNED_TOPOLOGIES[2]
+    a = fit_target(topo, 1, False)
+    norm = float(np.linalg.norm(a))
+    unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
+    poison_starts(monkeypatch, {0})
+    rounds = [als._round(a, norm, unfoldings, ContractionPlan(topo), seeds,
+                         AlsConfig().tol, 300) for seeds in ([0, 1], [1])]
+    (f, history), (alone, want) = rounds
+    assert history == want
+    for x, y in zip(f.factors, alone.factors):
+        assert np.array_equal(x, y)
 
 
 def test_a_failing_start_keeps_the_stacked_solve_one_call(monkeypatch):
@@ -469,21 +461,35 @@ def test_a_failing_start_keeps_the_stacked_solve_one_call(monkeypatch):
     clean = als_fit(target, topo, cfg)
     clean_solves = len(solves)
     solves.clear()
-    drawn = poison_the_last_round(monkeypatch, cfg, clean)
-    als_fit(target, topo, cfg)
+    drawn = poison_starts(monkeypatch, {cfg.seed + als._SEED_STRIDE})
+    poisoned = als_fit(target, topo, cfg)
     assert drawn
     # a failed set takes a live set's block, so its gram never makes the
     # stacked solve fall back to one solve per set
     assert len(solves) <= clean_solves
+    assert len(solves) == poisoned.total_sweeps * topo.order
 
 
-def test_a_failing_start_before_the_stopping_point_fails_the_fit(
-        monkeypatch):
+def test_a_fit_whose_every_start_fails_raises(monkeypatch):
     topo = PINNED_TOPOLOGIES[2]
-    cfg = AlsConfig(seed=1)
-    poison_starts(monkeypatch, {cfg.seed + als._SEED_STRIDE})
+    drawn = poison_starts(monkeypatch)
     with pytest.raises(NumericError):
-        als_fit(fit_target(topo, 1, False), topo, cfg)
+        als_fit(fit_target(topo, 1, False), topo, AlsConfig(seed=1))
+    assert len(drawn) == als._ROUND
+
+
+def test_a_refine_sweep_that_goes_non_finite_fails_the_fit(monkeypatch):
+    real_sweep = als._sweep
+
+    def sweep(f, *rest):
+        if not f.batch:     # a refine sweep
+            f.factors[-1][...] = np.nan
+        return real_sweep(f, *rest)
+
+    monkeypatch.setattr(als, "_sweep", sweep)
+    topo = PINNED_TOPOLOGIES[2]
+    with pytest.raises(NumericError):
+        als_fit(fit_target(topo, 1, False), topo, AlsConfig(seed=1))
 
 
 def stack_of(sets):
@@ -496,20 +502,14 @@ def stack_of(sets):
 
 def assert_stacked_sweep_is_each_set_alone(stack, sets, a):
     """One sweep of the stack against one sweep of each set alone: the same
-    rse and factors, bit for bit, except that a set whose update alone
-    takes the pinv gets NaN in the stack (the fit reruns it alone).
-    Returns the stack's rse."""
+    rse and factors, bit for bit, the pinv blocks included.  Returns the
+    stack's rse."""
     norm = float(np.linalg.norm(a))
     unfoldings = {n: k_unfold(a, n) for n in range(1, a.ndim + 1)}
     plan = ContractionPlan(stack.topology)
     rse = _sweep(stack, a, norm, unfoldings, plan)
     for k, f in enumerate(sets):
-        with mock.patch.object(np.linalg, "pinv",
-                               wraps=np.linalg.pinv) as pinv:
-            alone = _sweep(f, a, norm, unfoldings, plan)
-        if pinv.called:
-            assert np.isnan(rse[k])
-            continue
+        alone = _sweep(f, a, norm, unfoldings, plan)
         assert rse[k] == pytest.approx(alone, rel=1e-12)
         assert rse[k] == alone
         for x, y in zip(stack.factors, f.factors):
@@ -532,7 +532,7 @@ def test_stacked_contractions_are_each_set_alone(data):
     topo = TNTopology(dims, {p: data.draw(st.integers(1, 3))
                              for p in mode_pairs(order)})
     seed = data.draw(st.integers(0, 2 ** 16))
-    sets = [random_factor_set(topo, seed + k) for k in range(als._PATIENCE)]
+    sets = [random_factor_set(topo, seed + k) for k in range(als._ROUND)]
     stack = stack_of(sets)
     plan = ContractionPlan(topo)
     stacked = contract_network(stack, plan)
@@ -552,7 +552,7 @@ def test_stacked_contractions_are_each_set_alone(data):
 def test_a_singular_slot_alone_takes_the_pinv(monkeypatch):
     # as in test_singular_gram_takes_the_pinv_fallback, for slot 2 only
     topo = uniform_topology((5, 4, 6), 3)
-    sets = [random_factor_set(topo, s) for s in range(als._PATIENCE)]
+    sets = [random_factor_set(topo, s) for s in range(als._ROUND)]
     sets[2].factors[1][1] = sets[2].factors[1][0]
     design = complement_matrix(sets[2], 1)
     stack = stack_of(sets)
@@ -567,14 +567,10 @@ def test_a_singular_slot_alone_takes_the_pinv(monkeypatch):
     monkeypatch.setattr(np.linalg, "pinv", recording_pinv)
     norm = float(np.linalg.norm(a))
     unfoldings = {n: k_unfold(a, n) for n in range(1, 4)}
-    # the stack never takes the pinv; slot 2's own run does, once
+    # the stacked sweep takes the pinv once, of slot 2's gram
     _sweep(stack_of(sets), a, norm, unfoldings, ContractionPlan(topo))
-    assert grams == []
-    alone = TNFactorSet(topo, [x.copy() for x in sets[2].factors])
-    _sweep(alone, a, norm, unfoldings, ContractionPlan(topo))
     assert len(grams) == 1
     assert np.array_equal(grams[0], design.T @ design)
     monkeypatch.setattr(np.linalg, "pinv", real_pinv)
     rse = assert_stacked_sweep_is_each_set_alone(stack, sets, a)
-    assert np.isnan(rse[2])
-    assert np.all(np.isfinite(np.delete(rse, 2)))
+    assert np.all(np.isfinite(rse))
