@@ -3,10 +3,12 @@
 Each sweep cycles the factors in mode order; the block update for factor n
 contracts every other factor into a design matrix D and solves the exact
 least-squares problem through its normal equations, X·DᵀD = A_(n)·D, by
-an LU solve.  A singular gram (the solve fails or returns non-finite
-entries) falls back to the SVD pseudo-inverse.  A sweep's rse comes from
-the last block's normal equations,
-‖A‖² − 2⟨A_(n)·D, X⟩ + ⟨X·DᵀD, X⟩, without contracting the network.  Where that sum is small against its
+an LU solve: one call of the LAPACK gesv gufunc under np.linalg.solve for
+a whole stack, which fills a set whose gram is exactly singular with NaN
+where np.linalg.solve would raise.  A set whose block is non-finite falls
+back to the SVD pseudo-inverse of its own gram.  A sweep's rse comes from
+the last block's normal equations, ‖A‖² − 2⟨A_(n)·D, X⟩ + ⟨X·DᵀD, X⟩,
+without contracting the network.  Where that sum is small against its
 terms, so that it cancels, and so wherever the tolerance is compared, the
 network is contracted instead, as it is once for the returned factors.
 Fully-connected networks have many poor local minima under plain random
@@ -20,8 +22,9 @@ one sweep gains no more than the tolerance relative to its rse, or the
 budget runs out.  The returned error history belongs to that start and is
 non-increasing by exact block minimization.
 
-A round runs its starts side by side, as one stack of factor sets: a
-stacked sweep makes one batched complement per mode, one stacked gram and
+A round runs its starts side by side, as one stack of factor sets, drawn
+straight into the stack with the draws of `random_factor_set`: a stacked
+sweep makes one batched complement per mode, one stacked gram and
 right-hand side and one stacked solve, where the starts one at a time
 would make _ROUND of each, and it counts once against the budget, as a
 refine sweep does.  A set's bits depend on how its factors are laid out
@@ -31,10 +34,10 @@ start whose update is non-finite even by the pseudo-inverse is dead and
 is dropped from its round; a fit with no live start, or whose refine goes
 non-finite, raises NumericError.
 
-Refine sweeps its one start unstacked: a stack of one adds a batched
-einsum (about 5 µs) and a batch-axis move (about 5.6 µs) per complement,
-144 → 184-200 µs for an order-4 sweep, or 5-10% of a `compress` op at
-about 45 refine sweeps.
+Refine sweeps its one start unstacked.  A stack of one would cost about
+the same: on four order-4 `compress` topologies a sweep took 130-179 µs
+stacked against 130-175 µs alone (2-core x86 host, numpy 2.4.6, BLAS on
+one thread).
 """
 
 from __future__ import annotations
@@ -42,11 +45,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# The gufunc np.linalg.solve runs (numpy >= 2.4); a numpy without it fails
+# here, at import.
+from numpy.linalg._umath_linalg import solve as _lapack_solve
 
 from .contraction import ContractionPlan, contract_network, plan_for
 from .errors import NumericError, TopologyError
 from .tensor import as_array, k_unfold
-from .topology import TNFactorSet, TNTopology, random_factor_set
+from .topology import TNFactorSet, TNTopology, random_factor_stack
 
 PINV_RCOND = 1e-10
 # A sweep's squared rse from the normal equations is a sum of terms up to
@@ -104,7 +110,7 @@ def complement_matrix(f: TNFactorSet, n: int,
     if not f.batch:
         return full.reshape((rows, -1), order="F")
     # the batch label comes last, so each set's matrix is laid out as alone
-    return np.moveaxis(full.reshape((rows, -1, f.batch), order="F"), -1, 0)
+    return full.reshape((rows, -1, f.batch), order="F").transpose(2, 0, 1)
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -114,19 +120,12 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _block_solutions(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The blocks X of a stack of normal equations X·gram = rhs, by one LU
-    solve of the stack, or by one solve per set if that raises; a set whose
-    own solve raises gets NaN."""
-    try:
-        return np.linalg.solve(gram, rhs.mT).mT
-    except np.linalg.LinAlgError:
-        block = np.empty(rhs.mT.shape).mT
-        for k in range(len(gram)):
-            try:
-                block[k] = np.linalg.solve(gram[k], rhs[k].T).T
-            except np.linalg.LinAlgError:
-                block[k] = np.nan
-        return block
+    """The blocks X of a stack of normal equations X·gram = rhs, by one call
+    of the gufunc np.linalg.solve runs: LAPACK gesv on each set, the bits
+    np.linalg.solve gives that set alone.  A set with an exactly singular
+    gram, where np.linalg.solve would raise, is filled with NaN."""
+    with np.errstate(all="ignore"):
+        return _lapack_solve(gram, rhs.mT, signature="dd->d").mT
 
 
 def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
@@ -188,8 +187,7 @@ def _round(a: np.ndarray, norm: float, unfoldings: dict[int, np.ndarray],
     of least final rse as (factors, history).  A dead start's rse is NaN
     from its death on, so if every start died, the history ends in NaN."""
     topo = plan.topology
-    starts = [random_factor_set(topo, seed).factors for seed in seeds]
-    stack = TNFactorSet(topo, [np.stack(fs) for fs in zip(*starts)],
+    stack = TNFactorSet(topo, random_factor_stack(topo, seeds),
                         batch=len(seeds))
     rses, prev = [], np.full(len(seeds), np.inf)
     ended = np.zeros(len(seeds), dtype=bool)

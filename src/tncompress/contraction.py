@@ -4,19 +4,22 @@ One label builder maps a topology to integer einsum labels, and a
 per-topology `ContractionPlan` holds those labels together with a compiled
 step list for each network built on them, compiled on first use.  A step
 list is numpy's own contraction list for the greedy path: the operand
-positions each pairwise step pops and that step's einsum string.  Replaying
-it calls the kernels np.einsum(optimize="greedy") dispatches to
-(`bmm_einsum` for a pair, `c_einsum` otherwise) in the same order on the
-same operands, so a plan gives the same bits and skips only the per-call
-parsing and path work.
+positions each step pops and that step's einsum string, and for a pairwise
+step the parse numpy's `bmm_einsum` makes of it (the one-operand einsums
+that prepare each side, the reshapes, the output permutation and whether
+the pair is a pure multiply).  Replaying it calls the kernels
+np.einsum(optimize="greedy") reaches (`c_einsum`, `matmul` or `multiply`,
+reshape and transpose) in the same order on the same operands, so a plan
+gives the same bits and skips the per-call parsing, path and dispatch work.
 """
 
 from __future__ import annotations
 
 import numpy as np
-# The kernels np.einsum runs each contraction step through (numpy >= 2.4);
-# a numpy without them fails here, at import.
-from numpy._core.einsumfunc import bmm_einsum, c_einsum
+# The one-operand kernel np.einsum runs and the pairwise parse its
+# `bmm_einsum` makes (numpy >= 2.4); a numpy without them fails here, at
+# import.
+from numpy._core.einsumfunc import _parse_eq_to_batch_matmul, c_einsum
 
 from .errors import TopologyError
 from .topology import TNFactorSet, TNTopology, mode_pairs
@@ -50,11 +53,14 @@ class ContractionPlan:
     as that set alone would be, so a stacked set gets the bits it would get
     alone wherever its factors are laid out as they would be alone.
 
-    A step is (operand positions to pop, einsum string, kernel), taken from
+    A step is (operand positions to pop, einsum string, parse), taken from
     np.einsum_path(..., einsum_call=True), the list np.einsum itself walks.
-    A plan is meant to live for one fit or one forward pass; there is no
-    process-wide cache.  It accepts only factor sets whose topology equals
-    its own, dims and ranks.
+    A pairwise step's parse is `bmm_einsum`'s, made from the shapes of the
+    compiling call; replaying it runs what `bmm_einsum` runs with its
+    default order="K".  A one-operand step's parse is None: it is one
+    `c_einsum`.  A plan is meant to live for one fit or one forward pass;
+    there is no process-wide cache.  It accepts only factor sets whose
+    topology equals its own, dims and ranks.
     """
 
     def __init__(self, topo: TNTopology):
@@ -85,15 +91,38 @@ class ContractionPlan:
         by replaying the step list stored under key; operand shapes must be
         the same on every call with key."""
         steps = self._steps.get(key)
-        if steps is None:
+        if steps is None:   # parses are filled in as this call reaches them
             _, contraction_list = np.einsum_path(*operands, optimize="greedy",
                                                  einsum_call=True)
-            steps = [(inds, eq, bmm_einsum if len(inds) == 2 else c_einsum)
-                     for inds, eq, _ in contraction_list]
+            steps = [[inds, eq, None] for inds, eq, _ in contraction_list]
             self._steps[key] = steps
         arrays = list(operands[:-1:2])
-        for inds, eq, kernel in steps:
-            arrays.append(kernel(eq, *[arrays.pop(i) for i in inds]))
+        for step in steps:
+            inds, eq, parse = step
+            ops = [arrays.pop(i) for i in inds]
+            if len(ops) != 2:
+                arrays.append(c_einsum(eq, *ops))
+                continue
+            a, b = ops
+            if parse is None:
+                parse = step[2] = _parse_eq_to_batch_matmul(eq, a.shape,
+                                                            b.shape)
+            eq_a, eq_b, shape_a, shape_b, shape_ab, perm, pure = parse
+            if eq_a is not None:
+                a = c_einsum(eq_a, a)
+            if shape_a is not None:
+                a = a.reshape(shape_a)
+            if eq_b is not None:
+                b = c_einsum(eq_b, b)
+            if shape_b is not None:
+                b = b.reshape(shape_b)
+            if pure:
+                arrays.append(np.multiply(a, b))
+                continue
+            ab = np.matmul(a, b)
+            if shape_ab is not None:
+                ab = ab.reshape(shape_ab)
+            arrays.append(ab if perm is None else ab.transpose(perm))
         return arrays[0]
 
 

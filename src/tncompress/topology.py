@@ -99,3 +99,21 @@ def random_factor_set(topo: TNTopology, seed: int) -> TNFactorSet:
         bond_size = int(np.prod(shape)) // topo.dims[k - 1]
         factors.append(rng.standard_normal(shape) / np.sqrt(bond_size))
     return TNFactorSet(topo, factors)
+
+
+def random_factor_stack(topo: TNTopology, seeds) -> list[np.ndarray]:
+    """The factors of random_factor_set(topo, seed) for each seed, stacked
+    along a leading axis, without a factor set per seed: each seed's
+    generator makes the same draws into its slice, and the stack is scaled
+    as each set would be."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    factors = []
+    for k in range(1, topo.order + 1):
+        shape = topo.factor_shape(k)
+        bond_size = int(np.prod(shape)) // topo.dims[k - 1]
+        stack = np.empty((len(rngs),) + shape)
+        for rng, x in zip(rngs, stack):
+            rng.standard_normal(out=x)
+        stack /= np.sqrt(bond_size)
+        factors.append(stack)
+    return factors

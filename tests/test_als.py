@@ -1,5 +1,7 @@
 """Alternating least squares fitting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,11 +227,11 @@ def test_solve_update_matches_the_pinv_update(seed, monkeypatch):
         assert np.linalg.cond(design.T @ design) < 1e6
     solved = _sweep(f, a, norm, unfoldings, plan)
 
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
+    def singular(gram, rhs, **kwargs):
+        return np.full(rhs.shape, np.nan)   # as for an exactly singular set
 
     # every block update of the reference takes the pinv fallback
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(als, "_lapack_solve", singular)
     pinved = _sweep(reference, a, norm, unfoldings, plan)
     assert solved == pytest.approx(pinved, rel=1e-10)
     for got, want in zip(f.factors, reference.factors):
@@ -407,17 +409,18 @@ def poison_starts(monkeypatch, seeds=None):
     """Make the starts drawn from seeds (every seed if None) hold NaN in
     their last factor, so that their first block update is non-finite;
     returns the poisoned seeds drawn."""
-    real_start = als.random_factor_set
+    real_stack = als.random_factor_stack
     drawn = []
 
-    def start(topo, seed):
-        f = real_start(topo, seed)
-        if seeds is None or seed in seeds:
-            drawn.append(seed)
-            f.factors[-1][...] = np.nan
-        return f
+    def starts(topo, round_seeds):
+        factors = real_stack(topo, round_seeds)
+        for k, seed in enumerate(round_seeds):
+            if seeds is None or seed in seeds:
+                drawn.append(seed)
+                factors[-1][k] = np.nan
+        return factors
 
-    monkeypatch.setattr(als, "random_factor_set", start)
+    monkeypatch.setattr(als, "random_factor_stack", starts)
     return drawn
 
 
@@ -447,25 +450,47 @@ def test_a_dead_start_stays_out_of_its_round(monkeypatch):
         assert np.array_equal(x, y)
 
 
+def test_a_round_starts_from_the_random_factor_sets(monkeypatch):
+    topo = PINNED_TOPOLOGIES[2]
+    a = fit_target(topo, 1, False)
+    seeds = [7 + als._SEED_STRIDE * k for k in range(als._ROUND)]
+    stacks = []
+
+    def first_sweep(f, *rest):
+        stacks.append([x.copy(order="K") for x in f.factors])
+        return np.zeros(f.batch)    # every start reaches tol
+
+    monkeypatch.setattr(als, "_sweep", first_sweep)
+    als._round(a, float(np.linalg.norm(a)),
+               {n: k_unfold(a, n) for n in range(1, topo.order + 1)},
+               ContractionPlan(topo), seeds, AlsConfig().tol, 300)
+    [stack] = stacks
+    want = [np.stack(fs) for fs in
+            zip(*(random_factor_set(topo, s).factors for s in seeds))]
+    for got, x in zip(stack, want):
+        assert got.strides == x.strides
+        assert np.array_equal(got, x)
+
+
 def test_a_failing_start_keeps_the_stacked_solve_one_call(monkeypatch):
     topo = PINNED_TOPOLOGIES[2]
     target, cfg = fit_target(topo, 1, False), AlsConfig(seed=1)
     solves = []
-    real_solve = np.linalg.solve
+    real_solve = als._lapack_solve
 
     def counting_solve(*args, **kwargs):
         solves.append(args)
         return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(als, "_lapack_solve", counting_solve)
     clean = als_fit(target, topo, cfg)
     clean_solves = len(solves)
     solves.clear()
     drawn = poison_starts(monkeypatch, {cfg.seed + als._SEED_STRIDE})
     poisoned = als_fit(target, topo, cfg)
     assert drawn
-    # a failed set takes a live set's block, so its gram never makes the
-    # stacked solve fall back to one solve per set
+    # a failed set takes a live set's block, and the stack is still solved
+    # by one call per mode and sweep
     assert len(solves) <= clean_solves
     assert len(solves) == poisoned.total_sweeps * topo.order
 
@@ -574,3 +599,19 @@ def test_a_singular_slot_alone_takes_the_pinv(monkeypatch):
     monkeypatch.setattr(np.linalg, "pinv", real_pinv)
     rse = assert_stacked_sweep_is_each_set_alone(stack, sets, a)
     assert np.all(np.isfinite(rse))
+
+
+def test_a_singular_set_of_a_stacked_solve_is_nan():
+    rng = np.random.default_rng(3)
+    designs = rng.standard_normal((6, 9, 4))
+    designs[4, :, 3] = designs[4, :, 1]     # set 4's gram is exactly singular
+    gram = designs.mT @ designs
+    rhs = rng.standard_normal((6, 5, 4))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(gram[4], rhs[4].T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = als._block_solutions(gram, rhs)
+    assert np.isnan(block[4]).all()
+    for k in (0, 1, 2, 3, 5):
+        assert np.array_equal(block[k], np.linalg.solve(gram[k], rhs[k].T).T)

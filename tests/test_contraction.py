@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from numpy._core import einsumfunc
 
+from tncompress.als import complement_matrix
 from tncompress.contraction import ContractionPlan, contract_network
 from tncompress.errors import TopologyError
 from tncompress.oracles import brute_force_contract
 from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
-                                 random_factor_set, uniform_topology)
+                                 random_factor_set, random_factor_stack,
+                                 uniform_topology)
 
 
 def rel_err(a, b):
@@ -78,6 +81,70 @@ def test_planned_path_gives_greedy_bits(seed):
         expected = greedy_network(f)
         assert np.array_equal(contract_network(f), expected)
         assert np.array_equal(contract_network(f, plan), expected)
+
+
+def greedy_keys(f):
+    """Every network a plan compiles for f, each as one direct greedy
+    einsum: the full contraction, then the complement of each factor n
+    (remaining modes ascending, then the bonds of n by ascending partner,
+    with a stack's batch label last, as `complement_matrix` lays it out)."""
+    topo, order = f.topology, f.topology.order
+    bond = {p: order + i for i, p in enumerate(mode_pairs(order))}
+    stack = [order + len(bond)] if f.batch else []
+    labels = [[k - 1 if j == k else bond[tuple(sorted((j, k)))]
+               for j in range(1, order + 1)] for k in range(1, order + 1)]
+    operands = []
+    for fac, labs in zip(f.factors, labels):
+        operands += [fac, stack + labs]
+    out = [np.einsum(*operands, stack + list(range(order)),
+                     optimize="greedy")]
+    for n in range(1, order + 1):
+        rest = operands[:2 * n - 2] + operands[2 * n:]
+        modes = [k for k in range(order) if k != n - 1]
+        bonds = [lab for lab in labels[n - 1] if lab != n - 1]
+        full = np.einsum(*rest, modes + bonds + stack, optimize="greedy")
+        rows = int(np.prod(topo.dims)) // topo.dims[n - 1]
+        matrix = full.reshape((rows, -1) + (f.batch,) * bool(f.batch),
+                              order="F")
+        out.append(np.moveaxis(matrix, -1, 0) if f.batch else matrix)
+    return out
+
+
+def planned_keys(f, plan):
+    return [contract_network(f, plan)] + [
+        complement_matrix(f, n, plan)
+        for n in range(1, f.topology.order + 1)]
+
+
+def factor_sets(topo, seed, batch):
+    if not batch:
+        return random_factor_set(topo, seed)
+    return TNFactorSet(topo, random_factor_stack(
+        topo, range(seed, seed + batch)), batch=batch)
+
+
+@pytest.mark.parametrize("batch", [0, 8])
+@pytest.mark.parametrize("seed", range(10))
+def test_replayed_steps_give_greedy_bits_for_every_key(seed, batch,
+                                                       monkeypatch):
+    topo = random_topology(seed)
+    plan = ContractionPlan(topo)
+    first = factor_sets(topo, seed, batch)      # compiles every key
+    for got, want in zip(planned_keys(first, plan), greedy_keys(first)):
+        assert np.array_equal(got, want)
+    fresh = factor_sets(topo, seed + 100, batch)
+    expected = greedy_keys(fresh)
+
+    def compiled_already(*args, **kwargs):
+        raise AssertionError("a replay parsed or planned a step again")
+
+    # np.einsum pairs through einsumfunc.bmm_einsum and plans through
+    # einsum_path; a replay runs the stored parses and reaches neither
+    monkeypatch.setattr(einsumfunc, "bmm_einsum", compiled_already)
+    monkeypatch.setattr(einsumfunc, "einsum_path", compiled_already)
+    monkeypatch.setattr(np, "einsum_path", compiled_already)
+    for got, want in zip(planned_keys(fresh, plan), expected):
+        assert np.array_equal(got, want)
 
 
 def test_plan_rejects_topology_with_other_ranks():
