@@ -125,7 +125,8 @@ def admm_w_update(state: AdmmState, gradients: list[np.ndarray],
                   cfg: AdmmConfig) -> None:
     """Gradient step on the loss plus the augmented quadratic coupling:
     W <- W - lr * (grad + lam * mu * (W - Z - Y / mu)).  With lam = 0 this
-    is exactly a plain SGD step."""
+    is exactly a plain SGD step and reads neither Z, Y nor mu, so training
+    at lam = 0 runs no Z- or Y-update."""
     for i, g in enumerate(gradients):
         step = np.asarray(g, dtype=np.float64)
         if cfg.lam != 0.0:

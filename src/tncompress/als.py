@@ -18,7 +18,7 @@ until each has ended once, at its first sweep of < 1% relative gain or at
 the tolerance, and a start's result is its state and history when its
 round ends; restarts stop after a round that fails to lower the best rse
 by a relative margin.  Then refine: the best start keeps sweeping until
-one sweep gains no more than the tolerance relative to its rse, or the
+one sweep gains less than the tolerance relative to its rse, or the
 budget runs out.  The returned error history belongs to that start and is
 non-increasing by exact block minimization.
 
@@ -34,10 +34,11 @@ start whose update is non-finite even by the pseudo-inverse is dead and
 is dropped from its round; a fit with no live start, or whose refine goes
 non-finite, raises NumericError.
 
-Refine sweeps its one start unstacked.  A stack of one would cost about
-the same: on four order-4 `compress` topologies a sweep took 130-179 µs
-stacked against 130-175 µs alone (2-core x86 host, numpy 2.4.6, BLAS on
-one thread).
+Refine is a round of one: the best start is kept as a stack of one and
+sweeps through the round's loop, with the tolerance as its stall ratio.
+A stack of one costs about what a lone set would: on four order-4
+`compress` topologies a sweep took 130-179 µs stacked against 130-175 µs
+alone (2-core x86 host, numpy 2.4.6, BLAS on one thread).
 """
 
 from __future__ import annotations
@@ -134,16 +135,13 @@ def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
     least-squares block solution; return the relative error afterwards,
     from the last block's normal equations where they are accurate.
 
-    A stack of K sets returns K errors.  A set whose solve fails takes the
-    pinv block of its own gram.  A set whose block is still non-finite is
-    dead, its rse NaN, and it takes a live set's block (or zeros), so that
-    the stack's later solves stay one call."""
-    sets = max(f.batch, 1)
-    dead = np.zeros(sets, dtype=bool)
+    f is a stack of K sets, and K errors are returned.  A set whose solve
+    fails takes the pinv block of its own gram.  A set whose block is still
+    non-finite is dead, its rse NaN, and it takes a live set's block (or
+    zeros), so that the stack's later solves stay one call."""
+    dead = np.zeros(f.batch, dtype=bool)
     for n in range(1, f.topology.order + 1):
         design = complement_matrix(f, n, plan)
-        if not f.batch:
-            design = design[None]       # a stack of one
         gram = design.mT @ design
         rhs = unfoldings[n] @ design
         block = _block_solutions(gram, rhs)
@@ -158,8 +156,8 @@ def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
             live = np.flatnonzero(~dead)
             block[dead] = block[live[0]] if len(live) else 0.0
         shape, perm = plan.folds[n]
-        factor = block.reshape((sets,) + shape, order="F").transpose(perm)
-        f.factors[n - 1] = factor if f.batch else factor[0]
+        f.factors[n - 1] = block.reshape((f.batch,) + shape,
+                                         order="F").transpose(perm)
     # ‖A − X·Dᵀ‖² from the last block's normal equations
     norm2 = norm ** 2
     sq = (norm2 - 2.0 * _dots(rhs, block)
@@ -172,35 +170,33 @@ def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
     else:   # contract each such set alone
         rse = np.sqrt(np.where(exact, 0.0, sq))
         for k in np.flatnonzero(exact):
-            one = f if not f.batch else TNFactorSet(
-                f.topology, [x[k] for x in f.factors])
+            one = TNFactorSet(f.topology, [x[k] for x in f.factors])
             rse[k] = np.linalg.norm(contract_network(one, plan) - a) / norm
     rse[dead] = np.nan
-    return rse if f.batch else float(rse[0])
+    return rse
 
 
-def _round(a: np.ndarray, norm: float, unfoldings: dict[int, np.ndarray],
-           plan: ContractionPlan, seeds: list[int], tol: float, budget: int):
-    """Sweep one start per seed side by side, as one stack, until each has
-    ended once (it reached tol, gained less than _STALL_RATIO over its
-    previous sweep, or died) or `budget` sweeps are done.  Return the start
-    of least final rse as (factors, history).  A dead start's rse is NaN
-    from its death on, so if every start died, the history ends in NaN."""
-    topo = plan.topology
-    stack = TNFactorSet(topo, random_factor_stack(topo, seeds),
-                        batch=len(seeds))
-    rses, prev = [], np.full(len(seeds), np.inf)
-    ended = np.zeros(len(seeds), dtype=bool)
+def _round(stack: TNFactorSet, a: np.ndarray, norm: float,
+           unfoldings: dict[int, np.ndarray], plan: ContractionPlan,
+           tol: float, budget: int, prev=np.inf, ratio=_STALL_RATIO):
+    """Sweep a stack of starts, whose rse before the first sweep is prev,
+    until each has ended once (it reached tol, gained less than ratio
+    times its rse over its previous sweep, or died) or `budget` sweeps are
+    done.  Return the start of least final rse as (a stack of one,
+    history).  A dead start's rse is NaN from its death on, so if every
+    start died, the history ends in NaN."""
+    rses = []
+    ended = np.zeros(stack.batch, dtype=bool)
     while not ended.all() and len(rses) < budget:
         rse = _sweep(stack, a, norm, unfoldings, plan)
-        rse[np.isnan(prev)] = np.nan    # a dead start stays dead
-        ended |= (np.isnan(rse) | (rse <= tol)
-                  | (prev - rse < _STALL_RATIO * rse))
+        rse = np.where(np.isnan(prev), np.nan, rse)  # the dead stay dead
+        ended |= np.isnan(rse) | (rse <= tol) | (prev - rse < ratio * rse)
         rses.append(rse)
         prev = rse
     k = int(np.argmin(np.nan_to_num(rse, nan=np.inf)))
-    factors = [x[k].copy(order="K") for x in stack.factors]
-    return TNFactorSet(topo, factors), [float(r[k]) for r in rses]
+    factors = [x[k:k + 1].copy(order="K") for x in stack.factors]
+    return (TNFactorSet(stack.topology, factors, batch=1),
+            [float(r[k]) for r in rses])
 
 
 def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
@@ -222,7 +218,9 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
     while used < cfg.max_sweeps and best[-1] > cfg.tol:
         seeds = [cfg.seed + _SEED_STRIDE * (attempts + k)
                  for k in range(_ROUND)]
-        f, history = _round(a, norm, unfoldings, plan, seeds, cfg.tol,
+        stack = TNFactorSet(topo, random_factor_stack(topo, seeds),
+                            batch=_ROUND)
+        f, history = _round(stack, a, norm, unfoldings, plan, cfg.tol,
                             cfg.max_sweeps - used)
         attempts += _ROUND
         used += len(history)
@@ -233,13 +231,14 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
             break
     if best_f is None:
         raise NumericError("no ALS start has a finite block update")
-    while used < cfg.max_sweeps and best[-1] > cfg.tol:
-        best.append(_sweep(best_f, a, norm, unfoldings, plan))
-        used += 1
+    if used < cfg.max_sweeps and best[-1] > cfg.tol:    # refine
+        best_f, history = _round(best_f, a, norm, unfoldings, plan, cfg.tol,
+                                 cfg.max_sweeps - used, best[-1], cfg.tol)
+        best += history
+        used += len(history)
         if np.isnan(best[-1]):
             raise NumericError("non-finite block update in refine")
-        if best[-2] - best[-1] <= cfg.tol * best[-1]:
-            break
-    best[-1] = float(np.linalg.norm(contract_network(best_f, plan=plan) - a)
+    f = TNFactorSet(topo, [x[0] for x in best_f.factors])
+    best[-1] = float(np.linalg.norm(contract_network(f, plan=plan) - a)
                      / norm)
-    return AlsResult(best_f, best[-1], np.array(best), attempts, used)
+    return AlsResult(f, best[-1], np.array(best), attempts, used)

@@ -1,5 +1,7 @@
 """Structure-aware training loop: SGD with periodic ADMM rounds that pull
-every weight tensor toward a low-rank balanced unfolding."""
+every weight tensor toward a low-rank balanced unfolding.  At lam = 0 no
+round runs, as a W-update there reads neither Z, Y nor mu: mu stays mu0
+and Z the float32 initial weights, so a log's gap_l* is ||W0 - W||."""
 
 from __future__ import annotations
 
@@ -102,7 +104,9 @@ class TrainingLog:
             writer.writerows([row[col] for col in header] for row in self.rows)
 
 
-def _run(net, data: Dataset, cfg: AdmmConfig, use_admm: bool, log: bool):
+def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
+    """SGD with one ADMM round every cfg.period steps, none at lam = 0;
+    returns the net and, when log is true, its TrainingLog (else None)."""
     rng = np.random.default_rng(cfg.seed)
     sgd = replace(cfg, lam=0.0)     # a W-update with lam = 0 is plain SGD
     state = AdmmState.init(net.weights, cfg)
@@ -111,8 +115,8 @@ def _run(net, data: Dataset, cfg: AdmmConfig, use_admm: bool, log: bool):
     # a chunk's indices are one draw; they equal one draw per step, since
     # the generator buffers its spare 32-bit half in the bit generator
     chunk = max(1, min(LOG_CHUNK, CHUNK_INDICES // cfg.batch_size))
-    # overflow and NaN surface as one error from the non-finite loss and
-    # SVD input checks, not as numpy warnings
+    # overflow and NaN surface as one error from the non-finite loss, SVD
+    # input and final weight checks, not as numpy warnings
     with np.errstate(all="ignore"):
         for first in range(1, cfg.max_steps + 1, chunk):
             try:
@@ -128,7 +132,7 @@ def _run(net, data: Dataset, cfg: AdmmConfig, use_admm: bool, log: bool):
                 if not isfinite(loss):
                     raise TrainingError(
                         f"loss became non-finite at step {step}", step)
-                if use_admm and step % cfg.period == 0:
+                if cfg.lam and step % cfg.period == 0:
                     admm_w_update(state, grads, cfg)
                     admm_z_update(state, cfg)
                     admm_y_update(state, cfg)
@@ -137,21 +141,19 @@ def _run(net, data: Dataset, cfg: AdmmConfig, use_admm: bool, log: bool):
                 state.step = step
                 if history is not None:
                     history.record(step, loss, acc, state)
+        # the loss sees a step's input weights, so not the last update's
+        if not all(np.isfinite(w).all() for w in state.w):
+            raise TrainingError(
+                f"weights became non-finite at step {state.step}", state.step)
         if history is not None:
             history.flush()
     net.weights = state.w
     return net, history
 
 
-def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
-    """SGD with one ADMM round every cfg.period steps; returns the net and,
-    when log is true, its TrainingLog (else None)."""
-    return _run(net, data, cfg, use_admm=True, log=log)
-
-
 def train_sgd(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
-    """Plain SGD baseline consuming the batch stream identically."""
-    return _run(net, data, cfg, use_admm=False, log=log)
+    """Plain SGD baseline: train_stn at lam = 0, on the same batches."""
+    return train_stn(net, data, replace(cfg, lam=0.0), log=log)
 
 
 def evaluate_net(net, x: np.ndarray, y: np.ndarray) -> dict:

@@ -2,8 +2,11 @@
 
 import struct
 
+import numpy as np
 import pytest
 
+from tncompress.admm import (AdmmState, admm_w_update, admm_y_update,
+                             admm_z_update)
 from tncompress.model_io import save_model
 
 # a finite float32 whose 4 bytes stand in for a value save_model refuses
@@ -24,3 +27,31 @@ def save_non_finite():
         assert blob.count(old) == 1
         path.write_bytes(blob.replace(old, struct.pack("<f", value)))
     return save
+
+
+def admm_steps(net, data, cfg):
+    """The ADMM training loop with one batch-index draw per step and every
+    round's W, Z and Y updates, at lam = 0 too; yields (step, loss,
+    accuracy, state) after each step."""
+    rng = np.random.default_rng(cfg.seed)
+    state = AdmmState.init(net.weights, cfg)
+    with np.errstate(all="ignore"):
+        for step in range(1, cfg.max_steps + 1):
+            idx = rng.integers(0, len(data.x_train), size=cfg.batch_size)
+            net.weights = state.w
+            loss, acc, grads = net.loss_and_grads(data.x_train[idx],
+                                                  data.y_train[idx])
+            if step % cfg.period == 0:
+                admm_w_update(state, grads, cfg)
+                admm_z_update(state, cfg)
+                admm_y_update(state, cfg)
+            else:
+                state.w = [(w.astype(np.float64) - cfg.lr * g).astype(w.dtype)
+                           for w, g in zip(state.w, grads)]
+            yield step, loss, acc, state
+
+
+@pytest.fixture
+def reference_steps():
+    """admm_steps: the steps train_stn must reproduce bit for bit."""
+    return admm_steps

@@ -171,16 +171,20 @@ def test_criterion_5_svt_prox(report):
            closed_ok and prox_ok)
 
 
-def test_criterion_6_admm_sanity(report):
-    # lam = 0 training is bitwise plain SGD
+def test_criterion_6_admm_sanity(report, reference_steps):
+    # lam = 0 training is bitwise plain SGD: train_stn, which runs no ADMM
+    # round at lam = 0, and train_sgd equal a loop that runs every round
     bitwise = True
     for seed in range(3):
         data = make_blobs(seed)
         cfg = AdmmConfig(lam=0.0, max_steps=200, seed=seed)
         a, _ = train_stn(make_net("mlp", seed), data, cfg)
         b, _ = train_sgd(make_net("mlp", seed), data, cfg)
-        bitwise = bitwise and all(np.array_equal(wa, wb)
-                                  for wa, wb in zip(a.weights, b.weights))
+        *_, (_, _, _, state) = reference_steps(make_net("mlp", seed), data,
+                                               cfg)
+        bitwise = bitwise and all(
+            np.array_equal(wa, want) and np.array_equal(wb, want)
+            for wa, wb, want in zip(a.weights, b.weights, state.w))
     # mu follows min(rho^k, mu_max)
     cfg = AdmmConfig()
     state = AdmmState.init([np.zeros((2, 2), dtype=np.float32)], cfg)

@@ -96,7 +96,7 @@ def test_als_fit_compiles_each_plan_key_once(topo, monkeypatch):
     # the restarts ran more than one round of stacked sweeps
     assert result.attempts > als._ROUND
     # one compile per key: the full network, and each complement n both
-    # stacked (the restarts) and alone (refine)
+    # for a stack of _ROUND (the restarts) and of one (refine)
     assert len(calls) == 2 * topo.order + 1
 
 
@@ -209,11 +209,12 @@ def test_same_seed_gives_identical_factors():
 
 
 def sweep_inputs(topo, seed):
-    """A random target and start for one topology, with what _sweep takes."""
+    """A random target and start (a stack of one) for one topology, with
+    what _sweep takes."""
     a = np.random.default_rng(seed).standard_normal(topo.dims)
     unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
-    return (random_factor_set(topo, seed), a, float(np.linalg.norm(a)),
-            unfoldings, ContractionPlan(topo))
+    return (stack_of([random_factor_set(topo, seed)]), a,
+            float(np.linalg.norm(a)), unfoldings, ContractionPlan(topo))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -221,9 +222,9 @@ def test_solve_update_matches_the_pinv_update(seed, monkeypatch):
     # every design is taller than wide, so each gram is well-conditioned
     topo = TNTopology((5, 6, 4), {(1, 2): 2, (1, 3): 3, (2, 3): 2})
     f, a, norm, unfoldings, plan = sweep_inputs(topo, seed)
-    reference = random_factor_set(topo, seed)
+    reference = stack_of([random_factor_set(topo, seed)])
     for n in range(1, 4):
-        design = complement_matrix(f, n)
+        design = complement_matrix(f, n)[0]
         assert np.linalg.cond(design.T @ design) < 1e6
     solved = _sweep(f, a, norm, unfoldings, plan)
 
@@ -243,8 +244,8 @@ def test_singular_gram_takes_the_pinv_fallback(monkeypatch):
     # columns of factor 1's design equal: its gram is exactly singular
     topo = uniform_topology((5, 4, 6), 3)
     f, a, norm, unfoldings, plan = sweep_inputs(topo, 0)
-    f.factors[1][1] = f.factors[1][0]
-    design = complement_matrix(f, 1)
+    f.factors[1][0, 1] = f.factors[1][0, 0]
+    design = complement_matrix(f, 1)[0]
     gram = design.T @ design
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(gram, np.eye(len(gram)))
@@ -257,19 +258,20 @@ def test_singular_gram_takes_the_pinv_fallback(monkeypatch):
         return real_pinv(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
-    rse = _sweep(f, a, norm, unfoldings, plan)
+    [rse] = _sweep(f, a, norm, unfoldings, plan)
     assert calls
-    assert np.array_equal(f.factors[0].reshape((5, -1), order="F"), expected)
+    assert np.array_equal(f.factors[0][0].reshape((5, -1), order="F"),
+                          expected)
     assert all(np.all(np.isfinite(x)) for x in f.factors)
     assert rse == pytest.approx(
-        np.linalg.norm(contract_network(f) - a) / norm, rel=1e-10)
+        np.linalg.norm(contract_network(f)[0] - a) / norm, rel=1e-10)
 
 
 def assert_sweeps_give_exact_rse(topo, seed):
     f, a, norm, unfoldings, plan = sweep_inputs(topo, seed)
     for _ in range(3):
-        rse = _sweep(f, a, norm, unfoldings, plan)
-        exact = np.linalg.norm(contract_network(f) - a) / norm
+        [rse] = _sweep(f, a, norm, unfoldings, plan)
+        exact = np.linalg.norm(contract_network(f)[0] - a) / norm
         assert rse == pytest.approx(exact, rel=1e-10)
     return a, norm
 
@@ -326,11 +328,11 @@ def test_fit_contracts_the_network_about_once(monkeypatch):
 
 def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset()):
     """als_fit with each round's starts run one after another: each start
-    is swept alone to its first stall, then on to the round's length, the
-    longest of those runs.  The stacked rounds must reproduce its
-    attempts, sweeps, history and factor bits.  Starts drawn from the
-    seeds in `dropped` are drawn but never swept, as a dead start is
-    dropped from its round."""
+    is swept alone (a stack of one) to its first stall, then on to the
+    round's length, the longest of those runs.  The stacked rounds must
+    reproduce its attempts, sweeps, history and factor bits.  Starts drawn
+    from the seeds in `dropped` are drawn but never swept, as a dead start
+    is dropped from its round."""
     a = np.asarray(t, dtype=np.float64)
     norm = np.linalg.norm(a)
     if norm == 0.0:
@@ -345,10 +347,10 @@ def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset()):
             seed = cfg.seed + als._SEED_STRIDE * (attempts + k)
             if seed in dropped:
                 continue
-            f = random_factor_set(topo, seed)
+            f = stack_of([random_factor_set(topo, seed)])
             history, prev = [], np.inf
             while len(history) < cfg.max_sweeps - used:
-                rse = _sweep(f, a, norm, unfoldings, plan)
+                rse = float(_sweep(f, a, norm, unfoldings, plan)[0])
                 history.append(rse)
                 if rse <= cfg.tol or prev - rse < als._STALL_RATIO * rse:
                     break
@@ -360,19 +362,19 @@ def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset()):
         prior = best[-1]
         for f, history in runs:
             while len(history) < length:
-                history.append(_sweep(f, a, norm, unfoldings, plan))
+                history.append(float(_sweep(f, a, norm, unfoldings, plan)[0]))
             if history[-1] < best[-1]:
                 best_f, best = f, history
         if best[-1] >= prior * (1 - als._GAIN):
             break
     while used < cfg.max_sweeps and best[-1] > cfg.tol:
-        best.append(_sweep(best_f, a, norm, unfoldings, plan))
+        best.append(float(_sweep(best_f, a, norm, unfoldings, plan)[0]))
         used += 1
-        if best[-2] - best[-1] <= cfg.tol * best[-1]:
+        if best[-2] - best[-1] < cfg.tol * best[-1]:
             break
-    best[-1] = float(np.linalg.norm(contract_network(best_f, plan) - a)
-                     / norm)
-    return AlsResult(best_f, best[-1], np.array(best), attempts, used)
+    f = TNFactorSet(topo, [x[0] for x in best_f.factors])
+    best[-1] = float(np.linalg.norm(contract_network(f, plan) - a) / norm)
+    return AlsResult(f, best[-1], np.array(best), attempts, used)
 
 
 def assert_same_fit(got, want):
@@ -442,8 +444,10 @@ def test_a_dead_start_stays_out_of_its_round(monkeypatch):
     norm = float(np.linalg.norm(a))
     unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
     poison_starts(monkeypatch, {0})
-    rounds = [als._round(a, norm, unfoldings, ContractionPlan(topo), seeds,
-                         AlsConfig().tol, 300) for seeds in ([0, 1], [1])]
+    starts = [TNFactorSet(topo, als.random_factor_stack(topo, seeds),
+                          batch=len(seeds)) for seeds in ([0, 1], [1])]
+    rounds = [als._round(stack, a, norm, unfoldings, ContractionPlan(topo),
+                         AlsConfig().tol, 300) for stack in starts]
     (f, history), (alone, want) = rounds
     assert history == want
     for x, y in zip(f.factors, alone.factors):
@@ -461,9 +465,7 @@ def test_a_round_starts_from_the_random_factor_sets(monkeypatch):
         return np.zeros(f.batch)    # every start reaches tol
 
     monkeypatch.setattr(als, "_sweep", first_sweep)
-    als._round(a, float(np.linalg.norm(a)),
-               {n: k_unfold(a, n) for n in range(1, topo.order + 1)},
-               ContractionPlan(topo), seeds, AlsConfig().tol, 300)
+    als_fit(a, topo, AlsConfig(seed=7))
     [stack] = stacks
     want = [np.stack(fs) for fs in
             zip(*(random_factor_set(topo, s).factors for s in seeds))]
@@ -507,7 +509,7 @@ def test_a_refine_sweep_that_goes_non_finite_fails_the_fit(monkeypatch):
     real_sweep = als._sweep
 
     def sweep(f, *rest):
-        if not f.batch:     # a refine sweep
+        if f.batch == 1:    # a refine sweep
             f.factors[-1][...] = np.nan
         return real_sweep(f, *rest)
 
@@ -526,18 +528,19 @@ def stack_of(sets):
 
 
 def assert_stacked_sweep_is_each_set_alone(stack, sets, a):
-    """One sweep of the stack against one sweep of each set alone: the same
-    rse and factors, bit for bit, the pinv blocks included.  Returns the
-    stack's rse."""
+    """One sweep of the stack against one sweep of each set alone, as a
+    stack of one: the same rse and factors, bit for bit, the pinv blocks
+    included.  Returns the stack's rse."""
     norm = float(np.linalg.norm(a))
     unfoldings = {n: k_unfold(a, n) for n in range(1, a.ndim + 1)}
     plan = ContractionPlan(stack.topology)
     rse = _sweep(stack, a, norm, unfoldings, plan)
     for k, f in enumerate(sets):
-        alone = _sweep(f, a, norm, unfoldings, plan)
+        one = stack_of([f])
+        [alone] = _sweep(one, a, norm, unfoldings, plan)
         assert rse[k] == pytest.approx(alone, rel=1e-12)
         assert rse[k] == alone
-        for x, y in zip(stack.factors, f.factors):
+        for x, [y] in zip(stack.factors, one.factors):
             np.testing.assert_allclose(x[k], y, rtol=1e-12,
                                        atol=1e-12 * np.abs(y).max())
             assert np.array_equal(x[k], y)

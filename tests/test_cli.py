@@ -330,6 +330,10 @@ class TestExitCodes:
         ("train", "lr = 1e30\nsteps = 250\ndata_seed = 5\n", "non-finite"),
         ("train", "lr = 1e30\nsteps = 1000000000000\ndata_seed = 5\n",
          "non-finite at step 3"),
+        ("train", "lr = 1e308\nsteps = 1\ndata_seed = 5\n",
+         "weights became non-finite at step 1"),
+        ("train", "lambda = 0\nlr = 1e308\nsteps = 1\ndata_seed = 5\n",
+         "weights became non-finite at step 1"),
         ("train", "batch = 1000000000000000\ndata_seed = 5\n",
          "Unable to allocate"),
         ("train", "batch = 2000000000000000000\nseed = 0\ndata_seed = 0\n",
@@ -345,7 +349,8 @@ class TestExitCodes:
             "train-nan-lambda", "train-inf-lr", "train-zero-lr",
             "train-negative-lr", "train-nan-mu0",
             "train-nan-rho", "train-inf-mu-max", "train-diverging",
-            "train-diverging-endless", "train-huge-batch",
+            "train-diverging-endless", "train-last-update-overflows",
+            "train-last-update-overflows-lam-zero", "train-huge-batch",
             "train-unaddressable-batch", "train-batch-beyond-int64",
             "eval-bad-data-seed", "eval-negative-data-seed", "eval-not-utf8",
             "eval-unknown-key"])

@@ -2,15 +2,15 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tncompress import training
-from tncompress.admm import (AdmmConfig, AdmmState, admm_w_update,
-                             admm_y_update, admm_z_update, balanced_unfold)
+from tncompress import admm, training
+from tncompress.admm import AdmmConfig, balanced_unfold
 from tncompress.ranks import effective_rank
 from tncompress.toynet import (MLP, TinyCNN, make_blobs, make_dataset,
                                make_net, make_stripes, softmax_cross_entropy,
@@ -125,14 +125,35 @@ class TestNets:
 
 
 class TestTrainingLoop:
-    def test_lam_zero_equals_plain_sgd_bitwise(self):
+    def test_lam_zero_equals_plain_sgd_bitwise(self, reference_steps):
+        """train_stn runs no round at lam = 0; a loop that runs every round
+        (one at step 100) gives the same bits, and so does train_sgd, which
+        trains at lam = 0 whatever its config's lam."""
         for seed in range(3):
             data = make_blobs(seed)
             cfg = AdmmConfig(lam=0.0, max_steps=150, seed=seed)
             a, _ = train_stn(make_net("mlp", seed), data, cfg)
-            b, _ = train_sgd(make_net("mlp", seed), data, cfg)
-            for wa, wb in zip(a.weights, b.weights):
-                assert np.array_equal(wa, wb)
+            b, _ = train_sgd(make_net("mlp", seed), data,
+                             replace(cfg, lam=0.005))
+            *_, (_, _, _, state) = reference_steps(make_net("mlp", seed),
+                                                   data, cfg)
+            for wa, wb, want in zip(a.weights, b.weights, state.w):
+                assert np.array_equal(wa, want)
+                assert np.array_equal(wb, want)
+
+    def test_lam_zero_runs_no_admm_round(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ADMM round ran at lam = 0")
+
+        monkeypatch.setattr(training, "admm_z_update", refuse)
+        monkeypatch.setattr(training, "admm_y_update", refuse)
+        monkeypatch.setattr(admm, "svt", refuse)
+        cfg = AdmmConfig(lam=0.0, period=1, max_steps=20, seed=0)
+        for arch in ("mlp", "tinycnn"):
+            _, log = train_stn(make_net(arch, 0), make_dataset(arch, 0), cfg,
+                               log=True)
+            assert len(log.rows) == 20
+            assert {row["mu"] for row in log.rows} == {f"{cfg.mu0:.6f}"}
 
     def test_training_improves_accuracy(self):
         data = make_blobs(0)
@@ -168,36 +189,25 @@ class TestTrainingLoop:
         assert lines[0] == "step,loss,accuracy,mu,gap_l0,gap_l1,effrank_l0,effrank_l1"
 
 
-def per_step_reference(net, data, cfg):
-    """The ADMM training loop with one index draw per step and its log row
-    built at every step: one gap ||Z - W|| per layer, one balanced
-    unfolding and one effective rank per layer.  The weights and
-    the rows the chunked log must reproduce."""
-    rng = np.random.default_rng(cfg.seed)
-    state = AdmmState.init(net.weights, cfg)
+def per_step_reference(net, data, cfg, reference_steps):
+    """The ADMM training loop, which runs every round (at lam = 0 too),
+    with its log row built at every step: one gap ||Z - W|| per layer, one
+    balanced unfolding and one effective rank per layer.  The weights and
+    the rows the chunked log must reproduce.  At lam = 0 train_stn runs no
+    round, so a row holds mu0 and the gap to the float32 initial weights."""
+    initial = [np.array(w) for w in net.weights]
     rows = []
-    with np.errstate(all="ignore"):
-        for step in range(1, cfg.max_steps + 1):
-            idx = rng.integers(0, len(data.x_train), size=cfg.batch_size)
-            net.weights = state.w
-            loss, acc, grads = net.loss_and_grads(data.x_train[idx],
-                                                  data.y_train[idx])
-            if step % cfg.period == 0:
-                admm_w_update(state, grads, cfg)
-                admm_z_update(state, cfg)
-                admm_y_update(state, cfg)
-            else:
-                state.w = [(w.astype(np.float64) - cfg.lr * g).astype(w.dtype)
-                           for w, g in zip(state.w, grads)]
-            row = {"step": step, "loss": f"{loss:.6f}",
-                   "accuracy": f"{acc:.4f}", "mu": f"{state.mu:.6f}"}
-            for i, (z, w) in enumerate(zip(state.z, state.w)):
-                gap = float(np.linalg.norm((z - w).ravel()))
-                row[f"gap_l{i}"] = f"{gap:.6f}"
-            for i, w in enumerate(state.w):
-                row[f"effrank_l{i}"] = effective_rank(balanced_unfold(w)[0],
-                                                      training.LOG_RANK_KAPPA)
-            rows.append(row)
+    for step, loss, acc, state in reference_steps(net, data, cfg):
+        zs, mu = (initial, cfg.mu0) if cfg.lam == 0 else (state.z, state.mu)
+        row = {"step": step, "loss": f"{loss:.6f}",
+               "accuracy": f"{acc:.4f}", "mu": f"{mu:.6f}"}
+        for i, (z, w) in enumerate(zip(zs, state.w)):
+            gap = float(np.linalg.norm((z - w).ravel()))
+            row[f"gap_l{i}"] = f"{gap:.6f}"
+        for i, w in enumerate(state.w):
+            row[f"effrank_l{i}"] = effective_rank(balanced_unfold(w)[0],
+                                                  training.LOG_RANK_KAPPA)
+        rows.append(row)
     return state.w, rows
 
 
@@ -219,13 +229,15 @@ def count_draws(monkeypatch) -> list[tuple]:
     return shapes
 
 
-def assert_log_matches_per_step(arch, period, lam, batch, tmp_path):
+def assert_log_matches_per_step(arch, period, lam, batch, tmp_path,
+                                reference_steps):
     """130 steps: two full 64-step chunks and a remainder of 2."""
     data = make_dataset(arch, 1)
     cfg = AdmmConfig(lam=lam, period=period, max_steps=130,
                      batch_size=batch, seed=2)
     net, log = train_stn(make_net(arch, 2), data, cfg, log=True)
-    weights, rows = per_step_reference(make_net(arch, 2), data, cfg)
+    weights, rows = per_step_reference(make_net(arch, 2), data, cfg,
+                                       reference_steps)
     for a, b in zip(net.weights, weights):
         assert np.array_equal(a, b)
     assert [list(r.items()) for r in log.rows] == \
@@ -243,20 +255,23 @@ class TestChunkedLog:
     @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
     @pytest.mark.parametrize("period", [1, 7, 100])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
-    def test_matches_per_step_rows(self, arch, period, lam, tmp_path):
+    def test_matches_per_step_rows(self, arch, period, lam, tmp_path,
+                                   reference_steps):
         """At period 100 the second chunk holds steps whose Z is still the
         float32 copy of the initial weights and steps whose Z is float64."""
-        assert_log_matches_per_step(arch, period, lam, 32, tmp_path)
+        assert_log_matches_per_step(arch, period, lam, 32, tmp_path,
+                                    reference_steps)
 
     @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
     @pytest.mark.parametrize("period", [1, 7, 100])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     @pytest.mark.parametrize("batch", [1, 33])
     def test_odd_batch_matches_per_step_rows(self, arch, period, lam, batch,
-                                             tmp_path):
+                                             tmp_path, reference_steps):
         """An odd batch leaves half of a 64-bit draw in the generator, so a
         chunk's draw must pick up where the last one left off."""
-        assert_log_matches_per_step(arch, period, lam, batch, tmp_path)
+        assert_log_matches_per_step(arch, period, lam, batch, tmp_path,
+                                    reference_steps)
 
     @pytest.mark.parametrize("steps", [1, 64, 130])
     def test_log_costs_one_stacked_rank_per_layer_per_chunk(self, monkeypatch,
