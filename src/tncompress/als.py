@@ -36,9 +36,6 @@ non-finite, raises NumericError.
 
 Refine is a round of one: the best start is kept as a stack of one and
 sweeps through the round's loop, with the tolerance as its stall ratio.
-A stack of one costs about what a lone set would: on four order-4
-`compress` topologies a sweep took 130-179 µs stacked against 130-175 µs
-alone (2-core x86 host, numpy 2.4.6, BLAS on one thread).
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ import numpy as np
 # here, at import.
 from numpy.linalg._umath_linalg import solve as _lapack_solve
 
-from .contraction import ContractionPlan, contract_network, plan_for
+from .contraction import ContractionPlan, complement_matrix, contract_network
 from .errors import NumericError, TopologyError
 from .tensor import as_array, k_unfold
 from .topology import TNFactorSet, TNTopology, random_factor_stack
@@ -90,28 +87,6 @@ class AlsResult:
     history: np.ndarray     # per-sweep rse of the returned start
     attempts: int           # starts drawn, _ROUND per round
     total_sweeps: int       # stacked sweeps plus refine sweeps
-
-
-def complement_matrix(f: TNFactorSet, n: int,
-                      plan: ContractionPlan | None = None) -> np.ndarray:
-    """Contract every factor except n into a matrix whose rows run over the
-    little-endian multi-index of the remaining modes (ascending) and whose
-    columns run over the bonds incident to mode n (ascending partner); for
-    a stack of K sets, a K x rows x columns stack of them."""
-    topo = f.topology
-    plan = plan_for(f, plan)
-    stack = [plan.batch_label] if f.batch else []
-    operands = []
-    for k in range(1, topo.order + 1):
-        if k != n:
-            operands.append(f.factors[k - 1])
-            operands.append(stack + plan.labels[k - 1])
-    out, rows = plan.complements[n]
-    full = plan.einsum(("complement", n, f.batch), *operands, out + stack)
-    if not f.batch:
-        return full.reshape((rows, -1), order="F")
-    # the batch label comes last, so each set's matrix is laid out as alone
-    return full.reshape((rows, -1, f.batch), order="F").transpose(2, 0, 1)
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:

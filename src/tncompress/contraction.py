@@ -1,13 +1,15 @@
 """Contraction engine for generalized tensor networks.
 
-One label builder maps a topology to integer einsum labels, and a
-per-topology `ContractionPlan` holds those labels together with a compiled
-step list for each network built on them, compiled on first use.  A step
-list is numpy's own contraction list for the greedy path: the operand
-positions each step pops and that step's einsum string, and for a pairwise
-step the parse numpy's `bmm_einsum` makes of it (the one-operand einsums
-that prepare each side, the reshapes, the output permutation and whether
-the pair is a pure multiply).  Replaying it calls the kernels
+The one place that turns a factor set into einsum operands and contracts
+it: the whole network, the network less one factor (ALS's complement) and,
+in `layers.fc_tn`, the network against an input.  A per-topology
+`ContractionPlan` holds the integer einsum labels and a compiled step list
+for each network built on them, compiled on first use.  A step list is
+numpy's own contraction list for the greedy path: the operand positions
+each step pops and that step's einsum string, and for a pairwise step the
+parse numpy's `bmm_einsum` makes of it (the one-operand einsums that
+prepare each side, the reshapes, the output permutation and whether the
+pair is a pure multiply).  Replaying it calls the kernels
 np.einsum(optimize="greedy") reaches (`c_einsum`, `matmul` or `multiply`,
 reshape and transpose) in the same order on the same operands, so a plan
 gives the same bits and skips the per-call parsing, path and dispatch work.
@@ -25,33 +27,21 @@ from .errors import TopologyError
 from .topology import TNFactorSet, TNTopology, mode_pairs
 
 
-def network_labels(topo: TNTopology) -> tuple[list[list[int]], list[int], int]:
-    """Integer einsum labels: modes get 0..N-1, bonds N, N+1, ... in
-    `mode_pairs` order.  Returns the labels of each factor's axes, the
-    mode labels and N(N+1)/2, the first label the network leaves free;
-    it and the labels above it are free for callers."""
-    n = topo.order
-    bond = {pair: n + i for i, pair in enumerate(mode_pairs(n))}
-    per_factor = []
-    for k in range(1, n + 1):
-        per_factor.append([k - 1 if j == k else bond[(min(j, k), max(j, k))]
-                           for j in range(1, n + 1)])
-    return per_factor, list(range(n)), n + len(bond)
-
-
 class ContractionPlan:
-    """Labels of one topology, the output labels and row count of each
-    complement matrix, the fold of each block solution back into its
-    factor, and a compiled step list for every network contracted
-    over it, each compiled on the first contraction that needs it.
+    """Labels of one topology (modes 0..N-1, bonds N, N+1, ... in
+    `mode_pairs` order), the operands of a factor set over them, the output
+    labels and row count of each complement matrix, the fold of each block
+    solution back into its factor, and a compiled step list for every
+    network contracted over it, each compiled on the first contraction
+    that needs it.  N(N+1)/2, the first label left free, is the batch label.
 
     A stack of K factor sets (`TNFactorSet` with batch K > 0) is contracted
-    in one pass under the batch label, the first label the network leaves
-    free: it leads every factor's labels and the network's output, and ends
-    each complement's output, under keys of their own.  Each set's slice is
-    computed by the same kernel calls, on the same values laid out alike,
-    as that set alone would be, so a stacked set gets the bits it would get
-    alone wherever its factors are laid out as they would be alone.
+    in one pass under the batch label: it leads every factor's labels and
+    the network's output, and ends each complement's output, under keys of
+    their own.  Each set's slice is computed by the same kernel calls, on
+    the same values laid out alike, as that set alone would be, so a
+    stacked set gets the bits it would get alone wherever its factors are
+    laid out as they would be alone.
 
     A step is (operand positions to pop, einsum string, parse), taken from
     np.einsum_path(..., einsum_call=True), the list np.einsum itself walks.
@@ -60,12 +50,19 @@ class ContractionPlan:
     default order="K".  A one-operand step's parse is None: it is one
     `c_einsum`.  A plan is meant to live for one fit or one forward pass;
     there is no process-wide cache.  It accepts only factor sets whose
-    topology equals its own, dims and ranks.
+    topology equals its own, dims and ranks; a caller may add operands
+    under a key of its own, as `layers.fc_tn` adds its input.
     """
 
     def __init__(self, topo: TNTopology):
         self.topology = topo
-        self.labels, self.modes, self.batch_label = network_labels(topo)
+        order = topo.order
+        bond = {pair: order + i for i, pair in enumerate(mode_pairs(order))}
+        self.labels = [[k - 1 if j == k else bond[(min(j, k), max(j, k))]
+                        for j in range(1, order + 1)]
+                       for k in range(1, order + 1)]
+        self.modes = list(range(order))
+        self.batch_label = order + len(bond)
         # n -> (output labels, row count) of complement_matrix(f, n): the
         # remaining modes ascending, then the bonds incident to mode n
         size = int(np.prod(topo.dims))
@@ -85,6 +82,16 @@ class ContractionPlan:
                              [0, *range(2, n + 1), 1,
                               *range(n + 1, topo.order + 1)])
         self._steps: dict[object, list] = {}
+
+    def operands(self, f: TNFactorSet, skip: int = 0) -> tuple[list, list]:
+        """f's factors as interleaved einsum operands, less factor `skip`
+        (1-based; 0 keeps all), and the stack labels: [batch label] or []."""
+        stack = [self.batch_label] if f.batch else []
+        operands = []
+        for k, (fac, labs) in enumerate(zip(f.factors, self.labels), start=1):
+            if k != skip:
+                operands += [fac, stack + labs]
+        return operands, stack
 
     def einsum(self, key, *operands) -> np.ndarray:
         """np.einsum(*operands, optimize="greedy") over interleaved operands
@@ -141,9 +148,21 @@ def contract_network(f: TNFactorSet,
     set of a stack.  Pass a plan to reuse its path over repeated
     contractions of one topology."""
     plan = plan_for(f, plan)
-    stack = [plan.batch_label] if f.batch else []
-    operands = []
-    for fac, labs in zip(f.factors, plan.labels):
-        operands.append(fac)
-        operands.append(stack + labs)
+    operands, stack = plan.operands(f)
     return plan.einsum(("network", f.batch), *operands, stack + plan.modes)
+
+
+def complement_matrix(f: TNFactorSet, n: int,
+                      plan: ContractionPlan | None = None) -> np.ndarray:
+    """Contract every factor except n into a matrix whose rows run over the
+    little-endian multi-index of the remaining modes (ascending) and whose
+    columns run over the bonds incident to mode n (ascending partner); for
+    a stack of K sets, a K x rows x columns stack of them."""
+    plan = plan_for(f, plan)
+    operands, stack = plan.operands(f, skip=n)
+    out, rows = plan.complements[n]
+    full = plan.einsum(("complement", n, f.batch), *operands, out + stack)
+    if not f.batch:
+        return full.reshape((rows, -1), order="F")
+    # the batch label comes last, so each set's matrix is laid out as alone
+    return full.reshape((rows, -1, f.batch), order="F").transpose(2, 0, 1)

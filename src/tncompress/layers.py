@@ -19,7 +19,7 @@ from math import isqrt
 
 import numpy as np
 
-from .contraction import contract_network, network_labels
+from .contraction import ContractionPlan, contract_network
 from .errors import TopologyError
 from .tensor import as_array
 from .topology import TNFactorSet
@@ -164,21 +164,21 @@ def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
 
 def fc_tn(x: np.ndarray, f: TNFactorSet, plan: TensorizationPlan) -> np.ndarray:
     """TN-format linear map: fold x into its input factorization, contract
-    through the factor network, flatten the output factorization.  x is an
-    N-vector, giving an M-vector, or a B x N batch, giving B x M."""
-    if f.topology.dims != plan.dims:
-        raise ValueError("factor set dims do not match the tensorization plan")
+    it with the factor network, flatten the output factorization.  x is an
+    N-vector, giving an M-vector, or a B x N batch, giving B x M.  The
+    samples take the batch label of a `ContractionPlan` made for the call."""
+    if f.batch or f.topology.dims != plan.dims:
+        raise ValueError("factor set is a stack or its dims do not match the "
+                         "tensorization plan")
     xb, single = _leading_batch(x, 1)
     if xb.ndim != 2 or xb.shape[1] != plan.cols:
         raise ValueError(f"input length {np.shape(x)} does not match plan")
-    labels, modes, batch = network_labels(f.topology)
+    net = ContractionPlan(f.topology)
     m = len(plan.out_factors)
-    operands = [xb.T.reshape(plan.in_factors + (len(xb),), order="F"),
-                modes[m:] + [batch]]
-    for fac, labs in zip(f.factors, labels):
-        operands.append(fac)
-        operands.append(labs)
-    out = np.einsum(*operands, [batch] + modes[:m], optimize="greedy")
+    xt = xb.T.reshape(plan.in_factors + (len(xb),), order="F")
+    factors, _ = net.operands(f)
+    out = net.einsum("fc", xt, net.modes[m:] + [net.batch_label], *factors,
+                     [net.batch_label] + net.modes[:m])
     out = out.reshape((len(xb), plan.rows), order="F")
     return out[0] if single else out
 

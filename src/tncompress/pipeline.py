@@ -16,7 +16,7 @@ import numpy as np
 
 from .admm import AdmmConfig
 from .als import AlsConfig, als_fit
-from .errors import ConfigError, CorruptionError, FormatError
+from .errors import ConfigError, CorruptionError, FormatError, NumericError
 from .layers import (TensorizationPlan, conv2d_dense, conv2d_tn, fc_tn,
                      plan_tensorization, tensorize_matrix)
 from .model_io import (ModelContainer, load_model, parse_key_values,
@@ -362,8 +362,12 @@ def model_logits(container: ModelContainer, x: np.ndarray) -> np.ndarray:
 
 def evaluate_container(container: ModelContainer, data_seed: int) -> dict:
     data = make_dataset(_arch(container), data_seed)
-    logits = model_logits(container, data.x_test)
-    loss, acc, _ = softmax_cross_entropy(logits, data.y_test)
+    # an overflow is refused below; finite logits give a finite loss
+    with np.errstate(all="ignore"):
+        logits = model_logits(container, data.x_test)
+        if not np.isfinite(logits).all():
+            raise NumericError("the model's logits are non-finite")
+        loss, acc, _ = softmax_cross_entropy(logits, data.y_test)
     return {"loss": loss, "accuracy": acc}
 
 

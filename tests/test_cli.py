@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, and end-to-end artifacts."""
 
 import argparse
+import contextlib
+import io
 import os
 import re
 import struct
@@ -230,6 +232,34 @@ class TestExitCodes:
         assert capsys.readouterr() == (
             "", f"error: tensor '{tensor}' holds non-finite values\n")
 
+    def test_overflowing_forward_is_two(self, workspace, tn_model, tmp_path,
+                                        capsys):
+        """Finite factors whose forward pass overflows: eval refuses the
+        non-finite logits instead of printing a NaN loss."""
+        container = load_model(tn_model)
+        for name, tensor in container.tensors.items():
+            container.tensors[name] = np.full_like(tensor, 3e38)
+        save_model(tmp_path / "big.stnz", container)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["eval", "--model", str(tmp_path / "big.stnz"),
+                       "--data", str(workspace / "data.cfg")])
+        assert rc == 2 and not caught
+        assert capsys.readouterr() == (
+            "", "error: the model's logits are non-finite\n")
+
+    def test_tradeoff_refuses_non_finite_logits(self, workspace, tmp_path,
+                                                capsys, monkeypatch):
+        monkeypatch.setattr("tncompress.pipeline.model_logits",
+                            lambda container, x: np.full((len(x), 2), np.inf))
+        out = tmp_path / "curve.csv"
+        rc = main(["tradeoff", "--model", str(workspace / "dense.stnz"),
+                   "--kappas", "0.9", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "error: the model's logits are non-finite\n")
+        assert not out.exists()
+
     def test_ranks_disagreeing_with_factors_is_two(self, workspace,
                                                     tmp_path, capsys):
         rc = main(["compress", "--model", str(workspace / "dense.stnz"),
@@ -392,6 +422,44 @@ class TestExitCodes:
                   str(workspace / "damaged-out.stnz")]]
         for argv in argvs:
             assert main([*argv, "--model", str(path)]) in (0, 1, 2)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_damaged_or_extreme_model_files_fail_cleanly(self, workspace,
+                                                         tn_model, data):
+        """A damaged file, or one tensor refilled with a finite extreme
+        value: every loader exits 0, 1 or 2 with no numpy warning, and one
+        that fails prints one error line and writes no --out file."""
+        source = data.draw(st.sampled_from([workspace / "dense.stnz",
+                                            tn_model]))
+        path = workspace / "extreme.stnz"
+        if data.draw(st.booleans()):
+            path.write_bytes(data.draw(damaged(source.read_bytes())))
+        else:
+            container = load_model(source)
+            name = data.draw(st.sampled_from(sorted(container.tensors)))
+            value = data.draw(st.sampled_from([3e38, -3e38, 1e-45, 0.0]))
+            container.tensors[name] = np.full_like(container.tensors[name],
+                                                   value)
+            save_model(path, container)
+        out = workspace / "extreme-out.stnz"
+        argvs = [["report"],
+                 ["eval", "--data", str(workspace / "data.cfg")],
+                 ["compress", "--kappa", "1", "--out", str(out)]]
+        for argv in argvs:
+            out.unlink(missing_ok=True)
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                rc = main([*argv, "--model", str(path)])
+            assert rc in (0, 1, 2)
+            assert not caught, (argv, [str(w.message) for w in caught])
+            if rc:
+                assert err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1
+                assert not out.exists()
 
 
 class TestPipeline:

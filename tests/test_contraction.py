@@ -148,7 +148,8 @@ def test_replayed_steps_give_greedy_bits_for_every_key(seed, batch,
 
 
 def test_plan_rejects_topology_with_other_ranks():
-    # TNTopology equality compares dims only, so the plan checks the ranks
+    # TNTopology equality compares dims and ranks, so the plan's `!=` check
+    # rejects a topology with the same dims and other ranks
     plan = ContractionPlan(uniform_topology((3, 4, 2), 2))
     f = random_factor_set(uniform_topology((3, 4, 2), 3), seed=0)
     with pytest.raises(TopologyError):

@@ -11,8 +11,9 @@ from tncompress.layers import (TensorizationPlan, complexity_conv,
                                detensorize_matrix, fc_dense_from_tn, fc_tn,
                                plan_tensorization, tensorize_matrix)
 from tncompress.errors import TopologyError
-from tncompress.topology import (TNTopology, mode_pairs,
-                                 random_factor_set, uniform_topology)
+from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
+                                 random_factor_set, random_factor_stack,
+                                 uniform_topology)
 from tncompress.toynet import TinyCNN, softmax_cross_entropy
 
 BATCHES = [1, 7]
@@ -244,6 +245,14 @@ class TestFcForward:
         with pytest.raises(ValueError):
             fc_tn(np.zeros(8), f, plan)
 
+    def test_stack_of_factor_sets_rejected(self):
+        # one sample per set would otherwise share the stack's batch label
+        plan = plan_tensorization(4, 9)
+        topo = uniform_topology(plan.dims, 2)
+        f = TNFactorSet(topo, random_factor_stack(topo, range(7)), batch=7)
+        with pytest.raises(ValueError):
+            fc_tn(np.zeros((7, 9)), f, plan)
+
     @pytest.mark.parametrize("batch", BATCHES)
     def test_batched_equals_stacked_samples(self, batch):
         plan = plan_tensorization(12, 18)
@@ -265,6 +274,43 @@ class TestFcForward:
             fc_tn(np.zeros((batch, 8)), f, plan)
         with pytest.raises(ValueError):
             fc_tn(np.zeros((batch, 1, 9)), f, plan)
+
+
+def greedy_fc(x, f, plan):
+    """fc_tn as one direct greedy einsum: the folded input over the input
+    modes and a sample label, then the factors, labels built from the
+    topology's documented axis layout."""
+    order = f.topology.order
+    bond = {p: order + i for i, p in enumerate(mode_pairs(order))}
+    sample = order + len(bond)
+    xb = x[None] if x.ndim == 1 else x
+    operands = [xb.T.reshape(plan.in_factors + (len(xb),), order="F"),
+                [2, 3, sample]]
+    for k, fac in enumerate(f.factors, start=1):
+        operands += [fac, [k - 1 if j == k else bond[tuple(sorted((j, k)))]
+                           for j in range(1, order + 1)]]
+    out = np.einsum(*operands, [sample, 0, 1], optimize="greedy")
+    out = out.reshape((len(xb), plan.rows), order="F")
+    return out[0] if x.ndim == 1 else out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fc_tn_gives_greedy_einsum_bits(seed):
+    """Random plans (prime and unit sides included) and rank tables, at
+    batch 1, 7 and 256 and on a single sample: the same values, bit for
+    bit, laid out with the same strides."""
+    rng = np.random.default_rng(seed)
+    plan = plan_tensorization(int(rng.integers(1, 65)),
+                              int(rng.integers(1, 65)))
+    topo = TNTopology(plan.dims, {p: int(rng.integers(1, 4))
+                                  for p in mode_pairs(4)})
+    f = random_factor_set(topo, seed=seed)
+    for shape in [(plan.cols,), (1, plan.cols), (7, plan.cols),
+                  (256, plan.cols)]:
+        x = rng.standard_normal(shape)
+        got, want = fc_tn(x, f, plan), greedy_fc(x, f, plan)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
 
 
 class TestComplexity:
