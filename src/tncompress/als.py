@@ -1,16 +1,16 @@
 """Alternating least squares fitting of a tensor network to a dense tensor.
 
 Each sweep cycles the factors in mode order; the block update for factor n
-contracts every other factor into a design matrix D and solves the exact
-least-squares problem through its normal equations, X·DᵀD = A_(n)·D, by
-an LU solve: one call of the LAPACK gesv gufunc under np.linalg.solve for
-a whole stack, which fills a set whose gram is exactly singular with NaN
-where np.linalg.solve would raise.  A set whose block is non-finite falls
-back to the SVD pseudo-inverse of its own gram.  A sweep's rse comes from
-the last block's normal equations, ‖A‖² − 2⟨A_(n)·D, X⟩ + ⟨X·DᵀD, X⟩,
-without contracting the network.  Where that sum is small against its
-terms, so that it cancels, and so wherever the tolerance is compared, the
-network is contracted instead, as it is once for the returned factors.
+contracts every other factor into a design matrix D and takes the proximal
+step of PAM, as Zheng et al.'s FCTN solver does: X·(DᵀD + ρI) = A_(n)·D +
+ρ·X_prev, with X_prev the block before the update and ρ = 1e-8·tr(DᵀD)/r
+plus a floor, for r columns.  DᵀD + ρI is positive definite, so each block
+is one well-posed LU solve: one call of the LAPACK gesv gufunc under
+np.linalg.solve for a whole stack.  A sweep's rse comes from the last
+block's normal equations, ‖A‖² − 2⟨A_(n)·D, X⟩ + ⟨X·DᵀD, X⟩, without
+contracting the network.  Where that sum is small against its terms, so
+that it cancels, and so wherever the tolerance is compared, the network is
+contracted instead, as it is once for the returned factors.
 Fully-connected networks have many poor local minima under plain random
 initialization, so the fit runs in two phases within one shared sweep
 budget.  First, restarts in rounds: a round sweeps _ROUND fresh starts
@@ -20,7 +20,7 @@ round ends; restarts stop after a round that fails to lower the best rse
 by a relative margin.  Then refine: the best start keeps sweeping until
 one sweep gains less than the tolerance relative to its rse, or the
 budget runs out.  The returned error history belongs to that start and is
-non-increasing by exact block minimization.
+non-increasing by proximal block minimization.
 
 A round runs its starts side by side, as one stack of factor sets, drawn
 straight into the stack with the draws of `random_factor_set`: a stacked
@@ -30,12 +30,11 @@ would make _ROUND of each, and it counts once against the budget, as a
 refine sweep does.  A set's bits depend on how its factors are laid out
 in memory, and a fresh start is laid out unlike a swept factor, so a slot
 that has ended is not refilled: it sweeps on until its round ends.  A
-start whose update is non-finite even by the pseudo-inverse is dead and
-is dropped from its round; a fit with no live start, or whose refine goes
-non-finite, raises NumericError.
-
-Refine is a round of one: the best start is kept as a stack of one and
-sweeps through the round's loop, with the tolerance as its stall ratio.
+start that goes non-finite is NaN in its own slot alone, and its rse is
+NaN; a fit with no finite start, or whose refine goes non-finite, raises
+NumericError.  Refine is a round of one: the best start is kept as a
+stack of one and sweeps through the round's loop, with the tolerance as
+its stall ratio.
 """
 
 from __future__ import annotations
@@ -52,7 +51,9 @@ from .errors import NumericError, TopologyError
 from .tensor import as_array, k_unfold
 from .topology import TNFactorSet, TNTopology, random_factor_stack
 
-PINV_RCOND = 1e-10
+# ρ = _PROX·tr(G)/r + _PROX_FLOOR, small so as not to slow converging fits
+_PROX = 1e-8
+_PROX_FLOOR = 1e-300
 # A sweep's squared rse from the normal equations is a sum of terms up to
 # ‖X‖²·tr(gram)/‖A‖² in size and loses about eps times that to rounding.
 # Below this fraction of that scale, or of 1 (which covers every comparison
@@ -96,58 +97,50 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _block_solutions(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The blocks X of a stack of normal equations X·gram = rhs, by one call
+    """The blocks X of a stack of linear systems X·gram = rhs, by one call
     of the gufunc np.linalg.solve runs: LAPACK gesv on each set, the bits
-    np.linalg.solve gives that set alone.  A set with an exactly singular
-    gram, where np.linalg.solve would raise, is filled with NaN."""
+    np.linalg.solve gives that set alone.  A set whose system is singular
+    or non-finite gets NaN, in its own slice alone."""
     with np.errstate(all="ignore"):
         return _lapack_solve(gram, rhs.mT, signature="dd->d").mT
 
 
 def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
            unfoldings: dict[int, np.ndarray], plan: ContractionPlan):
-    """Update every factor of f in place, in mode order, by its exact
-    least-squares block solution; return the relative error afterwards,
-    from the last block's normal equations where they are accurate.
-
-    f is a stack of K sets, and K errors are returned.  A set whose solve
-    fails takes the pinv block of its own gram.  A set whose block is still
-    non-finite is dead, its rse NaN, and it takes a live set's block (or
-    zeros), so that the stack's later solves stay one call."""
-    dead = np.zeros(f.batch, dtype=bool)
+    """Update every factor of f in place, in mode order, by its proximal
+    block solution; return the relative error afterwards, from the last
+    block's normal equations where they are accurate.  Block n solves
+    X·(G + ρI) = R + ρ·X_prev: G = DᵀD and R = A_(n)·D for the design D,
+    X_prev is factor n unfolded, ρ = _PROX·tr(G)/r + _PROX_FLOOR for r
+    columns.  f is a stack of K sets, and K errors are returned; each set
+    has its own ρ and solve, so a non-finite set is NaN in its slot alone."""
     for n in range(1, f.topology.order + 1):
         design = complement_matrix(f, n, plan)
         gram = design.mT @ design
         rhs = unfoldings[n] @ design
-        block = _block_solutions(gram, rhs)
-        if not np.isfinite(block).all():
-            for k in np.flatnonzero(~np.isfinite(block).all(axis=(1, 2))):
-                try:
-                    block[k] = rhs[k] @ np.linalg.pinv(gram[k],
-                                                       rcond=PINV_RCOND)
-                except np.linalg.LinAlgError:   # the SVD does not converge
-                    pass
-            dead |= ~np.isfinite(block).all(axis=(1, 2))
-            live = np.flatnonzero(~dead)
-            block[dead] = block[live[0]] if len(live) else 0.0
-        shape, perm = plan.folds[n]
-        f.factors[n - 1] = block.reshape((f.batch,) + shape,
+        perm, inverse = plan.folds[n]
+        folded = f.factors[n - 1].transpose(inverse)
+        prev = folded.reshape(rhs.shape, order="F")
+        r = gram.shape[-1]
+        diagonal = gram.reshape(f.batch, -1)[:, ::r + 1]   # a view of G's
+        trace = diagonal.sum(axis=1)
+        rho = trace * (_PROX / r) + _PROX_FLOOR
+        diagonal += rho[:, None]
+        block = _block_solutions(gram, rhs + rho[:, None, None] * prev)
+        f.factors[n - 1] = block.reshape(folded.shape,
                                          order="F").transpose(perm)
-    # ‖A − X·Dᵀ‖² from the last block's normal equations
+    # ‖A − X·Dᵀ‖² from the last block's normal equations, G = gram − ρI
     norm2 = norm ** 2
-    sq = (norm2 - 2.0 * _dots(rhs, block)
-          + _dots(block @ gram, block)) / norm2
-    scale = np.maximum(1.0, _dots(block, block)
-                       * np.trace(gram, axis1=1, axis2=2) / norm2)
-    exact = sq < _EXACT_SQ_RSE * scale
+    xx = _dots(block, block)
+    sq = (norm2 - 2.0 * _dots(rhs, block) + _dots(block @ gram, block)
+          - rho * xx) / norm2
+    exact = sq < _EXACT_SQ_RSE * np.maximum(1.0, xx * trace / norm2)
     if not exact.any():
-        rse = np.sqrt(sq)
-    else:   # contract each such set alone
-        rse = np.sqrt(np.where(exact, 0.0, sq))
-        for k in np.flatnonzero(exact):
-            one = TNFactorSet(f.topology, [x[k] for x in f.factors])
-            rse[k] = np.linalg.norm(contract_network(one, plan) - a) / norm
-    rse[dead] = np.nan
+        return np.sqrt(sq)
+    rse = np.sqrt(np.where(exact, 0.0, sq))
+    for k in np.flatnonzero(exact):     # contract each such set alone
+        one = TNFactorSet(f.topology, [x[k] for x in f.factors])
+        rse[k] = np.linalg.norm(contract_network(one, plan) - a) / norm
     return rse
 
 
@@ -156,15 +149,14 @@ def _round(stack: TNFactorSet, a: np.ndarray, norm: float,
            tol: float, budget: int, prev=np.inf, ratio=_STALL_RATIO):
     """Sweep a stack of starts, whose rse before the first sweep is prev,
     until each has ended once (it reached tol, gained less than ratio
-    times its rse over its previous sweep, or died) or `budget` sweeps are
-    done.  Return the start of least final rse as (a stack of one,
-    history).  A dead start's rse is NaN from its death on, so if every
-    start died, the history ends in NaN."""
+    times its rse over its previous sweep, or went NaN) or `budget` sweeps
+    are done.  Return the start of least final rse as (a stack of one,
+    history).  X_prev carries a NaN into every later block, so a NaN start
+    stays NaN, and if every start went NaN, the history ends in NaN."""
     rses = []
     ended = np.zeros(stack.batch, dtype=bool)
     while not ended.all() and len(rses) < budget:
         rse = _sweep(stack, a, norm, unfoldings, plan)
-        rse = np.where(np.isnan(prev), np.nan, rse)  # the dead stay dead
         ended |= np.isnan(rse) | (rse <= tol) | (prev - rse < ratio * rse)
         rses.append(rse)
         prev = rse
@@ -211,7 +203,7 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
                                  cfg.max_sweeps - used, best[-1], cfg.tol)
         best += history
         used += len(history)
-        if np.isnan(best[-1]):
+        if not np.isfinite(best[-1]):
             raise NumericError("non-finite block update in refine")
     f = TNFactorSet(topo, [x[0] for x in best_f.factors])
     best[-1] = float(np.linalg.norm(contract_network(f, plan=plan) - a)

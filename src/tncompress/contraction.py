@@ -17,6 +17,8 @@ gives the same bits and skips the per-call parsing, path and dispatch work.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 # The one-operand kernel np.einsum runs and the pairwise parse its
 # `bmm_einsum` makes (numpy >= 2.4); a numpy without them fails here, at
@@ -30,10 +32,10 @@ from .topology import TNFactorSet, TNTopology, mode_pairs
 class ContractionPlan:
     """Labels of one topology (modes 0..N-1, bonds N, N+1, ... in
     `mode_pairs` order), the operands of a factor set over them, the output
-    labels and row count of each complement matrix, the fold of each block
-    solution back into its factor, and a compiled step list for every
-    network contracted over it, each compiled on the first contraction
-    that needs it.  N(N+1)/2, the first label left free, is the batch label.
+    labels and row count of each complement matrix and the fold of each
+    block solution into its factor (ALS's tables, built on first read), and
+    a step list for every network contracted over it, compiled on first
+    use.  N(N+1)/2, the first label left free, is the batch label.
 
     A stack of K factor sets (`TNFactorSet` with batch K > 0) is contracted
     in one pass under the batch label: it leads every factor's labels and
@@ -63,25 +65,28 @@ class ContractionPlan:
                        for k in range(1, order + 1)]
         self.modes = list(range(order))
         self.batch_label = order + len(bond)
+        self._steps: dict[object, list] = {}
+
+    @cached_property
+    def complements(self) -> dict:
         # n -> (output labels, row count) of complement_matrix(f, n): the
         # remaining modes ascending, then the bonds incident to mode n
-        size = int(np.prod(topo.dims))
-        self.complements = {
-            n: ([m for m in self.modes if m != n - 1]
-                + [lab for lab in self.labels[n - 1] if lab != n - 1],
-                size // topo.dims[n - 1])
-            for n in range(1, topo.order + 1)}
-        # n -> (shape, permutation) folding a stack of I_n x (bond product)
-        # block solutions, columns little-endian over the bonds of n, into
-        # a stack of factor n: reshape in F order to (sets, I_n, bonds...)
-        # with shape the part after the sets, then move axis 1 to n
-        self.folds = {}
-        for n in range(1, topo.order + 1):
-            shape = topo.factor_shape(n)
-            self.folds[n] = (shape[n - 1:n] + shape[:n - 1] + shape[n:],
-                             [0, *range(2, n + 1), 1,
-                              *range(n + 1, topo.order + 1)])
-        self._steps: dict[object, list] = {}
+        dims = self.topology.dims
+        return {n: (self.modes[:n - 1] + self.modes[n:]
+                    + [lab for lab in self.labels[n - 1] if lab != n - 1],
+                    int(np.prod(dims)) // dims[n - 1])
+                for n in range(1, len(dims) + 1)}
+
+    @cached_property
+    def folds(self) -> dict:
+        # n -> (permutation, inverse): the inverse transposes a stack of
+        # factor n to (sets, I_n, bonds...), which reshapes in F order to
+        # its blocks, I_n x (bond product) with columns little-endian over
+        # the bonds of n; the permutation moves axis 1 back to n
+        order = self.topology.order
+        return {n: ([0, *range(2, n + 1), 1, *range(n + 1, order + 1)],
+                    [0, n, *range(1, n), *range(n + 1, order + 1)])
+                for n in range(1, order + 1)}
 
     def operands(self, f: TNFactorSet, skip: int = 0) -> tuple[list, list]:
         """f's factors as interleaved einsum operands, less factor `skip`

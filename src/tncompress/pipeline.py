@@ -121,10 +121,7 @@ def net_to_container(net, arch: str, provenance: dict[str, str]) -> ModelContain
     container.manifest["layers"] = str(len(net.weights))
     for i, w in enumerate(net.weights):
         prefix = f"layer.{i}"
-        if w.ndim == 4:
-            container.manifest[f"{prefix}.kind"] = "conv"
-        else:
-            container.manifest[f"{prefix}.kind"] = "fc"
+        container.manifest[f"{prefix}.kind"] = "conv" if w.ndim == 4 else "fc"
         container.manifest[f"{prefix}.format"] = "dense"
         container.manifest[f"{prefix}.dims"] = _encode_dims(w.shape)
         container.tensors[f"layer{i}/weight"] = w.astype(np.float32)
@@ -323,11 +320,15 @@ def _compress(container: ModelContainer, prepared: _Prepared, kappa: float,
                 fits[key] = als_fit(
                     tensor, topo, AlsConfig(seed=prepared.seed + layer.index))
             fit = fits[key]
+            with np.errstate(over="ignore"):
+                factors = [f.astype(np.float32) for f in fit.factors.factors]
+            if not all(np.isfinite(f).all() for f in factors):
+                raise NumericError(
+                    f"layer {layer.index}'s TN factors overflow float32")
             out.manifest[f"{prefix}.format"] = "tn"
             out.manifest[f"{prefix}.ranks"] = _encode_ranks(ranks)
-            for k, f in enumerate(fit.factors.factors):
-                out.tensors[f"layer{layer.index}/factor{k}"] = \
-                    f.astype(np.float32)
+            for k, f in enumerate(factors):
+                out.tensors[f"layer{layer.index}/factor{k}"] = f
             row.update(tn_params=tn_params, ratio=dense_params / tn_params,
                        rse=f"{fit.rse:.8f}", kept_dense=0)
         report.rows.append(row)

@@ -248,6 +248,31 @@ class TestExitCodes:
         assert capsys.readouterr() == (
             "", "error: the model's logits are non-finite\n")
 
+    def test_factors_overflowing_float32_is_two(self, tmp_path, capsys):
+        """A valid dense model whose weights reach +-3e38: ALS fits them in
+        float64, and compress refuses factors that overflow float32 instead
+        of failing in save_model."""
+        (tmp_path / "train.cfg").write_text(
+            TRAIN_CFG.replace("steps = 200", "steps = 20")
+            .replace("data_seed = 5", "data_seed = 1"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["train", "--config", str(tmp_path / "train.cfg"),
+                         "--out", str(tmp_path / "dense.stnz")]) == 0
+        container = load_model(tmp_path / "dense.stnz")
+        for name, w in container.tensors.items():
+            container.tensors[name] = np.where(
+                np.abs(w) > 0.05, np.copysign(np.float32(3e38), w), w)
+        save_model(tmp_path / "big.stnz", container)
+        out = tmp_path / "tn.stnz"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["compress", "--model", str(tmp_path / "big.stnz"),
+                       "--budget", "2", "--out", str(out)])
+        assert rc == 2 and not caught
+        assert capsys.readouterr() == (
+            "", "error: layer 0's TN factors overflow float32\n")
+        assert not out.exists()
+
     def test_tradeoff_refuses_non_finite_logits(self, workspace, tmp_path,
                                                 capsys, monkeypatch):
         monkeypatch.setattr("tncompress.pipeline.model_logits",

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from numpy._core import einsumfunc
 
-from tncompress.als import complement_matrix
+from tncompress import layers
+from tncompress.als import _sweep, complement_matrix
 from tncompress.contraction import ContractionPlan, contract_network
 from tncompress.errors import TopologyError
 from tncompress.oracles import brute_force_contract
+from tncompress.tensor import k_unfold
 from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
                                  random_factor_set, random_factor_stack,
                                  uniform_topology)
@@ -154,3 +156,31 @@ def test_plan_rejects_topology_with_other_ranks():
     f = random_factor_set(uniform_topology((3, 4, 2), 3), seed=0)
     with pytest.raises(TopologyError):
         contract_network(f, plan=plan)
+
+
+def test_plan_builds_the_als_tables_only_when_read(monkeypatch):
+    # `complements` and `folds` are ALS's; a forward pass builds neither
+    topo = TNTopology((4, 8, 2, 4), {p: 2 for p in mode_pairs(4)})
+    f = random_factor_set(topo, seed=0)
+    plans = []
+
+    class RecordingPlan(ContractionPlan):
+        def __init__(self, topo):
+            super().__init__(topo)
+            plans.append(self)
+
+    monkeypatch.setattr(layers, "ContractionPlan", RecordingPlan)
+    layers.fc_tn(np.ones((3, 8)), f, layers.TensorizationPlan((4, 8), (2, 4)))
+    plan = ContractionPlan(topo)
+    contract_network(f, plan)
+    assert len(plans) == 1
+    for fresh in plans + [plan]:
+        assert "complements" not in vars(fresh)
+        assert "folds" not in vars(fresh)
+    complement_matrix(f, 2, plan)
+    assert "complements" in vars(plan) and "folds" not in vars(plan)
+    a = contract_network(random_factor_set(topo, seed=1))
+    stack = TNFactorSet(topo, random_factor_stack(topo, [2]), batch=1)
+    _sweep(stack, a, float(np.linalg.norm(a)),
+           {n: k_unfold(a, n) for n in range(1, 5)}, plan)
+    assert "folds" in vars(plan)
