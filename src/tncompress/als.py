@@ -46,7 +46,8 @@ import numpy as np
 # here, at import.
 from numpy.linalg._umath_linalg import solve as _lapack_solve
 
-from .contraction import ContractionPlan, complement_matrix, contract_network
+from .contraction import (ContractionPlan, complement_matrix,
+                          contract_network, stored_plan)
 from .errors import NumericError, TopologyError
 from .tensor import as_array, k_unfold
 from .topology import TNFactorSet, TNTopology, random_factor_stack
@@ -100,9 +101,10 @@ def _block_solutions(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The blocks X of a stack of linear systems X·gram = rhs, by one call
     of the gufunc np.linalg.solve runs: LAPACK gesv on each set, the bits
     np.linalg.solve gives that set alone.  A set whose system is singular
-    or non-finite gets NaN, in its own slice alone."""
-    with np.errstate(all="ignore"):
-        return _lapack_solve(gram, rhs.mT, signature="dd->d").mT
+    or non-finite gets NaN, in its own slice alone; only an exactly
+    singular system makes the gufunc warn, and `_sweep`'s are positive
+    definite."""
+    return _lapack_solve(gram, rhs.mT, signature="dd->d").mT
 
 
 def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
@@ -179,7 +181,7 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
         return AlsResult(f, 0.0, np.zeros(0), 0, 0)
 
     unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
-    plan = ContractionPlan(topo)   # shared by every start and sweep
+    plan = stored_plan(topo)   # shared by every start, sweep and fit
     used = attempts = 0
     best_f, best = None, [np.inf]   # the best start's factors and history
     while used < cfg.max_sweeps and best[-1] > cfg.tol:

@@ -13,11 +13,16 @@ pair is a pure multiply).  Replaying it calls the kernels
 np.einsum(optimize="greedy") reaches (`c_einsum`, `matmul` or `multiply`,
 reshape and transpose) in the same order on the same operands, so a plan
 gives the same bits and skips the per-call parsing, path and dispatch work.
+
+A process-wide store keeps the plans of the last _STORED_PLANS topologies
+used, so each network is compiled once per process: `stored_plan` is the
+plan every contraction without a plan of its own runs on, and the plan of
+every ALS fit and TN forward pass.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 # The one-operand kernel np.einsum runs and the pairwise parse its
@@ -50,10 +55,13 @@ class ContractionPlan:
     A pairwise step's parse is `bmm_einsum`'s, made from the shapes of the
     compiling call; replaying it runs what `bmm_einsum` runs with its
     default order="K".  A one-operand step's parse is None: it is one
-    `c_einsum`.  A plan is meant to live for one fit or one forward pass;
-    there is no process-wide cache.  It accepts only factor sets whose
-    topology equals its own, dims and ranks; a caller may add operands
-    under a key of its own, as `layers.fc_tn` adds its input.
+    `c_einsum`.  A parse holds only for the shapes it was made from, so a
+    key must fix every operand shape: a key is compiled for the shapes of
+    its first call, and a call under it with other shapes raises
+    TopologyError.  A plan accepts only factor sets whose topology equals
+    its own, dims and ranks; a caller may add operands under a key of its
+    own, as `layers.fc_tn` adds its input.  `stored_plan` keeps one plan
+    per topology for the whole process.
     """
 
     def __init__(self, topo: TNTopology):
@@ -65,7 +73,7 @@ class ContractionPlan:
                        for k in range(1, order + 1)]
         self.modes = list(range(order))
         self.batch_label = order + len(bond)
-        self._steps: dict[object, list] = {}
+        self._steps: dict[object, tuple[list, list]] = {}
 
     @cached_property
     def complements(self) -> dict:
@@ -100,16 +108,20 @@ class ContractionPlan:
 
     def einsum(self, key, *operands) -> np.ndarray:
         """np.einsum(*operands, optimize="greedy") over interleaved operands
-        by replaying the step list stored under key; operand shapes must be
-        the same on every call with key."""
-        steps = self._steps.get(key)
-        if steps is None:   # parses are filled in as this call reaches them
+        by replaying the step list stored under key; a call whose operand
+        shapes are not those key was compiled for raises TopologyError."""
+        arrays = list(operands[:-1:2])
+        shapes = [a.shape for a in arrays]
+        compiled = self._steps.get(key)
+        if compiled is None:    # parses are filled in as this call meets them
             _, contraction_list = np.einsum_path(*operands, optimize="greedy",
                                                  einsum_call=True)
-            steps = [[inds, eq, None] for inds, eq, _ in contraction_list]
-            self._steps[key] = steps
-        arrays = list(operands[:-1:2])
-        for step in steps:
+            compiled = self._steps[key] = (
+                shapes, [[inds, eq, None] for inds, eq, _ in contraction_list])
+        elif compiled[0] != shapes:
+            raise TopologyError(f"operand shapes {shapes} differ from the "
+                                f"{compiled[0]} that {key!r} was compiled for")
+        for step in compiled[1]:
             inds, eq, parse = step
             ops = [arrays.pop(i) for i in inds]
             if len(ops) != 2:
@@ -138,10 +150,27 @@ class ContractionPlan:
         return arrays[0]
 
 
+# the store keeps the plans of this many topologies, least recently used
+# out first
+_STORED_PLANS = 64
+
+
+@lru_cache(maxsize=_STORED_PLANS)
+def _plans(dims: tuple[int, ...], ranks: tuple) -> ContractionPlan:
+    return ContractionPlan(TNTopology(dims, dict(ranks)))
+
+
+def stored_plan(topo: TNTopology) -> ContractionPlan:
+    """The process-wide plan of topo's dims and ranks, made on first use.
+    (TNTopology holds a dict, so the store is keyed on its items.)"""
+    return _plans(topo.dims, tuple(sorted(topo.ranks.items())))
+
+
 def plan_for(f: TNFactorSet, plan: ContractionPlan | None) -> ContractionPlan:
-    """`plan` after checking it covers f's topology, or a fresh plan."""
+    """`plan` after checking it covers f's topology, or the stored plan of
+    f's topology."""
     if plan is None:
-        return ContractionPlan(f.topology)
+        return stored_plan(f.topology)
     if f.topology is not plan.topology and f.topology != plan.topology:
         raise TopologyError("factor set topology does not match the plan")
     return plan
@@ -150,8 +179,7 @@ def plan_for(f: TNFactorSet, plan: ContractionPlan | None) -> ContractionPlan:
 def contract_network(f: TNFactorSet,
                      plan: ContractionPlan | None = None) -> np.ndarray:
     """Multilinear contraction over all shared bond indices, one network per
-    set of a stack.  Pass a plan to reuse its path over repeated
-    contractions of one topology."""
+    set of a stack, on `plan` or the stored plan of f's topology."""
     plan = plan_for(f, plan)
     operands, stack = plan.operands(f)
     return plan.einsum(("network", f.batch), *operands, stack + plan.modes)

@@ -19,7 +19,7 @@ from math import isqrt
 
 import numpy as np
 
-from .contraction import ContractionPlan, contract_network
+from .contraction import contract_network, stored_plan
 from .errors import TopologyError
 from .tensor import as_array
 from .topology import TNFactorSet
@@ -166,18 +166,22 @@ def fc_tn(x: np.ndarray, f: TNFactorSet, plan: TensorizationPlan) -> np.ndarray:
     """TN-format linear map: fold x into its input factorization, contract
     it with the factor network, flatten the output factorization.  x is an
     N-vector, giving an M-vector, or a B x N batch, giving B x M.  The
-    samples take the batch label of a `ContractionPlan` made for the call."""
+    samples take the batch label of the stored `ContractionPlan` of f's
+    topology, whose network for this out/in split and batch size is
+    compiled on the first such call in the process."""
     if f.batch or f.topology.dims != plan.dims:
         raise ValueError("factor set is a stack or its dims do not match the "
                          "tensorization plan")
     xb, single = _leading_batch(x, 1)
     if xb.ndim != 2 or xb.shape[1] != plan.cols:
         raise ValueError(f"input length {np.shape(x)} does not match plan")
-    net = ContractionPlan(f.topology)
+    net = stored_plan(f.topology)
     m = len(plan.out_factors)
     xt = xb.T.reshape(plan.in_factors + (len(xb),), order="F")
     factors, _ = net.operands(f)
-    out = net.einsum("fc", xt, net.modes[m:] + [net.batch_label], *factors,
+    # the key fixes every operand shape: the out/in split and the batch
+    out = net.einsum(("fc", m, len(xb)), xt,
+                     net.modes[m:] + [net.batch_label], *factors,
                      [net.batch_label] + net.modes[:m])
     out = out.reshape((len(xb), plan.rows), order="F")
     return out[0] if single else out

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy._core import einsumfunc
 
-from tncompress import als
+from tncompress import als, contraction
 from tncompress.als import (AlsConfig, AlsResult, _sweep, als_fit,
                             complement_matrix)
 from tncompress.contraction import ContractionPlan, contract_network
@@ -92,6 +92,7 @@ def test_als_fit_compiles_each_plan_key_once(topo, monkeypatch):
     # np.einsum plans through einsumfunc.einsum_path on every call
     monkeypatch.setattr(np, "einsum_path", counting_einsum_path)
     monkeypatch.setattr(einsumfunc, "einsum_path", counting_einsum_path)
+    contraction._plans.cache_clear()    # no key of topo compiled yet
     result = als_fit(target, topo, AlsConfig(seed=1))
     # the restarts ran more than one round of stacked sweeps
     assert result.attempts > als._ROUND
@@ -447,6 +448,22 @@ def fit_target(topo, seed, planted):
     return np.random.default_rng(seed).standard_normal(topo.dims)
 
 
+@pytest.mark.parametrize("topo", PINNED_TOPOLOGIES)
+def test_a_fit_on_a_warm_plan_equals_a_cold_one(topo, monkeypatch):
+    target, cfg = fit_target(topo, 1, False), AlsConfig(seed=1)
+    contraction._plans.cache_clear()
+    cold = als_fit(target, topo, cfg)
+    als_fit(fit_target(topo, 2, True), topo, AlsConfig(seed=5))
+
+    def compiled_already(*args, **kwargs):
+        raise AssertionError("a warm plan compiled a network again")
+
+    # the other fit of topo ran between, and the plan compiles nothing
+    monkeypatch.setattr(np, "einsum_path", compiled_already)
+    monkeypatch.setattr(einsumfunc, "einsum_path", compiled_already)
+    assert_same_fit(als_fit(target, topo, cfg), cold)
+
+
 @pytest.mark.parametrize("max_sweeps", [1, 3, 7, 20, 300])
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("planted", [False, True])
@@ -643,17 +660,23 @@ def test_a_singular_slot_is_the_slot_alone():
     assert np.all(np.isfinite(rse))
 
 
-def test_a_singular_set_of_a_stacked_solve_is_nan():
+def test_a_singular_gram_of_a_stacked_proximal_solve_is_finite():
     rng = np.random.default_rng(3)
     designs = rng.standard_normal((6, 9, 4))
     designs[4, :, 3] = designs[4, :, 1]     # set 4's gram is exactly singular
+    designs[2, 0, 0] = np.nan               # set 2 is a start gone NaN
     gram = designs.mT @ designs
     rhs = rng.standard_normal((6, 5, 4))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(gram[4], rhs[4].T)
+    # the systems _sweep solves: G + ρI, ρ = _PROX·tr(G)/r + _PROX_FLOOR
+    diagonal = gram.reshape(6, -1)[:, ::5]
+    diagonal += (diagonal.sum(axis=1) * (als._PROX / 4)
+                 + als._PROX_FLOOR)[:, None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         block = als._block_solutions(gram, rhs)
-    assert np.isnan(block[4]).all()
-    for k in (0, 1, 2, 3, 5):
+    assert np.isnan(block[2]).all()
+    assert np.isfinite(np.delete(block, 2, axis=0)).all()
+    for k in (0, 1, 3, 4, 5):
         assert np.array_equal(block[k], np.linalg.solve(gram[k], rhs[k].T).T)

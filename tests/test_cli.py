@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy._core import einsumfunc
 
-from tncompress import cli
+from tncompress import cli, contraction
 from tncompress.cli import main
 from tncompress.model_io import load_model, save_model
 
@@ -634,6 +635,30 @@ def test_eval_does_not_import_the_oracles(workspace):
     assert lines[0].startswith("loss=")
     assert lines[1] == "0 False"
     assert lines[-1] == "0 True"
+
+
+def test_repeated_evals_compile_each_tn_layer_once(workspace, tn_model,
+                                                   monkeypatch, capsys):
+    """A process compiles each TN fc layer's network once, not per eval."""
+    calls = []
+    real_einsum_path = np.einsum_path
+
+    def counting_einsum_path(*args, **kwargs):
+        calls.append(args)
+        return real_einsum_path(*args, **kwargs)
+
+    # np.einsum plans through einsumfunc.einsum_path on every call
+    monkeypatch.setattr(np, "einsum_path", counting_einsum_path)
+    monkeypatch.setattr(einsumfunc, "einsum_path", counting_einsum_path)
+    contraction._plans.cache_clear()
+    evaluate = ["eval", "--model", str(tn_model),
+                "--data", str(workspace / "data.cfg")]
+    outs = []
+    for _ in range(3):
+        assert main(evaluate) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert len(calls) == 2      # the model's two TN fc layers
 
 
 def test_readme_train_config_trains(tmp_path, capsys):

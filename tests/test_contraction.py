@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from numpy._core import einsumfunc
 
-from tncompress import layers
-from tncompress.als import _sweep, complement_matrix
-from tncompress.contraction import ContractionPlan, contract_network
+from tncompress import contraction, layers
+from tncompress.als import AlsConfig, als_fit, complement_matrix
+from tncompress.contraction import (ContractionPlan, contract_network,
+                                    stored_plan)
 from tncompress.errors import TopologyError
 from tncompress.oracles import brute_force_contract
-from tncompress.tensor import k_unfold
 from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
                                  random_factor_set, random_factor_stack,
                                  uniform_topology)
@@ -158,29 +158,78 @@ def test_plan_rejects_topology_with_other_ranks():
         contract_network(f, plan=plan)
 
 
-def test_plan_builds_the_als_tables_only_when_read(monkeypatch):
+def test_plan_builds_the_als_tables_only_when_read():
     # `complements` and `folds` are ALS's; a forward pass builds neither
+    contraction._plans.cache_clear()
     topo = TNTopology((4, 8, 2, 4), {p: 2 for p in mode_pairs(4)})
     f = random_factor_set(topo, seed=0)
-    plans = []
-
-    class RecordingPlan(ContractionPlan):
-        def __init__(self, topo):
-            super().__init__(topo)
-            plans.append(self)
-
-    monkeypatch.setattr(layers, "ContractionPlan", RecordingPlan)
     layers.fc_tn(np.ones((3, 8)), f, layers.TensorizationPlan((4, 8), (2, 4)))
-    plan = ContractionPlan(topo)
-    contract_network(f, plan)
-    assert len(plans) == 1
-    for fresh in plans + [plan]:
-        assert "complements" not in vars(fresh)
-        assert "folds" not in vars(fresh)
-    complement_matrix(f, 2, plan)
+    plan = stored_plan(topo)
+    assert list(plan._steps) == [("fc", 2, 3)]
+    assert contraction._plans.cache_info().currsize == 1
+    assert "complements" not in vars(plan) and "folds" not in vars(plan)
+    complement_matrix(f, 2)
     assert "complements" in vars(plan) and "folds" not in vars(plan)
-    a = contract_network(random_factor_set(topo, seed=1))
-    stack = TNFactorSet(topo, random_factor_stack(topo, [2]), batch=1)
-    _sweep(stack, a, float(np.linalg.norm(a)),
-           {n: k_unfold(a, n) for n in range(1, 5)}, plan)
-    assert "folds" in vars(plan)
+    # ALS sweeps on the plan the forward pass ran on
+    als_fit(contract_network(random_factor_set(topo, seed=1)), topo,
+            AlsConfig(max_sweeps=1))
+    assert stored_plan(topo) is plan and "folds" in vars(plan)
+
+
+def greedy_fc(x, f, tplan):
+    """fc_tn's contraction as one direct greedy einsum: the input folded
+    over the in-factors, labelled by their modes and a batch label."""
+    order = f.topology.order
+    bond = {p: order + i for i, p in enumerate(mode_pairs(order))}
+    batch, m = order + len(bond), len(tplan.out_factors)
+    operands = [x.T.reshape(tplan.in_factors + (len(x),), order="F"),
+                list(range(m, order)) + [batch]]
+    for k, fac in enumerate(f.factors, start=1):
+        operands += [fac, [k - 1 if j == k else bond[tuple(sorted((j, k)))]
+                           for j in range(1, order + 1)]]
+    out = np.einsum(*operands, [batch] + list(range(m)), optimize="greedy")
+    return out.reshape((len(x), tplan.rows), order="F")
+
+
+def test_fc_keys_fix_the_split_and_the_batch():
+    # one stored plan serves every split of its dims at every batch size,
+    # each under a key of its own
+    contraction._plans.cache_clear()
+    topo = TNTopology((4, 8, 2, 4), {p: 2 for p in mode_pairs(4)})
+    f = random_factor_set(topo, seed=0)
+    rng = np.random.default_rng(0)
+    splits = [layers.TensorizationPlan((4, 8), (2, 4)),
+              layers.TensorizationPlan((4,), (8, 2, 4))]
+    for tplan in splits + splits[::-1]:
+        for batch in (1, 512, 1):
+            x = rng.standard_normal((batch, tplan.cols))
+            assert np.array_equal(layers.fc_tn(x, f, tplan),
+                                  greedy_fc(x, f, tplan))
+    assert set(stored_plan(topo)._steps) == {
+        ("fc", m, batch) for m in (1, 2) for batch in (1, 512)}
+
+
+def test_a_key_called_with_other_shapes_raises():
+    # a stored parse is valid only for the shapes it was made from
+    plan = ContractionPlan(uniform_topology((3, 4, 2), 2))
+    x, y, z = np.ones((2, 3)), np.ones((3, 4)), np.ones((4, 5))
+    plan.einsum("k", x, [0, 1], y, [1, 2], z, [2, 3], [0, 3])
+    with pytest.raises(TopologyError, match="compiled for"):
+        plan.einsum("k", np.ones((7, 3)), [0, 1], y, [1, 2], z, [2, 3],
+                    [0, 3])
+    assert plan.einsum("k", x, [0, 1], y, [1, 2], z, [2, 3],
+                       [0, 3]).shape == (2, 5)
+
+
+def test_the_store_holds_at_most_its_bound():
+    contraction._plans.cache_clear()
+    bound = contraction._STORED_PLANS
+    topos = [uniform_topology((d, 2), 1) for d in range(1, bound + 11)]
+    for topo in topos:
+        contract_network(random_factor_set(topo, seed=0))
+    info = contraction._plans.cache_info()
+    assert info.maxsize == info.currsize == bound
+    # the least recently used topologies were dropped, the rest kept
+    assert ("network", 0) in stored_plan(topos[-1])._steps
+    assert not stored_plan(topos[0])._steps
+    assert contraction._plans.cache_info().currsize == bound
