@@ -6,11 +6,10 @@ step of PAM, as Zheng et al.'s FCTN solver does: X·(DᵀD + ρI) = A_(n)·D +
 ρ·X_prev, with X_prev the block before the update and ρ = 1e-8·tr(DᵀD)/r
 plus a floor, for r columns.  DᵀD + ρI is positive definite, so each block
 is one well-posed LU solve: one call of the LAPACK gesv gufunc under
-np.linalg.solve for a whole stack.  A sweep's rse comes from the last
-block's normal equations, ‖A‖² − 2⟨A_(n)·D, X⟩ + ⟨X·DᵀD, X⟩, without
-contracting the network.  Where that sum is small against its terms, so
-that it cancels, and so wherever the tolerance is compared, the network is
-contracted instead, as it is once for the returned factors.
+np.linalg.solve for a whole stack.  A sweep's rse is the residual of its
+last block, A_(N) − X·Dᵀ: X·Dᵀ is the mode-N unfolding of the network, so
+the sweep never contracts the network; a fit contracts it once, for the
+rse of the returned factors.
 Fully-connected networks have many poor local minima under plain random
 initialization, so the fit runs in two phases within one shared sweep
 budget.  First, restarts in rounds: a round sweeps _ROUND fresh starts
@@ -55,11 +54,6 @@ from .topology import TNFactorSet, TNTopology, random_factor_stack
 # ρ = _PROX·tr(G)/r + _PROX_FLOOR, small so as not to slow converging fits
 _PROX = 1e-8
 _PROX_FLOOR = 1e-300
-# A sweep's squared rse from the normal equations is a sum of terms up to
-# ‖X‖²·tr(gram)/‖A‖² in size and loses about eps times that to rounding.
-# Below this fraction of that scale, or of 1 (which covers every comparison
-# with tol), the sweep contracts the network for the exact rse instead.
-_EXACT_SQ_RSE = 1e-5
 # a start ends at its first sweep of less than this relative gain
 _STALL_RATIO = 0.01
 # a round stacks this many starts; restarts stop after a round that fails
@@ -78,8 +72,8 @@ class AlsConfig:
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass
@@ -107,11 +101,11 @@ def _block_solutions(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _lapack_solve(gram, rhs.mT, signature="dd->d").mT
 
 
-def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
-           unfoldings: dict[int, np.ndarray], plan: ContractionPlan):
+def _sweep(f: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray],
+           plan: ContractionPlan):
     """Update every factor of f in place, in mode order, by its proximal
-    block solution; return the relative error afterwards, from the last
-    block's normal equations where they are accurate.  Block n solves
+    block solution; return the relative error afterwards, ‖A_(N) − X·Dᵀ‖
+    / ‖A‖ for the last block X and its design D.  Block n solves
     X·(G + ρI) = R + ρ·X_prev: G = DᵀD and R = A_(n)·D for the design D,
     X_prev is factor n unfolded, ρ = _PROX·tr(G)/r + _PROX_FLOOR for r
     columns.  f is a stack of K sets, and K errors are returned; each set
@@ -125,28 +119,16 @@ def _sweep(f: TNFactorSet, a: np.ndarray, norm: float,
         prev = folded.reshape(rhs.shape, order="F")
         r = gram.shape[-1]
         diagonal = gram.reshape(f.batch, -1)[:, ::r + 1]   # a view of G's
-        trace = diagonal.sum(axis=1)
-        rho = trace * (_PROX / r) + _PROX_FLOOR
+        rho = diagonal.sum(axis=1) * (_PROX / r) + _PROX_FLOOR
         diagonal += rho[:, None]
         block = _block_solutions(gram, rhs + rho[:, None, None] * prev)
         f.factors[n - 1] = block.reshape(folded.shape,
                                          order="F").transpose(perm)
-    # ‖A − X·Dᵀ‖² from the last block's normal equations, G = gram − ρI
-    norm2 = norm ** 2
-    xx = _dots(block, block)
-    sq = (norm2 - 2.0 * _dots(rhs, block) + _dots(block @ gram, block)
-          - rho * xx) / norm2
-    exact = sq < _EXACT_SQ_RSE * np.maximum(1.0, xx * trace / norm2)
-    if not exact.any():
-        return np.sqrt(sq)
-    rse = np.sqrt(np.where(exact, 0.0, sq))
-    for k in np.flatnonzero(exact):     # contract each such set alone
-        one = TNFactorSet(f.topology, [x[k] for x in f.factors])
-        rse[k] = np.linalg.norm(contract_network(one, plan) - a) / norm
-    return rse
+    res = unfoldings[n] - block @ design.mT
+    return np.sqrt(_dots(res, res)) / norm
 
 
-def _round(stack: TNFactorSet, a: np.ndarray, norm: float,
+def _round(stack: TNFactorSet, norm: float,
            unfoldings: dict[int, np.ndarray], plan: ContractionPlan,
            tol: float, budget: int, prev=np.inf, ratio=_STALL_RATIO):
     """Sweep a stack of starts, whose rse before the first sweep is prev,
@@ -158,7 +140,7 @@ def _round(stack: TNFactorSet, a: np.ndarray, norm: float,
     rses = []
     ended = np.zeros(stack.batch, dtype=bool)
     while not ended.all() and len(rses) < budget:
-        rse = _sweep(stack, a, norm, unfoldings, plan)
+        rse = _sweep(stack, norm, unfoldings, plan)
         ended |= np.isnan(rse) | (rse <= tol) | (prev - rse < ratio * rse)
         rses.append(rse)
         prev = rse
@@ -189,7 +171,7 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
                  for k in range(_ROUND)]
         stack = TNFactorSet(topo, random_factor_stack(topo, seeds),
                             batch=_ROUND)
-        f, history = _round(stack, a, norm, unfoldings, plan, cfg.tol,
+        f, history = _round(stack, norm, unfoldings, plan, cfg.tol,
                             cfg.max_sweeps - used)
         attempts += _ROUND
         used += len(history)
@@ -201,7 +183,7 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
     if best_f is None:
         raise NumericError("no ALS start has a finite block update")
     if used < cfg.max_sweeps and best[-1] > cfg.tol:    # refine
-        best_f, history = _round(best_f, a, norm, unfoldings, plan, cfg.tol,
+        best_f, history = _round(best_f, norm, unfoldings, plan, cfg.tol,
                                  cfg.max_sweeps - used, best[-1], cfg.tol)
         best += history
         used += len(history)

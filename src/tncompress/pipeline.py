@@ -378,8 +378,15 @@ def evaluate_container(container: ModelContainer, data_seed: int) -> dict:
 def _check_writable(*paths) -> None:
     """Raise, before any work is done, the OSError that opening each given
     path for writing would raise for a missing directory or a directory in
-    its way; a path of None is skipped."""
+    its way, or one for two paths that resolve to one file, where the later
+    write would replace the earlier; a path of None is skipped."""
+    seen = {}    # real path -> the path given first for it
     for path in filter(None, paths):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise OSError(errno.EEXIST, "two outputs name one file",
+                          seen[real], None, str(path))
+        seen[real] = str(path)
         if os.path.isdir(path):
             code = errno.EISDIR
         elif not os.path.isdir(os.path.dirname(os.path.abspath(path))):

@@ -176,8 +176,9 @@ def test_sweep_budget_is_respected(max_sweeps):
 def test_config_validation():
     with pytest.raises(ValueError):
         AlsConfig(max_sweeps=0)
-    with pytest.raises(ValueError):
-        AlsConfig(tol=0.0)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            AlsConfig(tol=tol)
 
 
 def trained_like_target() -> np.ndarray:
@@ -253,7 +254,7 @@ def test_block_update_is_the_proximal_solve(seed):
         x = np.moveaxis(reference.factors[n - 1], n, 1)
         reference.factors[n - 1] = np.moveaxis(
             block.reshape(x.shape, order="F"), 1, n)
-    [rse] = _sweep(f, a, norm, unfoldings, plan)
+    [rse] = _sweep(f, norm, unfoldings, plan)
     for got, want in zip(f.factors, reference.factors):
         np.testing.assert_allclose(got, want, rtol=1e-10,
                                    atol=1e-12 * np.abs(want).max())
@@ -272,7 +273,7 @@ def test_singular_gram_gets_a_finite_proximal_block():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(gram, np.eye(len(gram)))
     want = proximal_block(f, 1, a)
-    [rse] = _sweep(f, a, norm, unfoldings, plan)
+    [rse] = _sweep(f, norm, unfoldings, plan)
     assert np.array_equal(unfolded(f, 1), want)
     assert all(np.all(np.isfinite(x)) for x in f.factors)
     assert rse == pytest.approx(
@@ -287,10 +288,10 @@ def test_an_all_zero_factor_keeps_the_blocks_finite():
     f, a, norm, unfoldings, plan = sweep_inputs(topo, 0)
     f.factors[2][...] = 0.0
     start = [unfolded(f, n) for n in (1, 2)]
-    rses = [_sweep(f, a, norm, unfoldings, plan)[0]]
+    rses = [_sweep(f, norm, unfoldings, plan)[0]]
     for n, x in zip((1, 2), start):
         np.testing.assert_allclose(unfolded(f, n), x, rtol=1e-12)
-    rses += [_sweep(f, a, norm, unfoldings, plan)[0] for _ in range(2)]
+    rses += [_sweep(f, norm, unfoldings, plan)[0] for _ in range(2)]
     assert all(np.all(np.isfinite(x)) for x in f.factors)
     assert np.all(np.isfinite(rses))
     assert rses[0] < 1.0
@@ -301,7 +302,7 @@ def test_an_all_zero_factor_keeps_the_blocks_finite():
 def assert_sweeps_give_exact_rse(topo, seed):
     f, a, norm, unfoldings, plan = sweep_inputs(topo, seed)
     for _ in range(3):
-        [rse] = _sweep(f, a, norm, unfoldings, plan)
+        [rse] = _sweep(f, norm, unfoldings, plan)
         exact = np.linalg.norm(contract_network(f)[0] - a) / norm
         assert rse == pytest.approx(exact, rel=1e-10)
     return a, norm
@@ -310,7 +311,7 @@ def assert_sweeps_give_exact_rse(topo, seed):
 @given(data=st.data())
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_sweep_rse_is_the_exact_rse(data):
-    """The normal-equation rse of a sweep, on order 2-4 topologies with
+    """The residual rse of a sweep, on order 2-4 topologies with
     dims 1-4 and ranks 1-3 (unit bonds, and bonds above a mode size,
     included), and the rse a fit returns."""
     order = data.draw(st.integers(2, 4))
@@ -329,8 +330,8 @@ def test_sweep_rse_is_the_exact_rse(data):
 @pytest.mark.parametrize("seed", range(10))
 def test_sweep_rse_is_exact_where_the_sum_cancels(seed):
     # bonds above their mode sizes leave grams near-singular with no zero
-    # pivot: the solved blocks are large, and the normal-equation sum
-    # loses the rse to rounding unless the sweep contracts instead
+    # pivot: the solved blocks are large, and an rse expanded from the
+    # normal equations would cancel; the residual's does not
     topo = TNTopology((2, 4, 2, 1), {(1, 2): 1, (1, 3): 3, (1, 4): 3,
                                      (2, 3): 3, (2, 4): 1, (3, 4): 2})
     assert_sweeps_give_exact_rse(topo, seed)
@@ -359,7 +360,12 @@ def test_near_singular_fits_stay_bounded_and_monotone():
         assert np.all(np.diff(result.history) <= 1e-12)
 
 
-def test_fit_contracts_the_network_about_once(monkeypatch):
+FIT_CASES = [("trained-like", uniform_topology((6, 6, 6), 2))] + [
+    ("planted", topo) for topo in PINNED_TOPOLOGIES]
+
+
+@pytest.mark.parametrize("target,topo", FIT_CASES)
+def test_fit_contracts_the_network_once(target, topo, monkeypatch):
     calls = []
     real_contract = als.contract_network
 
@@ -369,12 +375,16 @@ def test_fit_contracts_the_network_about_once(monkeypatch):
 
     # perfbench traces the contraction at this same module attribute
     monkeypatch.setattr(als, "contract_network", counting_contract)
-    result = als_fit(trained_like_target(), uniform_topology((6, 6, 6), 2))
-    # far from the tolerance, sweeps take their rse from the normal
-    # equations and only the returned factors are contracted
-    assert result.rse > 1e-2
-    assert result.total_sweeps >= 20
-    assert len(calls) <= 2
+    if target == "planted":
+        result = als_fit(fit_target(topo, 1, True), topo, AlsConfig(seed=1))
+        assert result.rse <= AlsConfig().tol
+    else:
+        result = als_fit(trained_like_target(), topo)
+        assert result.rse > 1e-2
+        assert result.total_sweeps >= 20
+    # a sweep reads its rse from its last block's residual, near the
+    # tolerance as far from it: only the returned factors are contracted
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +414,7 @@ def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset()):
             f = stack_of([random_factor_set(topo, seed)])
             history, prev = [], np.inf
             while len(history) < cfg.max_sweeps - used:
-                rse = float(_sweep(f, a, norm, unfoldings, plan)[0])
+                rse = float(_sweep(f, norm, unfoldings, plan)[0])
                 history.append(rse)
                 if rse <= cfg.tol or prev - rse < als._STALL_RATIO * rse:
                     break
@@ -416,13 +426,13 @@ def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset()):
         prior = best[-1]
         for f, history in runs:
             while len(history) < length:
-                history.append(float(_sweep(f, a, norm, unfoldings, plan)[0]))
+                history.append(float(_sweep(f, norm, unfoldings, plan)[0]))
             if history[-1] < best[-1]:
                 best_f, best = f, history
         if best[-1] >= prior * (1 - als._GAIN):
             break
     while used < cfg.max_sweeps and best[-1] > cfg.tol:
-        best.append(float(_sweep(best_f, a, norm, unfoldings, plan)[0]))
+        best.append(float(_sweep(best_f, norm, unfoldings, plan)[0]))
         used += 1
         if best[-2] - best[-1] < cfg.tol * best[-1]:
             break
@@ -516,7 +526,7 @@ def test_a_dead_start_stays_out_of_its_round(monkeypatch):
     poison_starts(monkeypatch, {0})
     starts = [TNFactorSet(topo, als.random_factor_stack(topo, seeds),
                           batch=len(seeds)) for seeds in ([0, 1], [1])]
-    rounds = [als._round(stack, a, norm, unfoldings, ContractionPlan(topo),
+    rounds = [als._round(stack, norm, unfoldings, ContractionPlan(topo),
                          AlsConfig().tol, 300) for stack in starts]
     (f, history), (alone, want) = rounds
     assert history == want
@@ -604,10 +614,10 @@ def assert_stacked_sweep_is_each_set_alone(stack, sets, a):
     norm = float(np.linalg.norm(a))
     unfoldings = {n: k_unfold(a, n) for n in range(1, a.ndim + 1)}
     plan = ContractionPlan(stack.topology)
-    rse = _sweep(stack, a, norm, unfoldings, plan)
+    rse = _sweep(stack, norm, unfoldings, plan)
     for k, f in enumerate(sets):
         one = stack_of([f])
-        [alone] = _sweep(one, a, norm, unfoldings, plan)
+        [alone] = _sweep(one, norm, unfoldings, plan)
         assert rse[k] == pytest.approx(alone, rel=1e-12)
         assert rse[k] == alone
         for x, [y] in zip(stack.factors, one.factors):

@@ -193,6 +193,29 @@ class TestExitCodes:
         assert not list(tmp_path.glob("**/*.stnz"))
         assert not list(tmp_path.glob("**/*.csv"))
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--out", "m.stnz", "--log", "m.stnz"],
+        ["train", "--out", "m.stnz", "--log", "./m.stnz"],
+        ["compress", "--budget", "2", "--out", "c.stnz",
+         "--report", "c.stnz"],
+        ["compress", "--kappa", "0.9", "--out", "c.stnz",
+         "--report", "./c.stnz"]])
+    def test_two_outputs_on_one_file_fail_before_any_work(
+            self, workspace, tmp_path, capsys, monkeypatch, command):
+        # a run that got as far as training or loading would raise TypeError
+        monkeypatch.setattr("tncompress.pipeline.train_stn", None)
+        monkeypatch.setattr("tncompress.pipeline.load_model", None)
+        monkeypatch.chdir(tmp_path)
+        source = (["--config", str(workspace / "train.cfg")]
+                  if command[0] == "train"
+                  else ["--model", str(workspace / "dense.stnz")])
+        rc = main(command + source)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "two outputs name one file" in err
+        assert not list(tmp_path.iterdir())
+
     def test_directory_as_model_is_two(self, tmp_path, capsys):
         rc = main(["report", "--model", str(tmp_path)])
         assert rc == 2

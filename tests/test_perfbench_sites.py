@@ -1,14 +1,20 @@
-"""The benchmark's trace sites resolve against the current package.
+"""The benchmark's trace sites resolve against the current package, and
+the CLI paths call them.
 
 perfbench wraps library functions at the module attributes their callers
 look them up under.  A site that a refactor moves makes the benchmark drop
-that per-layer metric with only a warning; this test fails instead.
+that per-layer metric with only a warning, and a site that stays but is no
+longer called makes it read 0; these tests fail instead.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
+
+from tncompress.cli import main
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -33,3 +39,34 @@ def test_every_trace_site_resolves_to_its_function():
             assert callable(fn), site
             if not isinstance(owner, type):
                 assert fn is expected, site
+
+
+def run_cli(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+
+
+def test_the_three_paths_call_every_trace_site(tmp_path):
+    """A site can stay importable while a refactor stops calling it, which
+    reads as 0 in that per-layer metric; train, compress and eval of both
+    archs must call every site at least once."""
+    spans = load_spans()
+    data = tmp_path / "data.cfg"
+    data.write_text("data_seed = 5\n")
+    with spans.Tracer() as tracer:
+        for arch in ("mlp", "tinycnn"):
+            cfg = tmp_path / f"{arch}.cfg"
+            cfg.write_text(f"arch = {arch}\nlambda = 0.005\nsteps = 40\n"
+                           "period = 10\nseed = 1\ndata_seed = 5\n")
+            dense, tn = tmp_path / f"{arch}.stnz", tmp_path / f"{arch}-tn.stnz"
+            run_cli(["train", "--config", str(cfg), "--out", str(dense),
+                     "--log", str(tmp_path / f"{arch}.csv")])
+            run_cli(["compress", "--model", str(dense), "--budget", "1.5",
+                     "--out", str(tn)])
+            for model in (dense, tn):
+                run_cli(["eval", "--model", str(model), "--data", str(data)])
+        tracer.fold()
+    assert tracer.absent == []
+    assert set(tracer.stats) == set(spans.SITES)
+    uncalled = [name for name, st in tracer.stats.items() if st.calls == 0]
+    assert uncalled == []
