@@ -45,8 +45,7 @@ import numpy as np
 # here, at import.
 from numpy.linalg._umath_linalg import solve as _lapack_solve
 
-from .contraction import (ContractionPlan, complement_matrix,
-                          contract_network, stored_plan)
+from .contraction import complement_matrix, contract_network, stored_plan
 from .errors import NumericError, TopologyError
 from .tensor import as_array, k_unfold
 from .topology import TNFactorSet, TNTopology, random_factor_stack
@@ -101,8 +100,7 @@ def _block_solutions(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _lapack_solve(gram, rhs.mT, signature="dd->d").mT
 
 
-def _sweep(f: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray],
-           plan: ContractionPlan):
+def _sweep(f: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray]):
     """Update every factor of f in place, in mode order, by its proximal
     block solution; return the relative error afterwards, ‖A_(N) − X·Dᵀ‖
     / ‖A‖ for the last block X and its design D.  Block n solves
@@ -110,11 +108,12 @@ def _sweep(f: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray],
     X_prev is factor n unfolded, ρ = _PROX·tr(G)/r + _PROX_FLOOR for r
     columns.  f is a stack of K sets, and K errors are returned; each set
     has its own ρ and solve, so a non-finite set is NaN in its slot alone."""
+    folds = stored_plan(f.topology).folds
     for n in range(1, f.topology.order + 1):
-        design = complement_matrix(f, n, plan)
+        design = complement_matrix(f, n)
         gram = design.mT @ design
         rhs = unfoldings[n] @ design
-        perm, inverse = plan.folds[n]
+        perm, inverse = folds[n]
         folded = f.factors[n - 1].transpose(inverse)
         prev = folded.reshape(rhs.shape, order="F")
         r = gram.shape[-1]
@@ -128,8 +127,7 @@ def _sweep(f: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray],
     return np.sqrt(_dots(res, res)) / norm
 
 
-def _round(stack: TNFactorSet, norm: float,
-           unfoldings: dict[int, np.ndarray], plan: ContractionPlan,
+def _round(stack: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray],
            tol: float, budget: int, prev=np.inf, ratio=_STALL_RATIO):
     """Sweep a stack of starts, whose rse before the first sweep is prev,
     until each has ended once (it reached tol, gained less than ratio
@@ -140,7 +138,7 @@ def _round(stack: TNFactorSet, norm: float,
     rses = []
     ended = np.zeros(stack.batch, dtype=bool)
     while not ended.all() and len(rses) < budget:
-        rse = _sweep(stack, norm, unfoldings, plan)
+        rse = _sweep(stack, norm, unfoldings)
         ended |= np.isnan(rse) | (rse <= tol) | (prev - rse < ratio * rse)
         rses.append(rse)
         prev = rse
@@ -163,7 +161,6 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
         return AlsResult(f, 0.0, np.zeros(0), 0, 0)
 
     unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
-    plan = stored_plan(topo)   # shared by every start, sweep and fit
     used = attempts = 0
     best_f, best = None, [np.inf]   # the best start's factors and history
     while used < cfg.max_sweeps and best[-1] > cfg.tol:
@@ -171,7 +168,7 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
                  for k in range(_ROUND)]
         stack = TNFactorSet(topo, random_factor_stack(topo, seeds),
                             batch=_ROUND)
-        f, history = _round(stack, norm, unfoldings, plan, cfg.tol,
+        f, history = _round(stack, norm, unfoldings, cfg.tol,
                             cfg.max_sweeps - used)
         attempts += _ROUND
         used += len(history)
@@ -183,13 +180,12 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
     if best_f is None:
         raise NumericError("no ALS start has a finite block update")
     if used < cfg.max_sweeps and best[-1] > cfg.tol:    # refine
-        best_f, history = _round(best_f, norm, unfoldings, plan, cfg.tol,
+        best_f, history = _round(best_f, norm, unfoldings, cfg.tol,
                                  cfg.max_sweeps - used, best[-1], cfg.tol)
         best += history
         used += len(history)
         if not np.isfinite(best[-1]):
             raise NumericError("non-finite block update in refine")
     f = TNFactorSet(topo, [x[0] for x in best_f.factors])
-    best[-1] = float(np.linalg.norm(contract_network(f, plan=plan) - a)
-                     / norm)
+    best[-1] = float(np.linalg.norm(contract_network(f) - a) / norm)
     return AlsResult(f, best[-1], np.array(best), attempts, used)

@@ -14,10 +14,10 @@ np.einsum(optimize="greedy") reaches (`c_einsum`, `matmul` or `multiply`,
 reshape and transpose) in the same order on the same operands, so a plan
 gives the same bits and skips the per-call parsing, path and dispatch work.
 
-A process-wide store keeps the plans of the last _STORED_PLANS topologies
-used, so each network is compiled once per process: `stored_plan` is the
-plan every contraction without a plan of its own runs on, and the plan of
-every ALS fit and TN forward pass.
+A process-wide store keyed on the topology, `stored_plan`, is the only
+source of plans: every contraction, ALS sweep and TN forward pass runs on
+the plan of its factor set's topology, so each network is compiled once
+per process.
 """
 
 from __future__ import annotations
@@ -58,10 +58,8 @@ class ContractionPlan:
     `c_einsum`.  A parse holds only for the shapes it was made from, so a
     key must fix every operand shape: a key is compiled for the shapes of
     its first call, and a call under it with other shapes raises
-    TopologyError.  A plan accepts only factor sets whose topology equals
-    its own, dims and ranks; a caller may add operands under a key of its
-    own, as `layers.fc_tn` adds its input.  `stored_plan` keeps one plan
-    per topology for the whole process.
+    TopologyError.  A caller may add operands under a key of its own, as
+    `layers.fc_tn` adds its input.  Plans come from `stored_plan` alone.
     """
 
     def __init__(self, topo: TNTopology):
@@ -150,48 +148,27 @@ class ContractionPlan:
         return arrays[0]
 
 
-# the store keeps the plans of this many topologies, least recently used
-# out first
+# The process-wide plan of each topology, made on first use.  TNTopology is
+# a value, so equal dims and ranks share one plan; the store keeps the
+# plans of _STORED_PLANS topologies, least recently used out first.
 _STORED_PLANS = 64
+stored_plan = lru_cache(maxsize=_STORED_PLANS)(ContractionPlan)
 
 
-@lru_cache(maxsize=_STORED_PLANS)
-def _plans(dims: tuple[int, ...], ranks: tuple) -> ContractionPlan:
-    return ContractionPlan(TNTopology(dims, dict(ranks)))
-
-
-def stored_plan(topo: TNTopology) -> ContractionPlan:
-    """The process-wide plan of topo's dims and ranks, made on first use.
-    (TNTopology holds a dict, so the store is keyed on its items.)"""
-    return _plans(topo.dims, tuple(sorted(topo.ranks.items())))
-
-
-def plan_for(f: TNFactorSet, plan: ContractionPlan | None) -> ContractionPlan:
-    """`plan` after checking it covers f's topology, or the stored plan of
-    f's topology."""
-    if plan is None:
-        return stored_plan(f.topology)
-    if f.topology is not plan.topology and f.topology != plan.topology:
-        raise TopologyError("factor set topology does not match the plan")
-    return plan
-
-
-def contract_network(f: TNFactorSet,
-                     plan: ContractionPlan | None = None) -> np.ndarray:
+def contract_network(f: TNFactorSet) -> np.ndarray:
     """Multilinear contraction over all shared bond indices, one network per
-    set of a stack, on `plan` or the stored plan of f's topology."""
-    plan = plan_for(f, plan)
+    set of a stack, on the stored plan of f's topology."""
+    plan = stored_plan(f.topology)
     operands, stack = plan.operands(f)
     return plan.einsum(("network", f.batch), *operands, stack + plan.modes)
 
 
-def complement_matrix(f: TNFactorSet, n: int,
-                      plan: ContractionPlan | None = None) -> np.ndarray:
+def complement_matrix(f: TNFactorSet, n: int) -> np.ndarray:
     """Contract every factor except n into a matrix whose rows run over the
     little-endian multi-index of the remaining modes (ascending) and whose
     columns run over the bonds incident to mode n (ascending partner); for
     a stack of K sets, a K x rows x columns stack of them."""
-    plan = plan_for(f, plan)
+    plan = stored_plan(f.topology)
     operands, stack = plan.operands(f, skip=n)
     out, rows = plan.complements[n]
     full = plan.einsum(("complement", n, f.batch), *operands, out + stack)

@@ -97,25 +97,20 @@ class RankBoundReport:
 
 
 def check_theorem1(t: np.ndarray, generator: str, r_cp: int | None = None,
-                   tucker_ranks=None, tn_ranks: dict | None = None) -> RankBoundReport:
+                   tucker_ranks=None) -> RankBoundReport:
     """Check that every generalized-unfolding rank respects the bound
-    implied by the generator: min over the available CP / Tucker / bond
-    products.  The bond-product clause only applies when a TN rank table
-    is supplied; otherwise it is reported as not applicable."""
+    implied by the generator: the CP rank, or the lesser of the Tucker rank
+    products of the two sides.  No TN bond-product bound applies to these
+    generators; each row reports it as not applicable (tn_bound None)."""
     t = np.asarray(t)
     rows = []
     for a, b in bipartitions(t.ndim):
         observed = numerical_rank(generalized_unfold(t, a, b))
         candidates = []
-        tn_bound = None
         if generator == "cp":
             if r_cp is None:
                 raise ValueError("CP generator requires r_cp")
             candidates.append(r_cp)
-            if tn_ranks is not None:
-                tn_bound = int(np.prod([tn_ranks[(min(i, j), max(i, j))]
-                                        for i in a for j in b]))
-                candidates.append(tn_bound)
         elif generator == "tucker":
             if tucker_ranks is None:
                 raise ValueError("Tucker generator requires tucker_ranks")
@@ -126,6 +121,6 @@ def check_theorem1(t: np.ndarray, generator: str, r_cp: int | None = None,
         bound = min(candidates)
         rows.append({
             "row_modes": a, "col_modes": b, "observed": observed,
-            "bound": bound, "tn_bound": tn_bound, "ok": observed <= bound,
+            "bound": bound, "tn_bound": None, "ok": observed <= bound,
         })
     return RankBoundReport(generator, rows)

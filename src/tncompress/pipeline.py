@@ -326,6 +326,8 @@ def _compress(container: ModelContainer, prepared: _Prepared, kappa: float,
                 raise NumericError(
                     f"layer {layer.index}'s TN factors overflow float32")
             out.manifest[f"{prefix}.format"] = "tn"
+            # the flag of a layer an earlier compress kept dense
+            out.manifest.pop(f"{prefix}.kept_dense", None)
             out.manifest[f"{prefix}.ranks"] = _encode_ranks(ranks)
             for k, f in enumerate(factors):
                 out.tensors[f"layer{layer.index}/factor{k}"] = f
@@ -375,29 +377,36 @@ def evaluate_container(container: ModelContainer, data_seed: int) -> dict:
 # ---------------------------------------------------------------------------
 # top-level entry points
 
-def _check_writable(*paths) -> None:
+def _check_writable(source, *paths) -> None:
     """Raise, before any work is done, the OSError that opening each given
-    path for writing would raise for a missing directory or a directory in
-    its way, or one for two paths that resolve to one file, where the later
-    write would replace the earlier; a path of None is skipped."""
-    seen = {}    # real path -> the path given first for it
-    for path in filter(None, paths):
-        real = os.path.realpath(path)
-        if real in seen:
-            raise OSError(errno.EEXIST, "two outputs name one file",
-                          seen[real], None, str(path))
-        seen[real] = str(path)
+    output path for writing would raise for an empty path, a missing
+    directory or a directory in its way, or one for an output that
+    resolves to the input file `source` or to an earlier output, whose
+    write would replace that file; an output of None is skipped."""
+    seen = {}    # real path -> the output given first for it
+    for path in paths:
+        if path is None:
+            continue
         if os.path.isdir(path):
             code = errno.EISDIR
-        elif not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        elif path == "" or not os.path.isdir(
+                os.path.dirname(os.path.abspath(path))):
             code = errno.ENOENT
         else:
+            real = os.path.realpath(path)
+            if real == os.path.realpath(source):
+                raise OSError(errno.EEXIST, "an output names the input file",
+                              str(source), None, str(path))
+            if real in seen:
+                raise OSError(errno.EEXIST, "two outputs name one file",
+                              seen[real], None, str(path))
+            seen[real] = str(path)
             continue
         raise OSError(code, os.strerror(code), str(path))
 
 
 def run_train(config_path, out_path, log_path=None):
-    _check_writable(out_path, log_path)
+    _check_writable(config_path, out_path, log_path)
     text = _config_text(config_path)
     arch, data_seed, cfg = parse_train_config(
         parse_key_values(text, ConfigError, str(config_path)))
@@ -417,7 +426,7 @@ def run_train(config_path, out_path, log_path=None):
 
 def run_compress(model_path, out_path, kappa=None, budget=None,
                  report_path=None) -> CompressionReport:
-    _check_writable(out_path, report_path)
+    _check_writable(model_path, out_path, report_path)
     compressed, report = compress_container(
         load_model(model_path), kappa=kappa, budget=budget)
     save_model(out_path, compressed)
@@ -440,7 +449,7 @@ def emit_tradeoff(model_path, kappas, out_path) -> list[dict]:
     Each distinct (layer, rank table) is fitted once per call."""
     if not kappas:
         raise ValueError("give at least one kappa")
-    _check_writable(out_path)
+    _check_writable(model_path, out_path)
     container = load_model(model_path)
     data_seed = _parsed(container.manifest, "data_seed", _natural)
     prepared = _prepare(container)

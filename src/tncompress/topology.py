@@ -9,6 +9,7 @@ size I_k.  Bonds of rank 1 are structurally present but non-influential.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,10 @@ def mode_pairs(order: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class TNTopology:
+    """Mode sizes and a bond rank per mode pair, as a value: equal dims and
+    ranks, in any rank-table order, hash alike and key one stored contraction
+    plan.  The hash is computed once, so the ranks must not change."""
+
     dims: tuple[int, ...]
     ranks: dict[tuple[int, int], int]
 
@@ -35,6 +40,13 @@ class TNTopology:
                 f"rank table must cover exactly the {len(expected)} mode pairs")
         if any(r < 1 for r in self.ranks.values()):
             raise TopologyError("every bond rank must be >= 1")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dims, tuple(sorted(self.ranks.items()))))
 
     @property
     def order(self) -> int:

@@ -59,14 +59,13 @@ def test_complement_matrix_planned_path_gives_greedy_bits(seed):
     dims = tuple(int(d) for d in rng.integers(1, 5, size=order))
     topo = TNTopology(dims, {p: int(rng.integers(1, 4))
                              for p in mode_pairs(order)})
-    plan = ContractionPlan(topo)
+    contraction.stored_plan.cache_clear()
     # the second factor set runs along the paths the first one planned
     for s in (seed, seed + 100):
         f = random_factor_set(topo, seed=s)
         for n in range(1, order + 1):
             expected = greedy_complement(f, n)
             assert np.array_equal(complement_matrix(f, n), expected)
-            assert np.array_equal(complement_matrix(f, n, plan), expected)
 
 
 # order-3/4 topologies, each with at least one rank-1 bond
@@ -92,7 +91,7 @@ def test_als_fit_compiles_each_plan_key_once(topo, monkeypatch):
     # np.einsum plans through einsumfunc.einsum_path on every call
     monkeypatch.setattr(np, "einsum_path", counting_einsum_path)
     monkeypatch.setattr(einsumfunc, "einsum_path", counting_einsum_path)
-    contraction._plans.cache_clear()    # no key of topo compiled yet
+    contraction.stored_plan.cache_clear()    # no key of topo compiled yet
     result = als_fit(target, topo, AlsConfig(seed=1))
     # the restarts ran more than one round of stacked sweeps
     assert result.attempts > als._ROUND
@@ -216,7 +215,7 @@ def sweep_inputs(topo, seed):
     a = np.random.default_rng(seed).standard_normal(topo.dims)
     unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
     return (stack_of([random_factor_set(topo, seed)]), a,
-            float(np.linalg.norm(a)), unfoldings, ContractionPlan(topo))
+            float(np.linalg.norm(a)), unfoldings)
 
 
 def proximal_block(f, n, a):
@@ -247,14 +246,14 @@ def unfolded(f, n):
 def test_block_update_is_the_proximal_solve(seed):
     # every design is taller than wide, so each gram is well-conditioned
     topo = TNTopology((5, 6, 4), {(1, 2): 2, (1, 3): 3, (2, 3): 2})
-    f, a, norm, unfoldings, plan = sweep_inputs(topo, seed)
+    f, a, norm, unfoldings = sweep_inputs(topo, seed)
     reference = stack_of([random_factor_set(topo, seed)])
     for n in range(1, 4):
         block = proximal_block(reference, n, a)
         x = np.moveaxis(reference.factors[n - 1], n, 1)
         reference.factors[n - 1] = np.moveaxis(
             block.reshape(x.shape, order="F"), 1, n)
-    [rse] = _sweep(f, norm, unfoldings, plan)
+    [rse] = _sweep(f, norm, unfoldings)
     for got, want in zip(f.factors, reference.factors):
         np.testing.assert_allclose(got, want, rtol=1e-10,
                                    atol=1e-12 * np.abs(want).max())
@@ -266,14 +265,14 @@ def test_singular_gram_gets_a_finite_proximal_block():
     # two equal slices of factor 2 along its bond to mode 1 make two
     # columns of factor 1's design equal: its gram is exactly singular
     topo = uniform_topology((5, 4, 6), 3)
-    f, a, norm, unfoldings, plan = sweep_inputs(topo, 0)
+    f, a, norm, unfoldings = sweep_inputs(topo, 0)
     f.factors[1][0, 1] = f.factors[1][0, 0]
     design = complement_matrix(f, 1)[0]
     gram = design.T @ design
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(gram, np.eye(len(gram)))
     want = proximal_block(f, 1, a)
-    [rse] = _sweep(f, norm, unfoldings, plan)
+    [rse] = _sweep(f, norm, unfoldings)
     assert np.array_equal(unfolded(f, 1), want)
     assert all(np.all(np.isfinite(x)) for x in f.factors)
     assert rse == pytest.approx(
@@ -285,13 +284,13 @@ def test_an_all_zero_factor_keeps_the_blocks_finite():
     # grams are zero, ρ is the floor, and each keeps its previous block,
     # where a least-squares block of zero would zero the whole network
     topo = uniform_topology((5, 4, 6), 3)
-    f, a, norm, unfoldings, plan = sweep_inputs(topo, 0)
+    f, a, norm, unfoldings = sweep_inputs(topo, 0)
     f.factors[2][...] = 0.0
     start = [unfolded(f, n) for n in (1, 2)]
-    rses = [_sweep(f, norm, unfoldings, plan)[0]]
+    rses = [_sweep(f, norm, unfoldings)[0]]
     for n, x in zip((1, 2), start):
         np.testing.assert_allclose(unfolded(f, n), x, rtol=1e-12)
-    rses += [_sweep(f, norm, unfoldings, plan)[0] for _ in range(2)]
+    rses += [_sweep(f, norm, unfoldings)[0] for _ in range(2)]
     assert all(np.all(np.isfinite(x)) for x in f.factors)
     assert np.all(np.isfinite(rses))
     assert rses[0] < 1.0
@@ -300,9 +299,9 @@ def test_an_all_zero_factor_keeps_the_blocks_finite():
 
 
 def assert_sweeps_give_exact_rse(topo, seed):
-    f, a, norm, unfoldings, plan = sweep_inputs(topo, seed)
+    f, a, norm, unfoldings = sweep_inputs(topo, seed)
     for _ in range(3):
-        [rse] = _sweep(f, norm, unfoldings, plan)
+        [rse] = _sweep(f, norm, unfoldings)
         exact = np.linalg.norm(contract_network(f)[0] - a) / norm
         assert rse == pytest.approx(exact, rel=1e-10)
     return a, norm
@@ -402,7 +401,6 @@ def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset()):
     if norm == 0.0:
         return als_fit(t, topo, cfg)
     unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
-    plan = ContractionPlan(topo)
     used = attempts = 0
     best_f, best = None, [np.inf]
     while used < cfg.max_sweeps and best[-1] > cfg.tol:
@@ -414,7 +412,7 @@ def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset()):
             f = stack_of([random_factor_set(topo, seed)])
             history, prev = [], np.inf
             while len(history) < cfg.max_sweeps - used:
-                rse = float(_sweep(f, norm, unfoldings, plan)[0])
+                rse = float(_sweep(f, norm, unfoldings)[0])
                 history.append(rse)
                 if rse <= cfg.tol or prev - rse < als._STALL_RATIO * rse:
                     break
@@ -426,18 +424,18 @@ def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset()):
         prior = best[-1]
         for f, history in runs:
             while len(history) < length:
-                history.append(float(_sweep(f, norm, unfoldings, plan)[0]))
+                history.append(float(_sweep(f, norm, unfoldings)[0]))
             if history[-1] < best[-1]:
                 best_f, best = f, history
         if best[-1] >= prior * (1 - als._GAIN):
             break
     while used < cfg.max_sweeps and best[-1] > cfg.tol:
-        best.append(float(_sweep(best_f, norm, unfoldings, plan)[0]))
+        best.append(float(_sweep(best_f, norm, unfoldings)[0]))
         used += 1
         if best[-2] - best[-1] < cfg.tol * best[-1]:
             break
     f = TNFactorSet(topo, [x[0] for x in best_f.factors])
-    best[-1] = float(np.linalg.norm(contract_network(f, plan) - a) / norm)
+    best[-1] = float(np.linalg.norm(contract_network(f) - a) / norm)
     return AlsResult(f, best[-1], np.array(best), attempts, used)
 
 
@@ -461,7 +459,7 @@ def fit_target(topo, seed, planted):
 @pytest.mark.parametrize("topo", PINNED_TOPOLOGIES)
 def test_a_fit_on_a_warm_plan_equals_a_cold_one(topo, monkeypatch):
     target, cfg = fit_target(topo, 1, False), AlsConfig(seed=1)
-    contraction._plans.cache_clear()
+    contraction.stored_plan.cache_clear()
     cold = als_fit(target, topo, cfg)
     als_fit(fit_target(topo, 2, True), topo, AlsConfig(seed=5))
 
@@ -526,8 +524,8 @@ def test_a_dead_start_stays_out_of_its_round(monkeypatch):
     poison_starts(monkeypatch, {0})
     starts = [TNFactorSet(topo, als.random_factor_stack(topo, seeds),
                           batch=len(seeds)) for seeds in ([0, 1], [1])]
-    rounds = [als._round(stack, norm, unfoldings, ContractionPlan(topo),
-                         AlsConfig().tol, 300) for stack in starts]
+    rounds = [als._round(stack, norm, unfoldings, AlsConfig().tol, 300)
+              for stack in starts]
     (f, history), (alone, want) = rounds
     assert history == want
     for x, y in zip(f.factors, alone.factors):
@@ -613,11 +611,10 @@ def assert_stacked_sweep_is_each_set_alone(stack, sets, a):
     singular gram included.  Returns the stack's rse."""
     norm = float(np.linalg.norm(a))
     unfoldings = {n: k_unfold(a, n) for n in range(1, a.ndim + 1)}
-    plan = ContractionPlan(stack.topology)
-    rse = _sweep(stack, norm, unfoldings, plan)
+    rse = _sweep(stack, norm, unfoldings)
     for k, f in enumerate(sets):
         one = stack_of([f])
-        [alone] = _sweep(one, norm, unfoldings, plan)
+        [alone] = _sweep(one, norm, unfoldings)
         assert rse[k] == pytest.approx(alone, rel=1e-12)
         assert rse[k] == alone
         for x, [y] in zip(stack.factors, one.factors):
@@ -642,14 +639,13 @@ def test_stacked_contractions_are_each_set_alone(data):
     seed = data.draw(st.integers(0, 2 ** 16))
     sets = [random_factor_set(topo, seed + k) for k in range(als._ROUND)]
     stack = stack_of(sets)
-    plan = ContractionPlan(topo)
-    stacked = contract_network(stack, plan)
+    stacked = contract_network(stack)
     for k, f in enumerate(sets):
-        assert np.array_equal(stacked[k], contract_network(f, plan))
+        assert np.array_equal(stacked[k], contract_network(f))
     for n in range(1, order + 1):
-        design = complement_matrix(stack, n, plan)
+        design = complement_matrix(stack, n)
         for k, f in enumerate(sets):
-            alone = complement_matrix(f, n, plan)
+            alone = complement_matrix(f, n)
             np.testing.assert_allclose(design[k], alone, rtol=1e-12,
                                        atol=1e-12 * np.abs(alone).max())
             assert np.array_equal(design[k], alone)

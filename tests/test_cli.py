@@ -216,6 +216,54 @@ class TestExitCodes:
         assert "two outputs name one file" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--out", "m.stnz", "--log", "t.cfg"],
+        ["train", "--out", "./t.cfg"],
+        ["compress", "--budget", "2", "--out", "c.stnz",
+         "--report", "m.stnz"],
+        ["compress", "--kappa", "0.9", "--out", "./m.stnz"],
+        ["tradeoff", "--kappas", "0.9", "--out", "m.stnz"]])
+    def test_an_output_on_the_input_fails_before_any_work(
+            self, workspace, tmp_path, capsys, monkeypatch, command):
+        # a run that got as far as training or loading would raise TypeError
+        monkeypatch.setattr("tncompress.pipeline.train_stn", None)
+        monkeypatch.setattr("tncompress.pipeline.load_model", None)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.cfg").write_text(TRAIN_CFG)
+        (tmp_path / "m.stnz").write_bytes(
+            (workspace / "dense.stnz").read_bytes())
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        source = (["--config", "t.cfg"] if command[0] == "train"
+                  else ["--model", "m.stnz"])
+        rc = main(command + source)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "an output names the input file" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--out", "o.stnz", "--log", ""],
+        ["train", "--out", ""],
+        ["compress", "--budget", "2", "--out", "o2.stnz", "--report", ""],
+        ["compress", "--kappa", "0.9", "--out", ""],
+        ["tradeoff", "--kappas", "0.9", "--out", ""]])
+    def test_an_empty_output_path_fails_before_any_work(
+            self, workspace, tmp_path, capsys, monkeypatch, command):
+        # a run that got as far as training or loading would raise TypeError
+        monkeypatch.setattr("tncompress.pipeline.train_stn", None)
+        monkeypatch.setattr("tncompress.pipeline.load_model", None)
+        monkeypatch.chdir(tmp_path)
+        source = (["--config", str(workspace / "train.cfg")]
+                  if command[0] == "train"
+                  else ["--model", str(workspace / "dense.stnz")])
+        rc = main(command + source)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "No such file or directory: ''" in err
+        assert not list(tmp_path.iterdir())
+
     def test_directory_as_model_is_two(self, tmp_path, capsys):
         rc = main(["report", "--model", str(tmp_path)])
         assert rc == 2
@@ -673,7 +721,7 @@ def test_repeated_evals_compile_each_tn_layer_once(workspace, tn_model,
     # np.einsum plans through einsumfunc.einsum_path on every call
     monkeypatch.setattr(np, "einsum_path", counting_einsum_path)
     monkeypatch.setattr(einsumfunc, "einsum_path", counting_einsum_path)
-    contraction._plans.cache_clear()
+    contraction.stored_plan.cache_clear()
     evaluate = ["eval", "--model", str(tn_model),
                 "--data", str(workspace / "data.cfg")]
     outs = []

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from numpy._core import einsumfunc
 
-from tncompress import contraction, layers
+from tncompress import contraction, layers, pipeline
 from tncompress.als import AlsConfig, als_fit, complement_matrix
 from tncompress.contraction import (ContractionPlan, contract_network,
                                     stored_plan)
 from tncompress.errors import TopologyError
+from tncompress.model_io import load_model, save_model
 from tncompress.oracles import brute_force_contract
 from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
                                  random_factor_set, random_factor_stack,
                                  uniform_topology)
+from tncompress.toynet import make_net
 
 
 def rel_err(a, b):
@@ -76,13 +78,12 @@ def greedy_network(f):
 @pytest.mark.parametrize("seed", range(10))
 def test_planned_path_gives_greedy_bits(seed):
     topo = random_topology(seed)
-    plan = ContractionPlan(topo)
+    contraction.stored_plan.cache_clear()
     # the second factor set runs along the paths the first one planned
     for s in (seed, seed + 100):
         f = random_factor_set(topo, seed=s)
         expected = greedy_network(f)
         assert np.array_equal(contract_network(f), expected)
-        assert np.array_equal(contract_network(f, plan), expected)
 
 
 def greedy_keys(f):
@@ -112,10 +113,9 @@ def greedy_keys(f):
     return out
 
 
-def planned_keys(f, plan):
-    return [contract_network(f, plan)] + [
-        complement_matrix(f, n, plan)
-        for n in range(1, f.topology.order + 1)]
+def planned_keys(f):
+    return [contract_network(f)] + [
+        complement_matrix(f, n) for n in range(1, f.topology.order + 1)]
 
 
 def factor_sets(topo, seed, batch):
@@ -130,9 +130,9 @@ def factor_sets(topo, seed, batch):
 def test_replayed_steps_give_greedy_bits_for_every_key(seed, batch,
                                                        monkeypatch):
     topo = random_topology(seed)
-    plan = ContractionPlan(topo)
+    contraction.stored_plan.cache_clear()
     first = factor_sets(topo, seed, batch)      # compiles every key
-    for got, want in zip(planned_keys(first, plan), greedy_keys(first)):
+    for got, want in zip(planned_keys(first), greedy_keys(first)):
         assert np.array_equal(got, want)
     fresh = factor_sets(topo, seed + 100, batch)
     expected = greedy_keys(fresh)
@@ -145,28 +145,37 @@ def test_replayed_steps_give_greedy_bits_for_every_key(seed, batch,
     monkeypatch.setattr(einsumfunc, "bmm_einsum", compiled_already)
     monkeypatch.setattr(einsumfunc, "einsum_path", compiled_already)
     monkeypatch.setattr(np, "einsum_path", compiled_already)
-    for got, want in zip(planned_keys(fresh, plan), expected):
+    for got, want in zip(planned_keys(fresh), expected):
         assert np.array_equal(got, want)
 
 
-def test_plan_rejects_topology_with_other_ranks():
-    # TNTopology equality compares dims and ranks, so the plan's `!=` check
-    # rejects a topology with the same dims and other ranks
-    plan = ContractionPlan(uniform_topology((3, 4, 2), 2))
-    f = random_factor_set(uniform_topology((3, 4, 2), 3), seed=0)
-    with pytest.raises(TopologyError):
-        contract_network(f, plan=plan)
+def test_a_topology_is_a_value():
+    # equal dims and ranks, in any rank-table order, hash alike and share
+    # one stored plan; other ranks on the same dims never get that plan
+    pairs = mode_pairs(3)
+    ranks = dict(zip(pairs, (2, 3, 1)))
+    topo = TNTopology((3, 4, 2), ranks)
+    same = TNTopology((3, 4, 2), {p: ranks[p] for p in reversed(pairs)})
+    other = TNTopology((3, 4, 2), dict(zip(pairs, (3, 2, 1))))
+    assert list(same.ranks) != list(topo.ranks)
+    assert same == topo and hash(same) == hash(topo)
+    assert other != topo
+    assert stored_plan(same) is stored_plan(topo)
+    assert stored_plan(other) is not stored_plan(topo)
+    assert stored_plan(other).topology == other
+    f = random_factor_set(other, seed=0)
+    assert np.array_equal(contract_network(f), greedy_network(f))
 
 
 def test_plan_builds_the_als_tables_only_when_read():
     # `complements` and `folds` are ALS's; a forward pass builds neither
-    contraction._plans.cache_clear()
+    contraction.stored_plan.cache_clear()
     topo = TNTopology((4, 8, 2, 4), {p: 2 for p in mode_pairs(4)})
     f = random_factor_set(topo, seed=0)
     layers.fc_tn(np.ones((3, 8)), f, layers.TensorizationPlan((4, 8), (2, 4)))
     plan = stored_plan(topo)
     assert list(plan._steps) == [("fc", 2, 3)]
-    assert contraction._plans.cache_info().currsize == 1
+    assert contraction.stored_plan.cache_info().currsize == 1
     assert "complements" not in vars(plan) and "folds" not in vars(plan)
     complement_matrix(f, 2)
     assert "complements" in vars(plan) and "folds" not in vars(plan)
@@ -174,6 +183,23 @@ def test_plan_builds_the_als_tables_only_when_read():
     als_fit(contract_network(random_factor_set(topo, seed=1)), topo,
             AlsConfig(max_sweeps=1))
     assert stored_plan(topo) is plan and "folds" in vars(plan)
+
+
+def test_a_fit_and_a_forward_on_its_loaded_topology_share_a_plan(tmp_path):
+    # a model file's topology loads as a new object, equal to the one its
+    # factors were fitted on, so the forward finds the fit's plan stored
+    dense = pipeline.net_to_container(make_net("mlp", 0), "mlp", {})
+    save_model(tmp_path / "tn.stnz",
+               pipeline.compress_container(dense, budget=2.0)[0])
+    layer = pipeline.container_layers(load_model(tmp_path / "tn.stnz"))[0]
+    topo = layer.factors.topology
+    fitted = TNTopology(topo.dims, dict(reversed(topo.ranks.items())))
+    target = contract_network(layer.factors)
+    contraction.stored_plan.cache_clear()
+    als_fit(target, fitted, AlsConfig(max_sweeps=2))
+    layers.fc_tn(np.ones((3, layer.plan.cols)), layer.factors, layer.plan)
+    info = contraction.stored_plan.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def greedy_fc(x, f, tplan):
@@ -194,7 +220,7 @@ def greedy_fc(x, f, tplan):
 def test_fc_keys_fix_the_split_and_the_batch():
     # one stored plan serves every split of its dims at every batch size,
     # each under a key of its own
-    contraction._plans.cache_clear()
+    contraction.stored_plan.cache_clear()
     topo = TNTopology((4, 8, 2, 4), {p: 2 for p in mode_pairs(4)})
     f = random_factor_set(topo, seed=0)
     rng = np.random.default_rng(0)
@@ -222,14 +248,14 @@ def test_a_key_called_with_other_shapes_raises():
 
 
 def test_the_store_holds_at_most_its_bound():
-    contraction._plans.cache_clear()
+    contraction.stored_plan.cache_clear()
     bound = contraction._STORED_PLANS
     topos = [uniform_topology((d, 2), 1) for d in range(1, bound + 11)]
     for topo in topos:
         contract_network(random_factor_set(topo, seed=0))
-    info = contraction._plans.cache_info()
+    info = contraction.stored_plan.cache_info()
     assert info.maxsize == info.currsize == bound
     # the least recently used topologies were dropped, the rest kept
     assert ("network", 0) in stored_plan(topos[-1])._steps
     assert not stored_plan(topos[0])._steps
-    assert contraction._plans.cache_info().currsize == bound
+    assert contraction.stored_plan.cache_info().currsize == bound

@@ -138,6 +138,19 @@ class TestCompression:
         layers = container_layers(compressed)
         assert all(l.kept_dense and l.fmt == "dense" for l in layers)
 
+    def test_recompressing_a_kept_dense_layer_drops_its_flag(self):
+        container = trained_container(steps=20)
+        kept, _ = compress_container(container, kappa=1.0)
+        again, report = compress_container(kept, budget=2.0)
+        assert [row["kept_dense"] for row in report.rows] == [0, 0]
+        assert not any(l.kept_dense for l in container_layers(again))
+        # the same model as compressing the trained one at that budget
+        direct, _ = compress_container(container, budget=2.0)
+        assert again.manifest == direct.manifest
+        assert again.tensors.keys() == direct.tensors.keys()
+        for name, x in direct.tensors.items():
+            assert np.array_equal(again.tensors[name], x)
+
     def test_budget_is_met(self):
         container = trained_container(steps=200)
         compressed, report = compress_container(container, budget=2.0)
