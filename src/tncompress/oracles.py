@@ -100,8 +100,7 @@ def check_theorem1(t: np.ndarray, generator: str, r_cp: int | None = None,
                    tucker_ranks=None) -> RankBoundReport:
     """Check that every generalized-unfolding rank respects the bound
     implied by the generator: the CP rank, or the lesser of the Tucker rank
-    products of the two sides.  No TN bond-product bound applies to these
-    generators; each row reports it as not applicable (tn_bound None)."""
+    products of the two sides."""
     t = np.asarray(t)
     rows = []
     for a, b in bipartitions(t.ndim):
@@ -121,6 +120,6 @@ def check_theorem1(t: np.ndarray, generator: str, r_cp: int | None = None,
         bound = min(candidates)
         rows.append({
             "row_modes": a, "col_modes": b, "observed": observed,
-            "bound": bound, "tn_bound": None, "ok": observed <= bound,
+            "bound": bound, "ok": observed <= bound,
         })
     return RankBoundReport(generator, rows)

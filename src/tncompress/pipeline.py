@@ -22,7 +22,7 @@ from .layers import (TensorizationPlan, conv2d_dense, conv2d_tn, fc_tn,
 from .model_io import (ModelContainer, load_model, parse_key_values,
                        save_model)
 from .ranks import budget_kappa, ranks_from_curves, retention_curves
-from .toynet import (ARCHS, TinyCNN, make_dataset, make_net,
+from .toynet import (ARCHS, TinyCNN, eval_split, make_dataset, make_net,
                      softmax_cross_entropy)
 from .topology import (TNFactorSet, TNTopology, prune_rank_one_edges,
                        tn_param_count)
@@ -364,13 +364,13 @@ def model_logits(container: ModelContainer, x: np.ndarray) -> np.ndarray:
 
 
 def evaluate_container(container: ModelContainer, data_seed: int) -> dict:
-    data = make_dataset(_arch(container), data_seed)
+    x_test, y_test = eval_split(_arch(container), data_seed)
     # an overflow is refused below; finite logits give a finite loss
     with np.errstate(all="ignore"):
-        logits = model_logits(container, data.x_test)
+        logits = model_logits(container, x_test)
         if not np.isfinite(logits).all():
             raise NumericError("the model's logits are non-finite")
-        loss, acc, _ = softmax_cross_entropy(logits, data.y_test)
+        loss, acc, _ = softmax_cross_entropy(logits, y_test)
     return {"loss": loss, "accuracy": acc}
 
 

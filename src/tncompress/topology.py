@@ -9,7 +9,6 @@ size I_k.  Bonds of rank 1 are structurally present but non-influential.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,11 +41,13 @@ class TNTopology:
             raise TopologyError("every bond rank must be >= 1")
 
     def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.dims, tuple(sorted(self.ranks.items()))))
+        # kept in the instance dict on first use: the frozen dataclass
+        # refuses setattr, and most topologies are never hashed
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(
+                (self.dims, tuple(sorted(self.ranks.items()))))
+        return h
 
     @property
     def order(self) -> int:

@@ -10,6 +10,7 @@ Weights are stored as float32; all arithmetic runs in float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,6 +162,17 @@ def make_net(arch: str, seed: int):
 
 def make_dataset(arch: str, seed: int) -> Dataset:
     return make_blobs(seed) if arch == "mlp" else make_stripes(seed)
+
+
+@lru_cache(maxsize=8)
+def eval_split(arch: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The test half of `make_dataset(arch, seed)`, drawn once per process
+    for each (arch, seed) and shared by every caller, so both arrays are
+    read-only."""
+    data = make_dataset(arch, seed)
+    for a in (data.x_test, data.y_test):
+        a.flags.writeable = False
+    return data.x_test, data.y_test
 
 
 def toy_backward(net, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy._core import einsumfunc
 
-from tncompress import cli, contraction
+from tncompress import cli, contraction, toynet
 from tncompress.cli import main
 from tncompress.model_io import load_model, save_model
 
@@ -730,6 +730,19 @@ def test_repeated_evals_compile_each_tn_layer_once(workspace, tn_model,
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] == outs[2]
     assert len(calls) == 2      # the model's two TN fc layers
+
+
+def test_repeated_evals_draw_the_test_split_once(workspace, tn_model, capsys):
+    toynet.eval_split.cache_clear()
+    evaluate = ["eval", "--model", str(tn_model),
+                "--data", str(workspace / "data.cfg")]
+    outs = []
+    for _ in range(3):
+        assert main(evaluate) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    info = toynet.eval_split.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_readme_train_config_trains(tmp_path, capsys):

@@ -79,10 +79,11 @@ class TestRankBounds:
         assert row["bound"] == min(2, 6) == 2
         assert rep.ok
 
-    def test_cp_tn_clause_marked_not_applicable(self):
+    def test_rows_carry_only_the_generator_bound(self):
         t = generate_cp((3, 3, 3), 2, seed=6)
         rep = check_theorem1(t, "cp", r_cp=2)
-        assert all(r["tn_bound"] is None for r in rep.rows)
+        assert all(set(r) == {"row_modes", "col_modes", "observed", "bound",
+                              "ok"} for r in rep.rows)
 
     def test_random_instances_respect_bounds(self):
         rng = np.random.default_rng(7)

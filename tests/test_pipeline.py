@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tncompress import pipeline
+from tncompress import pipeline, toynet
 from tncompress.admm import AdmmConfig
 from tncompress.als import AlsConfig, als_fit
 from tncompress.cli import main
@@ -277,6 +277,15 @@ class TestTradeoff:
                                tmp_path / "grid.csv")
         assert len(calls) == len(set(fitted))
         assert (tmp_path / "grid.csv").read_bytes() == b"".join(lines)
+
+    def test_the_test_split_is_drawn_once(self, tmp_path):
+        save_model(tmp_path / "dense.stnz", trained_container())
+        toynet.eval_split.cache_clear()
+        rows = pipeline.emit_tradeoff(tmp_path / "dense.stnz",
+                                      [1.0, 0.9, 0.8], tmp_path / "t.csv")
+        assert len(rows) == 3
+        info = toynet.eval_split.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from tncompress import admm, training
 from tncompress.admm import AdmmConfig, balanced_unfold
 from tncompress.ranks import effective_rank
-from tncompress.toynet import (MLP, TinyCNN, make_blobs, make_dataset,
-                               make_net, make_stripes, softmax_cross_entropy,
-                               toy_backward)
+from tncompress.toynet import (MLP, TinyCNN, eval_split, make_blobs,
+                               make_dataset, make_net, make_stripes,
+                               softmax_cross_entropy, toy_backward)
 from tncompress.training import evaluate_net, train_sgd, train_stn
 
 
@@ -66,6 +66,21 @@ class TestDatasets:
     def test_make_dataset_dispatch(self):
         assert make_dataset("mlp", 0).x_train.ndim == 2
         assert make_dataset("tinycnn", 0).x_train.ndim == 4
+
+    @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_eval_split_is_the_test_half(self, arch, seed):
+        data = make_dataset(arch, seed)
+        for got, want in zip(eval_split(arch, seed),
+                             (data.x_test, data.y_test)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
+    def test_eval_split_is_read_only(self, arch):
+        for a in eval_split(arch, 3):
+            with pytest.raises(ValueError):
+                a[0] = 1
 
 
 class TestNets:
