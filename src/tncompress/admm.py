@@ -64,10 +64,6 @@ def svt(mat: np.ndarray, tau: float) -> np.ndarray:
     return (res.u * shrunk) @ res.v.T
 
 
-def nuclear_norm(mat: np.ndarray) -> float:
-    return float(svd(mat).s.sum())
-
-
 @dataclass(frozen=True)
 class AdmmConfig:
     lam: float = 0.005

@@ -44,10 +44,6 @@ class TensorizationPlan:
     in_factors: tuple[int, ...]   # (J_1, J_2), product N
 
     @property
-    def reduced(self) -> bool:    # a side has no split into factors >= 2
-        return 1 in self.dims
-
-    @property
     def rows(self) -> int:
         return int(np.prod(self.out_factors))
 

@@ -4,6 +4,7 @@ threshold or a storage budget, and evaluate either format."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import errno
 import hashlib
@@ -107,23 +108,11 @@ def _decode_ranks(text: str) -> dict:
     return ranks
 
 
-def _encode_dims(dims) -> str:
-    return "x".join(str(d) for d in dims)
-
-
-def _decode_dims(text: str) -> tuple[int, ...]:
-    return tuple(int(d) for d in text.split("x"))
-
-
 def net_to_container(net, arch: str, provenance: dict[str, str]) -> ModelContainer:
     container = ModelContainer()
     container.manifest["arch"] = arch
-    container.manifest["layers"] = str(len(net.weights))
     for i, w in enumerate(net.weights):
-        prefix = f"layer.{i}"
-        container.manifest[f"{prefix}.kind"] = "conv" if w.ndim == 4 else "fc"
-        container.manifest[f"{prefix}.format"] = "dense"
-        container.manifest[f"{prefix}.dims"] = _encode_dims(w.shape)
+        container.manifest[f"layer.{i}.format"] = "dense"
         container.tensors[f"layer{i}/weight"] = w.astype(np.float32)
     container.manifest.update(provenance)
     return container
@@ -156,54 +145,39 @@ class _Layer:
 
 
 def container_layers(container: ModelContainer) -> list[_Layer]:
-    """The layers, checked against the stored tensors and the arch; the
-    FormatError or CorruptionError names the key or tensor at fault."""
+    """The arch's layers in their stored formats, checked against the
+    stored tensors; the FormatError or CorruptionError names the key or
+    tensor at fault.  Shapes, kinds and FC plans follow from the arch, and
+    a dense layer of a compressed model (one with a kappa) was kept dense."""
     manifest = container.manifest
-    arch = _arch(container)
 
     def tensor(name: str) -> np.ndarray:
         if name not in container.tensors:
             raise CorruptionError(f"model file missing tensor {name!r}")
         return container.tensors[name]
 
-    def mismatch(key: str, what: str):
-        raise FormatError(f"manifest {key!r} = {manifest[key]!r} does not "
-                          f"fit {what}")
-
-    count = _parsed(manifest, "layers", int)
     layers = []
-    for i in range(count):
-        prefix = f"layer.{i}"
-        kind = _parsed(manifest, f"{prefix}.kind")
-        fmt = _parsed(manifest, f"{prefix}.format")
-        dims = _parsed(manifest, f"{prefix}.dims", _decode_dims)
-        if kind != ("conv" if len(dims) == 4 else "fc"):
-            mismatch(f"{prefix}.kind", f"dims {dims}")
-        layer = _Layer(i, kind, fmt, dims,
-                       kept_dense=manifest.get(f"{prefix}.kept_dense") == "1")
-        # a TN fc layer needs its plan; a dense one may carry it
-        if f"{prefix}.plan_out" in manifest or (fmt, kind) == ("tn", "fc"):
-            layer.plan = TensorizationPlan(
-                _parsed(manifest, f"{prefix}.plan_out", _decode_dims),
-                _parsed(manifest, f"{prefix}.plan_in", _decode_dims))
-            if (layer.plan.rows, layer.plan.cols) != dims:
-                mismatch(f"{prefix}.dims", f"plan {layer.plan.dims}")
+    for i, dims in enumerate(_arch_shapes(_arch(container))):
+        fmt = _parsed(manifest, f"layer.{i}.format")
+        layer = _Layer(i, "conv" if len(dims) == 4 else "fc", fmt, dims,
+                       kept_dense=fmt == "dense" and "kappa" in manifest)
+        if layer.kind == "fc":
+            layer.plan = plan_tensorization(*dims)
         if fmt == "dense":
             layer.weight = tensor(f"layer{i}/weight")
             if layer.weight.shape != dims:
-                mismatch(f"{prefix}.dims", f"weight {layer.weight.shape}")
+                raise CorruptionError(
+                    f"tensor 'layer{i}/weight' has shape "
+                    f"{layer.weight.shape}, not {dims}")
         elif fmt == "tn":
-            ranks = _parsed(manifest, f"{prefix}.ranks", _decode_ranks)
-            tensor_dims = layer.plan.dims if kind == "fc" else dims
-            topo = TNTopology(tensor_dims, ranks)
+            ranks = _parsed(manifest, f"layer.{i}.ranks", _decode_ranks)
+            topo = TNTopology(layer.plan.dims if layer.plan else dims, ranks)
             factors = [tensor(f"layer{i}/factor{k}").astype(np.float64)
                        for k in range(topo.order)]
             layer.factors = TNFactorSet(topo, factors)
         else:
             raise FormatError(f"unknown layer format {fmt!r}")
         layers.append(layer)
-    if tuple(layer.dims for layer in layers) != _arch_shapes(arch):
-        mismatch("layers", f"arch {arch!r} weights {_arch_shapes(arch)}")
     return layers
 
 
@@ -240,23 +214,22 @@ class CompressionReport:
                              f"kappa={self.kappa:.6f}", "", ""])
 
 
-def _layer_tensor(layer: _Layer) -> tuple[np.ndarray, TensorizationPlan | None]:
+def _layer_tensor(layer: _Layer) -> np.ndarray:
     """Weight tensor to decompose: the kernel itself for conv layers, the
     tensorized matrix for FC layers."""
     if layer.kind == "conv":
-        return layer.weight.astype(np.float64), None
-    plan = plan_tensorization(layer.dims[0], layer.dims[1])
-    return tensorize_matrix(layer.weight.astype(np.float64), plan), plan
+        return layer.weight.astype(np.float64)
+    return tensorize_matrix(layer.weight.astype(np.float64), layer.plan)
 
 
 class _Prepared(NamedTuple):
     """What compressing a dense container needs at any kappa: the ALS seed
     from its `seed` provenance (0 if absent), its layers, each layer's
-    tensor and plan, and each tensor's retention curves."""
+    tensor, and each tensor's retention curves."""
 
     seed: int
     layers: list[_Layer]
-    tensors: list[tuple[np.ndarray, TensorizationPlan | None]]
+    tensors: list[np.ndarray]
     curve_sets: list[dict]
 
 
@@ -268,7 +241,7 @@ def _prepare(container: ModelContainer) -> _Prepared:
         raise FormatError("can only compress a dense-format model")
     tensors = [_layer_tensor(layer) for layer in layers]
     return _Prepared(seed, layers, tensors,
-                     [retention_curves(t)[0] for t, _ in tensors])
+                     [retention_curves(t)[0] for t in tensors])
 
 
 def compress_container(container: ModelContainer, kappa: float | None = None,
@@ -280,7 +253,7 @@ def compress_container(container: ModelContainer, kappa: float | None = None,
         raise ValueError("give exactly one of kappa or budget")
     prepared = _prepare(container)
     if kappa is None:
-        kappa = budget_kappa([t.shape for t, _ in prepared.tensors],
+        kappa = budget_kappa([t.shape for t in prepared.tensors],
                              prepared.curve_sets, budget)
     return _compress(container, prepared, kappa, {})
 
@@ -292,7 +265,7 @@ def _compress(container: ModelContainer, prepared: _Prepared, kappa: float,
     out = ModelContainer(manifest=dict(container.manifest))
     out.manifest["kappa"] = f"{kappa:.10f}"
     report = CompressionReport(kappa)
-    for layer, (tensor, plan), curves in zip(
+    for layer, tensor, curves in zip(
             prepared.layers, prepared.tensors, prepared.curve_sets):
         prefix = f"layer.{layer.index}"
         ranks = ranks_from_curves(curves, kappa)
@@ -304,12 +277,8 @@ def _compress(container: ModelContainer, prepared: _Prepared, kappa: float,
                "ranks": _encode_ranks(ranks),
                "pruned_edges": _encode_ranks(
                    {p: 1 for p in prune_rank_one_edges(topo)}) or "-"}
-        if plan is not None:
-            out.manifest[f"{prefix}.plan_out"] = _encode_dims(plan.out_factors)
-            out.manifest[f"{prefix}.plan_in"] = _encode_dims(plan.in_factors)
         if tn_params >= dense_params:
-            # TN form would not shrink this layer; keep it dense, flagged
-            out.manifest[f"{prefix}.kept_dense"] = "1"
+            # TN form would not shrink this layer; keep it dense
             out.tensors[f"layer{layer.index}/weight"] = \
                 layer.weight.astype(np.float32)
             row.update(tn_params=dense_params, ratio=1.0, rse=0.0,
@@ -326,8 +295,6 @@ def _compress(container: ModelContainer, prepared: _Prepared, kappa: float,
                 raise NumericError(
                     f"layer {layer.index}'s TN factors overflow float32")
             out.manifest[f"{prefix}.format"] = "tn"
-            # the flag of a layer an earlier compress kept dense
-            out.manifest.pop(f"{prefix}.kept_dense", None)
             out.manifest[f"{prefix}.ranks"] = _encode_ranks(ranks)
             for k, f in enumerate(factors):
                 out.tensors[f"layer{layer.index}/factor{k}"] = f
@@ -380,9 +347,10 @@ def evaluate_container(container: ModelContainer, data_seed: int) -> dict:
 def _check_writable(source, *paths) -> None:
     """Raise, before any work is done, the OSError that opening each given
     output path for writing would raise for an empty path, a missing
-    directory or a directory in its way, or one for an output that
-    resolves to the input file `source` or to an earlier output, whose
-    write would replace that file; an output of None is skipped."""
+    directory, a directory in its way or a name the file system refuses
+    (one too long, say), or one for an output that resolves to the input
+    file `source` or to an earlier output, whose write would replace that
+    file; an output of None is skipped."""
     seen = {}    # real path -> the output given first for it
     for path in paths:
         if path is None:
@@ -393,6 +361,8 @@ def _check_writable(source, *paths) -> None:
                 os.path.dirname(os.path.abspath(path))):
             code = errno.ENOENT
         else:
+            with contextlib.suppress(FileNotFoundError):
+                os.stat(path)       # raises for a name too long, say
             real = os.path.realpath(path)
             if real == os.path.realpath(source):
                 raise OSError(errno.EEXIST, "an output names the input file",
@@ -487,6 +457,7 @@ def describe_model(model_path) -> str:
             detail = "dense" + (" (kept)" if layer.kept_dense else "")
         total += params
         lines.append(f"layer {layer.index}: {layer.kind} "
-                     f"{_encode_dims(layer.dims)} {detail} params={params}")
+                     f"{'x'.join(map(str, layer.dims))} {detail} "
+                     f"params={params}")
     lines.append(f"total params: {total}")
     return "\n".join(lines)

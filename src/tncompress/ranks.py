@@ -38,9 +38,6 @@ class RankSelection:
     curves: dict[tuple[int, int], np.ndarray]
     energy_curves: dict[tuple[int, int], np.ndarray]
 
-    def topology(self, dims) -> TNTopology:
-        return TNTopology(tuple(int(d) for d in dims), dict(self.ranks))
-
 
 def _cumulative(v: np.ndarray) -> np.ndarray:
     """Cumulative share of v's sum; all ones for a zero vector."""

@@ -17,7 +17,7 @@ from .admm import (AdmmConfig, AdmmState, admm_w_update, admm_y_update,
 from .errors import ConfigError, TrainingError
 from .ranks import effective_rank
 from .tensor import generalized_unfold
-from .toynet import Dataset, softmax_cross_entropy
+from .toynet import Dataset
 
 LOG_RANK_KAPPA = 0.9
 # steps per index draw and per stacked gap and effective-rank pass, and so
@@ -154,9 +154,3 @@ def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
 def train_sgd(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
     """Plain SGD baseline: train_stn at lam = 0, on the same batches."""
     return train_stn(net, data, replace(cfg, lam=0.0), log=log)
-
-
-def evaluate_net(net, x: np.ndarray, y: np.ndarray) -> dict:
-    logits = net.forward(x)
-    loss, acc, _ = softmax_cross_entropy(logits, y)
-    return {"loss": loss, "accuracy": acc}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tncompress.admm import (AdmmConfig, AdmmState, admm_y_update,
-                             balanced_unfold, nuclear_norm, svt)
+                             balanced_unfold, svt)
 from tncompress.als import AlsConfig, als_fit
 from tncompress.contraction import contract_network
 from tncompress.layers import (complexity_conv, conv2d_dense, conv2d_tn,
@@ -26,7 +26,10 @@ from tncompress.ranks import (determine_ranks, effective_rank,
 from tncompress.topology import (TNTopology, mode_pairs, random_factor_set,
                                  tn_param_count, uniform_topology)
 from tncompress.toynet import make_blobs, make_dataset, make_net, toy_backward
-from tncompress.training import evaluate_net, train_sgd, train_stn
+from tncompress.training import train_sgd, train_stn
+
+from test_admm import nuclear_norm
+from test_training import evaluate_net
 
 
 @pytest.fixture
@@ -83,7 +86,7 @@ def test_criterion_3_layer_equivalence(report):
 
     kernel = rng.standard_normal((3, 3, 4, 6))
     sel = determine_ranks(kernel, 1.0)
-    factors = als_fit(kernel, sel.topology(kernel.shape), cfg).factors
+    factors = als_fit(kernel, TNTopology(kernel.shape, sel.ranks), cfg).factors
     x = rng.standard_normal((8, 8, 4))
     dense_out = conv2d_dense(x, kernel)
     tn_out = conv2d_tn(x, factors)
@@ -95,7 +98,7 @@ def test_criterion_3_layer_equivalence(report):
     assert plan.out_factors == (4, 4) and plan.in_factors == (4, 4)
     t = tensorize_matrix(w, plan)
     sel = determine_ranks(t, 1.0)
-    fc_factors = als_fit(t, sel.topology(t.shape), cfg).factors
+    fc_factors = als_fit(t, TNTopology(t.shape, sel.ranks), cfg).factors
     v = rng.standard_normal(16)
     fc_err = (np.linalg.norm(fc_tn(v, fc_factors, plan) - w @ v)
               / np.linalg.norm(w @ v))

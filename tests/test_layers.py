@@ -42,7 +42,7 @@ class TestPlanning:
         plan = plan_tensorization(16, 16)
         assert plan.out_factors == (4, 4)
         assert plan.in_factors == (4, 4)
-        assert not plan.reduced
+        assert plan.dims == (4, 4, 4, 4)
 
     def test_split_minimizes_imbalance(self):
         plan = plan_tensorization(12, 24)
@@ -52,7 +52,7 @@ class TestPlanning:
     def test_prime_dimension_padded_with_one(self):
         plan = plan_tensorization(7, 16)
         assert plan.out_factors == (1, 7)
-        assert plan.reduced
+        assert plan.dims == (1, 7, 4, 4)
 
     def test_split_is_brute_force_most_balanced_pair(self):
         def brute(v):
@@ -68,12 +68,8 @@ class TestPlanning:
                 plan = plan_tensorization(rows, cols)
                 assert (plan.out_factors, plan.in_factors) == \
                     (split[rows] or (1, rows), split[cols] or (1, cols))
-                assert plan.reduced == (split[rows] is None
-                                        or split[cols] is None)
-
-    def test_reduced_follows_the_factors(self):
-        assert TensorizationPlan((1, 2), (12, 12)).reduced
-        assert not TensorizationPlan((2, 2), (3, 4)).reduced
+                assert (1 in plan.dims) == (split[rows] is None
+                                            or split[cols] is None)
 
     def test_round_trip(self):
         plan = plan_tensorization(12, 6)

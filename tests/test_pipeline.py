@@ -232,7 +232,7 @@ class TestCompression:
         compressed, _ = compress_container(container, budget=2.0)
         fc = container_layers(compressed)[1]
         assert fc.plan == plan_tensorization(2, 144)
-        assert fc.plan.reduced
+        assert fc.plan.dims == (1, 2, 12, 12)
 
     def test_tinycnn_compression_evaluates(self):
         container = trained_container("tinycnn", steps=150, data_seed=7)
