@@ -1,5 +1,6 @@
-"""Binary model container: a UTF-8 key-value manifest plus named float32
-tensor payloads.
+"""The package's file boundary, the only module that opens a file: config
+text, output-path checks, CSV writes and the binary model container, a
+UTF-8 key-value manifest plus named float32 tensor payloads.
 
 Layout (all integers little-endian):
     magic b"STNZ" | version u32 | manifest length u64 | manifest bytes |
@@ -13,7 +14,11 @@ that holds NaN or inf is corrupt: `save_model` refuses to write it and
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import errno
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -48,6 +53,49 @@ def parse_key_values(text: str, error: type[Exception],
         elif key.strip():
             raise error(f"{source}:{lineno}: expected 'key = value'")
     return entries
+
+
+def read_text(path) -> str:
+    """The file in text mode, bytes that are not UTF-8 as surrogate escapes."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return fh.read()
+
+
+def write_csv(path, rows) -> None:
+    """Write rows, each a sequence of cells, to path as CSV."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def check_outputs(source, *paths) -> None:
+    """Raise, before any work is done, the OSError that opening each given
+    output path for writing would raise for an empty path, a missing
+    directory, a directory in its way or a name the file system refuses
+    (one too long, say), or one for an output that resolves to the input
+    file `source` or to an earlier output, whose write would replace that
+    file; an output of None is skipped."""
+    seen = {}    # real path -> the output given first for it
+    for path in paths:
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif path == "" or not os.path.isdir(
+                os.path.dirname(os.path.abspath(path))):
+            code = errno.ENOENT
+        else:
+            with contextlib.suppress(FileNotFoundError):
+                os.stat(path)       # raises for a name too long, say
+            real = os.path.realpath(path)
+            if real == os.path.realpath(source):
+                raise OSError(errno.EEXIST, "an output names the input file",
+                              str(source), None, str(path))
+            if real in seen:
+                raise OSError(errno.EEXIST, "two outputs name one file",
+                              seen[real], None, str(path))
+            seen[real] = str(path)
+            continue
+        raise OSError(code, os.strerror(code), str(path))
 
 
 def _manifest_bytes(manifest: dict[str, str]) -> bytes:

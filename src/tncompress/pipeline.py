@@ -4,11 +4,7 @@ threshold or a storage budget, and evaluate either format."""
 
 from __future__ import annotations
 
-import contextlib
-import csv
-import errno
 import hashlib
-import os
 from dataclasses import dataclass, field
 from functools import cache
 from typing import NamedTuple
@@ -20,8 +16,8 @@ from .als import AlsConfig, als_fit
 from .errors import ConfigError, CorruptionError, FormatError, NumericError
 from .layers import (TensorizationPlan, conv2d_dense, conv2d_tn, fc_tn,
                      plan_tensorization, tensorize_matrix)
-from .model_io import (ModelContainer, load_model, parse_key_values,
-                       save_model)
+from .model_io import (ModelContainer, check_outputs, load_model,
+                       parse_key_values, read_text, save_model, write_csv)
 from .ranks import budget_kappa, ranks_from_curves, retention_curves
 from .toynet import (ARCHS, TinyCNN, eval_split, make_dataset, make_net,
                      softmax_cross_entropy)
@@ -33,14 +29,8 @@ from .training import train_stn
 # ---------------------------------------------------------------------------
 # key-value config files
 
-def _config_text(path) -> str:
-    """The file in text mode, bytes that are not UTF-8 as surrogate escapes."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        return fh.read()
-
-
 def read_config(path) -> dict[str, str]:
-    return parse_key_values(_config_text(path), ConfigError, str(path))
+    return parse_key_values(read_text(path), ConfigError, str(path))
 
 
 def _parsed(entries: dict[str, str], key: str, decode=str,
@@ -151,10 +141,14 @@ def container_layers(container: ModelContainer) -> list[_Layer]:
     a dense layer of a compressed model (one with a kappa) was kept dense."""
     manifest = container.manifest
 
-    def tensor(name: str) -> np.ndarray:
+    def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
         if name not in container.tensors:
             raise CorruptionError(f"model file missing tensor {name!r}")
-        return container.tensors[name]
+        stored = container.tensors[name]
+        if stored.shape != shape:
+            raise CorruptionError(
+                f"tensor {name!r} has shape {stored.shape}, not {shape}")
+        return stored
 
     layers = []
     for i, dims in enumerate(_arch_shapes(_arch(container))):
@@ -164,17 +158,14 @@ def container_layers(container: ModelContainer) -> list[_Layer]:
         if layer.kind == "fc":
             layer.plan = plan_tensorization(*dims)
         if fmt == "dense":
-            layer.weight = tensor(f"layer{i}/weight")
-            if layer.weight.shape != dims:
-                raise CorruptionError(
-                    f"tensor 'layer{i}/weight' has shape "
-                    f"{layer.weight.shape}, not {dims}")
+            layer.weight = tensor(f"layer{i}/weight", dims)
         elif fmt == "tn":
-            ranks = _parsed(manifest, f"layer.{i}.ranks", _decode_ranks)
-            topo = TNTopology(layer.plan.dims if layer.plan else dims, ranks)
-            factors = [tensor(f"layer{i}/factor{k}").astype(np.float64)
-                       for k in range(topo.order)]
-            layer.factors = TNFactorSet(topo, factors)
+            modes = layer.plan.dims if layer.plan else dims
+            topo = _parsed(manifest, f"layer.{i}.ranks",
+                           lambda text: TNTopology(modes, _decode_ranks(text)))
+            layer.factors = TNFactorSet(topo, [
+                tensor(f"layer{i}/factor{k}", topo.factor_shape(k + 1))
+                .astype(np.float64) for k in range(topo.order)])
         else:
             raise FormatError(f"unknown layer format {fmt!r}")
         layers.append(layer)
@@ -204,14 +195,10 @@ class CompressionReport:
     def write_csv(self, path) -> None:
         cols = ["layer", "kind", "dense_params", "tn_params", "ratio",
                 "rse", "ranks", "pruned_edges", "kept_dense"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for r in self.rows:
-                writer.writerow([r[c] for c in cols])
-            writer.writerow(["total", "", self.total_dense, self.total_tn,
-                             f"{self.total_ratio:.6f}", "",
-                             f"kappa={self.kappa:.6f}", "", ""])
+        write_csv(path, [cols, *([r[c] for c in cols] for r in self.rows),
+                         ["total", "", self.total_dense, self.total_tn,
+                          f"{self.total_ratio:.6f}", "",
+                          f"kappa={self.kappa:.6f}", "", ""]])
 
 
 def _layer_tensor(layer: _Layer) -> np.ndarray:
@@ -344,40 +331,9 @@ def evaluate_container(container: ModelContainer, data_seed: int) -> dict:
 # ---------------------------------------------------------------------------
 # top-level entry points
 
-def _check_writable(source, *paths) -> None:
-    """Raise, before any work is done, the OSError that opening each given
-    output path for writing would raise for an empty path, a missing
-    directory, a directory in its way or a name the file system refuses
-    (one too long, say), or one for an output that resolves to the input
-    file `source` or to an earlier output, whose write would replace that
-    file; an output of None is skipped."""
-    seen = {}    # real path -> the output given first for it
-    for path in paths:
-        if path is None:
-            continue
-        if os.path.isdir(path):
-            code = errno.EISDIR
-        elif path == "" or not os.path.isdir(
-                os.path.dirname(os.path.abspath(path))):
-            code = errno.ENOENT
-        else:
-            with contextlib.suppress(FileNotFoundError):
-                os.stat(path)       # raises for a name too long, say
-            real = os.path.realpath(path)
-            if real == os.path.realpath(source):
-                raise OSError(errno.EEXIST, "an output names the input file",
-                              str(source), None, str(path))
-            if real in seen:
-                raise OSError(errno.EEXIST, "two outputs name one file",
-                              seen[real], None, str(path))
-            seen[real] = str(path)
-            continue
-        raise OSError(code, os.strerror(code), str(path))
-
-
 def run_train(config_path, out_path, log_path=None):
-    _check_writable(config_path, out_path, log_path)
-    text = _config_text(config_path)
+    check_outputs(config_path, out_path, log_path)
+    text = read_text(config_path)
     arch, data_seed, cfg = parse_train_config(
         parse_key_values(text, ConfigError, str(config_path)))
     net = make_net(arch, cfg.seed)
@@ -396,7 +352,7 @@ def run_train(config_path, out_path, log_path=None):
 
 def run_compress(model_path, out_path, kappa=None, budget=None,
                  report_path=None) -> CompressionReport:
-    _check_writable(model_path, out_path, report_path)
+    check_outputs(model_path, out_path, report_path)
     compressed, report = compress_container(
         load_model(model_path), kappa=kappa, budget=budget)
     save_model(out_path, compressed)
@@ -419,7 +375,7 @@ def emit_tradeoff(model_path, kappas, out_path) -> list[dict]:
     Each distinct (layer, rank table) is fitted once per call."""
     if not kappas:
         raise ValueError("give at least one kappa")
-    _check_writable(model_path, out_path)
+    check_outputs(model_path, out_path)
     container = load_model(model_path)
     data_seed = _parsed(container.manifest, "data_seed", _natural)
     prepared = _prepare(container)
@@ -432,12 +388,9 @@ def emit_tradeoff(model_path, kappas, out_path) -> list[dict]:
                      **{f"ratio_l{r['layer']}": r["ratio"]
                         for r in report.rows},
                      "accuracy": metrics["accuracy"]})
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(rows[0])
-        for row in rows:
-            writer.writerow([f"{v:.6f}" if isinstance(v, float) else v
-                             for v in row.values()])
+    cells = ([f"{v:.6f}" if isinstance(v, float) else v for v in row.values()]
+             for row in rows)
+    write_csv(out_path, [list(rows[0]), *cells])
     return rows
 
 

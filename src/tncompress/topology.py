@@ -39,6 +39,10 @@ class TNTopology:
                 f"rank table must cover exactly the {len(expected)} mode pairs")
         if any(r < 1 for r in self.ranks.values()):
             raise TopologyError("every bond rank must be >= 1")
+        # every factor's shape, once, in the instance dict as the hash is
+        self.__dict__["_shapes"] = [
+            tuple(size if j == k else self.rank(j, k) for j in range(1, n + 1))
+            for k, size in enumerate(self.dims, start=1)]
 
     def __hash__(self) -> int:
         # kept in the instance dict on first use: the frozen dataclass
@@ -59,8 +63,7 @@ class TNTopology:
     def factor_shape(self, k: int) -> tuple[int, ...]:
         """Shape of factor k (1-based): bonds in ascending partner order
         with the mode size I_k in position k."""
-        return tuple(self.dims[k - 1] if j == k else self.rank(j, k)
-                     for j in range(1, self.order + 1))
+        return self._shapes[k - 1]
 
 
 @dataclass
@@ -103,22 +106,15 @@ def uniform_topology(dims, rank: int) -> TNTopology:
 
 
 def random_factor_set(topo: TNTopology, seed: int) -> TNFactorSet:
-    """I.i.d. normal factors scaled by the inverse square root of each
-    factor's total bond size, so the contraction starts near unit scale."""
-    rng = np.random.default_rng(seed)
-    factors = []
-    for k in range(1, topo.order + 1):
-        shape = topo.factor_shape(k)
-        bond_size = int(np.prod(shape)) // topo.dims[k - 1]
-        factors.append(rng.standard_normal(shape) / np.sqrt(bond_size))
-    return TNFactorSet(topo, factors)
+    """The one set of random_factor_stack(topo, [seed])."""
+    return TNFactorSet(topo, [f[0] for f in random_factor_stack(topo, [seed])])
 
 
 def random_factor_stack(topo: TNTopology, seeds) -> list[np.ndarray]:
-    """The factors of random_factor_set(topo, seed) for each seed, stacked
-    along a leading axis, without a factor set per seed: each seed's
-    generator makes the same draws into its slice, and the stack is scaled
-    as each set would be."""
+    """One random factor set per seed, stacked along a leading axis: each
+    seed's generator draws i.i.d. normal factors, in factor order, into its
+    slice, scaled by the inverse square root of each factor's total bond
+    size, so the contraction starts near unit scale."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
     factors = []
     for k in range(1, topo.order + 1):

@@ -25,21 +25,24 @@ class Dataset:
     y_test: np.ndarray
 
 
+def _two_class_split(inputs) -> Dataset:
+    """512 training and then 256 test points, the first half of each split
+    labelled 0 and the rest 1; inputs(y) draws the inputs of labels y."""
+    y_train, y_test = np.repeat([0, 1], 256), np.repeat([0, 1], 128)
+    return Dataset(inputs(y_train), y_train, inputs(y_test), y_test)
+
+
 def make_blobs(seed: int) -> Dataset:
     """512 training and 256 test points from two unit-variance Gaussian
     clusters at +-1.5 along the first coordinate of an 8-dimensional space."""
     rng = np.random.default_rng(seed)
 
-    def draw(n):
-        half = n // 2
-        y = np.repeat([0, 1], [half, n - half])
-        x = rng.standard_normal((n, 8))
+    def inputs(y):
+        x = rng.standard_normal((len(y), 8))
         x[:, 0] += np.where(y == 0, -1.5, 1.5)
-        return x, y
+        return x
 
-    x_tr, y_tr = draw(512)
-    x_te, y_te = draw(256)
-    return Dataset(x_tr, y_tr, x_te, y_te)
+    return _two_class_split(inputs)
 
 
 def make_stripes(seed: int) -> Dataset:
@@ -48,16 +51,8 @@ def make_stripes(seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     rows = np.tile(np.where(np.arange(8) % 2 == 0, 1.0, -1.0)[:, None], (1, 8))
     patterns = np.stack([rows, rows.T])  # (class, 8, 8)
-
-    def draw(n):
-        half = n // 2
-        y = np.repeat([0, 1], [half, n - half])
-        x = patterns[y] + 0.5 * rng.standard_normal((n, 8, 8))
-        return x[..., None], y  # add the channel axis
-
-    x_tr, y_tr = draw(512)
-    x_te, y_te = draw(256)
-    return Dataset(x_tr, y_tr, x_te, y_te)
+    return _two_class_split(lambda y: (
+        patterns[y] + 0.5 * rng.standard_normal((len(y), 8, 8)))[..., None])
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):

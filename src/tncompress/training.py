@@ -5,7 +5,6 @@ and Z the float32 initial weights, so a log's gap_l* is ||W0 - W||."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from math import isfinite
@@ -15,6 +14,7 @@ import numpy as np
 from .admm import (AdmmConfig, AdmmState, admm_w_update, admm_y_update,
                    admm_z_update, balanced_unfold)
 from .errors import ConfigError, TrainingError
+from .model_io import write_csv
 from .ranks import effective_rank
 from .tensor import generalized_unfold
 from .toynet import Dataset
@@ -98,10 +98,7 @@ class TrainingLog:
 
     def write_csv(self, path) -> None:
         header = self.header()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows([row[col] for col in header] for row in self.rows)
+        write_csv(path, [header, *([r[c] for c in header] for r in self.rows)])
 
 
 def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):

@@ -34,6 +34,13 @@ DATA_CFG = "data_seed = 5\n"
 # the commands that load a model file's layers
 LOADERS = ("report", "eval", "compress")
 
+
+def edit_ranks(layer, edit):
+    """A container edit that rewrites layer's encoded rank table."""
+    key = f"layer.{layer}.ranks"
+    return lambda c: c.manifest.update({key: edit(c.manifest[key])})
+
+
 MANIFEST_VALUES = [b"", b"x", b"-1", b"0", b"3", b"nan", b"1e400", b"9" * 30,
                    b"8x32", b"0x8", b"2x2x2x2", b"1-2:x", b"1-2:99", b"mlp",
                    b"tinycnn", b"tn", b"conv", b"\xff", b"a # b"]
@@ -386,6 +393,12 @@ class TestExitCodes:
         ("dense", lambda c: c.manifest.pop("arch"), "arch", LOADERS),
         ("tn", lambda c: c.manifest.update({"layer.1.ranks": "1-2:x"}),
          "layer.1.ranks", LOADERS),
+        ("tn", edit_ranks(0, lambda r: re.sub(r":\d+", ":0", r, count=1)),
+         "layer.0.ranks", LOADERS),
+        ("tn", edit_ranks(1, lambda r: r.split(";", 1)[1]), "layer.1.ranks",
+         LOADERS),
+        ("tn", edit_ranks(0, lambda r: r.replace(":", ":9", 1)),
+         "layer0/factor0", LOADERS),
         ("dense", lambda c: c.manifest.update(seed="x"), "seed",
          ("compress", "tradeoff")),
         ("dense", lambda c: c.manifest.update(seed="-1"), "seed",
@@ -393,7 +406,8 @@ class TestExitCodes:
         ("dense", lambda c: c.manifest.update(data_seed="x"), "data_seed",
          ("tradeoff",)),
     ], ids=["no-format", "no-weight", "weight-vs-arch", "no-arch",
-            "tn-bad-ranks", "bad-seed", "negative-seed", "bad-data-seed"])
+            "tn-bad-ranks", "tn-zero-rank", "tn-missing-pair",
+            "factor-vs-ranks", "bad-seed", "negative-seed", "bad-data-seed"])
     def test_incomplete_model_file_is_two(self, workspace, tn_model, tmp_path,
                                           capsys, model, edit, key, commands):
         path = tn_model if model == "tn" else workspace / "dense.stnz"
@@ -428,6 +442,7 @@ class TestExitCodes:
             assert rc == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+            assert "'layer1/factor0'" in err
             assert not out.exists()
 
     @pytest.mark.parametrize("command", [

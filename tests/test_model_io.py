@@ -1,13 +1,16 @@
 """Binary model container round-trips and corruption handling."""
 
+import ast
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tncompress import model_io
 from tncompress.errors import CorruptionError, FormatError
 from tncompress.model_io import (MAGIC, VERSION, ModelContainer, load_model,
                                  parse_key_values, save_model)
@@ -197,3 +200,19 @@ def test_round_trip_random_tensors(tmp_path_factory, dims, seed):
     loaded = load_model(path)
     assert np.array_equal(loaded.tensors["t"], a)
     assert loaded.tensors["t"].shape == tuple(dims)
+
+
+def test_model_io_is_the_only_module_that_opens_files():
+    """Every file the package reads or writes goes through model_io: no
+    other module calls the builtin open or imports csv."""
+    openers, csv_importers = set(), set()
+    for path in sorted(Path(model_io.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                openers.add(path.name)
+            if (isinstance(node, ast.ImportFrom) and node.module == "csv"
+                    or isinstance(node, ast.Import)
+                    and any(alias.name == "csv" for alias in node.names)):
+                csv_importers.add(path.name)
+    assert openers == csv_importers == {"model_io.py"}

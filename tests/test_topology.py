@@ -1,12 +1,15 @@
 """Topology, factor shapes, and parameter counting."""
 
+import math
+
 import numpy as np
 import pytest
 
 from tncompress.errors import TopologyError
 from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
                                  prune_rank_one_edges, random_factor_set,
-                                 tn_param_count, uniform_topology)
+                                 random_factor_stack, tn_param_count,
+                                 uniform_topology)
 
 
 def test_mode_pairs():
@@ -79,3 +82,36 @@ def test_random_factor_set_is_seeded():
         assert np.array_equal(fa, fb)
     assert any(not np.array_equal(fa, fc)
                for fa, fc in zip(a.factors, c.factors))
+
+
+DRAW_TOPOLOGIES = [
+    TNTopology((3, 4), {(1, 2): 2}),
+    TNTopology((2, 1, 5), {(1, 2): 3, (1, 3): 1, (2, 3): 2}),
+    TNTopology((4, 8, 2, 4), {(1, 2): 2, (1, 3): 1, (1, 4): 3, (2, 3): 2,
+                              (2, 4): 1, (3, 4): 2}),
+]
+
+
+@pytest.mark.parametrize("topo", DRAW_TOPOLOGIES)
+@pytest.mark.parametrize("seed", [0, 5, 2**40])
+def test_random_factor_set_draws_each_factor_in_order(topo, seed):
+    """Factor k is one standard-normal draw of its shape, taken in factor
+    order from one generator, over the square root of its bond size."""
+    rng = np.random.default_rng(seed)
+    factors = random_factor_set(topo, seed).factors
+    for k, factor in enumerate(factors, start=1):
+        bonds = math.prod(topo.rank(j, k)
+                          for j in range(1, topo.order + 1) if j != k)
+        expected = rng.standard_normal(topo.factor_shape(k)) / np.sqrt(bonds)
+        assert factor.tobytes() == expected.tobytes()
+        assert factor.shape == expected.shape
+
+
+@pytest.mark.parametrize("topo", DRAW_TOPOLOGIES)
+def test_a_stack_slice_is_the_factor_set_of_its_seed(topo):
+    seeds = [3, 0, 2**40, 3]
+    stack = random_factor_stack(topo, seeds)
+    for i, seed in enumerate(seeds):
+        single = random_factor_set(topo, seed).factors
+        for stacked, factor in zip(stack, single, strict=True):
+            assert stacked[i].tobytes() == factor.tobytes()
