@@ -16,10 +16,15 @@ budget.  First, restarts in rounds: a round sweeps _ROUND fresh starts
 until each has ended once, at its first sweep of < 1% relative gain or at
 the tolerance, and a start's result is its state and history when its
 round ends; restarts stop after a round that fails to lower the best rse
-by a relative margin.  Then refine: the best start keeps sweeping until
-one sweep gains less than the tolerance relative to its rse, or the
-budget runs out.  The returned error history belongs to that start and is
-non-increasing by proximal block minimization.
+by a relative margin.  Then refine: the best start, as a stack of one,
+keeps sweeping until one sweep gains less than the tolerance relative to
+its rse, or the budget runs out.  After refine sweep s >= 2 it tries the
+point Z_prev + √s·(Z − Z_prev) of every factor, Z_prev the state the
+sweep started from (the extrapolation of Rajih, Comon and Harshman's line
+search for PARAFAC), and keeps it if its rse, read as a sweep's is, is
+below the sweep's.  The returned error history belongs to that start and
+is non-increasing, since a proximal block never raises the residual of
+the point it starts from.
 
 A round runs its starts side by side, as one stack of factor sets, drawn
 straight into the stack with the draws of `random_factor_set`: a stacked
@@ -28,12 +33,16 @@ right-hand side and one stacked solve, where the starts one at a time
 would make _ROUND of each, and it counts once against the budget, as a
 refine sweep does.  A set's bits depend on how its factors are laid out
 in memory, and a fresh start is laid out unlike a swept factor, so a slot
-that has ended is not refilled: it sweeps on until its round ends.  A
+that has ended is not refilled: it sweeps on until its round ends.  Every
+fit that gets past round 1 runs round 2, so rounds 1 and 2 are one stack
+of 2·_ROUND, which costs far less per pass than two stacks of _ROUND:
+max(L1, L2) passes for rounds of L1 and L2 sweeps, in place of L1 + L2.
+Each round is still taken and judged as if run alone, at its own end and
+within the budget the rounds before it left, and counts its own sweeps,
+so the fit is bit for bit that of the rounds run one after another.  A
 start that goes non-finite is NaN in its own slot alone, and its rse is
-NaN; a fit with no finite start, or whose refine goes non-finite, raises
-NumericError.  Refine is a round of one: the best start is kept as a
-stack of one and sweeps through the round's loop, with the tolerance as
-its stall ratio.
+NaN; a fit with no finite start, or whose refine goes non-finite,
+raises NumericError.
 """
 
 from __future__ import annotations
@@ -80,14 +89,20 @@ class AlsResult:
     factors: TNFactorSet
     rse: float
     history: np.ndarray     # per-sweep rse of the returned start
-    attempts: int           # starts drawn, _ROUND per round
-    total_sweeps: int       # stacked sweeps plus refine sweeps
+    attempts: int           # starts of the rounds that ran, _ROUND each
+    total_sweeps: int       # restart-round sweeps plus refine sweeps
+    refine_sweeps: int      # sweeps of the best start after its round
 
 
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.vdot of each pair of a stack, by the kernel np.vdot runs."""
-    k = len(x)
-    return (x.reshape(k, 1, -1) @ y.reshape(k, -1, 1)).reshape(k)
+def _residual(unfolding: np.ndarray, block: np.ndarray, design: np.ndarray,
+              norm: float) -> np.ndarray:
+    """‖A_(N) − X·Dᵀ‖ / ‖A‖ of each set of a stack, for its last block X and
+    that block's design D: X·Dᵀ is the mode-N unfolding of the network.
+    Each squared norm is np.vdot's, by the kernel np.vdot runs."""
+    res = unfolding - block @ design.mT
+    k = len(res)
+    return np.sqrt((res.reshape(k, 1, -1) @ res.reshape(k, -1, 1))
+                   .reshape(k)) / norm
 
 
 def _block_solutions(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -123,29 +138,115 @@ def _sweep(f: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray]):
         block = _block_solutions(gram, rhs + rho[:, None, None] * prev)
         f.factors[n - 1] = block.reshape(folded.shape,
                                          order="F").transpose(perm)
-    res = unfoldings[n] - block @ design.mT
-    return np.sqrt(_dots(res, res)) / norm
+    return _residual(unfoldings[n], block, design, norm)
 
 
-def _round(stack: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray],
-           tol: float, budget: int, prev=np.inf, ratio=_STALL_RATIO):
-    """Sweep a stack of starts, whose rse before the first sweep is prev,
-    until each has ended once (it reached tol, gained less than ratio
-    times its rse over its previous sweep, or went NaN) or `budget` sweeps
-    are done.  Return the start of least final rse as (a stack of one,
-    history).  X_prev carries a NaN into every later block, so a NaN start
-    stays NaN, and if every start went NaN, the history ends in NaN."""
-    rses = []
-    ended = np.zeros(stack.batch, dtype=bool)
-    while not ended.all() and len(rses) < budget:
-        rse = _sweep(stack, norm, unfoldings)
-        ended |= np.isnan(rse) | (rse <= tol) | (prev - rse < ratio * rse)
-        rses.append(rse)
-        prev = rse
-    k = int(np.argmin(np.nan_to_num(rse, nan=np.inf)))
+def _rse(f: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray]):
+    """The relative error of each set of the stack f, read as `_sweep`
+    reads it, from its last factor unfolded as a block: one complement,
+    where contracting the network can cost as much as a sweep."""
+    n = f.topology.order
+    design = complement_matrix(f, n)
+    inverse = stored_plan(f.topology).folds[n][1]
+    block = f.factors[n - 1].transpose(inverse).reshape(
+        (f.batch, f.topology.dims[n - 1], design.shape[-1]), order="F")
+    return _residual(unfoldings[n], block, design, norm)
+
+
+def _winner(stack: TNFactorSet, own: slice, rses: list):
+    """The start of least final rse among the slots `own` of the stack, as
+    (a stack of one, its history)."""
+    k = own.start + int(np.argmin(np.nan_to_num(rses[-1][own], nan=np.inf)))
     factors = [x[k:k + 1].copy(order="K") for x in stack.factors]
     return (TNFactorSet(stack.topology, factors, batch=1),
             [float(r[k]) for r in rses])
+
+
+def _round(stack: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray],
+           tol: float, budget: int):
+    """Sweep a stack of rounds, each up to _ROUND starts in consecutive
+    slots, side by side, and yield each round's start of least final rse
+    as (a stack of one, history), in slot order, each as of its own end: a
+    round ends when each of its starts has ended once (it reached tol,
+    gained less than _STALL_RATIO times its rse over its previous sweep,
+    or went NaN) or its budget is spent.  A round's budget is what
+    `budget` leaves after the rounds before it, and sweeping goes on only
+    while the caller pulls rounds.  A round that ended, or ran on, past its
+    budget while a round before it was still sweeping is swept again,
+    alone, from the factors it was drawn with: a set gets the bits it
+    would get alone, so this is the round cut at its budget.  X_prev
+    carries a NaN into every later block, so a NaN start stays NaN, and if
+    every start of a round went NaN, its history ends in NaN."""
+    slots = [slice(j, min(j + _ROUND, stack.batch))
+             for j in range(0, stack.batch, _ROUND)]
+    drawn = list(stack.factors)     # _sweep rebinds factors, never writes
+    ended = np.zeros(stack.batch, dtype=bool)
+    rses, prev, ends = [], np.inf, {}
+    for j, own in enumerate(slots):
+        while j not in ends and len(rses) < budget:
+            rse = _sweep(stack, norm, unfoldings)
+            ended |= (np.isnan(rse) | (rse <= tol)
+                      | (prev - rse < _STALL_RATIO * rse))
+            rses.append(rse)
+            prev = rse
+            ends.update((i, _winner(stack, s, rses))
+                        for i, s in enumerate(slots)
+                        if i not in ends and ended[s].all())
+        f, history = ends.get(j) or _winner(stack, own, rses)
+        if len(history) > budget:
+            alone = TNFactorSet(stack.topology, [x[own].copy() for x in drawn],
+                                batch=own.stop - own.start)
+            f, history = next(_round(alone, norm, unfoldings, tol, budget))
+        yield f, history
+        budget -= len(history)
+
+
+def _restarts(topo: TNTopology, norm: float,
+              unfoldings: dict[int, np.ndarray], cfg: AlsConfig):
+    """Every restart round's (start of least final rse, history), in seed
+    order, each within the sweeps the rounds before it left: rounds 1 and 2
+    as one stack of 2·_ROUND starts, each later round as a stack of its
+    own.  A round is swept only while the caller pulls rounds."""
+    budget, first, size = cfg.max_sweeps, 0, 2 * _ROUND
+    while True:
+        seeds = [cfg.seed + _SEED_STRIDE * k
+                 for k in range(first, first + size)]
+        stack = TNFactorSet(topo, random_factor_stack(topo, seeds),
+                            batch=size)
+        for f, history in _round(stack, norm, unfoldings, cfg.tol, budget):
+            budget -= len(history)
+            yield f, history
+        first, size = first + size, _ROUND
+
+
+def _refine(f: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray],
+            tol: float, budget: int, prev: float):
+    """Sweep the stack of one f, whose rse is prev, until a sweep gains
+    less than tol times its rse, reaches tol or `budget` sweeps are done;
+    return (its state, its history).  After sweep s >= 2, every factor is
+    extrapolated from the state Z_prev the sweep started from to Z_prev +
+    √s·(Z − Z_prev), and that point is kept if its rse is below the
+    sweep's.  A block never raises the residual of the point it starts
+    from, so the history does not rise."""
+    history = []
+    while len(history) < budget:
+        before = list(f.factors)
+        [rse] = _sweep(f, norm, unfoldings)
+        s = len(history) + 1
+        if s >= 2:
+            jump = TNFactorSet(f.topology, [
+                z0 + np.sqrt(s) * (z - z0) for z0, z in zip(before, f.factors)
+            ], batch=1)
+            [err] = _rse(jump, norm, unfoldings)
+            if err < rse:
+                f, rse = jump, err
+        history.append(float(rse))
+        if not np.isfinite(rse):
+            raise NumericError("non-finite block update in refine")
+        if rse <= tol or prev - rse < tol * rse:
+            break
+        prev = rse
+    return f, history
 
 
 def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
@@ -158,34 +259,29 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
     if norm == 0.0:
         f = TNFactorSet(topo, [np.zeros(topo.factor_shape(k))
                                for k in range(1, topo.order + 1)])
-        return AlsResult(f, 0.0, np.zeros(0), 0, 0)
+        return AlsResult(f, 0.0, np.zeros(0), 0, 0, 0)
 
     unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
     used = attempts = 0
     best_f, best = None, [np.inf]   # the best start's factors and history
-    while used < cfg.max_sweeps and best[-1] > cfg.tol:
-        seeds = [cfg.seed + _SEED_STRIDE * (attempts + k)
-                 for k in range(_ROUND)]
-        stack = TNFactorSet(topo, random_factor_stack(topo, seeds),
-                            batch=_ROUND)
-        f, history = _round(stack, norm, unfoldings, cfg.tol,
-                            cfg.max_sweeps - used)
+    for f, history in _restarts(topo, norm, unfoldings, cfg):
         attempts += _ROUND
         used += len(history)
         prior = best[-1]
         if history[-1] < prior:
             best_f, best = f, history
-        if best[-1] >= prior * (1 - _GAIN):
+        if (best[-1] >= prior * (1 - _GAIN) or best[-1] <= cfg.tol
+                or used == cfg.max_sweeps):
             break
     if best_f is None:
         raise NumericError("no ALS start has a finite block update")
-    if used < cfg.max_sweeps and best[-1] > cfg.tol:    # refine
-        best_f, history = _round(best_f, norm, unfoldings, cfg.tol,
-                                 cfg.max_sweeps - used, best[-1], cfg.tol)
+    refined = 0
+    if used < cfg.max_sweeps and best[-1] > cfg.tol:
+        best_f, history = _refine(best_f, norm, unfoldings, cfg.tol,
+                                  cfg.max_sweeps - used, best[-1])
         best += history
-        used += len(history)
-        if not np.isfinite(best[-1]):
-            raise NumericError("non-finite block update in refine")
+        refined = len(history)
     f = TNFactorSet(topo, [x[0] for x in best_f.factors])
     best[-1] = float(np.linalg.norm(contract_network(f) - a) / norm)
-    return AlsResult(f, best[-1], np.array(best), attempts, used)
+    return AlsResult(f, best[-1], np.array(best), attempts, used + refined,
+                     refined)

@@ -96,7 +96,7 @@ def test_als_fit_compiles_each_plan_key_once(topo, monkeypatch):
     # the restarts ran more than one round of stacked sweeps
     assert result.attempts > als._ROUND
     # one compile per key: the full network, and each complement n both
-    # for a stack of _ROUND (the restarts) and of one (refine)
+    # for a stack of 2·_ROUND (the first two rounds) and of one (refine)
     assert len(calls) == 2 * topo.order + 1
 
 
@@ -389,13 +389,16 @@ def test_fit_contracts_the_network_once(target, topo, monkeypatch):
 # ---------------------------------------------------------------------------
 # stacked restarts
 
-def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset()):
+def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset(),
+                       lengths=None):
     """als_fit with each round's starts run one after another: each start
     is swept alone (a stack of one) to its first stall, then on to the
-    round's length, the longest of those runs.  The stacked rounds must
-    reproduce its attempts, sweeps, history and factor bits.  Starts drawn
-    from the seeds in `dropped` are drawn but never swept, as a dead start
-    is dropped from its round."""
+    round's length, the longest of those runs.  The stacked rounds, the
+    first two of which share one stack, must reproduce its attempts,
+    sweeps, history and factor bits.  Starts drawn from the seeds in
+    `dropped` are drawn but never swept, as a dead start is dropped from
+    its round.  Each round's length is appended to `lengths`, if given.
+    Refine mirrors als_fit's extrapolated step."""
     a = np.asarray(t, dtype=np.float64)
     norm = np.linalg.norm(a)
     if norm == 0.0:
@@ -421,6 +424,8 @@ def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset()):
         attempts += als._ROUND
         length = max(len(history) for _, history in runs)
         used += length
+        if lengths is not None:
+            lengths.append(length)
         prior = best[-1]
         for f, history in runs:
             while len(history) < length:
@@ -429,14 +434,25 @@ def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset()):
                 best_f, best = f, history
         if best[-1] >= prior * (1 - als._GAIN):
             break
+    refined = 0
     while used < cfg.max_sweeps and best[-1] > cfg.tol:
-        best.append(float(_sweep(best_f, norm, unfoldings)[0]))
+        before = list(best_f.factors)
+        rse = float(_sweep(best_f, norm, unfoldings)[0])
         used += 1
+        refined += 1
+        if refined >= 2:    # Z_prev + √s·(Z − Z_prev) after refine sweep s
+            jump = TNFactorSet(topo, [
+                z0 + np.sqrt(refined) * (z - z0)
+                for z0, z in zip(before, best_f.factors)], batch=1)
+            err = float(als._rse(jump, norm, unfoldings)[0])
+            if err < rse:
+                best_f, rse = jump, err
+        best.append(rse)
         if best[-2] - best[-1] < cfg.tol * best[-1]:
             break
     f = TNFactorSet(topo, [x[0] for x in best_f.factors])
     best[-1] = float(np.linalg.norm(contract_network(f) - a) / norm)
-    return AlsResult(f, best[-1], np.array(best), attempts, used)
+    return AlsResult(f, best[-1], np.array(best), attempts, used, refined)
 
 
 def assert_same_fit(got, want):
@@ -485,6 +501,60 @@ def test_stacked_restarts_give_the_sequential_fit(topo, planted, seed,
                     sequential_als_fit(target, topo, cfg))
 
 
+def count_sweeps(monkeypatch):
+    """Record the stack size of every `_sweep` pass als_fit makes."""
+    real_sweep = als._sweep
+    sizes = []
+
+    def sweep(f, *rest):
+        sizes.append(f.batch)
+        return real_sweep(f, *rest)
+
+    monkeypatch.setattr(als, "_sweep", sweep)
+    return sizes
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("topo", PINNED_TOPOLOGIES)
+def test_the_first_two_rounds_cost_the_longer_one(topo, planted,
+                                                  monkeypatch):
+    target, cfg = fit_target(topo, 1, planted), AlsConfig(seed=1)
+    lengths = []
+    want = sequential_als_fit(target, topo, cfg, lengths=lengths)
+    sweeps = count_sweeps(monkeypatch)
+    got = als_fit(target, topo, cfg)
+    assert_same_fit(got, want)
+    # the restart rounds' sweeps and refine's add up to the total
+    assert got.total_sweeps - got.refine_sweeps == sum(lengths)
+    # rounds 1 and 2 share one stack, swept as long as the longer of them
+    assert sweeps == ([2 * als._ROUND] * max(lengths[:2])
+                      + [als._ROUND] * sum(lengths[2:])
+                      + [1] * got.refine_sweeps)
+    if not planted:     # noise stays above tol, so round 2 always runs
+        assert len(lengths) >= 2
+        assert len(sweeps) < got.total_sweeps
+
+
+def test_a_second_round_that_ends_first_is_cut_at_its_budget(monkeypatch):
+    # round 2 ends before round 1 and L1 + L2 > max_sweeps: the pair's
+    # stack sweeps past round 2's budget, max_sweeps − L1, before round 1
+    # ends, so round 2 is swept again alone and cut there
+    topo, seed = PINNED_TOPOLOGIES[2], 5
+    target = fit_target(topo, seed, False)
+    natural = []
+    sequential_als_fit(target, topo, AlsConfig(seed=seed), lengths=natural)
+    l1, l2 = natural[:2]
+    cfg = AlsConfig(max_sweeps=15, seed=seed)
+    assert l2 < l1 < cfg.max_sweeps < l1 + l2
+    sweeps = count_sweeps(monkeypatch)
+    got = als_fit(target, topo, cfg)
+    assert_same_fit(got, sequential_als_fit(target, topo, cfg))
+    assert (got.attempts, got.total_sweeps) == \
+        (2 * als._ROUND, cfg.max_sweeps)
+    assert sweeps == ([2 * als._ROUND] * l1
+                      + [als._ROUND] * (cfg.max_sweeps - l1))
+
+
 def poison_starts(monkeypatch, seeds=None):
     """Make the starts drawn from seeds (every seed if None) hold NaN in
     their last factor, so that their first block update is non-finite;
@@ -524,7 +594,7 @@ def test_a_dead_start_stays_out_of_its_round(monkeypatch):
     poison_starts(monkeypatch, {0})
     starts = [TNFactorSet(topo, als.random_factor_stack(topo, seeds),
                           batch=len(seeds)) for seeds in ([0, 1], [1])]
-    rounds = [als._round(stack, norm, unfoldings, AlsConfig().tol, 300)
+    rounds = [next(als._round(stack, norm, unfoldings, AlsConfig().tol, 300))
               for stack in starts]
     (f, history), (alone, want) = rounds
     assert history == want
@@ -535,7 +605,7 @@ def test_a_dead_start_stays_out_of_its_round(monkeypatch):
 def test_a_round_starts_from_the_random_factor_sets(monkeypatch):
     topo = PINNED_TOPOLOGIES[2]
     a = fit_target(topo, 1, False)
-    seeds = [7 + als._SEED_STRIDE * k for k in range(als._ROUND)]
+    seeds = [7 + als._SEED_STRIDE * k for k in range(2 * als._ROUND)]
     stacks = []
 
     def first_sweep(f, *rest):
@@ -566,13 +636,15 @@ def test_a_failing_start_keeps_the_stacked_solve_one_call(monkeypatch):
     clean = als_fit(target, topo, cfg)
     clean_solves = len(solves)
     solves.clear()
+    sweeps = count_sweeps(monkeypatch)
     drawn = poison_starts(monkeypatch, {cfg.seed + als._SEED_STRIDE})
     poisoned = als_fit(target, topo, cfg)
     assert drawn
     # a failed set stays NaN in its own slice, and the stack is still
-    # solved by one call per mode and sweep
+    # solved by one call per mode and `_sweep` pass
     assert len(solves) <= clean_solves
-    assert len(solves) == poisoned.total_sweeps * topo.order
+    assert len(solves) == len(sweeps) * topo.order
+    assert len(sweeps) < poisoned.total_sweeps
 
 
 def test_a_fit_whose_every_start_fails_raises(monkeypatch):
@@ -580,7 +652,8 @@ def test_a_fit_whose_every_start_fails_raises(monkeypatch):
     drawn = poison_starts(monkeypatch)
     with pytest.raises(NumericError):
         als_fit(fit_target(topo, 1, False), topo, AlsConfig(seed=1))
-    assert len(drawn) == als._ROUND
+    # the first two rounds are drawn as one stack
+    assert len(drawn) == 2 * als._ROUND
 
 
 def test_a_refine_sweep_that_goes_non_finite_fails_the_fit(monkeypatch):
@@ -595,6 +668,81 @@ def test_a_refine_sweep_that_goes_non_finite_fails_the_fit(monkeypatch):
     topo = PINNED_TOPOLOGIES[2]
     with pytest.raises(NumericError):
         als_fit(fit_target(topo, 1, False), topo, AlsConfig(seed=1))
+
+
+def record_refine(monkeypatch, a):
+    """Record the rse of every refine sweep (a stack of one), and of every
+    extrapolated candidate both as refine reads it and from the candidate's
+    contracted network."""
+    real_sweep, real_rse = als._sweep, als._rse
+    norm = np.linalg.norm(a)
+    sweeps, candidates = [], []
+
+    def sweep(f, *rest):
+        rse = real_sweep(f, *rest)
+        if f.batch == 1:
+            sweeps.append(float(rse[0]))
+        return rse
+
+    def candidate_rse(f, *rest):
+        rse = real_rse(f, *rest)
+        exact = np.linalg.norm(contract_network(f)[0] - a) / norm
+        candidates.append((float(rse[0]), float(exact)))
+        return rse
+
+    monkeypatch.setattr(als, "_sweep", sweep)
+    monkeypatch.setattr(als, "_rse", candidate_rse)
+    return sweeps, candidates
+
+
+def assert_refine_takes_only_better_candidates(result, sweeps, candidates):
+    """Refine sweep s >= 2 keeps its candidate exactly when the candidate's
+    rse is below the sweep's, and that rse is its contracted network's;
+    the history does not rise.  Returns the sweeps that kept theirs."""
+    refine = result.refine_sweeps
+    assert len(sweeps) == refine
+    assert len(candidates) == max(refine - 1, 0)
+    assert result.history[-1] == pytest.approx(result.rse, rel=1e-12)
+    assert np.all(np.diff(result.history) <= 1e-12)
+    history = result.history[len(result.history) - refine:]
+    taken = []
+    for s, (rse, exact) in enumerate(candidates, start=1):
+        assert rse == pytest.approx(exact, rel=1e-10)
+        if rse < sweeps[s]:
+            assert exact < sweeps[s]
+            taken.append(s)
+        # the last entry is the rse of the returned factors, contracted
+        want = rse if rse < sweeps[s] else sweeps[s]
+        if s < refine - 1:
+            assert history[s] == want
+        else:
+            assert history[s] == pytest.approx(want, rel=1e-10)
+    return taken
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_refine_takes_a_candidate_only_below_its_sweep(data):
+    """On order 2-4 topologies with dims 1-4 and ranks 1-3."""
+    order = data.draw(st.integers(2, 4))
+    dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=order,
+                                    max_size=order)))
+    topo = TNTopology(dims, {p: data.draw(st.integers(1, 3))
+                             for p in mode_pairs(order)})
+    seed = data.draw(st.integers(0, 2 ** 16))
+    a = np.random.default_rng(seed).standard_normal(dims)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        sweeps, candidates = record_refine(monkeypatch, a)
+        result = als_fit(a, topo, AlsConfig(seed=seed))
+    assert_refine_takes_only_better_candidates(result, sweeps, candidates)
+
+
+def test_refine_takes_candidates_on_a_trained_like_fit(monkeypatch):
+    a = trained_like_target()
+    sweeps, candidates = record_refine(monkeypatch, a)
+    result = als_fit(a, uniform_topology((6, 6, 6), 2))
+    assert assert_refine_takes_only_better_candidates(result, sweeps,
+                                                      candidates)
 
 
 def stack_of(sets):
