@@ -11,37 +11,34 @@ last block, A_(N) − X·Dᵀ: X·Dᵀ is the mode-N unfolding of the network, s
 the sweep never contracts the network; a fit contracts it once, for the
 rse of the returned factors.
 Fully-connected networks have many poor local minima under plain random
-initialization, so the fit runs in two phases within one shared sweep
-budget.  First, restarts in rounds: a round sweeps _ROUND fresh starts
-until each has ended once, at its first sweep of < 1% relative gain or at
-the tolerance, and a start's result is its state and history when its
-round ends; restarts stop after a round that fails to lower the best rse
-by a relative margin.  Then refine: the best start, as a stack of one,
-keeps sweeping until one sweep gains less than the tolerance relative to
-its rse, or the budget runs out.  After refine sweep s >= 2 it tries the
-point Z_prev + √s·(Z − Z_prev) of every factor, Z_prev the state the
-sweep started from (the extrapolation of Rajih, Comon and Harshman's line
-search for PARAFAC), and keeps it if its rse, read as a sweep's is, is
-below the sweep's.  The returned error history belongs to that start and
-is non-increasing, since a proximal block never raises the residual of
-the point it starts from.
+initialization, so the fit runs in two phases within one shared budget of
+sweeps.  First, restarts: a stack of fresh starts, drawn straight into the
+stack with the draws of `random_factor_set`, is swept side by side until
+each start has stalled once (a sweep of < 1% relative gain) or gone NaN,
+until any start reaches the tolerance, or until the budget runs out.  The
+first stack holds rounds 1 and 2, 2·_ROUND starts, since every fit that
+gets past round 1 runs round 2; each later stack holds one round of
+_ROUND.  When a stack ends, its rounds are judged in seed order, each by
+its start of least rse, and restarts stop after a round that fails to
+lower the best rse by a relative margin.  Then refine: the best start, as
+a stack of one, keeps sweeping until one sweep gains less than the
+tolerance relative to its rse, or the budget runs out.  After refine sweep
+s >= 2 it tries the point Z_prev + √s·(Z − Z_prev) of every factor,
+Z_prev the state the sweep started from (the extrapolation of Rajih,
+Comon and Harshman's line search for PARAFAC), and keeps it if its rse,
+read as a sweep's is, is below the sweep's.  The returned error history
+belongs to that start and is non-increasing, since a proximal block never
+raises the residual of the point it starts from.
 
-A round runs its starts side by side, as one stack of factor sets, drawn
-straight into the stack with the draws of `random_factor_set`: a stacked
-sweep makes one batched complement per mode, one stacked gram and
-right-hand side and one stacked solve, where the starts one at a time
-would make _ROUND of each, and it counts once against the budget, as a
-refine sweep does.  A set's bits depend on how its factors are laid out
-in memory, and a fresh start is laid out unlike a swept factor, so a slot
-that has ended is not refilled: it sweeps on until its round ends.  Every
-fit that gets past round 1 runs round 2, so rounds 1 and 2 are one stack
-of 2·_ROUND, which costs far less per pass than two stacks of _ROUND:
-max(L1, L2) passes for rounds of L1 and L2 sweeps, in place of L1 + L2.
-Each round is still taken and judged as if run alone, at its own end and
-within the budget the rounds before it left, and counts its own sweeps,
-so the fit is bit for bit that of the rounds run one after another.  A
-start that goes non-finite is NaN in its own slot alone, and its rse is
-NaN; a fit with no finite start, or whose refine goes non-finite,
+A stacked sweep makes one batched complement per mode, one stacked gram
+and right-hand side and one stacked solve, where the starts one at a time
+would make one of each per start, and each `_sweep` pass, of a stack or of
+refine, counts once against the budget.  A set's bits depend on how its
+factors are laid out in memory, and a fresh start is laid out unlike a
+swept factor, so a slot that has stalled is not refilled: it sweeps on
+until its stack ends, and each start gets the bits it would get swept
+alone.  A start that goes non-finite is NaN in its own slot alone, and its
+rse is NaN; a fit with no finite start, or whose refine goes non-finite,
 raises NumericError.
 """
 
@@ -62,7 +59,7 @@ from .topology import TNFactorSet, TNTopology, random_factor_stack
 # ρ = _PROX·tr(G)/r + _PROX_FLOOR, small so as not to slow converging fits
 _PROX = 1e-8
 _PROX_FLOOR = 1e-300
-# a start ends at its first sweep of less than this relative gain
+# a start stalls at its first sweep of less than this relative gain
 _STALL_RATIO = 0.01
 # a round stacks this many starts; restarts stop after a round that fails
 # to lower the best rse by a relative _GAIN
@@ -89,9 +86,9 @@ class AlsResult:
     factors: TNFactorSet
     rse: float
     history: np.ndarray     # per-sweep rse of the returned start
-    attempts: int           # starts of the rounds that ran, _ROUND each
-    total_sweeps: int       # restart-round sweeps plus refine sweeps
-    refine_sweeps: int      # sweeps of the best start after its round
+    attempts: int           # starts of the rounds judged, _ROUND each
+    total_sweeps: int       # `_sweep` passes: restart stacks' plus refine's
+    refine_sweeps: int      # sweeps of the best start after its stack
 
 
 def _residual(unfolding: np.ndarray, block: np.ndarray, design: np.ndarray,
@@ -163,60 +160,22 @@ def _winner(stack: TNFactorSet, own: slice, rses: list):
 
 
 def _round(stack: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray],
-           tol: float, budget: int):
-    """Sweep a stack of rounds, each up to _ROUND starts in consecutive
-    slots, side by side, and yield each round's start of least final rse
-    as (a stack of one, history), in slot order, each as of its own end: a
-    round ends when each of its starts has ended once (it reached tol,
-    gained less than _STALL_RATIO times its rse over its previous sweep,
-    or went NaN) or its budget is spent.  A round's budget is what
-    `budget` leaves after the rounds before it, and sweeping goes on only
-    while the caller pulls rounds.  A round that ended, or ran on, past its
-    budget while a round before it was still sweeping is swept again,
-    alone, from the factors it was drawn with: a set gets the bits it
-    would get alone, so this is the round cut at its budget.  X_prev
-    carries a NaN into every later block, so a NaN start stays NaN, and if
-    every start of a round went NaN, its history ends in NaN."""
-    slots = [slice(j, min(j + _ROUND, stack.batch))
-             for j in range(0, stack.batch, _ROUND)]
-    drawn = list(stack.factors)     # _sweep rebinds factors, never writes
-    ended = np.zeros(stack.batch, dtype=bool)
-    rses, prev, ends = [], np.inf, {}
-    for j, own in enumerate(slots):
-        while j not in ends and len(rses) < budget:
-            rse = _sweep(stack, norm, unfoldings)
-            ended |= (np.isnan(rse) | (rse <= tol)
-                      | (prev - rse < _STALL_RATIO * rse))
-            rses.append(rse)
-            prev = rse
-            ends.update((i, _winner(stack, s, rses))
-                        for i, s in enumerate(slots)
-                        if i not in ends and ended[s].all())
-        f, history = ends.get(j) or _winner(stack, own, rses)
-        if len(history) > budget:
-            alone = TNFactorSet(stack.topology, [x[own].copy() for x in drawn],
-                                batch=own.stop - own.start)
-            f, history = next(_round(alone, norm, unfoldings, tol, budget))
-        yield f, history
-        budget -= len(history)
-
-
-def _restarts(topo: TNTopology, norm: float,
-              unfoldings: dict[int, np.ndarray], cfg: AlsConfig):
-    """Every restart round's (start of least final rse, history), in seed
-    order, each within the sweeps the rounds before it left: rounds 1 and 2
-    as one stack of 2·_ROUND starts, each later round as a stack of its
-    own.  A round is swept only while the caller pulls rounds."""
-    budget, first, size = cfg.max_sweeps, 0, 2 * _ROUND
-    while True:
-        seeds = [cfg.seed + _SEED_STRIDE * k
-                 for k in range(first, first + size)]
-        stack = TNFactorSet(topo, random_factor_stack(topo, seeds),
-                            batch=size)
-        for f, history in _round(stack, norm, unfoldings, cfg.tol, budget):
-            budget -= len(history)
-            yield f, history
-        first, size = first + size, _ROUND
+           tol: float, budget: int) -> list[np.ndarray]:
+    """Sweep a stack of starts side by side until each has stalled once
+    (gained less than _STALL_RATIO times its rse over its previous sweep)
+    or gone NaN, until any start reaches tol, or until `budget` sweeps are
+    done; return the per-sweep rse arrays.  X_prev carries a NaN into every
+    later block, so a NaN start stays NaN."""
+    stalled = np.zeros(stack.batch, dtype=bool)
+    rses, prev = [], np.inf
+    while len(rses) < budget:
+        rse = _sweep(stack, norm, unfoldings)
+        rses.append(rse)
+        stalled |= np.isnan(rse) | (prev - rse < _STALL_RATIO * rse)
+        if stalled.all() or (rse <= tol).any():
+            break
+        prev = rse
+    return rses
 
 
 def _refine(f: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray],
@@ -264,15 +223,24 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
     unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
     used = attempts = 0
     best_f, best = None, [np.inf]   # the best start's factors and history
-    for f, history in _restarts(topo, norm, unfoldings, cfg):
-        attempts += _ROUND
-        used += len(history)
-        prior = best[-1]
-        if history[-1] < prior:
-            best_f, best = f, history
-        if (best[-1] >= prior * (1 - _GAIN) or best[-1] <= cfg.tol
-                or used == cfg.max_sweeps):
-            break
+    size, done = 2 * _ROUND, False
+    while not done and used < cfg.max_sweeps:
+        seeds = [cfg.seed + _SEED_STRIDE * k
+                 for k in range(attempts, attempts + size)]
+        stack = TNFactorSet(topo, random_factor_stack(topo, seeds),
+                            batch=size)
+        rses = _round(stack, norm, unfoldings, cfg.tol, cfg.max_sweeps - used)
+        used += len(rses)
+        for j in range(0, size, _ROUND):
+            attempts += _ROUND
+            prior = best[-1]
+            f, history = _winner(stack, slice(j, j + _ROUND), rses)
+            if history[-1] < prior:
+                best_f, best = f, history
+            done = best[-1] >= prior * (1 - _GAIN) or best[-1] <= cfg.tol
+            if done:
+                break
+        size = _ROUND
     if best_f is None:
         raise NumericError("no ALS start has a finite block update")
     refined = 0

@@ -15,8 +15,8 @@ from functools import cache
 import numpy as np
 
 from . import pipeline
-from .errors import (BudgetError, ConfigError, CorruptionError, FormatError,
-                     NumericError, TopologyError, TrainingError)
+from .errors import (BudgetError, ConfigError, FormatError, NumericError,
+                     TopologyError, TrainingError)
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -167,8 +167,8 @@ def main(argv=None) -> int:
                 return DATA_EXIT
         elif args.command == "report":
             print(pipeline.describe_model(args.model))
-    except (OSError, MemoryError, FormatError, CorruptionError, ConfigError,
-            BudgetError, TrainingError, NumericError, TopologyError) as exc:
+    except (OSError, MemoryError, FormatError, ConfigError, BudgetError,
+            TrainingError, NumericError, TopologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
     return 0

@@ -1,0 +1,130 @@
+"""The ALS fit sets that ALS changes are measured on, and a runner that
+prints what `als_fit` does on them.
+
+- The trained set: the TN layers that `compress --budget` fits for models
+  of both archs trained at λ 0.005, period 100, 600 (mlp) or 200
+  (tinycnn) steps, seed s and data seed s + 10, at budgets 1.5, 2 and 3.
+  Seeds 1-4 give the 48-layer set; seeds 5-10 are held out.
+- The random set: `random_fit_target(i)` for i < 600, fitted at ALS seed i.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/fit_sets.py [--set trained|random]
+                                            [--seeds 1-4]
+
+It prints JSON: per set, each fit's `rse`, `total_sweeps` and
+`refine_sweeps`, the `_sweep` passes by stack size and the seconds spent
+in `als_fit`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import time
+from collections import Counter
+
+import numpy as np
+
+from tncompress import als, pipeline
+from tncompress.als import AlsConfig, als_fit
+from tncompress.ranks import budget_kappa, ranks_from_curves
+from tncompress.toynet import ARCHS, make_dataset, make_net
+from tncompress.topology import TNTopology, mode_pairs, tn_param_count
+from tncompress.training import train_stn
+
+TRAIN_STEPS = {"mlp": 600, "tinycnn": 200}
+BUDGETS = (1.5, 2.0, 3.0)
+RANDOM_SET_SIZE = 600
+
+
+def random_fit_target(i):
+    """Topology i of a random set, drawn from default_rng(i): order 2-4,
+    dims 1-4, one rank 1-3 per mode pair, and a standard normal target."""
+    rng = np.random.default_rng(i)
+    order = int(rng.integers(2, 5))
+    dims = tuple(int(d) for d in rng.integers(1, 5, size=order))
+    topo = TNTopology(dims, {p: int(rng.integers(1, 4))
+                             for p in mode_pairs(order)})
+    return topo, rng.standard_normal(dims)
+
+
+def trained_cases(seeds):
+    """(name, tensor, topology, AlsConfig) of every layer that `compress
+    --budget` fits as a TN, over both archs, the seeds and BUDGETS."""
+    cases = []
+    for arch in ARCHS:
+        for seed in seeds:
+            _, data_seed, cfg = pipeline.parse_train_config({
+                "arch": arch, "lambda": "0.005", "period": "100",
+                "steps": str(TRAIN_STEPS[arch]), "seed": str(seed),
+                "data_seed": str(seed + 10)})
+            net, _ = train_stn(make_net(arch, seed),
+                               make_dataset(arch, data_seed), cfg)
+            prepared = pipeline._prepare(pipeline.net_to_container(
+                net, arch, {"seed": str(seed)}))
+            shapes = [t.shape for t in prepared.tensors]
+            for budget in BUDGETS:
+                kappa = budget_kappa(shapes, prepared.curve_sets, budget)
+                for layer, tensor, curves in zip(prepared.layers,
+                                                 prepared.tensors,
+                                                 prepared.curve_sets):
+                    topo = TNTopology(tensor.shape,
+                                      ranks_from_curves(curves, kappa))
+                    if tn_param_count(topo) < tensor.size:
+                        cases.append((
+                            f"{arch} seed {seed} budget {budget} "
+                            f"layer {layer.index}", tensor, topo,
+                            AlsConfig(seed=prepared.seed + layer.index)))
+    return cases
+
+
+def random_cases(n=RANDOM_SET_SIZE):
+    cases = []
+    for i in range(n):
+        topo, a = random_fit_target(i)
+        cases.append((f"random {i}", a, topo, AlsConfig(seed=i)))
+    return cases
+
+
+def run(cases):
+    """Fit every case; its rse and sweeps, the `_sweep` passes by stack
+    size and the seconds spent in `als_fit`."""
+    real_sweep, passes = als._sweep, Counter()
+
+    def counted_sweep(f, *rest):
+        passes[f.batch] += 1
+        return real_sweep(f, *rest)
+
+    als._sweep = counted_sweep
+    fits, seconds = [], 0.0
+    try:
+        for name, tensor, topo, cfg in cases:
+            start = time.perf_counter()
+            fit = als_fit(tensor, topo, cfg)
+            seconds += time.perf_counter() - start
+            fits.append({"case": name, "rse": fit.rse,
+                         "total_sweeps": fit.total_sweeps,
+                         "refine_sweeps": fit.refine_sweeps})
+    finally:
+        als._sweep = real_sweep
+    return {"fits": fits, "passes": dict(sorted(passes.items())),
+            "als_fit_s": seconds}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--set", choices=("trained", "random"))
+    parser.add_argument("--seeds", default="1-4",
+                        help="the trained set's seeds, first-last")
+    args = parser.parse_args()
+    first, last = (int(s) for s in args.seeds.split("-"))
+    sets = {"trained": lambda: trained_cases(range(first, last + 1)),
+            "random": random_cases}
+    out = {name: run(build()) for name, build in sets.items()
+           if args.set in (None, name)}
+    print(json.dumps(out, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy._core import einsumfunc
 
+import fit_sets
 from tncompress import als, contraction
 from tncompress.als import (AlsConfig, AlsResult, _sweep, als_fit,
                             complement_matrix)
@@ -336,27 +337,22 @@ def test_sweep_rse_is_exact_where_the_sum_cancels(seed):
     assert_sweeps_give_exact_rse(topo, seed)
 
 
-def random_fit_target(i):
-    """Topology i of a random set, drawn from default_rng(i): order 2-4,
-    dims 1-4, one rank 1-3 per mode pair, and a standard normal target."""
-    rng = np.random.default_rng(i)
-    order = int(rng.integers(2, 5))
-    dims = tuple(int(d) for d in rng.integers(1, 5, size=order))
-    topo = TNTopology(dims, {p: int(rng.integers(1, 4))
-                             for p in mode_pairs(order)})
-    return topo, rng.standard_normal(dims)
-
-
 def test_near_singular_fits_stay_bounded_and_monotone():
     # the fits of a 600-topology random set whose factors grew largest
     # (up to 3.1e16) or whose histories rose (i = 44, 292) under plain
     # least-squares blocks; a rise of 1e-12 is the rounding floor of a fit
     # at rse ~ 1e-13
     for i in (44, 136, 185, 204, 285, 292, 348, 434, 516, 539, 558):
-        topo, a = random_fit_target(i)
+        topo, a = fit_sets.random_fit_target(i)
         result = als_fit(a, topo, AlsConfig(seed=i))
         assert max(np.abs(x).max() for x in result.factors.factors) <= 1e4
         assert np.all(np.diff(result.history) <= 1e-12)
+
+
+def test_the_trained_fit_set_holds_every_tn_layer():
+    # each arch's two layers are fitted as TNs at all three budgets
+    cases = fit_sets.trained_cases([1])
+    assert len(cases) == len(fit_sets.ARCHS) * 2 * len(fit_sets.BUDGETS)
 
 
 FIT_CASES = [("trained-like", uniform_topology((6, 6, 6), 2))] + [
@@ -389,16 +385,54 @@ def test_fit_contracts_the_network_once(target, topo, monkeypatch):
 # ---------------------------------------------------------------------------
 # stacked restarts
 
+def sweep_alone(run, norm, unfoldings, sweeps, until):
+    """Sweep run = (a stack of one, its history, its state after each sweep)
+    alone until it has `sweeps` sweeps or `until(history)` holds."""
+    f, history, states = run
+    while len(history) < sweeps and not (history and until(history)):
+        history.append(float(_sweep(f, norm, unfoldings)[0]))
+        states.append([x.copy(order="K") for x in f.factors])
+
+
+def stalled(history):
+    """Whether the last sweep of a history went NaN or gained less than
+    _STALL_RATIO times its rse."""
+    return bool(np.isnan(history[-1]) or len(history) >= 2 and
+                history[-2] - history[-1] < als._STALL_RATIO * history[-1])
+
+
+def stack_length(runs, norm, unfoldings, tol, budget):
+    """Sweep each run alone to the length of the stack the runs make: the
+    first sweep at which every start has stalled or gone NaN, or any start
+    has reached tol, capped at `budget`; return that length.  A start is
+    first swept to its first stall or tol, then each one on towards the
+    least length known, in case it reaches tol on the way."""
+    for run in runs:
+        sweep_alone(run, norm, unfoldings, budget,
+                    lambda h: stalled(h) or h[-1] <= tol)
+    stops = [len(h) for _, h, _ in runs if h[-1] <= tol]
+    if all(stalled(h) for _, h, _ in runs):
+        stops.append(max(len(h) for _, h, _ in runs))
+    length = min([budget] + stops)
+    for run in runs:
+        sweep_alone(run, norm, unfoldings, length, lambda h: h[-1] <= tol)
+        if run[1][-1] <= tol:
+            length = min(length, len(run[1]))
+    return length
+
+
 def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset(),
                        lengths=None):
-    """als_fit with each round's starts run one after another: each start
-    is swept alone (a stack of one) to its first stall, then on to the
-    round's length, the longest of those runs.  The stacked rounds, the
-    first two of which share one stack, must reproduce its attempts,
-    sweeps, history and factor bits.  Starts drawn from the seeds in
-    `dropped` are drawn but never swept, as a dead start is dropped from
-    its round.  Each round's length is appended to `lengths`, if given.
-    Refine mirrors als_fit's extrapolated step."""
+    """als_fit with every start swept alone, as a stack of one.  The starts
+    come in stacks, the first of 2·_ROUND, each later one of _ROUND, and
+    every start of a stack is swept to the stack's length (see
+    `stack_length`).  The rounds of a stack, _ROUND starts each, are
+    judged in seed order at that length, and the stack's length is
+    charged once against the budget.  The stacked fit must reproduce its
+    attempts, sweeps, history and factor bits.  Starts drawn from the
+    seeds in `dropped` are drawn but never swept, as a dead start goes NaN
+    at its first sweep.  Each stack's length is appended to `lengths`, if
+    given.  Refine mirrors als_fit's extrapolated step."""
     a = np.asarray(t, dtype=np.float64)
     norm = np.linalg.norm(a)
     if norm == 0.0:
@@ -406,34 +440,31 @@ def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset(),
     unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
     used = attempts = 0
     best_f, best = None, [np.inf]
-    while used < cfg.max_sweeps and best[-1] > cfg.tol:
-        runs = []
-        for k in range(als._ROUND):
-            seed = cfg.seed + als._SEED_STRIDE * (attempts + k)
-            if seed in dropped:
-                continue
-            f = stack_of([random_factor_set(topo, seed)])
-            history, prev = [], np.inf
-            while len(history) < cfg.max_sweeps - used:
-                rse = float(_sweep(f, norm, unfoldings)[0])
-                history.append(rse)
-                if rse <= cfg.tol or prev - rse < als._STALL_RATIO * rse:
-                    break
-                prev = rse
-            runs.append((f, history))
-        attempts += als._ROUND
-        length = max(len(history) for _, history in runs)
+    size, done = 2 * als._ROUND, False
+    while not done and used < cfg.max_sweeps:
+        seeds = [cfg.seed + als._SEED_STRIDE * (attempts + k)
+                 for k in range(size)]
+        runs = {seed: (stack_of([random_factor_set(topo, seed)]), [], [])
+                for seed in seeds if seed not in dropped}
+        length = stack_length(list(runs.values()), norm, unfoldings, cfg.tol,
+                              cfg.max_sweeps - used)
         used += length
         if lengths is not None:
             lengths.append(length)
-        prior = best[-1]
-        for f, history in runs:
-            while len(history) < length:
-                history.append(float(_sweep(f, norm, unfoldings)[0]))
-            if history[-1] < best[-1]:
-                best_f, best = f, history
-        if best[-1] >= prior * (1 - als._GAIN):
-            break
+        for j in range(0, size, als._ROUND):
+            attempts += als._ROUND
+            prior = best[-1]
+            for seed in seeds[j:j + als._ROUND]:
+                if seed in runs:
+                    _, history, states = runs[seed]
+                    if history[length - 1] < best[-1]:
+                        best_f = TNFactorSet(topo, states[length - 1],
+                                             batch=1)
+                        best = history[:length]
+            done = best[-1] >= prior * (1 - als._GAIN) or best[-1] <= cfg.tol
+            if done:
+                break
+        size = als._ROUND
     refined = 0
     while used < cfg.max_sweeps and best[-1] > cfg.tol:
         before = list(best_f.factors)
@@ -524,35 +555,123 @@ def test_the_first_two_rounds_cost_the_longer_one(topo, planted,
     sweeps = count_sweeps(monkeypatch)
     got = als_fit(target, topo, cfg)
     assert_same_fit(got, want)
-    # the restart rounds' sweeps and refine's add up to the total
-    assert got.total_sweeps - got.refine_sweeps == sum(lengths)
-    # rounds 1 and 2 share one stack, swept as long as the longer of them
-    assert sweeps == ([2 * als._ROUND] * max(lengths[:2])
-                      + [als._ROUND] * sum(lengths[2:])
+    # rounds 1 and 2 share one stack, swept until both have ended; each
+    # pass of a stack counts once, and the passes are the total
+    assert sweeps == ([2 * als._ROUND] * lengths[0]
+                      + [als._ROUND] * sum(lengths[1:])
                       + [1] * got.refine_sweeps)
-    if not planted:     # noise stays above tol, so round 2 always runs
-        assert len(lengths) >= 2
-        assert len(sweeps) < got.total_sweeps
+    assert got.total_sweeps - got.refine_sweeps == sum(lengths)
+    assert len(sweeps) == got.total_sweeps
+    if not planted:     # noise stays above tol, so round 2 is judged
+        assert got.attempts >= 2 * als._ROUND
 
 
-def test_a_second_round_that_ends_first_is_cut_at_its_budget(monkeypatch):
-    # round 2 ends before round 1 and L1 + L2 > max_sweeps: the pair's
-    # stack sweeps past round 2's budget, max_sweeps − L1, before round 1
-    # ends, so round 2 is swept again alone and cut there
+def test_each_round_after_the_first_two_is_a_stack_of_its_own(monkeypatch):
+    # on this noise target rounds 2 and 3 each lower the best rse and
+    # round 4 does not: rounds 3 and 4 are stacks of _ROUND
+    topo = uniform_topology((3, 3, 3, 3), 2)
+    target = fit_target(topo, 0, False)
+    lengths = []
+    want = sequential_als_fit(target, topo, AlsConfig(), lengths=lengths)
+    sweeps = count_sweeps(monkeypatch)
+    got = als_fit(target, topo)
+    assert_same_fit(got, want)
+    assert got.attempts == 4 * als._ROUND
+    assert sweeps == ([2 * als._ROUND] * lengths[0]
+                      + [als._ROUND] * (lengths[1] + lengths[2])
+                      + [1] * got.refine_sweeps)
+
+
+def test_a_budget_inside_the_first_stack_cuts_both_rounds(monkeypatch):
+    # round 2 stalls before round 1, and the budget ends the first stack
+    # while round 1 is still gaining: both rounds are judged at the cut
     topo, seed = PINNED_TOPOLOGIES[2], 5
     target = fit_target(topo, seed, False)
     natural = []
     sequential_als_fit(target, topo, AlsConfig(seed=seed), lengths=natural)
-    l1, l2 = natural[:2]
-    cfg = AlsConfig(max_sweeps=15, seed=seed)
-    assert l2 < l1 < cfg.max_sweeps < l1 + l2
+    cfg = AlsConfig(max_sweeps=10, seed=seed)
+    assert cfg.max_sweeps < natural[0]
     sweeps = count_sweeps(monkeypatch)
     got = als_fit(target, topo, cfg)
     assert_same_fit(got, sequential_als_fit(target, topo, cfg))
     assert (got.attempts, got.total_sweeps) == \
         (2 * als._ROUND, cfg.max_sweeps)
-    assert sweeps == ([2 * als._ROUND] * l1
-                      + [als._ROUND] * (cfg.max_sweeps - l1))
+    assert sweeps == [2 * als._ROUND] * cfg.max_sweeps
+
+
+def first_stack_to_tol(a, topo, cfg):
+    """The history of each start of the first stack, swept alone until it
+    reaches tol or has spent the budget."""
+    norm = float(np.linalg.norm(a))
+    unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
+    histories = []
+    for k in range(2 * als._ROUND):
+        seed = cfg.seed + als._SEED_STRIDE * k
+        run = (stack_of([random_factor_set(topo, seed)]), [], [])
+        sweep_alone(run, norm, unfoldings, cfg.max_sweeps,
+                    lambda h: h[-1] <= cfg.tol)
+        histories.append(run[1])
+    return histories
+
+
+def test_a_stack_stops_at_the_first_start_to_reach_tol(monkeypatch):
+    # on this planted target one start reaches tol at its first sweep and
+    # another only after many: the first stack ends at the first of them,
+    # sooner than on noise, where every start has to stall
+    topo, cfg = PINNED_TOPOLOGIES[2], AlsConfig(seed=1)
+    planted = fit_target(topo, 1, True)
+    histories = first_stack_to_tol(planted, topo, cfg)
+    assert all(h[-1] <= cfg.tol for h in histories)
+    hits = [len(h) for h in histories]
+    noise = []
+    sequential_als_fit(fit_target(topo, 1, False), topo, cfg, lengths=noise)
+    want = sequential_als_fit(planted, topo, cfg)
+    sweeps = count_sweeps(monkeypatch)
+    got = als_fit(planted, topo, cfg)
+    assert_same_fit(got, want)
+    assert got.rse <= cfg.tol
+    assert sweeps == [2 * als._ROUND] * min(hits)
+    assert min(hits) < noise[0]
+    assert min(hits) < max(hits)
+
+
+def test_a_start_that_stalled_ends_its_stack_at_tol(monkeypatch):
+    # random fit 431: the first start to reach tol stalled sweeps before,
+    # and reaches it before the last of the others has stalled
+    topo, a = fit_sets.random_fit_target(431)
+    cfg = AlsConfig(seed=431)
+    first, history = min((len(h), h) for h in first_stack_to_tol(a, topo, cfg)
+                         if h[-1] <= cfg.tol)
+    assert any(stalled(history[:s]) for s in range(1, first))
+    lengths = []
+    want = sequential_als_fit(a, topo, cfg, lengths=lengths)
+    sweeps = count_sweeps(monkeypatch)
+    got = als_fit(a, topo, cfg)
+    assert_same_fit(got, want)
+    assert lengths == [first]
+    assert sweeps == [2 * als._ROUND] * first
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_total_sweeps_are_the_sweep_passes(data):
+    """On order 2-4 topologies with dims 1-4 and ranks 1-3 and budgets of
+    1-40 sweeps: every `_sweep` pass, of a stack or of refine, counts once,
+    the budget holds, and the history does not rise."""
+    order = data.draw(st.integers(2, 4))
+    dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=order,
+                                    max_size=order)))
+    topo = TNTopology(dims, {p: data.draw(st.integers(1, 3))
+                             for p in mode_pairs(order)})
+    seed = data.draw(st.integers(0, 2 ** 16))
+    cfg = AlsConfig(max_sweeps=data.draw(st.integers(1, 40)), seed=seed)
+    a = np.random.default_rng(seed).standard_normal(dims)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        sweeps = count_sweeps(monkeypatch)
+        result = als_fit(a, topo, cfg)
+    assert result.total_sweeps == len(sweeps)
+    assert result.total_sweeps <= cfg.max_sweeps
+    assert np.all(np.diff(result.history) <= 1e-12)
 
 
 def poison_starts(monkeypatch, seeds=None):
@@ -594,7 +713,9 @@ def test_a_dead_start_stays_out_of_its_round(monkeypatch):
     poison_starts(monkeypatch, {0})
     starts = [TNFactorSet(topo, als.random_factor_stack(topo, seeds),
                           batch=len(seeds)) for seeds in ([0, 1], [1])]
-    rounds = [next(als._round(stack, norm, unfoldings, AlsConfig().tol, 300))
+    rounds = [als._winner(stack, slice(0, stack.batch),
+                          als._round(stack, norm, unfoldings,
+                                     AlsConfig().tol, 300))
               for stack in starts]
     (f, history), (alone, want) = rounds
     assert history == want
@@ -644,7 +765,7 @@ def test_a_failing_start_keeps_the_stacked_solve_one_call(monkeypatch):
     # solved by one call per mode and `_sweep` pass
     assert len(solves) <= clean_solves
     assert len(solves) == len(sweeps) * topo.order
-    assert len(sweeps) < poisoned.total_sweeps
+    assert len(sweeps) == poisoned.total_sweeps
 
 
 def test_a_fit_whose_every_start_fails_raises(monkeypatch):

@@ -293,8 +293,8 @@ def test_cli_writes_the_bytes_of_the_sequential_restarts(arch, tmp_path,
                                                          capsys,
                                                          monkeypatch):
     """compress at three budgets and tradeoff on the README grid write the
-    same bytes with the stacked restarts as with each round's starts run
-    one at a time."""
+    same bytes with the stacked restarts as with every start swept
+    alone."""
     from test_als import sequential_als_fit
 
     model = tmp_path / "dense.stnz"
