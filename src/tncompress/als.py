@@ -10,41 +10,43 @@ np.linalg.solve for a whole stack.  A sweep's rse is the residual of its
 last block, A_(N) − X·Dᵀ: X·Dᵀ is the mode-N unfolding of the network, so
 the sweep never contracts the network; a fit contracts it once, for the
 rse of the returned factors.
+One loop, `_round`, makes every sweep: it sweeps a stack of factor sets
+side by side, and after sweep s >= 2 tries each set at Z_prev + √s·(Z −
+Z_prev), Z_prev the state the sweep started from (the extrapolation of
+Rajih, Comon and Harshman's line search for PARAFAC), kept where its rse,
+read as a sweep's is, is below the sweep's.  A stack ends when each set has
+stalled once (a sweep of too little relative gain) or gone NaN, when any
+set reaches the tolerance, or when its budget runs out.
 Fully-connected networks have many poor local minima under plain random
-initialization, so the fit runs in two phases within one shared budget of
-sweeps.  First, restarts: a stack of fresh starts, drawn straight into the
-stack with the draws of `random_factor_set`, is swept side by side until
-each start has stalled once (a sweep of < 1% relative gain) or gone NaN,
-until any start reaches the tolerance, or until the budget runs out.  The
-first stack holds rounds 1 and 2, 2·_ROUND starts, since every fit that
-gets past round 1 runs round 2; each later stack holds one round of
-_ROUND.  When a stack ends, its rounds are judged in seed order, each by
+initialization, so a fit runs `_round` in two phases within one shared
+budget of sweeps.  First, restarts: stacks of fresh starts, drawn straight
+into the stack with the draws of `random_factor_set`, that stall at < 1%
+gain.  The first stack holds rounds 1 and 2, 2·_ROUND starts, since every
+fit that gets past round 1 runs round 2; each later stack holds one round
+of _ROUND.  When a stack ends, its rounds are judged in seed order, each by
 its start of least rse, and restarts stop after a round that fails to
-lower the best rse by a relative margin.  Then refine: the best start, as
-a stack of one, keeps sweeping until one sweep gains less than the
-tolerance relative to its rse, or the budget runs out.  After refine sweep
-s >= 2 it tries the point Z_prev + √s·(Z − Z_prev) of every factor,
-Z_prev the state the sweep started from (the extrapolation of Rajih,
-Comon and Harshman's line search for PARAFAC), and keeps it if its rse,
-read as a sweep's is, is below the sweep's.  The returned error history
-belongs to that start and is non-increasing, since a proximal block never
-raises the residual of the point it starts from.
+lower the best rse by a relative margin.  Then refine: the best start, a
+stack of one, that stalls at a gain below the tolerance.  The returned
+history belongs to that start and is non-increasing, since a proximal
+block never raises the residual of the point it starts from and a
+candidate is kept only below its sweep.
 
 A stacked sweep makes one batched complement per mode, one stacked gram
 and right-hand side and one stacked solve, where the starts one at a time
-would make one of each per start, and each `_sweep` pass, of a stack or of
-refine, counts once against the budget.  A set's bits depend on how its
-factors are laid out in memory, and a fresh start is laid out unlike a
-swept factor, so a slot that has stalled is not refilled: it sweeps on
-until its stack ends, and each start gets the bits it would get swept
-alone.  A start that goes non-finite is NaN in its own slot alone, and its
-rse is NaN; a fit with no finite start, or whose refine goes non-finite,
-raises NumericError.
+would make one of each per start; its candidates are scored by one more
+complement.  Each `_sweep` pass counts once against the budget.  A set's
+bits depend on how its factors are laid out in memory, and a fresh start
+is laid out unlike a swept factor, so a slot that has stalled is not
+refilled: it sweeps on until its stack ends, and each start gets the bits
+it would get swept alone.  A start that goes non-finite is NaN in its own
+slot alone, and its rse is NaN; a target without a finite norm, a fit with
+no finite start, or one whose refine goes non-finite, raises NumericError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 # The gufunc np.linalg.solve runs (numpy >= 2.4); a numpy without it fails
@@ -75,8 +77,10 @@ class AlsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
+        if not isinstance(self.max_sweeps, Integral) or self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be an integer >= 1")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
 
@@ -160,52 +164,38 @@ def _winner(stack: TNFactorSet, own: slice, rses: list):
 
 
 def _round(stack: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray],
-           tol: float, budget: int) -> list[np.ndarray]:
-    """Sweep a stack of starts side by side until each has stalled once
-    (gained less than _STALL_RATIO times its rse over its previous sweep)
-    or gone NaN, until any start reaches tol, or until `budget` sweeps are
-    done; return the per-sweep rse arrays.  X_prev carries a NaN into every
-    later block, so a NaN start stays NaN."""
+           tol: float, budget: int, ratio: float = _STALL_RATIO,
+           prev: float = np.inf) -> list[np.ndarray]:
+    """Sweep a stack of sets, whose rse is prev, side by side until each
+    has stalled once (gained less than `ratio` times its rse) or gone NaN,
+    until any set reaches tol, or until `budget` sweeps are done, with the
+    extrapolated step after each sweep s >= 2; return the per-sweep rse
+    arrays.  Every factor is rebuilt by np.where even where no set or every
+    set keeps its candidate, so a set's layout, and so its bits, never
+    depend on its neighbours'.  X_prev carries a NaN into every later
+    block, so a NaN set stays NaN."""
     stalled = np.zeros(stack.batch, dtype=bool)
-    rses, prev = [], np.inf
+    rses = []
     while len(rses) < budget:
+        before = list(stack.factors)
         rse = _sweep(stack, norm, unfoldings)
+        s = len(rses) + 1
+        if s >= 2:
+            candidate = [z0 + np.sqrt(s) * (z - z0)
+                         for z0, z in zip(before, stack.factors)]
+            err = _rse(TNFactorSet(stack.topology, candidate,
+                                   batch=stack.batch), norm, unfoldings)
+            keep = err < rse
+            stack.factors[:] = [
+                np.where(keep.reshape((-1,) + (1,) * (z.ndim - 1)), c, z)
+                for c, z in zip(candidate, stack.factors)]
+            rse = np.where(keep, err, rse)
         rses.append(rse)
-        stalled |= np.isnan(rse) | (prev - rse < _STALL_RATIO * rse)
+        stalled |= np.isnan(rse) | (prev - rse < ratio * rse)
         if stalled.all() or (rse <= tol).any():
             break
         prev = rse
     return rses
-
-
-def _refine(f: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray],
-            tol: float, budget: int, prev: float):
-    """Sweep the stack of one f, whose rse is prev, until a sweep gains
-    less than tol times its rse, reaches tol or `budget` sweeps are done;
-    return (its state, its history).  After sweep s >= 2, every factor is
-    extrapolated from the state Z_prev the sweep started from to Z_prev +
-    √s·(Z − Z_prev), and that point is kept if its rse is below the
-    sweep's.  A block never raises the residual of the point it starts
-    from, so the history does not rise."""
-    history = []
-    while len(history) < budget:
-        before = list(f.factors)
-        [rse] = _sweep(f, norm, unfoldings)
-        s = len(history) + 1
-        if s >= 2:
-            jump = TNFactorSet(f.topology, [
-                z0 + np.sqrt(s) * (z - z0) for z0, z in zip(before, f.factors)
-            ], batch=1)
-            [err] = _rse(jump, norm, unfoldings)
-            if err < rse:
-                f, rse = jump, err
-        history.append(float(rse))
-        if not np.isfinite(rse):
-            raise NumericError("non-finite block update in refine")
-        if rse <= tol or prev - rse < tol * rse:
-            break
-        prev = rse
-    return f, history
 
 
 def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
@@ -214,7 +204,11 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
     if tuple(a.shape) != topo.dims:
         raise TopologyError(
             f"tensor dims {tuple(a.shape)} do not match topology {topo.dims}")
-    norm = np.linalg.norm(a)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a)
+    if not np.isfinite(norm):
+        raise NumericError("the ALS target's norm is not finite: it holds "
+                           "NaN or inf, or its entries overflow")
     if norm == 0.0:
         f = TNFactorSet(topo, [np.zeros(topo.factor_shape(k))
                                for k in range(1, topo.order + 1)])
@@ -245,10 +239,12 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
         raise NumericError("no ALS start has a finite block update")
     refined = 0
     if used < cfg.max_sweeps and best[-1] > cfg.tol:
-        best_f, history = _refine(best_f, norm, unfoldings, cfg.tol,
-                                  cfg.max_sweeps - used, best[-1])
-        best += history
-        refined = len(history)
+        rses = _round(best_f, norm, unfoldings, cfg.tol,
+                      cfg.max_sweeps - used, ratio=cfg.tol, prev=best[-1])
+        best += [float(r[0]) for r in rses]
+        refined = len(rses)
+        if not np.isfinite(best[-1]):
+            raise NumericError("non-finite block update in refine")
     f = TNFactorSet(topo, [x[0] for x in best_f.factors])
     best[-1] = float(np.linalg.norm(contract_network(f) - a) / norm)
     return AlsResult(f, best[-1], np.array(best), attempts, used + refined,

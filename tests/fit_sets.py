@@ -11,16 +11,20 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/fit_sets.py [--set trained|random]
                                             [--seeds 1-4]
+                                            [--against PARENT.json]
 
 It prints JSON: per set, each fit's `rse`, `total_sweeps` and
 `refine_sweeps`, the `_sweep` passes by stack size and the seconds spent
-in `als_fit`.
+in `als_fit`.  With --against, the JSON of an earlier run (of the parent
+tree, say), it then prints on stderr, per set both runs hold, how the
+fits moved from that run to this one (see `compare`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from collections import Counter
 
@@ -112,11 +116,60 @@ def run(cases):
             "als_fit_s": seconds}
 
 
+def compare(parent, change):
+    """Per set that both runs hold: the mean rse, parent and change; how
+    many fits got better, worse or stayed the same, matched by case name
+    and compared as exact floats; the largest rise as (rise, case), None
+    if no fit rose; the `_sweep` passes by stack size and in total, and
+    the seconds in `als_fit`, each as (parent, change)."""
+    out = {}
+    for name in [name for name in change if name in parent]:
+        before = {f["case"]: f["rse"] for f in parent[name]["fits"]}
+        after = {f["case"]: f["rse"] for f in change[name]["fits"]}
+        if before.keys() != after.keys():
+            raise ValueError(f"the two {name} sets hold different fits")
+        rises = {case: after[case] - before[case] for case in after}
+        sizes = sorted(parent[name]["passes"].keys()
+                       | change[name]["passes"].keys(), key=int, reverse=True)
+        passes = {size: tuple(run[name]["passes"].get(size, 0)
+                              for run in (parent, change)) for size in sizes}
+        out[name] = {
+            "mean_rse": tuple(float(np.mean(list(fits.values())))
+                              for fits in (before, after)),
+            "better": sum(r < 0 for r in rises.values()),
+            "worse": sum(r > 0 for r in rises.values()),
+            "same": sum(r == 0 for r in rises.values()),
+            "largest_rise": max(((r, case) for case, r in rises.items()
+                                 if r > 0), default=None),
+            "passes": passes,
+            "total_passes": tuple(sum(p) for p in zip(*passes.values())),
+            "als_fit_s": (parent[name]["als_fit_s"],
+                          change[name]["als_fit_s"]),
+        }
+    return out
+
+
+def print_comparison(comparison, file):
+    for name, c in comparison.items():
+        rise = c["largest_rise"]
+        print(f"{name}: mean rse {c['mean_rse'][0]:.7f} -> "
+              f"{c['mean_rse'][1]:.7f}; better/worse/same "
+              f"{c['better']}/{c['worse']}/{c['same']}; largest rise "
+              + (f"{rise[0]:+.2g} ({rise[1]})" if rise else "none") + "; "
+              "passes " + ", ".join(f"{size}: {p} -> {q}" for size, (p, q)
+                                    in c["passes"].items())
+              + f", total {c['total_passes'][0]} -> {c['total_passes'][1]}"
+              f"; als_fit {c['als_fit_s'][0]:.2f} -> "
+              f"{c['als_fit_s'][1]:.2f} s", file=file)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--set", choices=("trained", "random"))
     parser.add_argument("--seeds", default="1-4",
                         help="the trained set's seeds, first-last")
+    parser.add_argument("--against", metavar="PARENT.json",
+                        help="an earlier run's JSON to compare this run to")
     args = parser.parse_args()
     first, last = (int(s) for s in args.seeds.split("-"))
     sets = {"trained": lambda: trained_cases(range(first, last + 1)),
@@ -124,6 +177,12 @@ def main():
     out = {name: run(build()) for name, build in sets.items()
            if args.set in (None, name)}
     print(json.dumps(out, indent=1))
+    if args.against:
+        with open(args.against) as f:
+            parent = json.load(f)
+        # the stack sizes keyed as the JSON keys them
+        print_comparison(compare(parent, json.loads(json.dumps(out))),
+                         sys.stderr)
 
 
 if __name__ == "__main__":

@@ -179,6 +179,22 @@ def test_config_validation():
     for tol in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             AlsConfig(tol=tol)
+    # numpy's default_rng would refuse a negative seed only at the first
+    # draw, and a fractional budget would run whole sweeps past it
+    for bad in ({"seed": -1}, {"seed": 1.5}, {"max_sweeps": 2.5}):
+        with pytest.raises(ValueError):
+            AlsConfig(**bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
+def test_a_target_without_a_finite_norm_is_refused(value):
+    # 1e300 is finite, but its squares overflow the norm; no warning is
+    # raised on the way
+    target = np.full((3, 4, 2), value)
+    with warnings.catch_warnings(), pytest.raises(NumericError,
+                                                  match="target"):
+        warnings.simplefilter("error")
+        als_fit(target, PINNED_TOPOLOGIES[0])
 
 
 def trained_like_target() -> np.ndarray:
@@ -355,6 +371,29 @@ def test_the_trained_fit_set_holds_every_tn_layer():
     assert len(cases) == len(fit_sets.ARCHS) * 2 * len(fit_sets.BUDGETS)
 
 
+def test_fit_sets_compares_two_runs_fit_by_fit():
+    def run(rses, passes, seconds):
+        return {"fits": [{"case": c, "rse": r} for c, r in rses.items()],
+                "passes": passes, "als_fit_s": seconds}
+
+    parent = {"random": run({"a": 0.5, "b": 0.25, "c": 0.1, "d": 0.2},
+                            {"16": 10, "8": 4, "1": 6}, 2.0),
+              "trained": run({"x": 1.0}, {"1": 1}, 1.0)}
+    change = {"random": run({"d": 0.2, "c": 0.3, "b": 0.125, "a": 0.5},
+                            {"16": 7, "1": 9}, 1.5)}
+    [(name, c)] = fit_sets.compare(parent, change).items()
+    assert name == "random"
+    assert c["mean_rse"] == (np.mean([0.5, 0.25, 0.1, 0.2]),
+                             np.mean([0.5, 0.125, 0.3, 0.2]))
+    assert (c["better"], c["worse"], c["same"]) == (1, 1, 2)
+    assert c["largest_rise"] == (0.3 - 0.1, "c")
+    assert c["passes"] == {"16": (10, 7), "8": (4, 0), "1": (6, 9)}
+    assert c["total_passes"] == (20, 16)
+    assert c["als_fit_s"] == (2.0, 1.5)
+    with pytest.raises(ValueError):
+        fit_sets.compare(parent, {"trained": run({"y": 1.0}, {}, 1.0)})
+
+
 FIT_CASES = [("trained-like", uniform_topology((6, 6, 6), 2))] + [
     ("planted", topo) for topo in PINNED_TOPOLOGIES]
 
@@ -385,20 +424,40 @@ def test_fit_contracts_the_network_once(target, topo, monkeypatch):
 # ---------------------------------------------------------------------------
 # stacked restarts
 
+def swept(f, norm, unfoldings, s):
+    """Sweep s of the stack f and its extrapolated step: from sweep 2 on,
+    each set's candidate Z_prev + √s·(Z − Z_prev), from the state Z_prev
+    the sweep started from, is scored by `_rse` and replaces the swept
+    state where it is lower.  Returns the rse of the states kept."""
+    before = list(f.factors)
+    rse = _sweep(f, norm, unfoldings)
+    if s < 2:
+        return rse
+    candidate = [z0 + np.sqrt(s) * (z - z0)
+                 for z0, z in zip(before, f.factors)]
+    err = als._rse(TNFactorSet(f.topology, candidate, batch=f.batch), norm,
+                   unfoldings)
+    keep = err < rse
+    f.factors[:] = [np.where(keep.reshape((-1,) + (1,) * (z.ndim - 1)), c, z)
+                    for c, z in zip(candidate, f.factors)]
+    return np.where(keep, err, rse)
+
+
 def sweep_alone(run, norm, unfoldings, sweeps, until):
     """Sweep run = (a stack of one, its history, its state after each sweep)
-    alone until it has `sweeps` sweeps or `until(history)` holds."""
+    alone, each sweep with its extrapolated step, until it has `sweeps`
+    sweeps or `until(history)` holds."""
     f, history, states = run
     while len(history) < sweeps and not (history and until(history)):
-        history.append(float(_sweep(f, norm, unfoldings)[0]))
+        history.append(float(swept(f, norm, unfoldings, len(history) + 1)[0]))
         states.append([x.copy(order="K") for x in f.factors])
 
 
-def stalled(history):
+def stalled(history, ratio=als._STALL_RATIO):
     """Whether the last sweep of a history went NaN or gained less than
-    _STALL_RATIO times its rse."""
+    `ratio` times its rse."""
     return bool(np.isnan(history[-1]) or len(history) >= 2 and
-                history[-2] - history[-1] < als._STALL_RATIO * history[-1])
+                history[-2] - history[-1] < ratio * history[-1])
 
 
 def stack_length(runs, norm, unfoldings, tol, budget):
@@ -432,7 +491,8 @@ def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset(),
     attempts, sweeps, history and factor bits.  Starts drawn from the
     seeds in `dropped` are drawn but never swept, as a dead start goes NaN
     at its first sweep.  Each stack's length is appended to `lengths`, if
-    given.  Refine mirrors als_fit's extrapolated step."""
+    given.  Every sweep, of a stack or of refine, takes its extrapolated
+    step (see `swept`)."""
     a = np.asarray(t, dtype=np.float64)
     norm = np.linalg.norm(a)
     if norm == 0.0:
@@ -465,25 +525,18 @@ def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset(),
             if done:
                 break
         size = als._ROUND
-    refined = 0
-    while used < cfg.max_sweeps and best[-1] > cfg.tol:
-        before = list(best_f.factors)
-        rse = float(_sweep(best_f, norm, unfoldings)[0])
-        used += 1
-        refined += 1
-        if refined >= 2:    # Z_prev + √s·(Z − Z_prev) after refine sweep s
-            jump = TNFactorSet(topo, [
-                z0 + np.sqrt(refined) * (z - z0)
-                for z0, z in zip(before, best_f.factors)], batch=1)
-            err = float(als._rse(jump, norm, unfoldings)[0])
-            if err < rse:
-                best_f, rse = jump, err
-        best.append(rse)
-        if best[-2] - best[-1] < cfg.tol * best[-1]:
-            break
+    refine = (best_f, [], [])
+    if used < cfg.max_sweeps and best[-1] > cfg.tol:
+        # refine is a stack of one that stops at a gain below tol
+        prior = best[-1]
+        sweep_alone(refine, norm, unfoldings, cfg.max_sweeps - used,
+                    lambda h: h[-1] <= cfg.tol or stalled([prior] + h,
+                                                          cfg.tol))
+    best += refine[1]
     f = TNFactorSet(topo, [x[0] for x in best_f.factors])
     best[-1] = float(np.linalg.norm(contract_network(f) - a) / norm)
-    return AlsResult(f, best[-1], np.array(best), attempts, used, refined)
+    return AlsResult(f, best[-1], np.array(best), attempts,
+                     used + len(refine[1]), len(refine[1]))
 
 
 def assert_same_fit(got, want):
@@ -583,13 +636,14 @@ def test_each_round_after_the_first_two_is_a_stack_of_its_own(monkeypatch):
 
 
 def test_a_budget_inside_the_first_stack_cuts_both_rounds(monkeypatch):
-    # round 2 stalls before round 1, and the budget ends the first stack
-    # while round 1 is still gaining: both rounds are judged at the cut
+    # round 2 stalls at sweep 5, before round 1 at sweep 7, and the budget
+    # ends the first stack while round 1 is still gaining: both rounds are
+    # judged at the cut
     topo, seed = PINNED_TOPOLOGIES[2], 5
     target = fit_target(topo, seed, False)
     natural = []
     sequential_als_fit(target, topo, AlsConfig(seed=seed), lengths=natural)
-    cfg = AlsConfig(max_sweeps=10, seed=seed)
+    cfg = AlsConfig(max_sweeps=6, seed=seed)
     assert cfg.max_sweeps < natural[0]
     sweeps = count_sweeps(monkeypatch)
     got = als_fit(target, topo, cfg)
@@ -636,20 +690,17 @@ def test_a_stack_stops_at_the_first_start_to_reach_tol(monkeypatch):
 
 
 def test_a_start_that_stalled_ends_its_stack_at_tol(monkeypatch):
-    # random fit 431: the first start to reach tol stalled sweeps before,
-    # and reaches it before the last of the others has stalled
-    topo, a = fit_sets.random_fit_target(431)
-    cfg = AlsConfig(seed=431)
-    first, history = min((len(h), h) for h in first_stack_to_tol(a, topo, cfg)
-                         if h[-1] <= cfg.tol)
-    assert any(stalled(history[:s]) for s in range(1, first))
-    lengths = []
-    want = sequential_als_fit(a, topo, cfg, lengths=lengths)
-    sweeps = count_sweeps(monkeypatch)
-    got = als_fit(a, topo, cfg)
-    assert_same_fit(got, want)
-    assert lengths == [first]
-    assert sweeps == [2 * als._ROUND] * first
+    # scripted sweeps: slot 0 stalls at sweep 2 and reaches tol at sweep 4,
+    # while slot 1 is still gaining; no candidate is ever kept
+    script = iter(np.array([[1.0, 1.0], [0.999, 0.5], [0.5, 0.25],
+                            [1e-6, 0.125], [1e-7, 0.0625]]))
+    monkeypatch.setattr(als, "_sweep", lambda f, *rest: next(script))
+    monkeypatch.setattr(als, "_rse", lambda f, *rest: np.full(f.batch, 2.0))
+    stack = TNFactorSet(PINNED_TOPOLOGIES[2], als.random_factor_stack(
+        PINNED_TOPOLOGIES[2], [0, 1]), batch=2)
+    rses = als._round(stack, 1.0, {}, AlsConfig().tol, 300)
+    assert len(rses) == 4
+    assert rses[-1][0] <= AlsConfig().tol < rses[-1][1]
 
 
 @given(data=st.data())
@@ -672,6 +723,35 @@ def test_total_sweeps_are_the_sweep_passes(data):
     assert result.total_sweeps == len(sweeps)
     assert result.total_sweeps <= cfg.max_sweeps
     assert np.all(np.diff(result.history) <= 1e-12)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_round_is_each_start_swept_alone(data):
+    """`_round` on a stack of 2-4 random starts for up to 1-8 passes,
+    against each start swept alone with the same extrapolated steps (see
+    `swept`), on order 2-4 topologies with dims 1-4 and ranks 1-3: the same
+    rse and states bit for bit, whichever slots keep their candidates."""
+    order = data.draw(st.integers(2, 4))
+    dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=order,
+                                    max_size=order)))
+    topo = TNTopology(dims, {p: data.draw(st.integers(1, 3))
+                             for p in mode_pairs(order)})
+    seed = data.draw(st.integers(0, 2 ** 16))
+    seeds = [seed + k for k in range(data.draw(st.integers(2, 4)))]
+    a = np.random.default_rng(seed).standard_normal(dims)
+    norm = float(np.linalg.norm(a))
+    unfoldings = {n: k_unfold(a, n) for n in range(1, order + 1)}
+    stack = TNFactorSet(topo, als.random_factor_stack(topo, seeds),
+                        batch=len(seeds))
+    rses = als._round(stack, norm, unfoldings, AlsConfig().tol,
+                      data.draw(st.integers(1, 8)))
+    for k, s in enumerate(seeds):
+        run = (stack_of([random_factor_set(topo, s)]), [], [])
+        sweep_alone(run, norm, unfoldings, len(rses), lambda h: False)
+        assert np.array_equal(run[1], [r[k] for r in rses], equal_nan=True)
+        for x, [y] in zip(stack.factors, run[0].factors):
+            assert np.array_equal(x[k], y, equal_nan=True)
 
 
 def poison_starts(monkeypatch, seeds=None):
@@ -791,60 +871,94 @@ def test_a_refine_sweep_that_goes_non_finite_fails_the_fit(monkeypatch):
         als_fit(fit_target(topo, 1, False), topo, AlsConfig(seed=1))
 
 
-def record_refine(monkeypatch, a):
-    """Record the rse of every refine sweep (a stack of one), and of every
-    extrapolated candidate both as refine reads it and from the candidate's
-    contracted network."""
-    real_sweep, real_rse = als._sweep, als._rse
+def copies(f):
+    return [x.copy() for x in f.factors]
+
+
+def record_rounds(monkeypatch, a):
+    """Record every pass of every `_round` of a fit, restart stacks and
+    refine alike: its sweep's rse and states; from pass 2 on its
+    candidate's states and rse, both as `_round` reads it and from the
+    candidate's contracted network; and the rse and states it kept."""
+    real_round, real_sweep, real_rse = als._round, als._sweep, als._rse
     norm = np.linalg.norm(a)
-    sweeps, candidates = [], []
+    rounds = []
+
+    def round_(stack, *args, **kwargs):
+        rounds.append([])
+        rses = real_round(stack, *args, **kwargs)
+        rounds[-1][-1]["kept"] = copies(stack)
+        for record, rse in zip(rounds[-1], rses):
+            record["rse"] = rse.copy()
+        return rses
 
     def sweep(f, *rest):
+        if rounds[-1]:      # the states the last pass kept
+            rounds[-1][-1]["kept"] = copies(f)
         rse = real_sweep(f, *rest)
-        if f.batch == 1:
-            sweeps.append(float(rse[0]))
+        rounds[-1].append({"sweep": rse.copy(), "swept": copies(f)})
         return rse
 
     def candidate_rse(f, *rest):
-        rse = real_rse(f, *rest)
-        exact = np.linalg.norm(contract_network(f)[0] - a) / norm
-        candidates.append((float(rse[0]), float(exact)))
-        return rse
+        err = real_rse(f, *rest)
+        residual = (contract_network(f) - a).reshape(f.batch, -1)
+        rounds[-1][-1].update(err=err.copy(), candidate=copies(f),
+                              exact=np.linalg.norm(residual, axis=1) / norm)
+        return err
 
+    monkeypatch.setattr(als, "_round", round_)
     monkeypatch.setattr(als, "_sweep", sweep)
     monkeypatch.setattr(als, "_rse", candidate_rse)
-    return sweeps, candidates
+    return rounds
 
 
-def assert_refine_takes_only_better_candidates(result, sweeps, candidates):
-    """Refine sweep s >= 2 keeps its candidate exactly when the candidate's
-    rse is below the sweep's, and that rse is its contracted network's;
-    the history does not rise.  Returns the sweeps that kept theirs."""
-    refine = result.refine_sweeps
-    assert len(sweeps) == refine
-    assert len(candidates) == max(refine - 1, 0)
+def assert_passes_take_only_better_candidates(result, rounds):
+    """Pass 1 of a `_round` keeps its sweep.  Pass s >= 2 keeps, slot by
+    slot, the lesser of the sweep's rse and its candidate's, which is the
+    candidate's contracted network's, and the candidate's states exactly
+    where the candidate's rse is lower.  Refine is the last round, a stack
+    of one, and the history does not rise.  Returns the stack size of
+    every pass that kept a candidate."""
+    taken = []
+    for records in rounds:
+        for s, record in enumerate(records, start=1):
+            sweep, kept = record["sweep"], record["rse"]
+            if s == 1:
+                assert "err" not in record
+                assert np.array_equal(kept, sweep, equal_nan=True)
+                for x, z in zip(record["kept"], record["swept"]):
+                    assert np.array_equal(x, z, equal_nan=True)
+                continue
+            err = record["err"]
+            np.testing.assert_allclose(err, record["exact"], rtol=1e-10)
+            assert np.array_equal(kept, np.fmin(sweep, err), equal_nan=True)
+            lower = err < sweep
+            for x, c, z in zip(record["kept"], record["candidate"],
+                               record["swept"]):
+                for k in range(len(lower)):
+                    assert np.array_equal(x[k], c[k] if lower[k] else z[k],
+                                          equal_nan=True)
+            if lower.any():
+                taken.append(len(lower))
     assert result.history[-1] == pytest.approx(result.rse, rel=1e-12)
     assert np.all(np.diff(result.history) <= 1e-12)
-    history = result.history[len(result.history) - refine:]
-    taken = []
-    for s, (rse, exact) in enumerate(candidates, start=1):
-        assert rse == pytest.approx(exact, rel=1e-10)
-        if rse < sweeps[s]:
-            assert exact < sweeps[s]
-            taken.append(s)
+    refine = result.refine_sweeps
+    if refine:
+        records = rounds[-1]
+        assert [len(r["sweep"]) for r in records] == [1] * refine
         # the last entry is the rse of the returned factors, contracted
-        want = rse if rse < sweeps[s] else sweeps[s]
-        if s < refine - 1:
-            assert history[s] == want
-        else:
-            assert history[s] == pytest.approx(want, rel=1e-10)
+        history = result.history[len(result.history) - refine:]
+        assert list(history[:-1]) == [r["rse"][0] for r in records[:-1]]
+        assert history[-1] == pytest.approx(records[-1]["rse"][0],
+                                            rel=1e-10)
     return taken
 
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_refine_takes_a_candidate_only_below_its_sweep(data):
-    """On order 2-4 topologies with dims 1-4 and ranks 1-3."""
+    """Every pass of every `_round`, refine's and the restart stacks', on
+    order 2-4 topologies with dims 1-4 and ranks 1-3."""
     order = data.draw(st.integers(2, 4))
     dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=order,
                                     max_size=order)))
@@ -853,17 +967,19 @@ def test_refine_takes_a_candidate_only_below_its_sweep(data):
     seed = data.draw(st.integers(0, 2 ** 16))
     a = np.random.default_rng(seed).standard_normal(dims)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        sweeps, candidates = record_refine(monkeypatch, a)
+        rounds = record_rounds(monkeypatch, a)
         result = als_fit(a, topo, AlsConfig(seed=seed))
-    assert_refine_takes_only_better_candidates(result, sweeps, candidates)
+    assert_passes_take_only_better_candidates(result, rounds)
 
 
 def test_refine_takes_candidates_on_a_trained_like_fit(monkeypatch):
     a = trained_like_target()
-    sweeps, candidates = record_refine(monkeypatch, a)
+    rounds = record_rounds(monkeypatch, a)
     result = als_fit(a, uniform_topology((6, 6, 6), 2))
-    assert assert_refine_takes_only_better_candidates(result, sweeps,
-                                                      candidates)
+    taken = assert_passes_take_only_better_candidates(result, rounds)
+    assert result.refine_sweeps > 0
+    assert 1 in taken                       # refine
+    assert max(taken) > 1                   # a restart stack
 
 
 def stack_of(sets):
