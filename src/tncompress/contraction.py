@@ -2,14 +2,14 @@
 
 The one place that turns a factor set into einsum operands and contracts
 it: the whole network, the network less one factor (ALS's complement) and,
-in `layers.fc_tn`, the network against an input.  A per-topology
-`ContractionPlan` holds the integer einsum labels and a compiled step list
-for each network built on them, compiled on first use.  A step list is
-numpy's own contraction list for the greedy path: the operand positions
-each step pops and that step's einsum string, and for a pairwise step the
-parse numpy's `bmm_einsum` makes of it (the one-operand einsums that
-prepare each side, the reshapes, the output permutation and whether the
-pair is a pure multiply).  Replaying it calls the kernels
+in `layers.fc_tn` and the stages of `layers.conv2d_tn`, factors against an
+input.  A per-topology `ContractionPlan` holds the integer einsum labels
+and a compiled step list for each network built on them, compiled on first
+use.  A step list is numpy's own contraction list for the greedy path: the
+operand positions each step pops and that step's einsum string, and for a
+pairwise step the parse numpy's `bmm_einsum` makes of it (the one-operand
+einsums that prepare each side, the reshapes, the output permutation and
+whether the pair is a pure multiply).  Replaying it calls the kernels
 np.einsum(optimize="greedy") reaches (`c_einsum`, `matmul` or `multiply`,
 reshape and transpose) in the same order on the same operands, so a plan
 gives the same bits and skips the per-call parsing, path and dispatch work.
@@ -59,7 +59,8 @@ class ContractionPlan:
     key must fix every operand shape: a key is compiled for the shapes of
     its first call, and a call under it with other shapes raises
     TopologyError.  A caller may add operands under a key of its own, as
-    `layers.fc_tn` adds its input.  Plans come from `stored_plan` alone.
+    `layers.fc_tn` and `layers.conv2d_tn` add their inputs.  Plans come
+    from `stored_plan` alone.
     """
 
     def __init__(self, topo: TNTopology):

@@ -15,6 +15,7 @@ in one call and returns the outputs stacked along that axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -87,11 +88,29 @@ def _leading_batch(x, sample_ndim: int) -> tuple[np.ndarray, bool]:
     return x, False
 
 
+@lru_cache(maxsize=16)
+def _window_index(w: int, h: int, k: int) -> np.ndarray:
+    """The pixel (w-major) of each tap of each K x K window of a W x H
+    image: W'·H'·K·K indices, windows w'-major and taps k1-major, the
+    order of the window matrix's rows and columns.  Read-only, as the
+    cache shares it."""
+    start = np.arange(w - k + 1)[:, None] * h + np.arange(h - k + 1)
+    tap = np.arange(k)[:, None] * h + np.arange(k)
+    index = (start[:, :, None, None] + tap).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
 def conv_windows(x: np.ndarray, k: int) -> np.ndarray:
-    """The B*W'*H' x K*K*S window matrix of a B x W x H x S batch; numpy
-    raises ValueError for a window larger than the input."""
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * x.shape[3])
+    """The B*W'*H' x K*K*S window matrix of a B x W x H x S batch (rows
+    sample-, then w'-major; columns k1-, then k2-major with the channel
+    fastest), gathered whole pixels at a time by one `take` along the pixel
+    axis; a window larger than the input raises ValueError."""
+    b, w, h, s = x.shape
+    if not 1 <= k <= min(w, h):
+        raise ValueError(f"a {k} x {k} window does not fit a {w} x {h} input")
+    return np.take(x.reshape(b, w * h, s), _window_index(w, h, k),
+                   axis=1).reshape(-1, k * k * s)
 
 
 def conv2d_dense(x, kernel) -> np.ndarray:
@@ -119,7 +138,10 @@ def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
     The convolution stage is one `conv2d_dense` call: its batch is the
     samples times the in-channel factor's bond to the out-channel factor
     (B·r34 x W x H x r13·r23), and its kernel the merged spatial factors
-    (K x K x r13·r23 x r14·r24).
+    (K x K x r13·r23 x r14·r24).  The other three stages are keys of the
+    stored `ContractionPlan` of f's topology, as in `fc_tn`: the channel
+    and out-channel keys fix the batch size and the input's W x H, so each
+    such shape is compiled on its first call in the process.
 
     x is W x H x S or a B x W x H x S batch, with the output shaped as in
     `conv2d_dense`.  The FLOP count covers the whole call: the spatial
@@ -139,14 +161,22 @@ def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
 
     r12, r13, r23 = z1.shape[1], z1.shape[2], z2.shape[2]
     r14, r24, r34 = z4.shape[0], z4.shape[1], z4.shape[2]
-    # channel stage over the full spatial extent, its bond c in the batch
-    p = np.einsum("nwhs,absc->ncwhab", x, z3)
+    net = stored_plan(topo)
+    l1, l2, l3, l4 = net.labels
+    (b13, b23, _, b34), (b14, b24, _, _) = l3, l4
+    n = net.batch_label
+    pw, ph = n + 1, n + 2       # the pixel axes: width, height
+    # channel stage over the full spatial extent, its bond b34 in the batch
+    p = net.einsum(("conv-channel", b, w, h), x, [n, pw, ph, 2], z3, l3,
+                   [n, b34, pw, ph, b13, b23])
     # spatial factors merged over their shared bond
-    merged = np.einsum("xpad,pybe->xyabde", z1, z2)
+    merged = net.einsum(("conv-merge",), z1, l1, z2, l2,
+                        [0, 1, b13, b23, b14, b24])
     q = conv2d_dense(p.reshape(b * r34, w, h, r13 * r23),
                      merged.reshape(k, k, r13 * r23, r14 * r24))
-    y = np.einsum("ncwhde,dect->nwht",
-                  q.reshape(b, r34, wo, ho, r14, r24), z4)
+    y = net.einsum(("conv-out", b, w, h),
+                   q.reshape(b, r34, wo, ho, r14, r24),
+                   [n, b34, pw, ph, b14, b24], z4, l4, [n, pw, ph, 3])
     if single:
         y = y[0]
     if not count_flops:

@@ -1,13 +1,17 @@
 """Layer forward passes, tensorization planning, and complexity counts."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tncompress import layers, toynet
 from tncompress.contraction import contract_network
 from tncompress.layers import (TensorizationPlan, complexity_conv,
                                complexity_fc, conv2d_dense, conv2d_tn,
+                               conv_windows,
                                detensorize_matrix, fc_dense_from_tn, fc_tn,
                                plan_tensorization, tensorize_matrix)
 from tncompress.errors import TopologyError
@@ -35,6 +39,13 @@ def conv2d_loops(x, kernel):
                             acc += x[i + k1, j + k2, si] * kernel[k1, k2, si, ti]
                 out[i, j, ti] = acc
     return out
+
+
+def sliding_windows(x, k):
+    """`conv_windows`' oracle: the window matrix as `sliding_window_view`
+    and a strided transpose copy give it."""
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * x.shape[3])
 
 
 class TestPlanning:
@@ -209,14 +220,85 @@ class TestConvForward:
             conv2d_tn(np.zeros((batch, 8, 8, 5)), f)  # wrong channel count
         with pytest.raises(TopologyError):
             conv2d_tn(np.zeros((batch, 1, 8, 8, 2)), f)
-        with pytest.raises(ValueError):
-            conv2d_tn(np.zeros((batch, 2, 2, 2)), f)
-        with pytest.raises(ValueError):
-            conv2d_dense(np.zeros((batch, 2, 2, 2)), kernel)
+        for w, h in [(2, 2), (2, 8), (8, 2)]:   # a window larger than x
+            x = np.zeros((batch, w, h, 2))
+            with pytest.raises(ValueError):
+                conv_windows(x, 3)
+            with pytest.raises(ValueError):
+                conv2d_tn(x, f)
+            with pytest.raises(ValueError):
+                conv2d_dense(x, kernel)
         with pytest.raises(ValueError):
             conv2d_dense(np.zeros((batch, 8, 8, 5)), kernel)
         with pytest.raises(ValueError):
             conv2d_dense(np.zeros((batch, 1, 8, 8, 2)), kernel)
+
+
+class TestWindows:
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 4), s=st.integers(1, 9), batch=st.integers(1, 8),
+           transposed=st.booleans(), data=st.data())
+    def test_gathered_windows_are_the_sliding_window_bits(
+            self, k, s, batch, transposed, data):
+        w = data.draw(st.integers(k, 9))
+        h = data.draw(st.integers(k, 9))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        if transposed:      # a non-contiguous view of the same shape
+            x = rng.standard_normal((s, h, w, batch)).transpose(3, 2, 1, 0)
+        else:
+            x = rng.standard_normal((batch, w, h, s))
+        got, want = conv_windows(x, k), sliding_windows(x, k)
+        # the oracle may return a view of x (K = 1); the gather never does
+        assert got.flags.c_contiguous and not np.shares_memory(got, x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), batch=st.integers(1, 8),
+           transposed=st.booleans())
+    def test_tinycnn_gives_the_sliding_window_bits(self, seed, batch,
+                                                   transposed):
+        net = TinyCNN(seed)
+        rng = np.random.default_rng(seed + 1)
+        x = (rng.standard_normal((1, 8, 8, batch)).transpose(3, 2, 1, 0)
+             if transposed else rng.standard_normal((batch, 8, 8, 1)))
+        y = rng.integers(0, 2, batch)
+        got = (net.forward(x), net.loss_and_grads(x, y))
+        with mock.patch.object(layers, "conv_windows", sliding_windows), \
+                mock.patch.object(toynet, "conv_windows", sliding_windows):
+            want = (net.forward(x), net.loss_and_grads(x, y))
+        assert got[0].tobytes() == want[0].tobytes()
+        (loss, acc, grads), (ref_loss, ref_acc, ref_grads) = got[1], want[1]
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert acc == ref_acc
+        for g, ref in zip(grads, ref_grads, strict=True):
+            assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
+
+
+def test_conv_plan_keys_fix_the_batch_and_the_input_size():
+    """One factor set through `conv2d_tn` at batches 1, 7 and 256 and two
+    input sizes, and back, in one process: a stage key that left out the
+    batch or the spatial size would raise TopologyError or give another
+    shape's values."""
+    r = {(1, 2): 2, (1, 3): 1, (1, 4): 3, (2, 3): 2, (2, 4): 2, (3, 4): 3}
+    k, s, t = 3, 2, 5
+    f = random_factor_set(TNTopology((k, k, s, t), r), seed=21)
+    kernel = contract_network(f)
+    rng = np.random.default_rng(22)
+    for w, h in [(8, 8), (9, 6), (8, 8)]:
+        wo, ho = w - k + 1, h - k + 1
+        for batch in (1, 7, 256):
+            x = rng.standard_normal((batch, w, h, s))
+            got, flops = conv2d_tn(x, f, count_flops=True)
+            want = conv2d_dense(x, kernel)
+            assert got.shape == want.shape == (batch, wo, ho, t)
+            assert np.linalg.norm(got - want) <= \
+                1e-12 * np.linalg.norm(want)
+            assert flops == (
+                batch * w * h * s * r[1, 3] * r[2, 3] * r[3, 4]
+                + k * k * r[1, 2] * r[1, 3] * r[2, 3] * r[1, 4] * r[2, 4]
+                + batch * wo * ho * k * k * r[1, 3] * r[2, 3] * r[1, 4]
+                * r[2, 4] * r[3, 4]
+                + batch * wo * ho * t * r[1, 4] * r[2, 4] * r[3, 4])
 
 
 class TestFcForward:
