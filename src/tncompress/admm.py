@@ -124,12 +124,12 @@ def admm_w_update(state: AdmmState, gradients: list[np.ndarray],
     is exactly a plain SGD step and reads neither Z, Y nor mu, so training
     at lam = 0 runs no Z- or Y-update."""
     for i, g in enumerate(gradients):
+        w = state.w[i].astype(np.float64)
         step = np.asarray(g, dtype=np.float64)
         if cfg.lam != 0.0:
             step = step + cfg.lam * state.mu * (
-                state.w[i].astype(np.float64) - state.z[i] - state.y[i] / state.mu)
-        state.w[i] = (state.w[i].astype(np.float64)
-                      - cfg.lr * step).astype(state.w[i].dtype)
+                w - state.z[i] - state.y[i] / state.mu)
+        state.w[i] = (w - cfg.lr * step).astype(state.w[i].dtype)
 
 
 def admm_z_update(state: AdmmState, cfg: AdmmConfig) -> None:

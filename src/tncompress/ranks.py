@@ -8,8 +8,9 @@ of the squared norm of the full summed vector.  Note this is the squared
 norm of the *summed* vector, not the summed spectral energy; the energy
 curve is kept alongside as metadata only.
 
-One cut rule, `_cut`, checks kappa and cuts a cumulative curve; it serves
-both the mode-pair curves (`ranks_from_curves`) and `effective_rank`.
+One cut rule, `_cut`, checks kappa and cuts a stack of cumulative curves
+in one vectorized pass; it serves both the mode-pair curves
+(`ranks_from_curves`, padded to one stack) and `effective_rank`.
 
 Under a storage budget, `budget_kappa` finds the largest retention-curve
 value (or 1.0) whose rank tables fit, by an exact search over those values.
@@ -58,20 +59,26 @@ def retention_curves(t) -> tuple[dict, dict]:
     return curves, energy
 
 
-def _cut(curves, kappa: float) -> list[int]:
-    """Per cumulative curve, the smallest x whose value reaches kappa, or
-    the curve's length if none does; kappa must lie in (0, 1]."""
+def _cut(curves: np.ndarray, lengths, kappa: float) -> list[int]:
+    """Per row of a C x k stack of non-decreasing cumulative curves, the
+    smallest x whose value reaches kappa, capped at the row's length (the
+    curve's own, before any padding), or that length if none does; kappa
+    must lie in (0, 1]."""
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    ranks = []
-    for curve in curves:
-        hits = np.nonzero(curve >= kappa - _EPS)[0]
-        ranks.append(int(hits[0]) + 1 if hits.size else curve.size)
-    return ranks
+    # the values that reach kappa form a suffix of a curve, so the first of
+    # them sits at the count of those that do not (a NaN does not)
+    first = np.add.reduce(~(curves >= kappa - _EPS), axis=-1)
+    return np.minimum(first + 1, lengths).tolist()
 
 
 def ranks_from_curves(curves: dict, kappa: float) -> dict[tuple[int, int], int]:
-    return dict(zip(curves, _cut(curves.values(), kappa)))
+    lengths = [c.size for c in curves.values()]
+    # one stack, each curve padded with ones, which reach any kappa
+    stack = np.ones((len(lengths), max(lengths, default=0)))
+    for row, curve in zip(stack, curves.values()):
+        row[:curve.size] = curve
+    return dict(zip(curves, _cut(stack, lengths, kappa)))
 
 
 def determine_ranks(t, kappa: float) -> RankSelection:
@@ -141,7 +148,9 @@ def effective_rank(mat: np.ndarray, kappa: float) -> int | list[int]:
     with each matrix's rank, equal to one call per matrix."""
     sq = singular_values(np.asarray(mat)) ** 2
     total = sq.sum(axis=-1, keepdims=True)
-    curves = np.cumsum(sq, axis=-1) / np.where(total > 0, total, 1.0)
-    ranks = _cut([c if t > 0 else c[:0] for c, t in
-                  zip(curves.reshape(-1, sq.shape[-1]), total.ravel())], kappa)
+    live = total > 0
+    curves = np.cumsum(sq, axis=-1) / np.where(live, total, 1.0)
+    k = sq.shape[-1]
+    # a zero matrix's curve counts as empty, so its rank is 0
+    ranks = _cut(curves.reshape(-1, k), k * live.reshape(-1), kappa)
     return ranks if sq.ndim > 1 else ranks[0]

@@ -57,16 +57,22 @@ def make_stripes(seed: int) -> Dataset:
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross entropy, batch accuracy, and the logit gradient."""
-    n = logits.shape[0]
-    rows = np.arange(n)
-    logits = logits - logits.max(axis=1, keepdims=True)
+    n, c = logits.shape
+    # the ufunc reductions that max() and sum() call, without their wrappers
+    logits = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= np.add.reduce(probs, axis=1, keepdims=True)
+    # each row's label entry by flat index; indexing arange(c) first raises
+    # IndexError for a label outside [-c, c) and wraps a negative one, as
+    # probs[rows, labels] does, so no index reaches a neighbouring row
+    at = np.arange(0, n * c, c) + np.arange(c)[labels]
+    flat = probs.reshape(-1)
+    picked = flat[at]
     # -(sum / n) as -mean() computes it, in fewer calls; negating the sum
     # keeps the -0.0 of a batch whose labels all have probability 1
-    loss = -float(np.add.reduce(np.log(probs[rows, labels] + 1e-300))) / n
+    loss = -float(np.add.reduce(np.log(picked + 1e-300))) / n
     acc = int(np.count_nonzero(logits.argmax(axis=1) == labels)) / n
-    probs[rows, labels] -= 1.0      # probs becomes the gradient in place
+    flat[at] = picked - 1.0         # probs becomes the gradient in place
     probs /= n
     return loss, acc, probs
 

@@ -68,30 +68,31 @@ class TrainingLog:
             return
         rows = self.rows[-len(self._pending):]
         step_ws, step_zs = zip(*self._pending)
-        ws, zs = list(zip(*step_ws)), list(zip(*step_zs))   # per layer
-        for i, (weights, zs_i) in enumerate(zip(ws, zs)):
+        # per layer, its chunk of weights stacked once, steps first: the
+        # gaps and the SVD input both read it
+        stacks = [np.stack(weights) for weights in zip(*step_ws)]
+        for i, (stack, zs_i) in enumerate(zip(stacks, zip(*step_zs))):
             # Z is float32 until the first ADMM round and float64 after, so
             # each run of steps sharing one Z is taken in that Z's dtype, as
             # ||Z - W|| of one step is
             at = 0
             for _, run in groupby(zs_i, key=id):
                 end = at + len(list(run))
-                diff = (zs_i[at] - np.stack(weights[at:end])).reshape(
-                    end - at, -1)
+                diff = (zs_i[at] - stack[at:end]).reshape(end - at, -1)
                 # the dot kernel np.linalg.norm runs on one vector
                 gaps = np.sqrt(diff[:, None, :] @ diff[:, :, None])
                 for row, gap in zip(rows[at:end], gaps.ravel().tolist()):
                     row[f"gap_l{i}"] = f"{gap:.6f}"
                 at = end
-        for i, weights in enumerate(ws):
-            _, plan = balanced_unfold(weights[0])
-            # with the step as the last (slowest) column mode, the chunk
-            # unfolds to one rows x (cols * steps) matrix
-            flat = generalized_unfold(np.stack(weights, axis=-1),
-                                      plan.row_modes,
-                                      plan.col_modes + (len(plan.dims) + 1,))
+        for i, stack in enumerate(stacks):
+            _, plan = balanced_unfold(stack[0])
+            # with the step (the stack's mode 1) as the last, slowest column
+            # mode, the chunk unfolds to one rows x (cols * steps) matrix
+            flat = generalized_unfold(
+                stack, tuple(m + 1 for m in plan.row_modes),
+                tuple(m + 1 for m in plan.col_modes) + (1,))
             mats = np.moveaxis(flat.reshape(
-                (flat.shape[0], -1, len(weights)), order="F"), -1, 0)
+                (flat.shape[0], -1, len(stack)), order="F"), -1, 0)
             for row, rank in zip(rows, effective_rank(mats, LOG_RANK_KAPPA)):
                 row[f"effrank_l{i}"] = rank
         self._pending.clear()
@@ -124,8 +125,9 @@ def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
                     f"batch {cfg.batch_size} is too large: {exc}") from None
             for step, idx in enumerate(draws, start=first):
                 net.weights = state.w
-                loss, acc, grads = net.loss_and_grads(data.x_train[idx],
-                                                      data.y_train[idx])
+                # take gathers the same rows as x_train[idx], in fewer µs
+                loss, acc, grads = net.loss_and_grads(
+                    data.x_train.take(idx, axis=0), data.y_train[idx])
                 if not isfinite(loss):
                     raise TrainingError(
                         f"loss became non-finite at step {step}", step)

@@ -103,6 +103,35 @@ class TestAdmmUpdates:
         expected = (w[0].astype(np.float64) - 0.1 * g[0]).astype(np.float32)
         assert np.array_equal(state.w[0], expected)
 
+    def test_w_update_matches_written_out_step(self):
+        """At lam > 0 the update is (w64 - lr * (g + lam * mu * (w64 - Z -
+        Y / mu))).astype(float32), bit for bit: first with Z and Y in
+        float32, as before the first round, then in float64, after it."""
+        cfg = AdmmConfig(lam=0.005, lr=0.05, mu0=1.7)
+        rng = np.random.default_rng(8)
+        w = [rng.standard_normal(shape).astype(np.float32)
+             for shape in ((4, 6), (3, 3, 1, 2))]
+        state = AdmmState.init(w, cfg)
+        # W drifts from Z and Y is nonzero, in float32
+        state.w = [(x + 0.1 * rng.standard_normal(x.shape)).astype(np.float32)
+                   for x in state.w]
+        state.y = [rng.standard_normal(x.shape).astype(np.float32)
+                   for x in state.w]
+        for dtype in (np.float32, np.float64):
+            assert all(a.dtype == dtype for a in state.z + state.y)
+            grads = [rng.standard_normal(x.shape) for x in state.w]
+            expected = []
+            for w_i, z, y, g in zip(state.w, state.z, state.y, grads):
+                w64 = w_i.astype(np.float64)
+                expected.append((w64 - cfg.lr * (g + cfg.lam * state.mu * (
+                    w64 - z - y / state.mu))).astype(np.float32))
+            admm_w_update(state, grads, cfg)
+            for got, want in zip(state.w, expected):
+                assert got.dtype == np.float32
+                assert got.tobytes() == want.tobytes()
+            admm_z_update(state, cfg)     # a round: Z and Y become float64
+            admm_y_update(state, cfg)
+
     def test_z_update_reduces_nuclear_norm(self):
         cfg = AdmmConfig()
         w = [np.random.default_rng(6).standard_normal((4, 4)).astype(np.float32)]

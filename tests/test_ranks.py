@@ -16,6 +16,38 @@ from tncompress.tensor import mn_unfold, singular_values
 from tncompress.topology import TNTopology, mode_pairs, tn_param_count
 
 
+def reference_cut(curve, kappa):
+    """The cut rule as first written, one curve at a time: one plus the
+    first index whose value reaches kappa - 1e-12, or the curve's length
+    if none does."""
+    hits = np.nonzero(curve >= kappa - 1e-12)[0]
+    return int(hits[0]) + 1 if hits.size else curve.size
+
+
+def reference_effective_rank(mat, kappa):
+    """reference_cut on one matrix's squared-spectrum curve; 0 for the
+    zero matrix."""
+    sq = singular_values(mat) ** 2
+    total = sq.sum()
+    return reference_cut(np.cumsum(sq) / total, kappa) if total > 0 else 0
+
+
+KAPPAS = [0.1, 0.5, 0.9, 0.99, 1.0]
+
+
+def draw_stack(data, c, m, n):
+    """A c x m x n stack of full, zero and rank-2 matrices."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    stack = rng.standard_normal((c, m, n))
+    for k in range(c):
+        kind = data.draw(st.sampled_from(["full", "zero", "low"]))
+        if kind == "zero":
+            stack[k] = 0.0
+        elif kind == "low":
+            stack[k] = rng.standard_normal((m, 2)) @ rng.standard_normal((2, n))
+    return stack
+
+
 class TestEffectiveRank:
     def test_identity_half_energy(self):
         assert effective_rank(np.eye(4), 0.5) == 2
@@ -50,19 +82,36 @@ class TestEffectiveRank:
         c = data.draw(st.integers(1, 6))
         m = data.draw(st.sampled_from([1, 2, 3, 5, 9, 12, 20]))
         n = data.draw(st.sampled_from([1, 2, 4, 9, 13, 24]))
-        kappa = data.draw(st.sampled_from([0.1, 0.5, 0.9, 0.99, 1.0]))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-        stack = rng.standard_normal((c, m, n))
-        for k in range(c):
-            kind = data.draw(st.sampled_from(["full", "zero", "low"]))
-            if kind == "zero":
-                stack[k] = 0.0
-            elif kind == "low":
-                stack[k] = (rng.standard_normal((m, 2))
-                            @ rng.standard_normal((2, n)))
+        kappa = data.draw(st.sampled_from(KAPPAS))
+        stack = draw_stack(data, c, m, n)
         ranks = effective_rank(stack, kappa)
         assert ranks == [effective_rank(stack[k], kappa) for k in range(c)]
         assert all(type(r) is int for r in ranks)
+
+    def test_overflowing_spectrum_matches_reference_cut(self):
+        """A squared singular value that overflows makes the curve NaN
+        (inf / inf), which reaches no kappa: the cut is the curve's length,
+        as reference_cut gives, alone and in a stack."""
+        stack = np.stack([np.diag([1e200, 1.0, 1.0]), np.eye(3)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for kappa in KAPPAS:
+                want = [reference_effective_rank(m, kappa) for m in stack]
+                assert want[0] == 3
+                assert effective_rank(stack, kappa) == want
+                assert effective_rank(stack[0], kappa) == want[0]
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_stack_matches_reference_cut(self, data):
+        """The vectorized cut gives reference_cut's rank for every matrix
+        of a stack of zero, low-rank and 1 x n (or m x 1) matrices."""
+        c = data.draw(st.integers(1, 6))
+        m, n = data.draw(st.sampled_from(
+            [(1, 1), (1, 5), (1, 24), (7, 1), (3, 4), (9, 13), (20, 24)]))
+        stack = draw_stack(data, c, m, n)
+        for kappa in KAPPAS:
+            assert effective_rank(stack, kappa) == [
+                reference_effective_rank(mat, kappa) for mat in stack]
 
 
 class TestDetermineRanks:
@@ -90,6 +139,35 @@ class TestDetermineRanks:
             if prev is not None:
                 assert all(ranks[p] >= prev[p] for p in ranks)
             prev = ranks
+
+    @given(order=st.integers(2, 4), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_curves_match_reference_cut(self, order, seed):
+        """ranks_from_curves cuts each mode pair's retention curve (of
+        mixed lengths, padded to one stack) as reference_cut does, at the
+        kappa grid, at every curve value and just inside its epsilon."""
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(d) for d in rng.integers(1, 6, size=order))
+        curves, _ = retention_curves(rng.standard_normal(dims))
+        values = {float(v) for c in curves.values() for v in c}
+        for kappa in KAPPAS + sorted(v + d for v in values
+                                     for d in (0.0, 5e-13, 2e-12)
+                                     if 0 < v + d <= 1):
+            assert ranks_from_curves(curves, kappa) == {
+                p: reference_cut(c, kappa) for p, c in curves.items()}
+
+    def test_short_curve_that_misses_kappa_keeps_its_length(self):
+        """A curve shorter than the stack that never reaches kappa, or
+        whose tail is NaN, is cut at its own length, as reference_cut
+        cuts it, not where the padding starts."""
+        curves = {(1, 2): np.array([0.2, 0.4]),
+                  (1, 3): np.array([0.0, np.nan, np.nan]),
+                  (2, 3): np.array([0.1, 0.3, 0.6, 1.0])}
+        for kappa in KAPPAS:
+            assert ranks_from_curves(curves, kappa) == {
+                p: reference_cut(c, kappa) for p, c in curves.items()}
+        assert ranks_from_curves(curves, 0.5) == {(1, 2): 2, (1, 3): 3,
+                                                  (2, 3): 3}
 
     def test_kappa_one_gives_full_observed_ranks(self):
         t = np.random.default_rng(3).standard_normal((3, 4, 5))

@@ -118,7 +118,8 @@ class TestNets:
         logits = rng.standard_normal((batch, classes)) * 10.0 ** scale
         if ties:    # rounding makes equal logits, so argmax ties
             logits = np.round(logits)
-        labels = rng.integers(0, classes, batch)
+        # a label in [-classes, 0) names a class from the end, as an index
+        labels = rng.integers(-classes, classes, batch)
         loss, acc, grad = softmax_cross_entropy(logits.copy(), labels)
         ref_loss, ref_acc, ref_grad = reference_softmax_cross_entropy(
             logits, labels)
@@ -127,6 +128,21 @@ class TestNets:
         assert np.float64(acc).tobytes() == np.float64(ref_acc).tobytes()
         assert grad.dtype == ref_grad.dtype and grad.shape == ref_grad.shape
         assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("label", [2, 3, 5, -3, -6])
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_softmax_cross_entropy_refuses_out_of_range_labels(self, label,
+                                                               row):
+        """A label outside [-C, C) raises IndexError, as the reference's
+        probs[rows, labels] does, and never reads a neighbouring row: with
+        C = 2, label 2 in row 0 would be flat index 2, row 1's first entry."""
+        logits = np.random.default_rng(9).standard_normal((3, 2))
+        labels = np.array([0, 1, 1])
+        labels[row] = label
+        with pytest.raises(IndexError):
+            reference_softmax_cross_entropy(logits, labels)
+        with pytest.raises(IndexError):
+            softmax_cross_entropy(logits.copy(), labels)
 
     @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
     def test_gradients_match_finite_differences(self, arch):
