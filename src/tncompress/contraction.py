@@ -17,7 +17,7 @@ gives the same bits and skips the per-call parsing, path and dispatch work.
 A process-wide store keyed on the topology, `stored_plan`, is the only
 source of plans: every contraction, ALS sweep and TN forward pass runs on
 the plan of its factor set's topology, so each network is compiled once
-per process.
+per process for each set of operand shapes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 # import.
 from numpy._core.einsumfunc import _parse_eq_to_batch_matmul, c_einsum
 
-from .errors import TopologyError
 from .topology import TNFactorSet, TNTopology, mode_pairs
 
 
@@ -44,23 +43,23 @@ class ContractionPlan:
 
     A stack of K factor sets (`TNFactorSet` with batch K > 0) is contracted
     in one pass under the batch label: it leads every factor's labels and
-    the network's output, and ends each complement's output, under keys of
-    their own.  Each set's slice is computed by the same kernel calls, on
-    the same values laid out alike, as that set alone would be, so a
-    stacked set gets the bits it would get alone wherever its factors are
-    laid out as they would be alone.
+    the network's output, and ends each complement's output.  Each set's
+    slice is computed by the same kernel calls, on the same values laid out
+    alike, as that set alone would be, so a stacked set gets the bits it
+    would get alone wherever its factors are laid out as they would be
+    alone.
 
     A step is (operand positions to pop, einsum string, parse), taken from
     np.einsum_path(..., einsum_call=True), the list np.einsum itself walks.
     A pairwise step's parse is `bmm_einsum`'s, made from the shapes of the
     compiling call; replaying it runs what `bmm_einsum` runs with its
     default order="K".  A one-operand step's parse is None: it is one
-    `c_einsum`.  A parse holds only for the shapes it was made from, so a
-    key must fix every operand shape: a key is compiled for the shapes of
-    its first call, and a call under it with other shapes raises
-    TopologyError.  A caller may add operands under a key of its own, as
-    `layers.fc_tn` and `layers.conv2d_tn` add their inputs.  Plans come
-    from `stored_plan` alone.
+    `c_einsum`.  A parse holds only for the shapes it was made from, so
+    each step list is stored under (name, operand shapes): a name must fix
+    the subscripts for the shapes it is called with.  A caller may add
+    operands under a name of its own, as `layers.fc_tn` and
+    `layers.conv2d_tn` add their inputs.  Plans come from `stored_plan`
+    alone.
     """
 
     def __init__(self, topo: TNTopology):
@@ -72,7 +71,7 @@ class ContractionPlan:
                        for k in range(1, order + 1)]
         self.modes = list(range(order))
         self.batch_label = order + len(bond)
-        self._steps: dict[object, tuple[list, list]] = {}
+        self._steps: dict[tuple, list] = {}
 
     @cached_property
     def complements(self) -> dict:
@@ -105,22 +104,18 @@ class ContractionPlan:
                 operands += [fac, stack + labs]
         return operands, stack
 
-    def einsum(self, key, *operands) -> np.ndarray:
+    def einsum(self, name, *operands) -> np.ndarray:
         """np.einsum(*operands, optimize="greedy") over interleaved operands
-        by replaying the step list stored under key; a call whose operand
-        shapes are not those key was compiled for raises TopologyError."""
+        by replaying the step list stored under (name, operand shapes)."""
         arrays = list(operands[:-1:2])
-        shapes = [a.shape for a in arrays]
-        compiled = self._steps.get(key)
-        if compiled is None:    # parses are filled in as this call meets them
+        key = (name, tuple(a.shape for a in arrays))
+        steps = self._steps.get(key)
+        if steps is None:       # parses are filled in as this call meets them
             _, contraction_list = np.einsum_path(*operands, optimize="greedy",
                                                  einsum_call=True)
-            compiled = self._steps[key] = (
-                shapes, [[inds, eq, None] for inds, eq, _ in contraction_list])
-        elif compiled[0] != shapes:
-            raise TopologyError(f"operand shapes {shapes} differ from the "
-                                f"{compiled[0]} that {key!r} was compiled for")
-        for step in compiled[1]:
+            steps = self._steps[key] = [[inds, eq, None]
+                                        for inds, eq, _ in contraction_list]
+        for step in steps:
             inds, eq, parse = step
             ops = [arrays.pop(i) for i in inds]
             if len(ops) != 2:
@@ -161,7 +156,7 @@ def contract_network(f: TNFactorSet) -> np.ndarray:
     set of a stack, on the stored plan of f's topology."""
     plan = stored_plan(f.topology)
     operands, stack = plan.operands(f)
-    return plan.einsum(("network", f.batch), *operands, stack + plan.modes)
+    return plan.einsum("network", *operands, stack + plan.modes)
 
 
 def complement_matrix(f: TNFactorSet, n: int) -> np.ndarray:
@@ -172,7 +167,7 @@ def complement_matrix(f: TNFactorSet, n: int) -> np.ndarray:
     plan = stored_plan(f.topology)
     operands, stack = plan.operands(f, skip=n)
     out, rows = plan.complements[n]
-    full = plan.einsum(("complement", n, f.batch), *operands, out + stack)
+    full = plan.einsum(("complement", n), *operands, out + stack)
     if not f.batch:
         return full.reshape((rows, -1), order="F")
     # the batch label comes last, so each set's matrix is laid out as alone

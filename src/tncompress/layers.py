@@ -138,10 +138,8 @@ def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
     The convolution stage is one `conv2d_dense` call: its batch is the
     samples times the in-channel factor's bond to the out-channel factor
     (B·r34 x W x H x r13·r23), and its kernel the merged spatial factors
-    (K x K x r13·r23 x r14·r24).  The other three stages are keys of the
-    stored `ContractionPlan` of f's topology, as in `fc_tn`: the channel
-    and out-channel keys fix the batch size and the input's W x H, so each
-    such shape is compiled on its first call in the process.
+    (K x K x r13·r23 x r14·r24).  The other three stages run on the
+    stored `ContractionPlan` of f's topology, as `fc_tn` does.
 
     x is W x H x S or a B x W x H x S batch, with the output shaped as in
     `conv2d_dense`.  The FLOP count covers the whole call: the spatial
@@ -167,15 +165,14 @@ def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
     n = net.batch_label
     pw, ph = n + 1, n + 2       # the pixel axes: width, height
     # channel stage over the full spatial extent, its bond b34 in the batch
-    p = net.einsum(("conv-channel", b, w, h), x, [n, pw, ph, 2], z3, l3,
+    p = net.einsum("conv-channel", x, [n, pw, ph, 2], z3, l3,
                    [n, b34, pw, ph, b13, b23])
     # spatial factors merged over their shared bond
-    merged = net.einsum(("conv-merge",), z1, l1, z2, l2,
+    merged = net.einsum("conv-merge", z1, l1, z2, l2,
                         [0, 1, b13, b23, b14, b24])
     q = conv2d_dense(p.reshape(b * r34, w, h, r13 * r23),
                      merged.reshape(k, k, r13 * r23, r14 * r24))
-    y = net.einsum(("conv-out", b, w, h),
-                   q.reshape(b, r34, wo, ho, r14, r24),
+    y = net.einsum("conv-out", q.reshape(b, r34, wo, ho, r14, r24),
                    [n, b34, pw, ph, b14, b24], z4, l4, [n, pw, ph, 3])
     if single:
         y = y[0]
@@ -193,8 +190,7 @@ def fc_tn(x: np.ndarray, f: TNFactorSet, plan: TensorizationPlan) -> np.ndarray:
     it with the factor network, flatten the output factorization.  x is an
     N-vector, giving an M-vector, or a B x N batch, giving B x M.  The
     samples take the batch label of the stored `ContractionPlan` of f's
-    topology, whose network for this out/in split and batch size is
-    compiled on the first such call in the process."""
+    topology."""
     if f.batch or f.topology.dims != plan.dims:
         raise ValueError("factor set is a stack or its dims do not match the "
                          "tensorization plan")
@@ -205,9 +201,7 @@ def fc_tn(x: np.ndarray, f: TNFactorSet, plan: TensorizationPlan) -> np.ndarray:
     m = len(plan.out_factors)
     xt = xb.T.reshape(plan.in_factors + (len(xb),), order="F")
     factors, _ = net.operands(f)
-    # the key fixes every operand shape: the out/in split and the batch
-    out = net.einsum(("fc", m, len(xb)), xt,
-                     net.modes[m:] + [net.batch_label], *factors,
+    out = net.einsum("fc", xt, net.modes[m:] + [net.batch_label], *factors,
                      [net.batch_label] + net.modes[:m])
     out = out.reshape((len(xb), plan.rows), order="F")
     return out[0] if single else out

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -19,8 +18,8 @@ from .layers import (TensorizationPlan, conv2d_dense, conv2d_tn, fc_tn,
 from .model_io import (ModelContainer, check_outputs, load_model,
                        parse_key_values, read_text, save_model, write_csv)
 from .ranks import budget_kappa, ranks_from_curves, retention_curves
-from .toynet import (ARCHS, TinyCNN, eval_split, make_dataset, make_net,
-                     softmax_cross_entropy)
+from .toynet import (ARCHS, NETS, TinyCNN, eval_split, make_dataset,
+                     make_net, softmax_cross_entropy)
 from .topology import (TNFactorSet, TNTopology, prune_rank_one_edges,
                        tn_param_count)
 from .training import train_stn
@@ -116,12 +115,6 @@ def _arch(container: ModelContainer) -> str:
     return arch
 
 
-@cache
-def _arch_shapes(arch: str) -> tuple[tuple[int, ...], ...]:
-    """The weight shapes train writes for arch; any others are corrupt."""
-    return tuple(w.shape for w in make_net(arch, 0).weights)
-
-
 @dataclass
 class _Layer:
     index: int
@@ -151,7 +144,8 @@ def container_layers(container: ModelContainer) -> list[_Layer]:
         return stored
 
     layers = []
-    for i, dims in enumerate(_arch_shapes(_arch(container))):
+    # the weight shapes train writes for the arch; any others are corrupt
+    for i, dims in enumerate(NETS[_arch(container)].weight_shapes):
         fmt = _parsed(manifest, f"layer.{i}.format")
         layer = _Layer(i, "conv" if len(dims) == 4 else "fc", fmt, dims,
                        kept_dense=fmt == "dense" and "kappa" in manifest)

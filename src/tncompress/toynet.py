@@ -77,18 +77,25 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, acc, probs
 
 
+def _draw_weights(seed: int, shapes) -> list[np.ndarray]:
+    """float32 weights of each shape, standard normal over the square root
+    of the fan-in: an out x in matrix's in, a K x K x S x T kernel's
+    K·K·S."""
+    rng = np.random.default_rng(seed)
+    fan_ins = (np.prod(s[:-1]) if len(s) == 4 else s[1] for s in shapes)
+    return [(rng.standard_normal(s) / np.sqrt(n)).astype(np.float32)
+            for s, n in zip(shapes, fan_ins)]
+
+
 class MLP:
     """8 -> 32 -> 2 with a rectifier; weights [W1 (32x8), W2 (2x32)]."""
 
     arch = "mlp"
     input_shape = (8,)
+    weight_shapes = ((32, 8), (2, 32))
 
     def __init__(self, seed: int):
-        rng = np.random.default_rng(seed)
-        self.weights = [
-            (rng.standard_normal((32, 8)) / np.sqrt(8)).astype(np.float32),
-            (rng.standard_normal((2, 32)) / np.sqrt(32)).astype(np.float32),
-        ]
+        self.weights = _draw_weights(seed, self.weight_shapes)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         w1, w2 = (w.astype(np.float64) for w in self.weights)
@@ -114,13 +121,10 @@ class TinyCNN:
 
     arch = "tinycnn"
     input_shape = (8, 8, 1)
+    weight_shapes = ((3, 3, 1, 4), (2, 144))
 
     def __init__(self, seed: int):
-        rng = np.random.default_rng(seed)
-        self.weights = [
-            (rng.standard_normal((3, 3, 1, 4)) / 3.0).astype(np.float32),
-            (rng.standard_normal((2, 144)) / 12.0).astype(np.float32),
-        ]
+        self.weights = _draw_weights(seed, self.weight_shapes)
 
     @staticmethod
     def _flatten(a):
@@ -152,13 +156,14 @@ class TinyCNN:
         return loss, acc, [dk, dwfc]
 
 
-ARCHS = ("mlp", "tinycnn")     # the first is train's default
+NETS = {net.arch: net for net in (MLP, TinyCNN)}
+ARCHS = tuple(NETS)     # the first is train's default
 
 
 def make_net(arch: str, seed: int):
     if arch not in ARCHS:
         raise ValueError(f"unknown architecture {arch!r}")
-    return MLP(seed) if arch == "mlp" else TinyCNN(seed)
+    return NETS[arch](seed)
 
 
 def make_dataset(arch: str, seed: int) -> Dataset:

@@ -55,11 +55,13 @@ class TrainingLog:
         return cols
 
     def record(self, step, loss, acc, state: AdmmState) -> None:
+        # a full chunk is flushed when the next step is recorded, so its SVD
+        # never runs before that step's loss check or the final weight check
+        if len(self._pending) == LOG_CHUNK:
+            self.flush()
         self.rows.append({"step": step, "loss": f"{loss:.6f}",
                           "accuracy": f"{acc:.4f}", "mu": f"{state.mu:.6f}"})
         self._pending.append((list(state.w), list(state.z)))
-        if len(self._pending) == LOG_CHUNK:
-            self.flush()
 
     def flush(self) -> None:
         """Fill in the gaps and effective ranks of the steps recorded since

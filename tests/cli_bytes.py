@@ -1,0 +1,131 @@
+"""The files and printed lines of `tncompress train`, `compress` and `eval`
+on a fixed grid, by sha256, and a check that they match an earlier run's.
+
+The grid, each run one `cli.main([...])` call into a temporary directory:
+
+- train: mlp (600 steps) and tinycnn (200 steps), λ 0.005 and 0, with
+  `--log` on and off, seeds 1-4 (data seed s + 10), period 100: 32 runs;
+- compress: `--budget` 1.5, 2 and 3 with `--report` on each λ 0.005 model
+  trained without `--log`: 24 runs;
+- eval: each compressed model and each of their 8 dense parents, on the
+  parent's data seed: 32 runs.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/cli_bytes.py [--against PARENT.json]
+
+It prints JSON mapping each written file (`<arch>-lam<λ>-seed<s>[-log]`
+plus `.stnz` or `.log.csv`, `<dense model>-b<budget>` plus `.stnz` or
+`.report.csv`) and each run's printed lines (`<run>.stdout`, with the
+temporary directory written as `<work>`, where `<run>` is the name of the
+model the run writes or, for eval, `<model>-eval`) to its sha256.  With
+--against, the JSON of an earlier run (of the parent tree, say), it then
+lists on stderr every file or printed output whose hash differs or that
+only one run holds, and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from tncompress import cli
+
+TRAIN_STEPS = {"mlp": 600, "tinycnn": 200}
+LAMBDAS = ("0.005", "0")
+SEEDS = range(1, 5)
+BUDGETS = ("1.5", "2", "3")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(work: Path) -> dict[str, str]:
+    """Run every command of the grid in work; the sha256 of each written
+    file and of each run's printed lines."""
+    hashes = {}
+
+    def cli_run(name: str, argv: list[str], outputs=()) -> None:
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            status = cli.main(argv)
+        if status != 0:
+            raise SystemExit(f"{argv[0]} failed on {name}")
+        hashes[f"{name}.stdout"] = sha256(
+            printed.getvalue().replace(str(work), "<work>").encode())
+        for path in outputs:
+            hashes[path.name] = sha256(path.read_bytes())
+
+    for arch, steps in TRAIN_STEPS.items():
+        for lam in LAMBDAS:
+            for seed in SEEDS:
+                for log in (False, True):
+                    name = f"{arch}-lam{lam}-seed{seed}" + ("-log" if log
+                                                            else "")
+                    cfg = work / f"{name}.cfg"
+                    cfg.write_text(f"arch = {arch}\nlambda = {lam}\n"
+                                   f"steps = {steps}\nperiod = 100\n"
+                                   f"seed = {seed}\n"
+                                   f"data_seed = {seed + 10}\n")
+                    outputs = [work / f"{name}.stnz"]
+                    argv = ["train", "--config", str(cfg),
+                            "--out", str(outputs[0])]
+                    if log:
+                        outputs.append(work / f"{name}.log.csv")
+                        argv += ["--log", str(outputs[1])]
+                    cli_run(name, argv, outputs)
+
+    for arch in TRAIN_STEPS:
+        for seed in SEEDS:
+            dense = f"{arch}-lam0.005-seed{seed}"
+            data = work / f"data{seed + 10}.cfg"
+            data.write_text(f"data_seed = {seed + 10}\n")
+            models = [dense]
+            for budget in BUDGETS:
+                name = f"{dense}-b{budget}"
+                outputs = [work / f"{name}.stnz", work / f"{name}.report.csv"]
+                cli_run(name, ["compress",
+                               "--model", str(work / f"{dense}.stnz"),
+                               "--budget", budget, "--out", str(outputs[0]),
+                               "--report", str(outputs[1])], outputs)
+                models.append(name)
+            for model in models:
+                cli_run(f"{model}-eval", ["eval", "--model",
+                                          str(work / f"{model}.stnz"),
+                                          "--data", str(data)])
+    return hashes
+
+
+def differing(parent: dict, change: dict) -> list[str]:
+    """Every entry whose hash differs, or that only one run holds."""
+    return sorted(name for name in parent.keys() | change.keys()
+                  if parent.get(name) != change.get(name))
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", metavar="PARENT.json",
+                        help="an earlier run's JSON to compare this run to")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        hashes = run(Path(tmp))
+    print(json.dumps(hashes, indent=1, sort_keys=True))
+    if args.against:
+        with open(args.against) as f:
+            diff = differing(json.load(f), hashes)
+        for name in diff:
+            print(f"differs: {name}", file=sys.stderr)
+        print(f"{len(diff)} of {len(hashes)} entries differ", file=sys.stderr)
+        return 1 if diff else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

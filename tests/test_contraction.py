@@ -6,9 +6,7 @@ from numpy._core import einsumfunc
 
 from tncompress import contraction, layers, pipeline
 from tncompress.als import AlsConfig, als_fit, complement_matrix
-from tncompress.contraction import (ContractionPlan, contract_network,
-                                    stored_plan)
-from tncompress.errors import TopologyError
+from tncompress.contraction import contract_network, stored_plan
 from tncompress.model_io import load_model, save_model
 from tncompress.oracles import brute_force_contract
 from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
@@ -174,7 +172,7 @@ def test_plan_builds_the_als_tables_only_when_read():
     f = random_factor_set(topo, seed=0)
     layers.fc_tn(np.ones((3, 8)), f, layers.TensorizationPlan((4, 8), (2, 4)))
     plan = stored_plan(topo)
-    assert list(plan._steps) == [("fc", 2, 3)]
+    assert list(plan._steps) == [("fc", ((2, 4, 3), *factor_shapes(topo)))]
     assert contraction.stored_plan.cache_info().currsize == 1
     assert "complements" not in vars(plan) and "folds" not in vars(plan)
     complement_matrix(f, 2)
@@ -200,6 +198,10 @@ def test_a_fit_and_a_forward_on_its_loaded_topology_share_a_plan(tmp_path):
     layers.fc_tn(np.ones((3, layer.plan.cols)), layer.factors, layer.plan)
     info = contraction.stored_plan.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
+
+
+def factor_shapes(topo):
+    return [topo.factor_shape(k) for k in range(1, topo.order + 1)]
 
 
 def greedy_fc(x, f, tplan):
@@ -232,19 +234,43 @@ def test_fc_keys_fix_the_split_and_the_batch():
             assert np.array_equal(layers.fc_tn(x, f, tplan),
                                   greedy_fc(x, f, tplan))
     assert set(stored_plan(topo)._steps) == {
-        ("fc", m, batch) for m in (1, 2) for batch in (1, 512)}
+        ("fc", (in_factors + (batch,), *factor_shapes(topo)))
+        for in_factors in ((2, 4), (8, 2, 4)) for batch in (1, 512)}
 
 
-def test_a_key_called_with_other_shapes_raises():
-    # a stored parse is valid only for the shapes it was made from
-    plan = ContractionPlan(uniform_topology((3, 4, 2), 2))
-    x, y, z = np.ones((2, 3)), np.ones((3, 4)), np.ones((4, 5))
-    plan.einsum("k", x, [0, 1], y, [1, 2], z, [2, 3], [0, 3])
-    with pytest.raises(TopologyError, match="compiled for"):
-        plan.einsum("k", np.ones((7, 3)), [0, 1], y, [1, 2], z, [2, 3],
-                    [0, 3])
-    assert plan.einsum("k", x, [0, 1], y, [1, 2], z, [2, 3],
-                       [0, 3]).shape == (2, 5)
+def test_one_name_keeps_one_step_list_per_shape_tuple(monkeypatch):
+    # fc at batches 1, 7 and 256 and the network at stacks 1 and 16, each
+    # shape met again after another: every call gives the greedy bits, and
+    # each distinct shape tuple is compiled once, under an entry of its own
+    compiles = []
+    real_einsum_path = np.einsum_path
+
+    def counting_einsum_path(*args, **kwargs):
+        compiles.append(args)
+        return real_einsum_path(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", counting_einsum_path)
+    contraction.stored_plan.cache_clear()
+    topo = TNTopology((4, 8, 2, 4), dict(zip(mode_pairs(4),
+                                             (2, 1, 3, 2, 2, 1))))
+    f = random_factor_set(topo, seed=0)
+    tplan = layers.TensorizationPlan((4, 8), (2, 4))
+    rng = np.random.default_rng(0)
+    for batch in (1, 7, 256, 7, 1, 256, 1):
+        x = rng.standard_normal((batch, tplan.cols))
+        assert np.array_equal(layers.fc_tn(x, f, tplan),
+                              greedy_fc(x, f, tplan))
+    for stack in (1, 16, 1, 16):
+        fs = factor_sets(topo, stack, stack)
+        assert np.array_equal(contract_network(fs), greedy_keys(fs)[0])
+    stacks = [(stack,) + shape for stack in (1, 16)
+              for shape in factor_shapes(topo)]
+    expected = {("fc", ((2, 4, batch), *factor_shapes(topo)))
+                for batch in (1, 7, 256)}
+    expected |= {("network", tuple(stacks[:4])),
+                 ("network", tuple(stacks[4:]))}
+    assert set(stored_plan(topo)._steps) == expected
+    assert len(compiles) == len(expected) == 5
 
 
 def test_the_store_holds_at_most_its_bound():
@@ -256,6 +282,7 @@ def test_the_store_holds_at_most_its_bound():
     info = contraction.stored_plan.cache_info()
     assert info.maxsize == info.currsize == bound
     # the least recently used topologies were dropped, the rest kept
-    assert ("network", 0) in stored_plan(topos[-1])._steps
+    assert list(stored_plan(topos[-1])._steps) == [
+        ("network", tuple(factor_shapes(topos[-1])))]
     assert not stored_plan(topos[0])._steps
     assert contraction.stored_plan.cache_info().currsize == bound

@@ -276,9 +276,9 @@ class TestWindows:
 
 def test_conv_plan_keys_fix_the_batch_and_the_input_size():
     """One factor set through `conv2d_tn` at batches 1, 7 and 256 and two
-    input sizes, and back, in one process: a stage key that left out the
-    batch or the spatial size would raise TopologyError or give another
-    shape's values."""
+    input sizes, and back, in one process: a stage that replayed the steps
+    compiled for another batch or spatial size would give that shape's
+    values or fail."""
     r = {(1, 2): 2, (1, 3): 1, (1, 4): 3, (2, 3): 2, (2, 4): 2, (3, 4): 3}
     k, s, t = 3, 2, 5
     f = random_factor_set(TNTopology((k, k, s, t), r), seed=21)

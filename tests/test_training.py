@@ -1,6 +1,7 @@
 """Toy networks, gradient correctness, and the training loop."""
 
 import csv
+import itertools
 import math
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from tncompress import admm, training
 from tncompress.admm import AdmmConfig, balanced_unfold
+from tncompress.errors import TrainingError
 from tncompress.ranks import effective_rank
 from tncompress.toynet import (MLP, TinyCNN, eval_split, make_blobs,
                                make_dataset, make_net, make_stripes,
@@ -288,7 +290,39 @@ def assert_log_matches_per_step(arch, period, lam, batch, tmp_path,
         (tmp_path / "ref.csv").read_bytes()
 
 
+def diverging_mlp(at: int):
+    """An mlp whose gradient at step `at` is scaled by 1e300, so that step's
+    update makes its weights non-finite."""
+    net, steps = make_net("mlp", 0), itertools.count(1)
+    real = net.loss_and_grads
+
+    def loss_and_grads(x, y):
+        loss, acc, grads = real(x, y)
+        return loss, acc, grads if next(steps) != at else [
+            g * 1e300 for g in grads]
+
+    net.loss_and_grads = loss_and_grads
+    return net
+
+
 class TestChunkedLog:
+    @pytest.mark.parametrize("ends", [True, False])
+    @pytest.mark.parametrize("at", [63, 64, 65])
+    def test_a_divergence_reads_alike_with_and_without_the_log(self, at,
+                                                                ends):
+        """Step 64 fills the log's first chunk; the divergence is still
+        reported by the loss check of the next step or by the final weight
+        check, with the log as without it."""
+        cfg = AdmmConfig(lam=0.0, max_steps=at if ends else 130, seed=0)
+        raised = []
+        for log in (False, True):
+            with pytest.raises(Exception) as info:
+                train_stn(diverging_mlp(at), make_blobs(0), cfg, log=log)
+            raised.append((info.type, str(info.value)))
+        assert raised[0] == raised[1] == (TrainingError, (
+            f"weights became non-finite at step {at}" if ends
+            else f"loss became non-finite at step {at + 1}"))
+
     @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
     @pytest.mark.parametrize("period", [1, 7, 100])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
