@@ -4,7 +4,7 @@ The one place that turns a factor set into einsum operands and contracts
 it: the whole network, the network less one factor (ALS's complement) and,
 in `layers.fc_tn` and the stages of `layers.conv2d_tn`, factors against an
 input.  A per-topology `ContractionPlan` holds the integer einsum labels
-and a compiled step list for each network built on them, compiled on first
+and a compiled step list for each contraction over them, compiled on first
 use.  A step list is numpy's own contraction list for the greedy path: the
 operand positions each step pops and that step's einsum string, and for a
 pairwise step the parse numpy's `bmm_einsum` makes of it (the one-operand
@@ -16,8 +16,8 @@ gives the same bits and skips the per-call parsing, path and dispatch work.
 
 A process-wide store keyed on the topology, `stored_plan`, is the only
 source of plans: every contraction, ALS sweep and TN forward pass runs on
-the plan of its factor set's topology, so each network is compiled once
-per process for each set of operand shapes.
+the plan of its factor set's topology, so each contraction is compiled
+once per process for each set of sublists and operand shapes.
 """
 
 from __future__ import annotations
@@ -54,22 +54,20 @@ class ContractionPlan:
     A pairwise step's parse is `bmm_einsum`'s, made from the shapes of the
     compiling call; replaying it runs what `bmm_einsum` runs with its
     default order="K".  A one-operand step's parse is None: it is one
-    `c_einsum`.  A parse holds only for the shapes it was made from, so
-    each step list is stored under (name, operand shapes): a name must fix
-    the subscripts for the shapes it is called with.  A caller may add
-    operands under a name of its own, as `layers.fc_tn` and
-    `layers.conv2d_tn` add their inputs.  Plans come from `stored_plan`
-    alone.
+    `c_einsum`.  The step lists are a memo of
+    np.einsum(*operands, optimize="greedy"), keyed on every sublist and
+    operand shape.  Plans come from `stored_plan` alone.
     """
 
     def __init__(self, topo: TNTopology):
         self.topology = topo
         order = topo.order
         bond = {pair: order + i for i, pair in enumerate(mode_pairs(order))}
-        self.labels = [[k - 1 if j == k else bond[(min(j, k), max(j, k))]
-                        for j in range(1, order + 1)]
-                       for k in range(1, order + 1)]
-        self.modes = list(range(order))
+        self.labels = tuple(
+            tuple(k - 1 if j == k else bond[(min(j, k), max(j, k))]
+                  for j in range(1, order + 1))
+            for k in range(1, order + 1))
+        self.modes = tuple(range(order))
         self.batch_label = order + len(bond)
         self._steps: dict[tuple, list] = {}
 
@@ -78,8 +76,8 @@ class ContractionPlan:
         # n -> (output labels, row count) of complement_matrix(f, n): the
         # remaining modes ascending, then the bonds incident to mode n
         dims = self.topology.dims
-        return {n: (self.modes[:n - 1] + self.modes[n:]
-                    + [lab for lab in self.labels[n - 1] if lab != n - 1],
+        return {n: (self.modes[:n - 1] + self.modes[n:] + tuple(
+                        lab for lab in self.labels[n - 1] if lab != n - 1),
                     int(np.prod(dims)) // dims[n - 1])
                 for n in range(1, len(dims) + 1)}
 
@@ -94,21 +92,22 @@ class ContractionPlan:
                     [0, n, *range(1, n), *range(n + 1, order + 1)])
                 for n in range(1, order + 1)}
 
-    def operands(self, f: TNFactorSet, skip: int = 0) -> tuple[list, list]:
+    def operands(self, f: TNFactorSet, skip: int = 0) -> tuple[list, tuple]:
         """f's factors as interleaved einsum operands, less factor `skip`
-        (1-based; 0 keeps all), and the stack labels: [batch label] or []."""
-        stack = [self.batch_label] if f.batch else []
+        (1-based; 0 keeps all), and the stack labels: (batch label,) or ()."""
+        stack = (self.batch_label,) if f.batch else ()
         operands = []
         for k, (fac, labs) in enumerate(zip(f.factors, self.labels), start=1):
             if k != skip:
                 operands += [fac, stack + labs]
         return operands, stack
 
-    def einsum(self, name, *operands) -> np.ndarray:
+    def einsum(self, *operands) -> np.ndarray:
         """np.einsum(*operands, optimize="greedy") over interleaved operands
-        by replaying the step list stored under (name, operand shapes)."""
+        with tuple sublists, by replaying the step list stored under
+        (input sublists, output sublist, operand shapes)."""
         arrays = list(operands[:-1:2])
-        key = (name, tuple(a.shape for a in arrays))
+        key = (operands[1::2], operands[-1], tuple(a.shape for a in arrays))
         steps = self._steps.get(key)
         if steps is None:       # parses are filled in as this call meets them
             _, contraction_list = np.einsum_path(*operands, optimize="greedy",
@@ -156,7 +155,7 @@ def contract_network(f: TNFactorSet) -> np.ndarray:
     set of a stack, on the stored plan of f's topology."""
     plan = stored_plan(f.topology)
     operands, stack = plan.operands(f)
-    return plan.einsum("network", *operands, stack + plan.modes)
+    return plan.einsum(*operands, stack + plan.modes)
 
 
 def complement_matrix(f: TNFactorSet, n: int) -> np.ndarray:
@@ -167,7 +166,7 @@ def complement_matrix(f: TNFactorSet, n: int) -> np.ndarray:
     plan = stored_plan(f.topology)
     operands, stack = plan.operands(f, skip=n)
     out, rows = plan.complements[n]
-    full = plan.einsum(("complement", n), *operands, out + stack)
+    full = plan.einsum(*operands, out + stack)
     if not f.batch:
         return full.reshape((rows, -1), order="F")
     # the batch label comes last, so each set's matrix is laid out as alone

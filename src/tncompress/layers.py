@@ -146,8 +146,8 @@ def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
     merge runs once per call, every other stage once per sample."""
     x, single = _leading_batch(x, 3)
     topo = f.topology
-    if topo.order != 4 or topo.dims[0] != topo.dims[1]:
-        raise TopologyError("conv factor set must cover a K x K x S x T kernel")
+    if f.batch or topo.order != 4 or topo.dims[0] != topo.dims[1]:
+        raise TopologyError("conv factor set must be one K x K x S x T kernel")
     k, _, s, t = topo.dims
     if x.ndim != 4 or x.shape[3] != s:
         raise TopologyError("input channels do not match the factor set")
@@ -165,15 +165,13 @@ def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
     n = net.batch_label
     pw, ph = n + 1, n + 2       # the pixel axes: width, height
     # channel stage over the full spatial extent, its bond b34 in the batch
-    p = net.einsum("conv-channel", x, [n, pw, ph, 2], z3, l3,
-                   [n, b34, pw, ph, b13, b23])
+    p = net.einsum(x, (n, pw, ph, 2), z3, l3, (n, b34, pw, ph, b13, b23))
     # spatial factors merged over their shared bond
-    merged = net.einsum("conv-merge", z1, l1, z2, l2,
-                        [0, 1, b13, b23, b14, b24])
+    merged = net.einsum(z1, l1, z2, l2, (0, 1, b13, b23, b14, b24))
     q = conv2d_dense(p.reshape(b * r34, w, h, r13 * r23),
                      merged.reshape(k, k, r13 * r23, r14 * r24))
-    y = net.einsum("conv-out", q.reshape(b, r34, wo, ho, r14, r24),
-                   [n, b34, pw, ph, b14, b24], z4, l4, [n, pw, ph, 3])
+    y = net.einsum(q.reshape(b, r34, wo, ho, r14, r24),
+                   (n, b34, pw, ph, b14, b24), z4, l4, (n, pw, ph, 3))
     if single:
         y = y[0]
     if not count_flops:
@@ -201,8 +199,8 @@ def fc_tn(x: np.ndarray, f: TNFactorSet, plan: TensorizationPlan) -> np.ndarray:
     m = len(plan.out_factors)
     xt = xb.T.reshape(plan.in_factors + (len(xb),), order="F")
     factors, _ = net.operands(f)
-    out = net.einsum("fc", xt, net.modes[m:] + [net.batch_label], *factors,
-                     [net.batch_label] + net.modes[:m])
+    out = net.einsum(xt, net.modes[m:] + (net.batch_label,), *factors,
+                     (net.batch_label,) + net.modes[:m])
     out = out.reshape((len(xb), plan.rows), order="F")
     return out[0] if single else out
 

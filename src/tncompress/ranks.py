@@ -105,29 +105,25 @@ def budget_kappa(shapes, curve_sets, target_ratio: float) -> float:
     """
     if not target_ratio > 1.0:
         raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
-    dense_counts = [math.prod(shape) for shape in shapes]
-    total_dense = sum(dense_counts)
+    total_dense = sum(math.prod(shape) for shape in shapes)
 
-    def feasible(kappa: float) -> bool:
-        total_tn = 0
-        for shape, curves, dense in zip(shapes, curve_sets, dense_counts):
-            topo = TNTopology(shape, ranks_from_curves(curves, kappa))
-            total_tn += min(tn_param_count(topo), dense)
-        return total_dense >= target_ratio * total_tn
+    def stored(kappa: float) -> int:
+        topos = (TNTopology(shape, ranks_from_curves(curves, kappa))
+                 for shape, curves in zip(shapes, curve_sets))
+        return sum(min(tn_param_count(topo), math.prod(topo.dims))
+                   for topo in topos)
 
-    # all bonds at rank 1, or dense where that is smaller
-    floor = sum(min(sum(shape), dense)
-                for shape, dense in zip(shapes, dense_counts))
+    kappas = sorted({float(v) for curves in curve_sets
+                     for c in curves.values() for v in c if v < 1.0} | {1.0})
+    # the smallest breakpoint stores the fewest parameters
+    floor = stored(kappas[0])
     if total_dense < target_ratio * floor:
         raise BudgetError(
             f"target ratio {target_ratio} unattainable; best is "
             f"{total_dense / floor:.4f}x with {floor} parameters", floor)
-    # the smallest breakpoint gives all-rank-1 tables, which the floor
-    # check above proved feasible
-    kappas = sorted({float(v) for curves in curve_sets
-                     for c in curves.values() for v in c if v < 1.0} | {1.0})
-    return kappas[bisect.bisect_left(kappas, True,
-                                     key=lambda k: not feasible(k)) - 1]
+    return kappas[bisect.bisect_left(
+        kappas, True,
+        key=lambda k: total_dense < target_ratio * stored(k)) - 1]
 
 
 def kappa_for_budget(t, target_ratio: float) -> BudgetSearchResult:

@@ -1,5 +1,6 @@
-"""The files and printed lines of `tncompress train`, `compress` and `eval`
-on a fixed grid, by sha256, and a check that they match an earlier run's.
+"""The files and printed lines of `tncompress train`, `compress`, `eval` and
+`tradeoff` on a fixed grid, by sha256, and a check that they match an
+earlier run's.
 
 The grid, each run one `cli.main([...])` call into a temporary directory:
 
@@ -8,7 +9,10 @@ The grid, each run one `cli.main([...])` call into a temporary directory:
 - compress: `--budget` 1.5, 2 and 3 with `--report` on each λ 0.005 model
   trained without `--log`: 24 runs;
 - eval: each compressed model and each of their 8 dense parents, on the
-  parent's data seed: 32 runs.
+  parent's data seed: 32 runs;
+- tradeoff: `--kappas 0.5,0.9,0.99` on each of those 8 dense models, the
+  one path that runs many topologies through one process's plan store and
+  one call's fits: 8 runs.
 
 Run from the repository root:
 
@@ -16,9 +20,10 @@ Run from the repository root:
 
 It prints JSON mapping each written file (`<arch>-lam<λ>-seed<s>[-log]`
 plus `.stnz` or `.log.csv`, `<dense model>-b<budget>` plus `.stnz` or
-`.report.csv`) and each run's printed lines (`<run>.stdout`, with the
-temporary directory written as `<work>`, where `<run>` is the name of the
-model the run writes or, for eval, `<model>-eval`) to its sha256.  With
+`.report.csv`, `<dense model>-tradeoff.csv`) and each run's printed lines
+(`<run>.stdout`, with the temporary directory written as `<work>`, where
+`<run>` is the name of the model the run writes or, for eval,
+`<model>-eval`, for tradeoff, `<model>-tradeoff`) to its sha256.  With
 --against, the JSON of an earlier run (of the parent tree, say), it then
 lists on stderr every file or printed output whose hash differs or that
 only one run holds, and exits 1 if there is any.
@@ -41,6 +46,7 @@ TRAIN_STEPS = {"mlp": 600, "tinycnn": 200}
 LAMBDAS = ("0.005", "0")
 SEEDS = range(1, 5)
 BUDGETS = ("1.5", "2", "3")
+KAPPAS = "0.5,0.9,0.99"
 
 
 def sha256(data: bytes) -> str:
@@ -96,6 +102,11 @@ def run(work: Path) -> dict[str, str]:
                                "--budget", budget, "--out", str(outputs[0]),
                                "--report", str(outputs[1])], outputs)
                 models.append(name)
+            curve = work / f"{dense}-tradeoff.csv"
+            cli_run(f"{dense}-tradeoff", ["tradeoff", "--model",
+                                          str(work / f"{dense}.stnz"),
+                                          "--kappas", KAPPAS,
+                                          "--out", str(curve)], [curve])
             for model in models:
                 cli_run(f"{model}-eval", ["eval", "--model",
                                           str(work / f"{model}.stnz"),

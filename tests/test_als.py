@@ -107,7 +107,7 @@ def test_als_fit_replay_gives_np_einsum_bits(topo, monkeypatch):
     cfg = AlsConfig(max_sweeps=20, seed=2)
     replayed = als_fit(target, topo, cfg)
     monkeypatch.setattr(ContractionPlan, "einsum",
-                        lambda self, key, *operands:
+                        lambda self, *operands:
                         np.einsum(*operands, optimize="greedy"))
     direct = als_fit(target, topo, cfg)
     assert np.array_equal(replayed.history, direct.history)

@@ -1,12 +1,17 @@
 """Contraction engine against closed forms and the brute-force oracle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy._core import einsumfunc
 
 from tncompress import contraction, layers, pipeline
 from tncompress.als import AlsConfig, als_fit, complement_matrix
-from tncompress.contraction import contract_network, stored_plan
+from tncompress.contraction import (ContractionPlan, contract_network,
+                                    stored_plan)
 from tncompress.model_io import load_model, save_model
 from tncompress.oracles import brute_force_contract
 from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
@@ -61,16 +66,25 @@ def random_topology(seed):
                              for p in mode_pairs(order)})
 
 
+def layout(order):
+    """The documented axis layout: each factor's labels (modes 0..N-1, bonds
+    N, N+1, ... in mode_pairs order) and the batch label, N(N+1)/2."""
+    bond = {p: order + i for i, p in enumerate(mode_pairs(order))}
+    labels = tuple(tuple(k - 1 if j == k else bond[tuple(sorted((j, k)))]
+                         for j in range(1, order + 1))
+                   for k in range(1, order + 1))
+    return labels, order + len(bond)
+
+
 def greedy_network(f):
     """The full contraction as one direct greedy einsum, labels built from
     the topology's documented axis layout."""
-    order = f.topology.order
-    bond = {p: order + i for i, p in enumerate(mode_pairs(order))}
+    labels, _ = layout(f.topology.order)
     operands = []
-    for k, fac in enumerate(f.factors, start=1):
-        operands += [fac, [k - 1 if j == k else bond[tuple(sorted((j, k)))]
-                           for j in range(1, order + 1)]]
-    return np.einsum(*operands, list(range(order)), optimize="greedy")
+    for fac, labs in zip(f.factors, labels):
+        operands += [fac, labs]
+    return np.einsum(*operands, list(range(f.topology.order)),
+                     optimize="greedy")
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -90,13 +104,11 @@ def greedy_keys(f):
     (remaining modes ascending, then the bonds of n by ascending partner,
     with a stack's batch label last, as `complement_matrix` lays it out)."""
     topo, order = f.topology, f.topology.order
-    bond = {p: order + i for i, p in enumerate(mode_pairs(order))}
-    stack = [order + len(bond)] if f.batch else []
-    labels = [[k - 1 if j == k else bond[tuple(sorted((j, k)))]
-               for j in range(1, order + 1)] for k in range(1, order + 1)]
+    labels, batch = layout(order)
+    stack = [batch] if f.batch else []
     operands = []
     for fac, labs in zip(f.factors, labels):
-        operands += [fac, stack + labs]
+        operands += [fac, stack + list(labs)]
     out = [np.einsum(*operands, stack + list(range(order)),
                      optimize="greedy")]
     for n in range(1, order + 1):
@@ -170,9 +182,10 @@ def test_plan_builds_the_als_tables_only_when_read():
     contraction.stored_plan.cache_clear()
     topo = TNTopology((4, 8, 2, 4), {p: 2 for p in mode_pairs(4)})
     f = random_factor_set(topo, seed=0)
-    layers.fc_tn(np.ones((3, 8)), f, layers.TensorizationPlan((4, 8), (2, 4)))
+    tplan = layers.TensorizationPlan((4, 8), (2, 4))
+    layers.fc_tn(np.ones((3, 8)), f, tplan)
     plan = stored_plan(topo)
-    assert list(plan._steps) == [("fc", ((2, 4, 3), *factor_shapes(topo)))]
+    assert list(plan._steps) == [fc_key(topo, tplan, 3)]
     assert contraction.stored_plan.cache_info().currsize == 1
     assert "complements" not in vars(plan) and "folds" not in vars(plan)
     complement_matrix(f, 2)
@@ -204,17 +217,36 @@ def factor_shapes(topo):
     return [topo.factor_shape(k) for k in range(1, topo.order + 1)]
 
 
+def network_key(topo, stack=0):
+    """The store key of contract_network on a stack of `stack` sets of topo
+    (0: one set): input sublists, output sublist, operand shapes."""
+    labels, batch = layout(topo.order)
+    lead, size = ((batch,), (stack,)) if stack else ((), ())
+    return (tuple(lead + labs for labs in labels),
+            lead + tuple(range(topo.order)),
+            tuple(size + shape for shape in factor_shapes(topo)))
+
+
+def fc_key(topo, tplan, batch):
+    """The store key of fc_tn on a batch of `batch` inputs under tplan: the
+    folded input over the in-modes and the batch label, then the factors."""
+    labels, label = layout(topo.order)
+    m = len(tplan.out_factors)
+    return (((*range(m, topo.order), label), *labels),
+            (label, *range(m)),
+            ((*tplan.in_factors, batch), *factor_shapes(topo)))
+
+
 def greedy_fc(x, f, tplan):
     """fc_tn's contraction as one direct greedy einsum: the input folded
     over the in-factors, labelled by their modes and a batch label."""
     order = f.topology.order
-    bond = {p: order + i for i, p in enumerate(mode_pairs(order))}
-    batch, m = order + len(bond), len(tplan.out_factors)
+    labels, batch = layout(order)
+    m = len(tplan.out_factors)
     operands = [x.T.reshape(tplan.in_factors + (len(x),), order="F"),
                 list(range(m, order)) + [batch]]
-    for k, fac in enumerate(f.factors, start=1):
-        operands += [fac, [k - 1 if j == k else bond[tuple(sorted((j, k)))]
-                           for j in range(1, order + 1)]]
+    for fac, labs in zip(f.factors, labels):
+        operands += [fac, labs]
     out = np.einsum(*operands, [batch] + list(range(m)), optimize="greedy")
     return out.reshape((len(x), tplan.rows), order="F")
 
@@ -234,11 +266,10 @@ def test_fc_keys_fix_the_split_and_the_batch():
             assert np.array_equal(layers.fc_tn(x, f, tplan),
                                   greedy_fc(x, f, tplan))
     assert set(stored_plan(topo)._steps) == {
-        ("fc", (in_factors + (batch,), *factor_shapes(topo)))
-        for in_factors in ((2, 4), (8, 2, 4)) for batch in (1, 512)}
+        fc_key(topo, tplan, batch) for tplan in splits for batch in (1, 512)}
 
 
-def test_one_name_keeps_one_step_list_per_shape_tuple(monkeypatch):
+def test_one_subscript_set_keeps_one_step_list_per_shape_tuple(monkeypatch):
     # fc at batches 1, 7 and 256 and the network at stacks 1 and 16, each
     # shape met again after another: every call gives the greedy bits, and
     # each distinct shape tuple is compiled once, under an entry of its own
@@ -263,12 +294,8 @@ def test_one_name_keeps_one_step_list_per_shape_tuple(monkeypatch):
     for stack in (1, 16, 1, 16):
         fs = factor_sets(topo, stack, stack)
         assert np.array_equal(contract_network(fs), greedy_keys(fs)[0])
-    stacks = [(stack,) + shape for stack in (1, 16)
-              for shape in factor_shapes(topo)]
-    expected = {("fc", ((2, 4, batch), *factor_shapes(topo)))
-                for batch in (1, 7, 256)}
-    expected |= {("network", tuple(stacks[:4])),
-                 ("network", tuple(stacks[4:]))}
+    expected = {fc_key(topo, tplan, batch) for batch in (1, 7, 256)}
+    expected |= {network_key(topo, stack) for stack in (1, 16)}
     assert set(stored_plan(topo)._steps) == expected
     assert len(compiles) == len(expected) == 5
 
@@ -282,7 +309,64 @@ def test_the_store_holds_at_most_its_bound():
     info = contraction.stored_plan.cache_info()
     assert info.maxsize == info.currsize == bound
     # the least recently used topologies were dropped, the rest kept
-    assert list(stored_plan(topos[-1])._steps) == [
-        ("network", tuple(factor_shapes(topos[-1])))]
+    assert list(stored_plan(topos[-1])._steps) == [network_key(topos[-1])]
     assert not stored_plan(topos[0])._steps
     assert contraction.stored_plan.cache_info().currsize == bound
+
+
+@st.composite
+def contractions(draw):
+    """(input sublists, output sublist, shapes) of one np.einsum call: 1-4
+    operands over labels 0-5 (a label may repeat within a sublist), each
+    label of extent 1-3, and an output of distinct labels from the inputs."""
+    extent = draw(st.lists(st.integers(1, 3), min_size=6, max_size=6))
+    sublists = tuple(draw(st.lists(
+        st.lists(st.integers(0, 5), max_size=3).map(tuple),
+        min_size=1, max_size=4)))
+    used = sorted(set().union(*sublists))
+    out = tuple(draw(st.permutations(used)))[:draw(st.integers(0, len(used)))]
+    return sublists, out, tuple(tuple(extent[lab] for lab in sub)
+                                for sub in sublists)
+
+
+@settings(max_examples=200, deadline=None)
+@given(first=contractions(), others=st.lists(contractions(), max_size=2),
+       repeats=st.lists(st.integers(0, 4), max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(first=(((0, 1), (1, 2)), (0, 2), ((2, 3), (3, 4))), others=[],
+         repeats=[1, 0, 1], seed=0)
+def test_the_store_is_a_memo_of_greedy_einsum(first, others, repeats, seed):
+    # the first contraction also comes with its output reversed (the same
+    # inputs and shapes: a (0, 2) output then (2, 0) is the example) and
+    # with every extent one larger (the same sublists); each is called
+    # once, then the repeats call them again, alternating
+    sublists, out, shapes = first
+    specs = [first, (sublists, out[::-1], shapes),
+             (sublists, out, tuple(tuple(d + 1 for d in shape)
+                                   for shape in shapes)), *others]
+    order = [*range(len(specs)), *(i % len(specs) for i in repeats)]
+    rng = np.random.default_rng(seed)
+    calls = []
+    for sublists, out, shapes in (specs[i] for i in order):
+        operands = []
+        for sub, shape in zip(sublists, shapes):
+            operands += [rng.standard_normal(shape), sub]
+        calls.append((*operands, out))
+    expected = [np.einsum(*ops, optimize="greedy") for ops in calls]
+    plan = ContractionPlan(uniform_topology((2, 2), 1))
+    with mock.patch.object(np, "einsum_path", wraps=np.einsum_path) as path:
+        for ops, want in zip(calls, expected):
+            assert np.array_equal(plan.einsum(*ops), want)
+    assert set(plan._steps) == set(specs)
+    assert path.call_count == len(set(specs))
+
+
+def test_a_list_sublist_is_refused():
+    # the store keys on the sublists themselves, so they must be tuples
+    plan = ContractionPlan(uniform_topology((2, 2), 1))
+    a = np.ones((2, 3))
+    with pytest.raises(TypeError):
+        plan.einsum(a, [0, 1], (0,))
+    with pytest.raises(TypeError):
+        plan.einsum(a, (0, 1), [0])
+    assert not plan._steps

@@ -220,6 +220,10 @@ class TestConvForward:
             conv2d_tn(np.zeros((batch, 8, 8, 5)), f)  # wrong channel count
         with pytest.raises(TopologyError):
             conv2d_tn(np.zeros((batch, 1, 8, 8, 2)), f)
+        topo = f.topology
+        stack = TNFactorSet(topo, random_factor_stack(topo, (6, 7)), batch=2)
+        with pytest.raises(TopologyError, match="one K x K x S x T kernel"):
+            conv2d_tn(np.zeros((batch, 8, 8, 2)), stack)
         for w, h in [(2, 2), (2, 8), (8, 2)]:   # a window larger than x
             x = np.zeros((batch, w, h, 2))
             with pytest.raises(ValueError):

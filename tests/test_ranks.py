@@ -286,6 +286,17 @@ class TestKappaForBudget:
             kappa_for_budget(unit, 1.5)
         assert exc.value.min_params == unit.size
 
+    def test_an_overflowing_spectrum_raises_rather_than_miss_the_budget(self):
+        # every squared summed spectrum overflows, so every curve is NaN
+        # and no curve value is a breakpoint: kappa 1.0 alone, at full
+        # ranks, stores the dense 256 entries and misses a budget of 2
+        t = np.random.default_rng(0).standard_normal((4, 4, 4, 4))
+        t[0, 0, 0, 0] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BudgetError, match="unattainable") as exc:
+                kappa_for_budget(t, 2.0)
+        assert exc.value.min_params == 256
+
     def test_low_rank_tensor_feasible_at_kappa_one(self):
         t = generate_cp((6, 6, 6), r_cp=1, seed=7)
         res = kappa_for_budget(t, 2.0)
