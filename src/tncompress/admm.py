@@ -132,7 +132,7 @@ def admm_w_update(state: AdmmState, gradients: list[np.ndarray],
         state.w[i] = (w - cfg.lr * step).astype(state.w[i].dtype)
 
 
-def admm_z_update(state: AdmmState, cfg: AdmmConfig) -> None:
+def admm_z_update(state: AdmmState) -> None:
     """Z <- fold(svt(unfold(W - Y / mu), 1 / mu)) per layer, by its plan."""
     for i, (w, plan) in enumerate(zip(state.w, state.plans)):
         target = w.astype(np.float64) - state.y[i] / state.mu

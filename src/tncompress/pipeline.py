@@ -107,16 +107,10 @@ def net_to_container(net, arch: str, provenance: dict[str, str]) -> ModelContain
     return container
 
 
-def _arch(container: ModelContainer) -> str:
-    """The container's architecture; FormatError if absent or unknown."""
-    arch = _parsed(container.manifest, "arch")
-    if arch not in ARCHS:
-        raise FormatError(f"unknown architecture {arch!r}")
-    return arch
-
-
 @dataclass
 class _Layer:
+    """One parsed layer: its dense weight or TN factors, in float64."""
+
     index: int
     kind: str
     fmt: str
@@ -126,13 +120,28 @@ class _Layer:
     plan: TensorizationPlan | None = None
     kept_dense: bool = False
 
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Run a float64 batch through the layer in its stored format."""
+        if self.fmt == "dense":
+            if self.kind == "conv":
+                return conv2d_dense(x, self.weight)
+            return x @ self.weight.T
+        if self.kind == "conv":
+            return conv2d_tn(x, self.factors)
+        return fc_tn(x, self.factors, self.plan)
+
 
 def container_layers(container: ModelContainer) -> list[_Layer]:
     """The arch's layers in their stored formats, checked against the
     stored tensors; the FormatError or CorruptionError names the key or
     tensor at fault.  Shapes, kinds and FC plans follow from the arch, and
-    a dense layer of a compressed model (one with a kappa) was kept dense."""
+    a dense layer of a compressed model (one with a kappa) was kept dense.
+    This is where a stored float32 tensor becomes the float64 array the
+    package computes on."""
     manifest = container.manifest
+    arch = _parsed(manifest, "arch")
+    if arch not in ARCHS:
+        raise FormatError(f"unknown architecture {arch!r}")
 
     def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
         if name not in container.tensors:
@@ -141,11 +150,11 @@ def container_layers(container: ModelContainer) -> list[_Layer]:
         if stored.shape != shape:
             raise CorruptionError(
                 f"tensor {name!r} has shape {stored.shape}, not {shape}")
-        return stored
+        return stored.astype(np.float64)
 
     layers = []
     # the weight shapes train writes for the arch; any others are corrupt
-    for i, dims in enumerate(NETS[_arch(container)].weight_shapes):
+    for i, dims in enumerate(NETS[arch].weight_shapes):
         fmt = _parsed(manifest, f"layer.{i}.format")
         layer = _Layer(i, "conv" if len(dims) == 4 else "fc", fmt, dims,
                        kept_dense=fmt == "dense" and "kappa" in manifest)
@@ -159,7 +168,7 @@ def container_layers(container: ModelContainer) -> list[_Layer]:
                            lambda text: TNTopology(modes, _decode_ranks(text)))
             layer.factors = TNFactorSet(topo, [
                 tensor(f"layer{i}/factor{k}", topo.factor_shape(k + 1))
-                .astype(np.float64) for k in range(topo.order)])
+                for k in range(topo.order)])
         else:
             raise FormatError(f"unknown layer format {fmt!r}")
         layers.append(layer)
@@ -195,18 +204,11 @@ class CompressionReport:
                           f"kappa={self.kappa:.6f}", "", ""]])
 
 
-def _layer_tensor(layer: _Layer) -> np.ndarray:
-    """Weight tensor to decompose: the kernel itself for conv layers, the
-    tensorized matrix for FC layers."""
-    if layer.kind == "conv":
-        return layer.weight.astype(np.float64)
-    return tensorize_matrix(layer.weight.astype(np.float64), layer.plan)
-
-
 class _Prepared(NamedTuple):
     """What compressing a dense container needs at any kappa: the ALS seed
     from its `seed` provenance (0 if absent), its layers, each layer's
-    tensor, and each tensor's retention curves."""
+    tensor to decompose (the kernel of a conv layer, the tensorized matrix
+    of an FC layer), and each tensor's retention curves."""
 
     seed: int
     layers: list[_Layer]
@@ -220,7 +222,9 @@ def _prepare(container: ModelContainer) -> _Prepared:
     layers = container_layers(container)
     if any(layer.fmt != "dense" for layer in layers):
         raise FormatError("can only compress a dense-format model")
-    tensors = [_layer_tensor(layer) for layer in layers]
+    tensors = [layer.weight if layer.kind == "conv"
+               else tensorize_matrix(layer.weight, layer.plan)
+               for layer in layers]
     return _Prepared(seed, layers, tensors,
                      [retention_curves(t)[0] for t in tensors])
 
@@ -288,34 +292,23 @@ def _compress(container: ModelContainer, prepared: _Prepared, kappa: float,
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _forward(layer: _Layer, x: np.ndarray) -> np.ndarray:
-    """Run a batch through one layer in its stored format."""
-    if layer.fmt == "dense":
-        w = layer.weight.astype(np.float64)
-        if layer.kind == "conv":
-            return conv2d_dense(x, w)
-        return x @ w.T
-    if layer.kind == "conv":
-        return conv2d_tn(x, layer.factors)
-    return fc_tn(x, layer.factors, layer.plan)
-
-
-def model_logits(container: ModelContainer, x: np.ndarray) -> np.ndarray:
-    """Forward a batch through the container's architecture, dispatching
-    each layer to its dense or TN implementation; every layer runs once on
-    the whole batch."""
-    first, second = container_layers(container)    # checks the arch
-    hidden = np.maximum(_forward(first, np.asarray(x, dtype=np.float64)), 0.0)
-    if container.manifest["arch"] == "tinycnn":
+def model_logits(layers: list[_Layer], x: np.ndarray) -> np.ndarray:
+    """Forward a batch through parsed layers, each in its stored format,
+    with a rectifier between them and a flatten after a conv; every layer
+    runs once on the whole batch."""
+    first, second = layers
+    hidden = np.maximum(first.forward(np.asarray(x, dtype=np.float64)), 0.0)
+    if first.kind == "conv":
         hidden = TinyCNN._flatten(hidden)
-    return _forward(second, hidden)
+    return second.forward(hidden)
 
 
 def evaluate_container(container: ModelContainer, data_seed: int) -> dict:
-    x_test, y_test = eval_split(_arch(container), data_seed)
+    layers = container_layers(container)    # checks the arch
+    x_test, y_test = eval_split(container.manifest["arch"], data_seed)
     # an overflow is refused below; finite logits give a finite loss
     with np.errstate(all="ignore"):
-        logits = model_logits(container, x_test)
+        logits = model_logits(layers, x_test)
         if not np.isfinite(logits).all():
             raise NumericError("the model's logits are non-finite")
         loss, acc, _ = softmax_cross_entropy(logits, y_test)
@@ -390,8 +383,8 @@ def emit_tradeoff(model_path, kappas, out_path) -> list[dict]:
 
 def describe_model(model_path) -> str:
     container = load_model(model_path)
-    layers = container_layers(container)
-    lines = [f"arch: {_arch(container)}"]
+    layers = container_layers(container)    # checks the arch
+    lines = [f"arch: {container.manifest['arch']}"]
     if "kappa" in container.manifest:
         lines.append(f"kappa: {container.manifest['kappa']}")
     total = 0

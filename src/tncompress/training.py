@@ -135,7 +135,7 @@ def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
                         f"loss became non-finite at step {step}", step)
                 if cfg.lam and step % cfg.period == 0:
                     admm_w_update(state, grads, cfg)
-                    admm_z_update(state, cfg)
+                    admm_z_update(state)
                     admm_y_update(state, cfg)
                 else:
                     admm_w_update(state, grads, sgd)

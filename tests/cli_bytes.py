@@ -1,6 +1,6 @@
-"""The files and printed lines of `tncompress train`, `compress`, `eval` and
-`tradeoff` on a fixed grid, by sha256, and a check that they match an
-earlier run's.
+"""The files and printed lines of `tncompress train`, `compress`, `eval`,
+`tradeoff` and `report` on a fixed grid, by sha256, and a check that they
+match an earlier run's.
 
 The grid, each run one `cli.main([...])` call into a temporary directory:
 
@@ -10,6 +10,7 @@ The grid, each run one `cli.main([...])` call into a temporary directory:
   trained without `--log`: 24 runs;
 - eval: each compressed model and each of their 8 dense parents, on the
   parent's data seed: 32 runs;
+- report: each of those 32 models: 32 runs;
 - tradeoff: `--kappas 0.5,0.9,0.99` on each of those 8 dense models, the
   one path that runs many topologies through one process's plan store and
   one call's fits: 8 runs.
@@ -18,15 +19,26 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/cli_bytes.py [--against PARENT.json]
 
-It prints JSON mapping each written file (`<arch>-lam<λ>-seed<s>[-log]`
-plus `.stnz` or `.log.csv`, `<dense model>-b<budget>` plus `.stnz` or
-`.report.csv`, `<dense model>-tradeoff.csv`) and each run's printed lines
+It prints JSON with two keys.  `environment` holds the numpy version, the
+BLAS build numpy was built against (`np.show_config`'s name, version and
+OpenBLAS configuration) and `platform.machine()`: the hashes are only
+expected to repeat under the same ones.  `hashes` maps each written file
+(`<arch>-lam<λ>-seed<s>[-log]` plus `.stnz` or `.log.csv`,
+`<dense model>-b<budget>` plus `.stnz` or `.report.csv`,
+`<dense model>-tradeoff.csv`) and each run's printed lines
 (`<run>.stdout`, with the temporary directory written as `<work>`, where
 `<run>` is the name of the model the run writes or, for eval,
-`<model>-eval`, for tradeoff, `<model>-tradeoff`) to its sha256.  With
---against, the JSON of an earlier run (of the parent tree, say), it then
-lists on stderr every file or printed output whose hash differs or that
-only one run holds, and exits 1 if there is any.
+`<model>-eval`, for tradeoff, `<model>-tradeoff`, for report,
+`<model>-report`) to its sha256.  With --against, the JSON of an earlier
+run (of the parent tree, say), it then lists on stderr every environment
+field that differs, every file or printed output whose hash differs or
+that only one run holds, and exits 1 if there is any.
+
+`tests/cli_bytes.json` holds the hashes of the current tree, and
+`tests/test_cli_bytes.py` checks them in the test suite.  Regenerate it,
+on a change that moves bytes on purpose, with
+
+    PYTHONPATH=src python tests/cli_bytes.py > tests/cli_bytes.json
 """
 
 from __future__ import annotations
@@ -36,9 +48,12 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from tncompress import cli
 
@@ -47,10 +62,21 @@ LAMBDAS = ("0.005", "0")
 SEEDS = range(1, 5)
 BUDGETS = ("1.5", "2", "3")
 KAPPAS = "0.5,0.9,0.99"
+REGENERATE = "PYTHONPATH=src python tests/cli_bytes.py > tests/cli_bytes.json"
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def environment() -> dict[str, str]:
+    """The numpy version, its BLAS build and the machine, under which a
+    run's hashes are expected to repeat."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": blas["name"],
+            "blas_version": blas["version"],
+            "blas_config": blas.get("openblas configuration", ""),
+            "machine": platform.machine()}
 
 
 def run(work: Path) -> dict[str, str]:
@@ -111,6 +137,8 @@ def run(work: Path) -> dict[str, str]:
                 cli_run(f"{model}-eval", ["eval", "--model",
                                           str(work / f"{model}.stnz"),
                                           "--data", str(data)])
+                cli_run(f"{model}-report", ["report", "--model",
+                                            str(work / f"{model}.stnz")])
     return hashes
 
 
@@ -120,6 +148,13 @@ def differing(parent: dict, change: dict) -> list[str]:
                   if parent.get(name) != change.get(name))
 
 
+def describe(recorded: dict, here: dict) -> list[str]:
+    """One line per environment field that differs between an earlier run
+    and this one."""
+    return [f"{name}: {recorded.get(name)!r} there, {here.get(name)!r} here"
+            for name in differing(recorded, here)]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--against", metavar="PARENT.json",
@@ -127,10 +162,15 @@ def main():
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         hashes = run(Path(tmp))
-    print(json.dumps(hashes, indent=1, sort_keys=True))
+    env = environment()
+    print(json.dumps({"environment": env, "hashes": hashes}, indent=1,
+                     sort_keys=True))
     if args.against:
         with open(args.against) as f:
-            diff = differing(json.load(f), hashes)
+            parent = json.load(f)
+        for line in describe(parent["environment"], env):
+            print(f"environment differs: {line}", file=sys.stderr)
+        diff = differing(parent["hashes"], hashes)
         for name in diff:
             print(f"differs: {name}", file=sys.stderr)
         print(f"{len(diff)} of {len(hashes)} entries differ", file=sys.stderr)

@@ -43,7 +43,7 @@ def admm_steps(net, data, cfg):
                                                   data.y_train[idx])
             if step % cfg.period == 0:
                 admm_w_update(state, grads, cfg)
-                admm_z_update(state, cfg)
+                admm_z_update(state)
                 admm_y_update(state, cfg)
             else:
                 state.w = [(w.astype(np.float64) - cfg.lr * g).astype(w.dtype)

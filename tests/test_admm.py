@@ -129,14 +129,14 @@ class TestAdmmUpdates:
             for got, want in zip(state.w, expected):
                 assert got.dtype == np.float32
                 assert got.tobytes() == want.tobytes()
-            admm_z_update(state, cfg)     # a round: Z and Y become float64
+            admm_z_update(state)     # a round: Z and Y become float64
             admm_y_update(state, cfg)
 
     def test_z_update_reduces_nuclear_norm(self):
         cfg = AdmmConfig()
         w = [np.random.default_rng(6).standard_normal((4, 4)).astype(np.float32)]
         state = AdmmState.init(w, cfg)
-        admm_z_update(state, cfg)
+        admm_z_update(state)
         assert nuclear_norm(state.z[0]) < nuclear_norm(w[0]) + 1e-12
 
     def test_mu_schedule_is_geometric_and_capped(self):

@@ -113,10 +113,32 @@ def test_net_forward_is_model_logits(arch, seed):
     data = make_dataset(arch, seed)
     x, y = data.x_test, data.y_test
     logits = net.forward(x)
-    assert np.array_equal(logits,
-                          model_logits(net_to_container(net, arch, {}), x))
+    assert np.array_equal(logits, model_logits(
+        container_layers(net_to_container(net, arch, {})), x))
     assert (softmax_cross_entropy(logits, y)[:2]
             == net.loss_and_grads(x, y)[:2])
+
+
+@pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
+def test_parsed_layers_are_float64_and_forward_without_a_manifest(arch):
+    """Parsing casts every stored array, dense weight or TN factor, to
+    float64, and the parsed layers' forward reads no arch name: clearing
+    the manifest after the parse leaves the logits' bits as they were."""
+    container = trained_container(arch, steps=20)
+    compressed, _ = compress_container(container, budget=1.5)
+    x = make_dataset(arch, 5).x_test
+    formats = set()
+    for model in (container, compressed):
+        layers = container_layers(model)
+        for layer in layers:
+            formats.add(layer.fmt)
+            arrays = ([layer.weight] if layer.fmt == "dense"
+                      else layer.factors.factors)
+            assert all(a.dtype == np.float64 for a in arrays)
+        logits = model_logits(layers, x)
+        model.manifest.clear()
+        assert np.array_equal(model_logits(layers, x), logits)
+    assert formats == {"dense", "tn"}
 
 
 class TestCompression:
@@ -212,8 +234,8 @@ class TestCompression:
             rebuilt_container.tensors[f"layer{layer.index}/weight"] = \
                 w.astype(np.float32)
         x = make_dataset("mlp", 5).x_test[:32]
-        tn_logits = model_logits(compressed, x)
-        dense_logits = model_logits(rebuilt_container, x)
+        tn_logits = model_logits(container_layers(compressed), x)
+        dense_logits = model_logits(container_layers(rebuilt_container), x)
         assert np.allclose(tn_logits, dense_logits, atol=1e-5)
 
     def test_als_seed_comes_from_the_container(self, tmp_path):
@@ -277,6 +299,23 @@ class TestTradeoff:
                                tmp_path / "grid.csv")
         assert len(calls) == len(set(fitted))
         assert (tmp_path / "grid.csv").read_bytes() == b"".join(lines)
+
+    @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
+    def test_tradeoff_and_eval_read_one_parse_path(self, arch, tmp_path):
+        """At each kappa, eval of compress's in-memory model, eval of that
+        model saved and loaded back, and tradeoff's accuracy agree."""
+        kappas = [0.5, 0.9, 1.0]
+        container = trained_container(arch, steps=200, seed=3)
+        save_model(tmp_path / "dense.stnz", container)
+        rows = pipeline.emit_tradeoff(tmp_path / "dense.stnz", kappas,
+                                      tmp_path / "t.csv")
+        for kappa, row in zip(kappas, rows):
+            compressed, _ = compress_container(container, kappa=kappa)
+            save_model(tmp_path / "tn.stnz", compressed)
+            metrics = evaluate_container(compressed, 5)
+            assert evaluate_container(load_model(tmp_path / "tn.stnz"),
+                                      5) == metrics
+            assert row["accuracy"] == metrics["accuracy"]
 
     def test_the_test_split_is_drawn_once(self, tmp_path):
         save_model(tmp_path / "dense.stnz", trained_container())
