@@ -5,14 +5,17 @@ it: the whole network, the network less one factor (ALS's complement) and,
 in `layers.fc_tn` and the stages of `layers.conv2d_tn`, factors against an
 input.  A per-topology `ContractionPlan` holds the integer einsum labels
 and a compiled step list for each contraction over them, compiled on first
-use.  A step list is numpy's own contraction list for the greedy path: the
-operand positions each step pops and that step's einsum string, and for a
-pairwise step the parse numpy's `bmm_einsum` makes of it (the one-operand
-einsums that prepare each side, the reshapes, the output permutation and
-whether the pair is a pure multiply).  Replaying it calls the kernels
-np.einsum(optimize="greedy") reaches (`c_einsum`, `matmul` or `multiply`,
-reshape and transpose) in the same order on the same operands, so a plan
-gives the same bits and skips the per-call parsing, path and dispatch work.
+use.  A step list is numpy's own contraction list for the greedy path
+without its memory cap, `GREEDY` (capped, a path may end in one naive
+multi-operand `c_einsum`; uncapped, every step of a factor network is
+pairwise): the operand positions each step pops and that step's einsum
+string, and for a pairwise step the parse numpy's `bmm_einsum` makes of it
+(the one-operand einsums that prepare each side, the reshapes, the output
+permutation and whether the pair is a pure multiply).  Replaying it calls
+the kernels np.einsum(optimize=GREEDY) reaches (`c_einsum`, `matmul` or
+`multiply`, reshape and transpose) in the same order on the same operands,
+so a plan gives the same bits and skips the per-call parsing, path and
+dispatch work.
 
 A process-wide store keyed on the topology, `stored_plan`, is the only
 source of plans: every contraction, ALS sweep and TN forward pass runs on
@@ -22,6 +25,7 @@ once per process for each set of sublists and operand shapes.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -31,6 +35,8 @@ import numpy as np
 from numpy._core.einsumfunc import _parse_eq_to_batch_matmul, c_einsum
 
 from .topology import TNFactorSet, TNTopology, mode_pairs
+
+GREEDY = ("greedy", sys.maxsize)     # no cap on an intermediate's size
 
 
 class ContractionPlan:
@@ -55,7 +61,7 @@ class ContractionPlan:
     compiling call; replaying it runs what `bmm_einsum` runs with its
     default order="K".  A one-operand step's parse is None: it is one
     `c_einsum`.  The step lists are a memo of
-    np.einsum(*operands, optimize="greedy"), keyed on every sublist and
+    np.einsum(*operands, optimize=GREEDY), keyed on every sublist and
     operand shape.  Plans come from `stored_plan` alone.
     """
 
@@ -103,14 +109,14 @@ class ContractionPlan:
         return operands, stack
 
     def einsum(self, *operands) -> np.ndarray:
-        """np.einsum(*operands, optimize="greedy") over interleaved operands
+        """np.einsum(*operands, optimize=GREEDY) over interleaved operands
         with tuple sublists, by replaying the step list stored under
         (input sublists, output sublist, operand shapes)."""
         arrays = list(operands[:-1:2])
         key = (operands[1::2], operands[-1], tuple(a.shape for a in arrays))
         steps = self._steps.get(key)
         if steps is None:       # parses are filled in as this call meets them
-            _, contraction_list = np.einsum_path(*operands, optimize="greedy",
+            _, contraction_list = np.einsum_path(*operands, optimize=GREEDY,
                                                  einsum_call=True)
             steps = self._steps[key] = [[inds, eq, None]
                                         for inds, eq, _ in contraction_list]

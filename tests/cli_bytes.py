@@ -19,11 +19,15 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/cli_bytes.py [--against PARENT.json]
 
-It prints JSON with two keys.  `environment` holds the numpy version, the
-BLAS build numpy was built against (`np.show_config`'s name, version and
-OpenBLAS configuration) and `platform.machine()`: the hashes are only
-expected to repeat under the same ones.  `hashes` maps each written file
-(`<arch>-lam<λ>-seed<s>[-log]` plus `.stnz` or `.log.csv`,
+It prints JSON with three keys.  `environment` holds the numpy version,
+the BLAS build numpy was built against (`np.show_config`'s name, version
+and OpenBLAS configuration) and `platform.machine()`: the hashes are only
+expected to repeat under the same ones.  `blas_core` names the OpenBLAS
+core that ran, which a DYNAMIC_ARCH build picks for the CPU at run time,
+so it may differ from the target the configuration names; it is a
+diagnostic for a hash mismatch, not part of the environment.
+`hashes` maps each written file (`<arch>-lam<λ>-seed<s>[-log]` plus
+`.stnz` or `.log.csv`,
 `<dense model>-b<budget>` plus `.stnz` or `.report.csv`,
 `<dense model>-tradeoff.csv`) and each run's printed lines
 (`<run>.stdout`, with the temporary directory written as `<work>`, where
@@ -31,8 +35,9 @@ expected to repeat under the same ones.  `hashes` maps each written file
 `<model>-eval`, for tradeoff, `<model>-tradeoff`, for report,
 `<model>-report`) to its sha256.  With --against, the JSON of an earlier
 run (of the parent tree, say), it then lists on stderr every environment
-field that differs, every file or printed output whose hash differs or
-that only one run holds, and exits 1 if there is any.
+field that differs, the two OpenBLAS cores if they differ, every file or
+printed output whose hash differs or that only one run holds, and exits 1
+if there is any.
 
 `tests/cli_bytes.json` holds the hashes of the current tree, and
 `tests/test_cli_bytes.py` checks them in the test suite.  Regenerate it,
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -77,6 +83,20 @@ def environment() -> dict[str, str]:
             "blas_version": blas["version"],
             "blas_config": blas.get("openblas configuration", ""),
             "machine": platform.machine()}
+
+
+def blas_core() -> str:
+    """The core of the OpenBLAS numpy loaded (its `numpy.libs` copy), or
+    "unknown" where that library or its core-name symbol is absent."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def run(work: Path) -> dict[str, str]:
@@ -162,14 +182,17 @@ def main():
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         hashes = run(Path(tmp))
-    env = environment()
-    print(json.dumps({"environment": env, "hashes": hashes}, indent=1,
-                     sort_keys=True))
+    env, core = environment(), blas_core()
+    print(json.dumps({"environment": env, "blas_core": core,
+                      "hashes": hashes}, indent=1, sort_keys=True))
     if args.against:
         with open(args.against) as f:
             parent = json.load(f)
         for line in describe(parent["environment"], env):
             print(f"environment differs: {line}", file=sys.stderr)
+        if parent.get("blas_core", "unknown") != core:
+            print(f"OpenBLAS core: {parent.get('blas_core', 'unknown')!r} "
+                  f"there, {core!r} here", file=sys.stderr)
         diff = differing(parent["hashes"], hashes)
         for name in diff:
             print(f"differs: {name}", file=sys.stderr)

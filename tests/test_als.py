@@ -1,5 +1,6 @@
 """Alternating least squares fitting."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -17,6 +18,10 @@ from tncompress.errors import NumericError, TopologyError
 from tncompress.tensor import k_unfold
 from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
                                  random_factor_set, uniform_topology)
+
+# numpy's greedy path with no memory cap: the path the contraction store
+# replays, every step of it pairwise on a factor network
+GREEDY = ("greedy", sys.maxsize)
 
 
 def test_complement_matrix_reproduces_contraction():
@@ -47,7 +52,7 @@ def greedy_complement(f, n):
                           for j in range(1, order + 1)]]
     out = [k - 1 for k in range(1, order + 1) if k != n]
     out += [bond[tuple(sorted((j, n)))] for j in range(1, order + 1) if j != n]
-    full = np.einsum(*operands, out, optimize="greedy")
+    full = np.einsum(*operands, out, optimize=GREEDY)
     rows = int(np.prod(topo.dims)) // topo.dims[n - 1]
     return full.reshape((rows, -1), order="F")
 
@@ -108,7 +113,7 @@ def test_als_fit_replay_gives_np_einsum_bits(topo, monkeypatch):
     replayed = als_fit(target, topo, cfg)
     monkeypatch.setattr(ContractionPlan, "einsum",
                         lambda self, *operands:
-                        np.einsum(*operands, optimize="greedy"))
+                        np.einsum(*operands, optimize=GREEDY))
     direct = als_fit(target, topo, cfg)
     assert np.array_equal(replayed.history, direct.history)
     for got, want in zip(replayed.factors.factors, direct.factors.factors):

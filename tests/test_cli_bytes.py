@@ -4,7 +4,8 @@ bytes recorded in `cli_bytes.json`.
 The hashes are only expected to repeat under the numpy, BLAS build and
 machine they were made on, so the environment is compared first.  Under
 another one this test fails, naming both environments and the command that
-regenerates the JSON; it does not skip.
+regenerates the JSON; it does not skip.  A hash mismatch names the OpenBLAS
+core that made the recorded hashes and the one that ran here.
 """
 
 import json
@@ -28,5 +29,6 @@ def test_the_grid_gives_the_recorded_bytes(tmp_path):
     diff = cli_bytes.differing(recorded["hashes"], hashes)
     assert diff == [], (
         f"{len(diff)} of {len(recorded['hashes'])} entries differ from "
-        f"{RECORDED.name} (differing hash, or held by one side only): "
-        + ", ".join(diff))
+        f"{RECORDED.name} (differing hash, or held by one side only; "
+        f"OpenBLAS core {recorded.get('blas_core', 'unknown')!r} recorded, "
+        f"{cli_bytes.blas_core()!r} here): " + ", ".join(diff))

@@ -1,5 +1,6 @@
 """Contraction engine against closed forms and the brute-force oracle."""
 
+import sys
 from unittest import mock
 
 import numpy as np
@@ -14,10 +15,15 @@ from tncompress.contraction import (ContractionPlan, contract_network,
                                     stored_plan)
 from tncompress.model_io import load_model, save_model
 from tncompress.oracles import brute_force_contract
+from tncompress.tensor import k_unfold
 from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
                                  random_factor_set, random_factor_stack,
                                  uniform_topology)
 from tncompress.toynet import make_net
+
+# numpy's greedy path with no memory cap: the path the contraction store
+# replays, every step of it pairwise on a factor network
+GREEDY = ("greedy", sys.maxsize)
 
 
 def rel_err(a, b):
@@ -84,7 +90,7 @@ def greedy_network(f):
     for fac, labs in zip(f.factors, labels):
         operands += [fac, labs]
     return np.einsum(*operands, list(range(f.topology.order)),
-                     optimize="greedy")
+                     optimize=GREEDY)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -110,12 +116,12 @@ def greedy_keys(f):
     for fac, labs in zip(f.factors, labels):
         operands += [fac, stack + list(labs)]
     out = [np.einsum(*operands, stack + list(range(order)),
-                     optimize="greedy")]
+                     optimize=GREEDY)]
     for n in range(1, order + 1):
         rest = operands[:2 * n - 2] + operands[2 * n:]
         modes = [k for k in range(order) if k != n - 1]
         bonds = [lab for lab in labels[n - 1] if lab != n - 1]
-        full = np.einsum(*rest, modes + bonds + stack, optimize="greedy")
+        full = np.einsum(*rest, modes + bonds + stack, optimize=GREEDY)
         rows = int(np.prod(topo.dims)) // topo.dims[n - 1]
         matrix = full.reshape((rows, -1) + (f.batch,) * bool(f.batch),
                               order="F")
@@ -247,7 +253,7 @@ def greedy_fc(x, f, tplan):
                 list(range(m, order)) + [batch]]
     for fac, labs in zip(f.factors, labels):
         operands += [fac, labs]
-    out = np.einsum(*operands, [batch] + list(range(m)), optimize="greedy")
+    out = np.einsum(*operands, [batch] + list(range(m)), optimize=GREEDY)
     return out.reshape((len(x), tplan.rows), order="F")
 
 
@@ -352,13 +358,81 @@ def test_the_store_is_a_memo_of_greedy_einsum(first, others, repeats, seed):
         for sub, shape in zip(sublists, shapes):
             operands += [rng.standard_normal(shape), sub]
         calls.append((*operands, out))
-    expected = [np.einsum(*ops, optimize="greedy") for ops in calls]
+    expected = [np.einsum(*ops, optimize=GREEDY) for ops in calls]
     plan = ContractionPlan(uniform_topology((2, 2), 1))
     with mock.patch.object(np, "einsum_path", wraps=np.einsum_path) as path:
         for ops, want in zip(calls, expected):
             assert np.array_equal(plan.einsum(*ops), want)
     assert set(plan._steps) == set(specs)
     assert path.call_count == len(set(specs))
+
+
+# the most bond assignments a drawn stack's brute-force sums may loop over
+BRUTE_FORCE_LOOPS = 2048
+
+
+@st.composite
+def stacked_topologies(draw):
+    """(topology, stack): order 2-5, dims 1-4, bond ranks 1-3 and a stack
+    of 0 (one set), 1, 8 or 16 sets; a drawn rank that would take the stack
+    past BRUTE_FORCE_LOOPS bond assignments is 1 instead."""
+    order = draw(st.integers(2, 5))
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=order,
+                               max_size=order)))
+    stack = draw(st.sampled_from((0, 1, 8, 16)))
+    loops, ranks = max(stack, 1), {}
+    for pair in mode_pairs(order):
+        rank = draw(st.integers(1, 3))
+        ranks[pair] = rank if loops * rank <= BRUTE_FORCE_LOOPS else 1
+        loops *= ranks[pair]
+    return TNTopology(dims, ranks), stack
+
+
+# layer 0 of seed 4's perfbench mlp keep-dense-kappa model: under numpy's
+# default memory cap, its network's greedy path ends in one naive
+# three-operand c_einsum
+CAPPED_TOPOLOGY = TNTopology((4, 8, 2, 4), {
+    (1, 2): 3, (1, 3): 2, (1, 4): 2, (2, 3): 2, (2, 4): 2, (3, 4): 2})
+
+
+@settings(max_examples=50, deadline=None)
+@given(drawn=stacked_topologies(), seed=st.integers(0, 2 ** 32 - 1))
+@example(drawn=(CAPPED_TOPOLOGY, 0), seed=4)
+@example(drawn=(CAPPED_TOPOLOGY, 16), seed=4)
+def test_every_compiled_step_is_pairwise(drawn, seed):
+    # the network and every complement of the stack, and for one set the
+    # fc keys at batch 1 and 256 under a split of its modes: each within
+    # 1e-12 of the brute-force sum, and no stored step pops more than two
+    # operands
+    topo, stack = drawn
+    order = topo.order
+    contraction.stored_plan.cache_clear()
+    fs = factor_sets(topo, seed, stack)
+    sets = [TNFactorSet(topo, [fac[i] for fac in fs.factors])
+            for i in range(stack)] if stack else [fs]
+    dense = [brute_force_contract(s) for s in sets]
+    network = contract_network(fs)
+    complements = [complement_matrix(fs, n) for n in range(1, order + 1)]
+    for i, (f, want) in enumerate(zip(sets, dense)):
+        assert rel_err(network[i] if stack else network, want) <= 1e-12
+        # factor n's unfolding against its complement is mode n's unfolding
+        for n, complement in enumerate(complements, start=1):
+            z_n = np.moveaxis(f.factors[n - 1], n - 1, 0).reshape(
+                (topo.dims[n - 1], -1), order="F")
+            design = complement[i] if stack else complement
+            assert rel_err(z_n @ design.T, k_unfold(want, n)) <= 1e-12
+    if not stack:
+        m = 1 + seed % (order - 1)
+        tplan = layers.TensorizationPlan(topo.dims[:m], topo.dims[m:])
+        matrix = layers.detensorize_matrix(dense[0], tplan)
+        rng = np.random.default_rng(seed)
+        for batch in (1, 256):
+            x = rng.standard_normal((batch, tplan.cols))
+            assert rel_err(layers.fc_tn(x, fs, tplan), x @ matrix.T) <= 1e-12
+    steps = stored_plan(topo)._steps
+    assert len(steps) == 1 + order + 2 * (not stack)
+    assert all(len(inds) <= 2 for step_list in steps.values()
+               for inds, _, _ in step_list)
 
 
 def test_a_list_sublist_is_refused():

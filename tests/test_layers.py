@@ -1,5 +1,6 @@
 """Layer forward passes, tensorization planning, and complexity counts."""
 
+import sys
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,10 @@ from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
                                  random_factor_set, random_factor_stack,
                                  uniform_topology)
 from tncompress.toynet import TinyCNN, softmax_cross_entropy
+
+# numpy's greedy path with no memory cap: the path the contraction store
+# replays, every step of it pairwise on a factor network
+GREEDY = ("greedy", sys.maxsize)
 
 BATCHES = [1, 7]
 
@@ -371,7 +376,7 @@ def greedy_fc(x, f, plan):
     for k, fac in enumerate(f.factors, start=1):
         operands += [fac, [k - 1 if j == k else bond[tuple(sorted((j, k)))]
                            for j in range(1, order + 1)]]
-    out = np.einsum(*operands, [sample, 0, 1], optimize="greedy")
+    out = np.einsum(*operands, [sample, 0, 1], optimize=GREEDY)
     out = out.reshape((len(xb), plan.rows), order="F")
     return out[0] if x.ndim == 1 else out
 

@@ -46,10 +46,16 @@ def run_cli(argv):
         assert main(argv) == 0, argv
 
 
+# the staged TN forwards: `eval` contracts each TN layer and runs its dense
+# op, so their sites resolve but no CLI path calls them
+STAGED_FORWARDS = ["layers.conv2d_tn", "layers.fc_tn"]
+
+
 def test_the_three_paths_call_every_trace_site(tmp_path):
     """A site can stay importable while a refactor stops calling it, which
     reads as 0 in that per-layer metric; train, compress and eval of both
-    archs must call every site at least once."""
+    archs must call every site at least once, except the staged forwards,
+    which they must not call."""
     spans = load_spans()
     data = tmp_path / "data.cfg"
     data.write_text("data_seed = 5\n")
@@ -69,4 +75,4 @@ def test_the_three_paths_call_every_trace_site(tmp_path):
     assert tracer.absent == []
     assert set(tracer.stats) == set(spans.SITES)
     uncalled = [name for name, st in tracer.stats.items() if st.calls == 0]
-    assert uncalled == []
+    assert sorted(uncalled) == STAGED_FORWARDS

@@ -5,19 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tncompress import pipeline, toynet
+from tncompress import contraction, pipeline, toynet
 from tncompress.admm import AdmmConfig
 from tncompress.als import AlsConfig, als_fit
 from tncompress.cli import main
 from tncompress.errors import BudgetError, ConfigError, FormatError
-from tncompress.layers import fc_dense_from_tn, plan_tensorization
+from tncompress.layers import (conv2d_dense, conv2d_tn, detensorize_matrix,
+                               fc_dense_from_tn, fc_tn, plan_tensorization)
 from tncompress.model_io import load_model, save_model
+from tncompress.oracles import brute_force_contract
 from tncompress.pipeline import (TRAIN_KEYS, compress_container,
                                  container_layers, evaluate_container,
                                  model_logits, net_to_container,
                                  parse_train_config, read_config)
-from tncompress.toynet import (make_dataset, make_net,
-                               softmax_cross_entropy)
+from tncompress.topology import TNTopology, mode_pairs, random_factor_set
+from tncompress.toynet import (NETS, TinyCNN, eval_split, make_dataset,
+                               make_net, softmax_cross_entropy)
 from tncompress.training import train_stn
 
 
@@ -139,6 +142,98 @@ def test_parsed_layers_are_float64_and_forward_without_a_manifest(arch):
         model.manifest.clear()
         assert np.array_equal(model_logits(layers, x), logits)
     assert formats == {"dense", "tn"}
+
+
+def tn_container(arch, tables, seed):
+    """A compressed model of arch with random factors: layer i is TN on
+    the rank table tables[i] (None: a kept-dense layer), with each factor
+    set drawn at seed + i and stored as float32."""
+    container = net_to_container(make_net(arch, seed), arch,
+                                 {"kappa": "0.5000000000"})
+    for i, (dims, table) in enumerate(zip(NETS[arch].weight_shapes, tables)):
+        if table is None:
+            continue
+        modes = dims if len(dims) == 4 else plan_tensorization(*dims).dims
+        ranks = dict(zip(mode_pairs(len(modes)), table))
+        f = random_factor_set(TNTopology(modes, ranks), seed + i)
+        del container.tensors[f"layer{i}/weight"]
+        container.manifest[f"layer.{i}.format"] = "tn"
+        container.manifest[f"layer.{i}.ranks"] = pipeline._encode_ranks(ranks)
+        for k, fac in enumerate(f.factors):
+            container.tensors[f"layer{i}/factor{k}"] = fac.astype(np.float32)
+    return container
+
+
+def reference_logits(container, x, staged):
+    """model_logits written out on a fresh parse: each TN layer run staged
+    (`conv2d_tn`, `fc_tn`) or on the dense weight of its brute-force
+    contraction."""
+    hidden = x
+    for layer in container_layers(container):
+        if layer.fmt == "tn" and staged:
+            hidden = (conv2d_tn(hidden, layer.factors) if layer.kind == "conv"
+                      else fc_tn(hidden, layer.factors, layer.plan))
+        else:
+            w = layer.weight
+            if layer.fmt == "tn":
+                w = brute_force_contract(layer.factors)
+                if layer.kind == "fc":
+                    w = detensorize_matrix(w, layer.plan)
+            hidden = (conv2d_dense(hidden, w) if layer.kind == "conv"
+                      else hidden @ w.T)
+        if layer.index == 0:
+            hidden = np.maximum(hidden, 0.0)
+            if layer.kind == "conv":
+                hidden = TinyCNN._flatten(hidden)
+    return hidden
+
+
+# layer 0 of seed 4's perfbench mlp keep-dense-kappa model, whose network
+# numpy's default greedy path ends in one naive three-operand step
+CAPPED_TABLE = (3, 2, 2, 2, 2, 2)
+TN_MODELS = {
+    "mlp-capped-kept": ("mlp", (CAPPED_TABLE, None)),
+    "mlp-capped": ("mlp", (CAPPED_TABLE, (1, 2, 1, 2, 1, 3))),
+    "tinycnn-kept": ("tinycnn", (None, (1, 2, 3, 1, 2, 2))),
+    "tinycnn": ("tinycnn", ((2, 1, 2, 2, 1, 3), (1, 2, 3, 1, 2, 2))),
+    "mlp-fit": ("mlp", "fit"),
+    "tinycnn-fit": ("tinycnn", "fit"),
+}
+
+
+@pytest.mark.parametrize("name", TN_MODELS)
+def test_tn_forward_matches_the_staged_forward_and_the_oracle(
+        name, tmp_path, monkeypatch):
+    """A TN layer runs its exact contraction as a dense op: at batch 1, 7
+    and 256 the logits are within 1e-12 relative of the staged forwards
+    and of the brute-force weights.  It contracts once, on its first
+    forward, and `report` contracts nothing."""
+    arch, tables = TN_MODELS[name]
+    if tables == "fit":
+        container, _ = compress_container(
+            trained_container(arch, steps=100), budget=2.0)
+    else:
+        container = tn_container(arch, tables, seed=4)
+    save_model(tmp_path / "tn.stnz", container)
+    layers = container_layers(container)
+    assert "tn" in {layer.fmt for layer in layers}
+    assert any(layer.kept_dense for layer in layers) == name.endswith("kept")
+    x_all = eval_split(arch, 5)[0]
+    for batch in (1, 7, 256):
+        x = x_all[:batch]
+        got = model_logits(layers, x)
+        for staged in (True, False):
+            want = reference_logits(container, x, staged)
+            assert (np.linalg.norm(got - want)
+                    <= 1e-12 * np.linalg.norm(want))
+
+    def no_contraction(self, *operands):
+        raise AssertionError("contracted a network")
+
+    monkeypatch.setattr(contraction.ContractionPlan, "einsum", no_contraction)
+    # the parsed layers keep their contractions, and `report` parses anew
+    model_logits(layers, x_all)
+    assert "total params" in pipeline.describe_model(tmp_path / "tn.stnz")
 
 
 class TestCompression:
