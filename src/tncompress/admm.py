@@ -99,7 +99,8 @@ class AdmmConfig:
 
 @dataclass
 class AdmmState:
-    """Per-layer W, Z, Y and unfolding plan, plus the shared penalty weight."""
+    """Per-layer W (float32 storage), Z and Y (float64) and unfolding plan,
+    plus the shared penalty weight."""
 
     w: list[np.ndarray]
     z: list[np.ndarray]
@@ -111,8 +112,8 @@ class AdmmState:
     @classmethod
     def init(cls, weights: list[np.ndarray], cfg: AdmmConfig) -> "AdmmState":
         return cls(w=[np.array(w) for w in weights],
-                   z=[np.array(w) for w in weights],
-                   y=[np.zeros_like(w) for w in weights],
+                   z=[w.astype(np.float64) for w in weights],
+                   y=[np.zeros(w.shape) for w in weights],
                    plans=[balanced_unfold(w)[1] for w in weights],
                    mu=cfg.mu0)
 

@@ -30,7 +30,8 @@ class ConfigError(RuntimeError):
 
 
 class TrainingError(RuntimeError):
-    """Training diverged; carries the step at which the loss became non-finite."""
+    """Training diverged; carries the step at which the loss or a weight
+    became non-finite."""
 
     def __init__(self, message, step):
         super().__init__(message)

@@ -1,12 +1,11 @@
 """Structure-aware training loop: SGD with periodic ADMM rounds that pull
 every weight tensor toward a low-rank balanced unfolding.  At lam = 0 no
 round runs, as a W-update there reads neither Z, Y nor mu: mu stays mu0
-and Z the float32 initial weights, so a log's gap_l* is ||W0 - W||."""
+and Z the initial weights in float64, so a log's gap_l* is ||W0 - W||."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 from math import isfinite
 
 import numpy as np
@@ -36,8 +35,8 @@ class TrainingLog:
     The training loop draws its batch indices per chunk of LOG_CHUNK (64)
     steps, and the log takes its gaps and effective ranks per chunk too: a
     step's are filled in when its chunk is flushed, with, per layer, one
-    stacked dot product per run of steps that share a Z and one stacked SVD
-    for the whole chunk."""
+    stacked dot product in float64 and one stacked SVD for the whole
+    chunk."""
 
     layer_count: int
     rows: list[dict] = field(default_factory=list)
@@ -73,19 +72,12 @@ class TrainingLog:
         # per layer, its chunk of weights stacked once, steps first: the
         # gaps and the SVD input both read it
         stacks = [np.stack(weights) for weights in zip(*step_ws)]
-        for i, (stack, zs_i) in enumerate(zip(stacks, zip(*step_zs))):
-            # Z is float32 until the first ADMM round and float64 after, so
-            # each run of steps sharing one Z is taken in that Z's dtype, as
-            # ||Z - W|| of one step is
-            at = 0
-            for _, run in groupby(zs_i, key=id):
-                end = at + len(list(run))
-                diff = (zs_i[at] - stack[at:end]).reshape(end - at, -1)
-                # the dot kernel np.linalg.norm runs on one vector
-                gaps = np.sqrt(diff[:, None, :] @ diff[:, :, None])
-                for row, gap in zip(rows[at:end], gaps.ravel().tolist()):
-                    row[f"gap_l{i}"] = f"{gap:.6f}"
-                at = end
+        for i, (stack, zs) in enumerate(zip(stacks, zip(*step_zs))):
+            diff = (np.stack(zs) - stack).reshape(len(stack), -1)
+            # the dot kernel np.linalg.norm runs on one vector
+            gaps = np.sqrt(diff[:, None, :] @ diff[:, :, None])
+            for row, gap in zip(rows, gaps.ravel().tolist()):
+                row[f"gap_l{i}"] = f"{gap:.6f}"
         for i, stack in enumerate(stacks):
             _, plan = balanced_unfold(stack[0])
             # with the step (the stack's mode 1) as the last, slowest column
@@ -102,6 +94,11 @@ class TrainingLog:
     def write_csv(self, path) -> None:
         header = self.header()
         write_csv(path, [header, *([r[c] for c in header] for r in self.rows)])
+
+
+def _check_weights(weights: list[np.ndarray], step: int) -> None:
+    if not all(np.isfinite(w).all() for w in weights):
+        raise TrainingError(f"weights became non-finite at step {step}", step)
 
 
 def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
@@ -135,6 +132,8 @@ def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
                         f"loss became non-finite at step {step}", step)
                 if cfg.lam and step % cfg.period == 0:
                     admm_w_update(state, grads, cfg)
+                    # the round's SVT would refuse them without the step
+                    _check_weights(state.w, step)
                     admm_z_update(state)
                     admm_y_update(state, cfg)
                 else:
@@ -143,9 +142,7 @@ def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
                 if history is not None:
                     history.record(step, loss, acc, state)
         # the loss sees a step's input weights, so not the last update's
-        if not all(np.isfinite(w).all() for w in state.w):
-            raise TrainingError(
-                f"weights became non-finite at step {state.step}", state.step)
+        _check_weights(state.w, state.step)
         if history is not None:
             history.flush()
     net.weights = state.w

@@ -105,20 +105,22 @@ class TestAdmmUpdates:
 
     def test_w_update_matches_written_out_step(self):
         """At lam > 0 the update is (w64 - lr * (g + lam * mu * (w64 - Z -
-        Y / mu))).astype(float32), bit for bit: first with Z and Y in
-        float32, as before the first round, then in float64, after it."""
+        Y / mu))).astype(float32), bit for bit, with Z and Y in float64 from
+        init on: first before a round, then after one."""
         cfg = AdmmConfig(lam=0.005, lr=0.05, mu0=1.7)
         rng = np.random.default_rng(8)
         w = [rng.standard_normal(shape).astype(np.float32)
              for shape in ((4, 6), (3, 3, 1, 2))]
         state = AdmmState.init(w, cfg)
-        # W drifts from Z and Y is nonzero, in float32
+        assert all(a.dtype == np.float64 for a in state.z + state.y)
+        assert all(np.array_equal(z, x) for z, x in zip(state.z, w))
+        assert not any(y.any() for y in state.y)
+        # W drifts from Z and Y is nonzero
         state.w = [(x + 0.1 * rng.standard_normal(x.shape)).astype(np.float32)
                    for x in state.w]
-        state.y = [rng.standard_normal(x.shape).astype(np.float32)
-                   for x in state.w]
-        for dtype in (np.float32, np.float64):
-            assert all(a.dtype == dtype for a in state.z + state.y)
+        state.y = [rng.standard_normal(x.shape) for x in state.w]
+        for _ in range(2):
+            assert all(a.dtype == np.float64 for a in state.z + state.y)
             grads = [rng.standard_normal(x.shape) for x in state.w]
             expected = []
             for w_i, z, y, g in zip(state.w, state.z, state.y, grads):
@@ -129,7 +131,7 @@ class TestAdmmUpdates:
             for got, want in zip(state.w, expected):
                 assert got.dtype == np.float32
                 assert got.tobytes() == want.tobytes()
-            admm_z_update(state)     # a round: Z and Y become float64
+            admm_z_update(state)     # a round
             admm_y_update(state, cfg)
 
     def test_z_update_reduces_nuclear_norm(self):

@@ -1,6 +1,5 @@
 """Alternating least squares fitting."""
 
-import sys
 import warnings
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from numpy._core import einsumfunc
 
 import fit_sets
+from greedy_einsum import GREEDY, greedy_complement
 from tncompress import als, contraction
 from tncompress.als import (AlsConfig, AlsResult, _sweep, als_fit,
                             complement_matrix)
@@ -18,10 +18,6 @@ from tncompress.errors import NumericError, TopologyError
 from tncompress.tensor import k_unfold
 from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
                                  random_factor_set, uniform_topology)
-
-# numpy's greedy path with no memory cap: the path the contraction store
-# replays, every step of it pairwise on a factor network
-GREEDY = ("greedy", sys.maxsize)
 
 
 def test_complement_matrix_reproduces_contraction():
@@ -36,25 +32,6 @@ def test_complement_matrix_reproduces_contraction():
         z_n = np.moveaxis(f.factors[n - 1], n - 1, 0).reshape(
             (topo.dims[n - 1], int(np.prod(bond_dims))), order="F")
         assert np.allclose(z_n @ design.T, k_unfold(x, n), atol=1e-12)
-
-
-def greedy_complement(f, n):
-    """The complement of factor n as one direct greedy einsum: remaining
-    modes ascending, then the bonds of n by ascending partner."""
-    topo = f.topology
-    order = topo.order
-    bond = {p: order + i for i, p in enumerate(mode_pairs(order))}
-    operands = []
-    for k in range(1, order + 1):
-        if k != n:
-            operands += [f.factors[k - 1],
-                         [k - 1 if j == k else bond[tuple(sorted((j, k)))]
-                          for j in range(1, order + 1)]]
-    out = [k - 1 for k in range(1, order + 1) if k != n]
-    out += [bond[tuple(sorted((j, n)))] for j in range(1, order + 1) if j != n]
-    full = np.einsum(*operands, out, optimize=GREEDY)
-    rows = int(np.prod(topo.dims)) // topo.dims[n - 1]
-    return full.reshape((rows, -1), order="F")
 
 
 @pytest.mark.parametrize("seed", range(10))

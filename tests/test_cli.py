@@ -492,6 +492,10 @@ class TestExitCodes:
          "weights became non-finite at step 1"),
         ("train", "lambda = 0\nlr = 1e308\nsteps = 1\ndata_seed = 5\n",
          "weights became non-finite at step 1"),
+        ("train", "lambda = 1e300\nperiod = 1\ndata_seed = 5\n",
+         "weights became non-finite at step 2"),
+        ("train", "mu0 = 1e39\nmu_max = 1e40\nperiod = 10\ndata_seed = 5\n",
+         "weights became non-finite at step 20"),
         ("train", "batch = 1000000000000000\ndata_seed = 5\n",
          "Unable to allocate"),
         ("train", "batch = 2000000000000000000\nseed = 0\ndata_seed = 0\n",
@@ -508,7 +512,9 @@ class TestExitCodes:
             "train-negative-lr", "train-nan-mu0",
             "train-nan-rho", "train-inf-mu-max", "train-diverging",
             "train-diverging-endless", "train-last-update-overflows",
-            "train-last-update-overflows-lam-zero", "train-huge-batch",
+            "train-last-update-overflows-lam-zero",
+            "train-round-diverges-at-once", "train-round-diverges-later",
+            "train-huge-batch",
             "train-unaddressable-batch", "train-batch-beyond-int64",
             "eval-bad-data-seed", "eval-negative-data-seed", "eval-not-utf8",
             "eval-unknown-key"])
@@ -670,6 +676,18 @@ class TestPipeline:
         rc = main(["report", "--model", str(workspace / "half.stnz")])
         assert rc == 0
         assert "total params" in capsys.readouterr().out
+
+    def test_a_tiny_mu0_trains(self, tmp_path, capsys):
+        """Y / mu at mu0 = 1e-50 is 0 / 1e-50 in float64, not 0 / 0."""
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("lambda = 0.005\nmu0 = 1e-50\nmu_max = 1e-40\n"
+                       "period = 10\ndata_seed = 5\n")
+        rc = main(["train", "--config", str(cfg),
+                   "--out", str(tmp_path / "tiny.stnz")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        weights = load_model(tmp_path / "tiny.stnz").tensors.values()
+        assert all(np.isfinite(w).all() for w in weights)
 
     def test_determinism_byte_identical(self, workspace, tmp_path):
         rc = main(["train", "--config", str(workspace / "train.cfg"),

@@ -1,6 +1,5 @@
 """Contraction engine against closed forms and the brute-force oracle."""
 
-import sys
 from unittest import mock
 
 import numpy as np
@@ -9,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy._core import einsumfunc
 
+from greedy_einsum import (GREEDY, greedy_complement, greedy_fc,
+                           greedy_network, layout)
 from tncompress import contraction, layers, pipeline
 from tncompress.als import AlsConfig, als_fit, complement_matrix
 from tncompress.contraction import (ContractionPlan, contract_network,
@@ -20,10 +21,6 @@ from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
                                  random_factor_set, random_factor_stack,
                                  uniform_topology)
 from tncompress.toynet import make_net
-
-# numpy's greedy path with no memory cap: the path the contraction store
-# replays, every step of it pairwise on a factor network
-GREEDY = ("greedy", sys.maxsize)
 
 
 def rel_err(a, b):
@@ -72,27 +69,6 @@ def random_topology(seed):
                              for p in mode_pairs(order)})
 
 
-def layout(order):
-    """The documented axis layout: each factor's labels (modes 0..N-1, bonds
-    N, N+1, ... in mode_pairs order) and the batch label, N(N+1)/2."""
-    bond = {p: order + i for i, p in enumerate(mode_pairs(order))}
-    labels = tuple(tuple(k - 1 if j == k else bond[tuple(sorted((j, k)))]
-                         for j in range(1, order + 1))
-                   for k in range(1, order + 1))
-    return labels, order + len(bond)
-
-
-def greedy_network(f):
-    """The full contraction as one direct greedy einsum, labels built from
-    the topology's documented axis layout."""
-    labels, _ = layout(f.topology.order)
-    operands = []
-    for fac, labs in zip(f.factors, labels):
-        operands += [fac, labs]
-    return np.einsum(*operands, list(range(f.topology.order)),
-                     optimize=GREEDY)
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_planned_path_gives_greedy_bits(seed):
     topo = random_topology(seed)
@@ -106,27 +82,9 @@ def test_planned_path_gives_greedy_bits(seed):
 
 def greedy_keys(f):
     """Every network a plan compiles for f, each as one direct greedy
-    einsum: the full contraction, then the complement of each factor n
-    (remaining modes ascending, then the bonds of n by ascending partner,
-    with a stack's batch label last, as `complement_matrix` lays it out)."""
-    topo, order = f.topology, f.topology.order
-    labels, batch = layout(order)
-    stack = [batch] if f.batch else []
-    operands = []
-    for fac, labs in zip(f.factors, labels):
-        operands += [fac, stack + list(labs)]
-    out = [np.einsum(*operands, stack + list(range(order)),
-                     optimize=GREEDY)]
-    for n in range(1, order + 1):
-        rest = operands[:2 * n - 2] + operands[2 * n:]
-        modes = [k for k in range(order) if k != n - 1]
-        bonds = [lab for lab in labels[n - 1] if lab != n - 1]
-        full = np.einsum(*rest, modes + bonds + stack, optimize=GREEDY)
-        rows = int(np.prod(topo.dims)) // topo.dims[n - 1]
-        matrix = full.reshape((rows, -1) + (f.batch,) * bool(f.batch),
-                              order="F")
-        out.append(np.moveaxis(matrix, -1, 0) if f.batch else matrix)
-    return out
+    einsum: the full contraction, then the complement of each factor."""
+    return [greedy_network(f)] + [
+        greedy_complement(f, n) for n in range(1, f.topology.order + 1)]
 
 
 def planned_keys(f):
@@ -243,20 +201,6 @@ def fc_key(topo, tplan, batch):
             ((*tplan.in_factors, batch), *factor_shapes(topo)))
 
 
-def greedy_fc(x, f, tplan):
-    """fc_tn's contraction as one direct greedy einsum: the input folded
-    over the in-factors, labelled by their modes and a batch label."""
-    order = f.topology.order
-    labels, batch = layout(order)
-    m = len(tplan.out_factors)
-    operands = [x.T.reshape(tplan.in_factors + (len(x),), order="F"),
-                list(range(m, order)) + [batch]]
-    for fac, labs in zip(f.factors, labels):
-        operands += [fac, labs]
-    out = np.einsum(*operands, [batch] + list(range(m)), optimize=GREEDY)
-    return out.reshape((len(x), tplan.rows), order="F")
-
-
 def test_fc_keys_fix_the_split_and_the_batch():
     # one stored plan serves every split of its dims at every batch size,
     # each under a key of its own
@@ -335,12 +279,39 @@ def contractions(draw):
                                 for sub in sublists)
 
 
+# layer 0 of seed 4's perfbench mlp keep-dense-kappa model and seed 3's
+# perfbench compress keep-dense layer: under numpy's default memory cap,
+# each network's greedy path ends in one naive three-operand c_einsum
+CAPPED_TOPOLOGY = TNTopology((4, 8, 2, 4), {
+    (1, 2): 3, (1, 3): 2, (1, 4): 2, (2, 3): 2, (2, 4): 2, (3, 4): 2})
+FOUND_TOPOLOGY = TNTopology((4, 8, 2, 4), {
+    (1, 2): 3, (1, 3): 2, (1, 4): 2, (2, 3): 2, (2, 4): 3, (3, 4): 1})
+# network keys of both, one set and a stack of 16, whose capped greedy path
+# and uncapped one give different bits
+CAPPED_KEYS = [network_key(FOUND_TOPOLOGY), network_key(CAPPED_TOPOLOGY, 16)]
+
+
+def test_the_capped_keys_end_in_a_multi_operand_step():
+    for sublists, out, shapes in CAPPED_KEYS:
+        operands = [x for shape, sub in zip(shapes, sublists)
+                    for x in (np.ones(shape), sub)]
+        _, capped = np.einsum_path(*operands, out, optimize="greedy",
+                                   einsum_call=True)
+        _, uncapped = np.einsum_path(*operands, out, optimize=GREEDY,
+                                     einsum_call=True)
+        assert len(capped[-1][0]) == 3
+        assert all(len(step[0]) == 2 for step in uncapped)
+
+
 @settings(max_examples=200, deadline=None)
 @given(first=contractions(), others=st.lists(contractions(), max_size=2),
        repeats=st.lists(st.integers(0, 4), max_size=6),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(first=(((0, 1), (1, 2)), (0, 2), ((2, 3), (3, 4))), others=[],
          repeats=[1, 0, 1], seed=0)
+@example(first=CAPPED_KEYS[0], others=[], repeats=[0], seed=3)
+@example(first=CAPPED_KEYS[1], others=[CAPPED_KEYS[0]], repeats=[3, 0],
+         seed=4)
 def test_the_store_is_a_memo_of_greedy_einsum(first, others, repeats, seed):
     # the first contraction also comes with its output reversed (the same
     # inputs and shapes: a (0, 2) output then (2, 0) is the example) and
@@ -386,13 +357,6 @@ def stacked_topologies(draw):
         ranks[pair] = rank if loops * rank <= BRUTE_FORCE_LOOPS else 1
         loops *= ranks[pair]
     return TNTopology(dims, ranks), stack
-
-
-# layer 0 of seed 4's perfbench mlp keep-dense-kappa model: under numpy's
-# default memory cap, its network's greedy path ends in one naive
-# three-operand c_einsum
-CAPPED_TOPOLOGY = TNTopology((4, 8, 2, 4), {
-    (1, 2): 3, (1, 3): 2, (1, 4): 2, (2, 3): 2, (2, 4): 2, (3, 4): 2})
 
 
 @settings(max_examples=50, deadline=None)

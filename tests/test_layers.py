@@ -1,6 +1,5 @@
 """Layer forward passes, tensorization planning, and complexity counts."""
 
-import sys
 from unittest import mock
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greedy_einsum import greedy_fc
 from tncompress import layers, toynet
 from tncompress.contraction import contract_network
 from tncompress.layers import (TensorizationPlan, complexity_conv,
@@ -20,10 +20,6 @@ from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
                                  random_factor_set, random_factor_stack,
                                  uniform_topology)
 from tncompress.toynet import TinyCNN, softmax_cross_entropy
-
-# numpy's greedy path with no memory cap: the path the contraction store
-# replays, every step of it pairwise on a factor network
-GREEDY = ("greedy", sys.maxsize)
 
 BATCHES = [1, 7]
 
@@ -361,24 +357,6 @@ class TestFcForward:
             fc_tn(np.zeros((batch, 8)), f, plan)
         with pytest.raises(ValueError):
             fc_tn(np.zeros((batch, 1, 9)), f, plan)
-
-
-def greedy_fc(x, f, plan):
-    """fc_tn as one direct greedy einsum: the folded input over the input
-    modes and a sample label, then the factors, labels built from the
-    topology's documented axis layout."""
-    order = f.topology.order
-    bond = {p: order + i for i, p in enumerate(mode_pairs(order))}
-    sample = order + len(bond)
-    xb = x[None] if x.ndim == 1 else x
-    operands = [xb.T.reshape(plan.in_factors + (len(xb),), order="F"),
-                [2, 3, sample]]
-    for k, fac in enumerate(f.factors, start=1):
-        operands += [fac, [k - 1 if j == k else bond[tuple(sorted((j, k)))]
-                           for j in range(1, order + 1)]]
-    out = np.einsum(*operands, [sample, 0, 1], optimize=GREEDY)
-    out = out.reshape((len(xb), plan.rows), order="F")
-    return out[0] if x.ndim == 1 else out
 
 
 @pytest.mark.parametrize("seed", range(12))

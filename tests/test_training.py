@@ -194,6 +194,30 @@ class TestTrainingLoop:
             assert len(log.rows) == 20
             assert {row["mu"] for row in log.rows} == {f"{cfg.mu0:.6f}"}
 
+    def test_a_tiny_mu0_trains(self):
+        """At mu0 = 1e-50, Y / mu is 0 / 1e-50 in float64 and not the 0 / 0
+        a float32 Y would make of it."""
+        cfg = AdmmConfig(lam=0.005, mu0=1e-50, mu_max=1e-40, period=10,
+                         max_steps=200, seed=0)
+        net, _ = train_stn(make_net("mlp", 0), make_dataset("mlp", 5), cfg)
+        for w in net.weights:
+            assert w.dtype == np.float32 and np.isfinite(w).all()
+
+    @pytest.mark.parametrize("fields, step", [
+        ({"lam": 1e300, "period": 1}, 2),
+        ({"mu0": 1e39, "mu_max": 1e40, "period": 10}, 20)])
+    def test_a_round_that_diverges_names_its_step(self, fields, step):
+        """Weights made non-finite by a round's W-update raise before its
+        SVT, at that step, with the log as without it."""
+        cfg = AdmmConfig(seed=0, **fields)
+        for log in (False, True):
+            with pytest.raises(TrainingError) as info:
+                train_stn(make_net("mlp", 0), make_dataset("mlp", 5), cfg,
+                          log=log)
+            assert info.value.step == step
+            assert str(info.value) == \
+                f"weights became non-finite at step {step}"
+
     def test_training_improves_accuracy(self):
         data = make_blobs(0)
         cfg = AdmmConfig(max_steps=500, seed=0)
@@ -233,8 +257,9 @@ def per_step_reference(net, data, cfg, reference_steps):
     with its log row built at every step: one gap ||Z - W|| per layer, one
     balanced unfolding and one effective rank per layer.  The weights and
     the rows the chunked log must reproduce.  At lam = 0 train_stn runs no
-    round, so a row holds mu0 and the gap to the float32 initial weights."""
-    initial = [np.array(w) for w in net.weights]
+    round, so a row holds mu0 and the gap to the initial weights, which Z
+    holds in float64."""
+    initial = [np.array(w, dtype=np.float64) for w in net.weights]
     rows = []
     for step, loss, acc, state in reference_steps(net, data, cfg):
         zs, mu = (initial, cfg.mu0) if cfg.lam == 0 else (state.z, state.mu)
@@ -329,7 +354,7 @@ class TestChunkedLog:
     def test_matches_per_step_rows(self, arch, period, lam, tmp_path,
                                    reference_steps):
         """At period 100 the second chunk holds steps whose Z is still the
-        float32 copy of the initial weights and steps whose Z is float64."""
+        initial weights and steps whose Z is the first round's."""
         assert_log_matches_per_step(arch, period, lam, 32, tmp_path,
                                     reference_steps)
 
