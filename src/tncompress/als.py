@@ -40,7 +40,14 @@ is laid out unlike a swept factor, so a slot that has stalled is not
 refilled: it sweeps on until its stack ends, and each start gets the bits
 it would get swept alone.  A start that goes non-finite is NaN in its own
 slot alone, and its rse is NaN; a target without a finite norm, a fit with
-no finite start, or one whose refine goes non-finite, raises NumericError.
+no finite start, or one whose refine goes non-finite, raises NumericError,
+as does a nonzero target whose norm underflows.
+A scalar mode (size 1, rank 1 on every bond) holds a one-entry factor, a
+scale the other factors carry (Kolda and Bader's scaling indeterminacy).
+While two modes remain, `als_fit` fits the target, reshaped, on the
+topology without its scalar modes, so each complement and sweep is one
+mode smaller per mode dropped; it returns a factor of 1.0 per scalar
+mode, the others reshaped, and the smaller fit's rse, history and counts.
 """
 
 from __future__ import annotations
@@ -56,7 +63,8 @@ from numpy.linalg._umath_linalg import solve as _lapack_solve
 from .contraction import complement_matrix, contract_network, stored_plan
 from .errors import NumericError, TopologyError
 from .tensor import as_array, k_unfold
-from .topology import TNFactorSet, TNTopology, random_factor_stack
+from .topology import (TNFactorSet, TNTopology, random_factor_stack,
+                       without_scalar_modes)
 
 # ρ = _PROX·tr(G)/r + _PROX_FLOOR, small so as not to slow converging fits
 _PROX = 1e-8
@@ -199,7 +207,8 @@ def _round(stack: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray],
 
 
 def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
-    """Fit factors minimizing the Frobenius error to t."""
+    """Fit factors minimizing the Frobenius error to t, on topo without
+    its scalar modes (see above); an all-zero target gets zero factors."""
     a = as_array(t).astype(np.float64)
     if tuple(a.shape) != topo.dims:
         raise TopologyError(
@@ -210,10 +219,26 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
         raise NumericError("the ALS target's norm is not finite: it holds "
                            "NaN or inf, or its entries overflow")
     if norm == 0.0:
+        if a.any():
+            raise NumericError("the ALS target's norm underflows: its "
+                               "entries are too small to square")
         f = TNFactorSet(topo, [np.zeros(topo.factor_shape(k))
                                for k in range(1, topo.order + 1)])
         return AlsResult(f, 0.0, np.zeros(0), 0, 0, 0)
+    kept, core = without_scalar_modes(topo)
+    result = _fit(a.reshape(core.dims), core, norm, cfg)
+    if core is not topo:
+        factors = [np.ones(topo.factor_shape(k))
+                   for k in range(1, topo.order + 1)]
+        for k, x in zip(kept, result.factors.factors):
+            factors[k - 1] = x.reshape(topo.factor_shape(k))
+        result.factors = TNFactorSet(topo, factors)
+    return result
 
+
+def _fit(a: np.ndarray, topo: TNTopology, norm: float,
+         cfg: AlsConfig) -> AlsResult:
+    """als_fit of a nonzero target a, of norm `norm`, on topo as it is."""
     unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
     used = attempts = 0
     best_f, best = None, [np.inf]   # the best start's factors and history

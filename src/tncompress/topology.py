@@ -4,10 +4,12 @@ A topology over N modes carries a bond rank R[m, n] for every pair
 1 <= m < n <= N.  Factor k is an N-way tensor whose axis j holds the bond
 to mode j (rank R[min(j,k), max(j,k)]) except axis k, which holds the mode
 size I_k.  Bonds of rank 1 are structurally present but non-influential.
+A mode of size 1 whose bonds all have rank 1 holds a scalar factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,13 +93,29 @@ class TNFactorSet:
 
 def tn_param_count(topo: TNTopology) -> int:
     """Total element count of a factor set with this topology."""
-    return sum(int(np.prod(topo.factor_shape(k)))
+    return sum(math.prod(topo.factor_shape(k))
                for k in range(1, topo.order + 1))
 
 
 def prune_rank_one_edges(topo: TNTopology) -> list[tuple[int, int]]:
     """Bonds with rank 1; removable without changing the contraction."""
     return [pair for pair in mode_pairs(topo.order) if topo.ranks[pair] == 1]
+
+
+def without_scalar_modes(topo: TNTopology) -> tuple[list[int], TNTopology]:
+    """The modes of topo that are not scalar, in order, and their own
+    topology.  A scalar mode has size 1 and rank 1 on every bond: its
+    factor is one entry, a scale any other factor can carry.  If fewer
+    than two modes would be left, every mode is kept and topo returned."""
+    modes = range(1, topo.order + 1)
+    kept = [k for k in modes if topo.dims[k - 1] > 1
+            or any(topo.rank(j, k) > 1 for j in modes if j != k)]
+    if len(kept) < 2 or len(kept) == topo.order:
+        return list(modes), topo
+    return kept, TNTopology(
+        tuple(topo.dims[k - 1] for k in kept),
+        {(i, j): topo.rank(kept[i - 1], kept[j - 1])
+         for i, j in mode_pairs(len(kept))})
 
 
 def uniform_topology(dims, rank: int) -> TNTopology:
@@ -119,7 +137,7 @@ def random_factor_stack(topo: TNTopology, seeds) -> list[np.ndarray]:
     factors = []
     for k in range(1, topo.order + 1):
         shape = topo.factor_shape(k)
-        bond_size = int(np.prod(shape)) // topo.dims[k - 1]
+        bond_size = math.prod(shape) // topo.dims[k - 1]
         stack = np.empty((len(rngs),) + shape)
         for rng, x in zip(rngs, stack):
             rng.standard_normal(out=x)

@@ -17,7 +17,8 @@ from tncompress.contraction import ContractionPlan, contract_network
 from tncompress.errors import NumericError, TopologyError
 from tncompress.tensor import k_unfold
 from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
-                                 random_factor_set, uniform_topology)
+                                 random_factor_set, uniform_topology,
+                                 without_scalar_modes)
 
 
 def test_complement_matrix_reproduces_contraction():
@@ -51,13 +52,18 @@ def test_complement_matrix_planned_path_gives_greedy_bits(seed):
             assert np.array_equal(complement_matrix(f, n), expected)
 
 
-# order-3/4 topologies, each with at least one rank-1 bond
+# order-3/4 topologies, each with at least one rank-1 bond; the last two
+# have a scalar mode, as compress's mlp layer 1 and tinycnn layer 0 have
 PINNED_TOPOLOGIES = [
     TNTopology((3, 4, 2), {(1, 2): 2, (1, 3): 1, (2, 3): 3}),
     TNTopology((4, 3, 4), {(1, 2): 1, (1, 3): 1, (2, 3): 2}),
     TNTopology((3, 2, 3, 2), {(1, 2): 2, (1, 3): 1, (1, 4): 2,
                               (2, 3): 1, (2, 4): 3, (3, 4): 2}),
     TNTopology((2, 3, 2, 3), {p: 1 for p in mode_pairs(4)}),
+    TNTopology((1, 2, 4, 8), {p: 3 if p == (3, 4) else 1
+                              for p in mode_pairs(4)}),
+    TNTopology((3, 3, 1, 4), {p: 2 if p == (1, 4) else 1
+                              for p in mode_pairs(4)}),
 ]
 
 
@@ -79,8 +85,9 @@ def test_als_fit_compiles_each_plan_key_once(topo, monkeypatch):
     # the restarts ran more than one round of stacked sweeps
     assert result.attempts > als._ROUND
     # one compile per key: the full network, and each complement n both
-    # for a stack of 2·_ROUND (the first two rounds) and of one (refine)
-    assert len(calls) == 2 * topo.order + 1
+    # for a stack of 2·_ROUND (the first two rounds) and of one (refine),
+    # of the network without the scalar modes
+    assert len(calls) == 2 * without_scalar_modes(topo)[1].order + 1
 
 
 @pytest.mark.parametrize("topo", PINNED_TOPOLOGIES)
@@ -177,6 +184,15 @@ def test_a_target_without_a_finite_norm_is_refused(value):
                                                   match="target"):
         warnings.simplefilter("error")
         als_fit(target, PINNED_TOPOLOGIES[0])
+
+
+def test_a_target_whose_norm_underflows_is_refused():
+    # the largest entry is 7.5e-181, and every square underflows to 0: the
+    # target is not zero, so no zero fit with rse 0.0 is returned
+    target = np.ldexp(fit_target(PINNED_TOPOLOGIES[2], 1, False), -600)
+    assert target.any() and np.linalg.norm(target) == 0.0
+    with pytest.raises(NumericError, match="underflows"):
+        als_fit(target, PINNED_TOPOLOGIES[2])
 
 
 def trained_like_target() -> np.ndarray:
@@ -474,19 +490,24 @@ def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset(),
     seeds in `dropped` are drawn but never swept, as a dead start goes NaN
     at its first sweep.  Each stack's length is appended to `lengths`, if
     given.  Every sweep, of a stack or of refine, takes its extrapolated
-    step (see `swept`)."""
+    step (see `swept`).  The fit drops the scalar modes of topo, as
+    als_fit does, sweeps the network of the other modes, and returns its
+    factors reshaped to topo's with a factor of ones for each scalar
+    mode."""
     a = np.asarray(t, dtype=np.float64)
     norm = np.linalg.norm(a)
     if norm == 0.0:
         return als_fit(t, topo, cfg)
-    unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
+    kept, core = without_scalar_modes(topo)
+    a = a.reshape(core.dims)
+    unfoldings = {n: k_unfold(a, n) for n in range(1, core.order + 1)}
     used = attempts = 0
     best_f, best = None, [np.inf]
     size, done = 2 * als._ROUND, False
     while not done and used < cfg.max_sweeps:
         seeds = [cfg.seed + als._SEED_STRIDE * (attempts + k)
                  for k in range(size)]
-        runs = {seed: (stack_of([random_factor_set(topo, seed)]), [], [])
+        runs = {seed: (stack_of([random_factor_set(core, seed)]), [], [])
                 for seed in seeds if seed not in dropped}
         length = stack_length(list(runs.values()), norm, unfoldings, cfg.tol,
                               cfg.max_sweeps - used)
@@ -500,7 +521,7 @@ def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset(),
                 if seed in runs:
                     _, history, states = runs[seed]
                     if history[length - 1] < best[-1]:
-                        best_f = TNFactorSet(topo, states[length - 1],
+                        best_f = TNFactorSet(core, states[length - 1],
                                              batch=1)
                         best = history[:length]
             done = best[-1] >= prior * (1 - als._GAIN) or best[-1] <= cfg.tol
@@ -515,10 +536,14 @@ def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset(),
                     lambda h: h[-1] <= cfg.tol or stalled([prior] + h,
                                                           cfg.tol))
     best += refine[1]
-    f = TNFactorSet(topo, [x[0] for x in best_f.factors])
+    f = TNFactorSet(core, [x[0] for x in best_f.factors])
     best[-1] = float(np.linalg.norm(contract_network(f) - a) / norm)
-    return AlsResult(f, best[-1], np.array(best), attempts,
-                     used + len(refine[1]), len(refine[1]))
+    factors = [np.ones(topo.factor_shape(k))
+               for k in range(1, topo.order + 1)]
+    for k, x in zip(kept, f.factors):
+        factors[k - 1] = x.reshape(topo.factor_shape(k))
+    return AlsResult(TNFactorSet(topo, factors), best[-1], np.array(best),
+                     attempts, used + len(refine[1]), len(refine[1]))
 
 
 def assert_same_fit(got, want):
@@ -567,13 +592,14 @@ def test_stacked_restarts_give_the_sequential_fit(topo, planted, seed,
                     sequential_als_fit(target, topo, cfg))
 
 
-def count_sweeps(monkeypatch):
-    """Record the stack size of every `_sweep` pass als_fit makes."""
+def count_sweeps(monkeypatch, read=lambda f: f.batch):
+    """Record read(f), the stack size unless given, of every `_sweep` pass
+    als_fit makes."""
     real_sweep = als._sweep
     sizes = []
 
     def sweep(f, *rest):
-        sizes.append(f.batch)
+        sizes.append(read(f))
         return real_sweep(f, *rest)
 
     monkeypatch.setattr(als, "_sweep", sweep)
@@ -1053,3 +1079,58 @@ def test_a_singular_gram_of_a_stacked_proximal_solve_is_finite():
     assert np.isfinite(np.delete(block, 2, axis=0)).all()
     for k in (0, 1, 3, 4, 5):
         assert np.array_equal(block[k], np.linalg.solve(gram[k], rhs[k].T).T)
+
+
+# ---------------------------------------------------------------------------
+# scalar modes
+
+# with one scalar mode (the last two pinned topologies) and with two
+SCALAR_TOPOLOGIES = PINNED_TOPOLOGIES[4:] + [
+    TNTopology((1, 3, 1, 4), {p: 2 if p == (2, 4) else 1
+                              for p in mode_pairs(4)})]
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("topo", SCALAR_TOPOLOGIES)
+def test_a_fit_drops_its_scalar_modes(topo, planted, monkeypatch):
+    kept, core = without_scalar_modes(topo)
+    target, cfg = fit_target(topo, 1, planted), AlsConfig(seed=1)
+    want = als_fit(target.reshape(core.dims), core, cfg)
+    orders = count_sweeps(monkeypatch, lambda f: f.topology.order)
+    got = als_fit(target, topo, cfg)
+    assert set(orders) == {core.order} and core.order < topo.order
+    assert got.factors.topology == topo
+    for k in range(1, topo.order + 1):
+        if k not in kept:
+            assert np.array_equal(got.factors.factors[k - 1],
+                                  np.ones(topo.factor_shape(k)))
+    for k, x in zip(kept, want.factors.factors):
+        assert np.array_equal(got.factors.factors[k - 1],
+                              x.reshape(topo.factor_shape(k)))
+    assert np.array_equal(got.history, want.history)
+    assert (got.rse, got.attempts, got.total_sweeps, got.refine_sweeps) == \
+        (want.rse, want.attempts, want.total_sweeps, want.refine_sweeps)
+    # both networks are one function: the rse is the returned network's
+    exact = np.linalg.norm(contract_network(got.factors) - target) \
+        / np.linalg.norm(target)
+    assert got.rse == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("topo", [
+    TNTopology((1, 3, 4), {(1, 2): 2, (1, 3): 1, (2, 3): 2}),
+    uniform_topology((1, 1, 5), 1), uniform_topology((1, 4), 1),
+    uniform_topology((1, 1), 1)])
+def test_a_fit_without_a_scalar_mode_to_drop_sweeps_every_mode(
+        topo, monkeypatch):
+    # a size-1 mode with a rank-2 bond is not scalar; dropping the scalar
+    # modes of the others would leave fewer than two modes, which no
+    # topology has
+    assert without_scalar_modes(topo)[1] is topo
+    orders = count_sweeps(monkeypatch, lambda f: f.topology.order)
+    target = fit_target(topo, 1, False)
+    result = als_fit(target, topo, AlsConfig(seed=1))
+    assert set(orders) == {topo.order}
+    assert result.factors.topology == topo
+    assert result.rse == pytest.approx(
+        np.linalg.norm(contract_network(result.factors) - target)
+        / np.linalg.norm(target), rel=1e-12)

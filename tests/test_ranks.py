@@ -175,6 +175,21 @@ class TestDetermineRanks:
         for (m, n), r in sel.ranks.items():
             assert r == min(t.shape[m - 1], t.shape[n - 1])
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_a_size_one_mode_gets_rank_one_bonds(self, data):
+        """Each pair curve of a mode of size 1 has one entry, so every bond
+        of that mode has rank 1 at any kappa: the mode is scalar, and
+        als_fit drops it."""
+        dims = data.draw(st.lists(st.integers(1, 6), min_size=2,
+                                  max_size=4))
+        unit = data.draw(st.integers(1, len(dims)))
+        dims[unit - 1] = 1
+        kappa = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        ranks = determine_ranks(rng.standard_normal(dims), kappa).ranks
+        assert all(r == 1 for pair, r in ranks.items() if unit in pair)
+
     def test_curves_are_valid_cdfs(self):
         t = np.random.default_rng(4).standard_normal((4, 4, 4))
         curves, energy = retention_curves(t)

@@ -9,7 +9,7 @@ from tncompress.errors import TopologyError
 from tncompress.topology import (TNFactorSet, TNTopology, mode_pairs,
                                  prune_rank_one_edges, random_factor_set,
                                  random_factor_stack, tn_param_count,
-                                 uniform_topology)
+                                 uniform_topology, without_scalar_modes)
 
 
 def test_mode_pairs():
@@ -115,3 +115,25 @@ def test_a_stack_slice_is_the_factor_set_of_its_seed(topo):
         single = random_factor_set(topo, seed).factors
         for stacked, factor in zip(stack, single, strict=True):
             assert stacked[i].tobytes() == factor.tobytes()
+
+
+def test_without_scalar_modes_keeps_the_other_modes_bonds():
+    # mode 3 is scalar; mode 1 has size 1 but a rank-2 bond to mode 4
+    topo = TNTopology((1, 3, 1, 4), {(1, 2): 1, (1, 3): 1, (1, 4): 2,
+                                     (2, 3): 1, (2, 4): 3, (3, 4): 1})
+    kept, core = without_scalar_modes(topo)
+    assert kept == [1, 2, 4]
+    assert core == TNTopology((1, 3, 4), {(1, 2): 1, (1, 3): 2, (2, 3): 3})
+    # each kept factor is the core's with the scalar mode's axis inserted
+    for k, c in zip(kept, range(1, 4)):
+        assert topo.factor_shape(k) == tuple(
+            np.insert(core.factor_shape(c), 2, 1))
+    assert tn_param_count(topo) == tn_param_count(core) + 1
+
+
+@pytest.mark.parametrize("topo", [
+    uniform_topology((2, 3, 4), 1), uniform_topology((1, 1, 3), 1),
+    uniform_topology((1, 4), 1), uniform_topology((1, 1, 2), 2)])
+def test_without_scalar_modes_drops_nothing_or_leaves_two_modes(topo):
+    assert without_scalar_modes(topo) == (list(range(1, topo.order + 1)),
+                                          topo)
