@@ -2,31 +2,31 @@
 
 The one place that turns a factor set into einsum operands and contracts
 it: the whole network, the network less one factor (ALS's complement) and,
-in `layers.fc_tn` and the stages of `layers.conv2d_tn`, factors against an
-input.  A per-topology `ContractionPlan` holds the integer einsum labels
-and a compiled step list for each contraction over them, compiled on first
-use.  A step list is numpy's own contraction list for the greedy path
-without its memory cap, `GREEDY` (capped, a path may end in one naive
-multi-operand `c_einsum`; uncapped, every step of a factor network is
-pairwise): the operand positions each step pops and that step's einsum
-string, and for a pairwise step the parse numpy's `bmm_einsum` makes of it
-(the one-operand einsums that prepare each side, the reshapes, the output
-permutation and whether the pair is a pure multiply).  Replaying it calls
-the kernels np.einsum(optimize=GREEDY) reaches (`c_einsum`, `matmul` or
-`multiply`, reshape and transpose) in the same order on the same operands,
-so a plan gives the same bits and skips the per-call parsing, path and
-dispatch work.
+in `layers.fc_tn`, factors against an input.  A per-topology
+`ContractionPlan` holds the integer einsum labels and a compiled step list
+for each contraction over them, compiled on first use.  A step list is
+numpy's own contraction list for the greedy path without its memory cap,
+`GREEDY` (capped, a path may end in one naive multi-operand `c_einsum`;
+uncapped, every step of a factor network is pairwise): the operand
+positions each step pops and that step's einsum string, and for a pairwise
+step the parse numpy's `bmm_einsum` makes of it (the one-operand einsums
+that prepare each side, the reshapes, the output permutation and whether
+the pair is a pure multiply).  Replaying it calls the kernels
+np.einsum(optimize=GREEDY) reaches (`c_einsum`, `matmul` or `multiply`,
+reshape and transpose) in the same order on the same operands, so a plan
+gives the same bits and skips the per-call parsing, path and dispatch work.
 
 A process-wide store keyed on the topology, `stored_plan`, is the only
-source of plans: every contraction, ALS sweep and TN forward pass runs on
-the plan of its factor set's topology, so each contraction is compiled
+source of plans: every network contraction, ALS sweep and `fc_tn` call runs
+on the plan of its factor set's topology, so each contraction is compiled
 once per process for each set of sublists and operand shapes.
 """
 
 from __future__ import annotations
 
+import math
 import sys
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 # The one-operand kernel np.einsum runs and the pairwise parse its
@@ -43,9 +43,9 @@ class ContractionPlan:
     """Labels of one topology (modes 0..N-1, bonds N, N+1, ... in
     `mode_pairs` order), the operands of a factor set over them, the output
     labels and row count of each complement matrix and the fold of each
-    block solution into its factor (ALS's tables, built on first read), and
-    a step list for every network contracted over it, compiled on first
-    use.  N(N+1)/2, the first label left free, is the batch label.
+    block solution into its factor (ALS's tables), and a step list for
+    every network contracted over it, compiled on first use.  N(N+1)/2,
+    the first label left free, is the batch label.
 
     A stack of K factor sets (`TNFactorSet` with batch K > 0) is contracted
     in one pass under the batch label: it leads every factor's labels and
@@ -76,27 +76,21 @@ class ContractionPlan:
         self.modes = tuple(range(order))
         self.batch_label = order + len(bond)
         self._steps: dict[tuple, list] = {}
-
-    @cached_property
-    def complements(self) -> dict:
+        dims = topo.dims
         # n -> (output labels, row count) of complement_matrix(f, n): the
         # remaining modes ascending, then the bonds incident to mode n
-        dims = self.topology.dims
-        return {n: (self.modes[:n - 1] + self.modes[n:] + tuple(
-                        lab for lab in self.labels[n - 1] if lab != n - 1),
-                    int(np.prod(dims)) // dims[n - 1])
-                for n in range(1, len(dims) + 1)}
-
-    @cached_property
-    def folds(self) -> dict:
+        self.complements = {
+            n: (self.modes[:n - 1] + self.modes[n:]
+                + tuple(lab for lab in self.labels[n - 1] if lab != n - 1),
+                math.prod(dims) // dims[n - 1])
+            for n in range(1, order + 1)}
         # n -> (permutation, inverse): the inverse transposes a stack of
         # factor n to (sets, I_n, bonds...), which reshapes in F order to
         # its blocks, I_n x (bond product) with columns little-endian over
         # the bonds of n; the permutation moves axis 1 back to n
-        order = self.topology.order
-        return {n: ([0, *range(2, n + 1), 1, *range(n + 1, order + 1)],
-                    [0, n, *range(1, n), *range(n + 1, order + 1)])
-                for n in range(1, order + 1)}
+        self.folds = {n: ([0, *range(2, n + 1), 1, *range(n + 1, order + 1)],
+                          [0, n, *range(1, n), *range(n + 1, order + 1)])
+                      for n in range(1, order + 1)}
 
     def operands(self, f: TNFactorSet, skip: int = 0) -> tuple[list, tuple]:
         """f's factors as interleaved einsum operands, less factor `skip`

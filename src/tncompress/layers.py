@@ -138,8 +138,8 @@ def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
     The convolution stage is one `conv2d_dense` call: its batch is the
     samples times the in-channel factor's bond to the out-channel factor
     (B·r34 x W x H x r13·r23), and its kernel the merged spatial factors
-    (K x K x r13·r23 x r14·r24).  The other three stages run on the
-    stored `ContractionPlan` of f's topology, as `fc_tn` does.
+    (K x K x r13·r23 x r14·r24).  The other three stages are plain
+    `np.einsum` calls, sharing no code with the `contract_network` path.
 
     x is W x H x S or a B x W x H x S batch, with the output shaped as in
     `conv2d_dense`.  The FLOP count covers the whole call: the spatial
@@ -159,19 +159,15 @@ def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
 
     r12, r13, r23 = z1.shape[1], z1.shape[2], z2.shape[2]
     r14, r24, r34 = z4.shape[0], z4.shape[1], z4.shape[2]
-    net = stored_plan(topo)
-    l1, l2, l3, l4 = net.labels
-    (b13, b23, _, b34), (b14, b24, _, _) = l3, l4
-    n = net.batch_label
-    pw, ph = n + 1, n + 2       # the pixel axes: width, height
-    # channel stage over the full spatial extent, its bond b34 in the batch
-    p = net.einsum(x, (n, pw, ph, 2), z3, l3, (n, b34, pw, ph, b13, b23))
+    # bonds a c d e f g join factors 1-2 1-3 1-4 2-3 2-4 3-4; b is the sample
+    # channel stage over the full spatial extent, its bond g in the batch
+    p = np.einsum("bwhs,cesg->bgwhce", x, z3)
     # spatial factors merged over their shared bond
-    merged = net.einsum(z1, l1, z2, l2, (0, 1, b13, b23, b14, b24))
+    merged = np.einsum("kacd,alef->klcedf", z1, z2)
     q = conv2d_dense(p.reshape(b * r34, w, h, r13 * r23),
                      merged.reshape(k, k, r13 * r23, r14 * r24))
-    y = net.einsum(q.reshape(b, r34, wo, ho, r14, r24),
-                   (n, b34, pw, ph, b14, b24), z4, l4, (n, pw, ph, 3))
+    y = np.einsum("bgwhdf,dfgt->bwht",
+                  q.reshape(b, r34, wo, ho, r14, r24), z4)
     if single:
         y = y[0]
     if not count_flops:

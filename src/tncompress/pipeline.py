@@ -17,8 +17,7 @@ from .errors import ConfigError, CorruptionError, FormatError, NumericError
 # conv2d_tn and fc_tn are not called here, but perfbench's trace sites look
 # them up in this module
 from .layers import (TensorizationPlan, conv2d_dense, conv2d_tn,  # noqa: F401
-                     fc_dense_from_tn, fc_tn, plan_tensorization,
-                     tensorize_matrix)
+                     fc_tn, plan_tensorization)
 from .model_io import (ModelContainer, check_outputs, load_model,
                        parse_key_values, read_text, save_model, write_csv)
 from .ranks import budget_kappa, ranks_from_curves, retention_curves
@@ -130,8 +129,9 @@ class _Layer:
         its factors on its first forward: at these sizes that and the dense
         op cost less than the staged `conv2d_tn` or `fc_tn`."""
         if self.weight is None:
-            self.weight = (contract_network(self.factors) if self.kind == "conv"
-                           else fc_dense_from_tn(self.factors, self.plan))
+            # F order folds an FC's tensorized modes back to its M x N dims
+            self.weight = contract_network(self.factors).reshape(self.dims,
+                                                                 order="F")
         if self.kind == "conv":
             return conv2d_dense(x, self.weight)
         return x @ self.weight.T
@@ -228,8 +228,8 @@ def _prepare(container: ModelContainer) -> _Prepared:
     layers = container_layers(container)
     if any(layer.fmt != "dense" for layer in layers):
         raise FormatError("can only compress a dense-format model")
-    tensors = [layer.weight if layer.kind == "conv"
-               else tensorize_matrix(layer.weight, layer.plan)
+    tensors = [layer.weight.reshape(layer.plan.dims if layer.plan
+                                    else layer.dims, order="F")
                for layer in layers]
     return _Prepared(seed, layers, tensors,
                      [retention_curves(t)[0] for t in tensors])

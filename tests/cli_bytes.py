@@ -19,7 +19,7 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/cli_bytes.py [--against PARENT.json]
 
-It prints JSON with three keys.  `environment` holds the numpy version,
+It prints JSON with four keys.  `environment` holds the numpy version,
 the BLAS build numpy was built against (`np.show_config`'s name, version
 and OpenBLAS configuration) and `platform.machine()`: the hashes are only
 expected to repeat under the same ones.  `blas_core` names the OpenBLAS
@@ -33,13 +33,15 @@ diagnostic for a hash mismatch, not part of the environment.
 (`<run>.stdout`, with the temporary directory written as `<work>`, where
 `<run>` is the name of the model the run writes or, for eval,
 `<model>-eval`, for tradeoff, `<model>-tradeoff`, for report,
-`<model>-report`) to its sha256.  With --against, the JSON of an earlier
-run (of the parent tree, say), it then lists on stderr every environment
-field that differs, the two OpenBLAS cores if they differ, every file or
-printed output whose hash differs or that only one run holds, and exits 1
-if there is any.
+`<model>-report`) to its sha256.  `stdout` maps each `<run>.stdout` to the
+printed text that hash is taken of.  With --against, the JSON of an
+earlier run (of the parent tree, say), it then lists on stderr every
+environment field that differs, the two OpenBLAS cores if they differ,
+every file or printed output whose hash differs or that only one run
+holds, with the old and new line of each printed line that differs, and
+exits 1 if there is any.
 
-`tests/cli_bytes.json` holds the hashes of the current tree, and
+`tests/cli_bytes.json` holds this output for the current tree, and
 `tests/test_cli_bytes.py` checks them in the test suite.  Regenerate it,
 on a change that moves bytes on purpose, with
 
@@ -53,6 +55,7 @@ import contextlib
 import ctypes
 import hashlib
 import io
+import itertools
 import json
 import platform
 import sys
@@ -99,10 +102,10 @@ def blas_core() -> str:
     return "unknown"
 
 
-def run(work: Path) -> dict[str, str]:
+def run(work: Path) -> tuple[dict[str, str], dict[str, str]]:
     """Run every command of the grid in work; the sha256 of each written
-    file and of each run's printed lines."""
-    hashes = {}
+    file and of each run's printed lines, and those printed lines."""
+    hashes, texts = {}, {}
 
     def cli_run(name: str, argv: list[str], outputs=()) -> None:
         printed = io.StringIO()
@@ -110,8 +113,9 @@ def run(work: Path) -> dict[str, str]:
             status = cli.main(argv)
         if status != 0:
             raise SystemExit(f"{argv[0]} failed on {name}")
-        hashes[f"{name}.stdout"] = sha256(
-            printed.getvalue().replace(str(work), "<work>").encode())
+        text = texts[f"{name}.stdout"] = printed.getvalue().replace(
+            str(work), "<work>")
+        hashes[f"{name}.stdout"] = sha256(text.encode())
         for path in outputs:
             hashes[path.name] = sha256(path.read_bytes())
 
@@ -159,13 +163,21 @@ def run(work: Path) -> dict[str, str]:
                                           "--data", str(data)])
                 cli_run(f"{model}-report", ["report", "--model",
                                             str(work / f"{model}.stnz")])
-    return hashes
+    return hashes, texts
 
 
 def differing(parent: dict, change: dict) -> list[str]:
     """Every entry whose hash differs, or that only one run holds."""
     return sorted(name for name in parent.keys() | change.keys()
                   if parent.get(name) != change.get(name))
+
+
+def changed_lines(old: str, new: str) -> list[str]:
+    """Each printed line that differs between two runs' text of one
+    command, as its old and its new line (empty where one text is
+    shorter)."""
+    return [f"  - {a}\n  + {b}" for a, b in itertools.zip_longest(
+        old.splitlines(), new.splitlines(), fillvalue="") if a != b]
 
 
 def describe(recorded: dict, here: dict) -> list[str]:
@@ -181,10 +193,11 @@ def main():
                         help="an earlier run's JSON to compare this run to")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        hashes = run(Path(tmp))
+        hashes, texts = run(Path(tmp))
     env, core = environment(), blas_core()
     print(json.dumps({"environment": env, "blas_core": core,
-                      "hashes": hashes}, indent=1, sort_keys=True))
+                      "hashes": hashes, "stdout": texts}, indent=1,
+                     sort_keys=True))
     if args.against:
         with open(args.against) as f:
             parent = json.load(f)
@@ -194,8 +207,12 @@ def main():
             print(f"OpenBLAS core: {parent.get('blas_core', 'unknown')!r} "
                   f"there, {core!r} here", file=sys.stderr)
         diff = differing(parent["hashes"], hashes)
+        old_texts = parent.get("stdout", {})
         for name in diff:
             print(f"differs: {name}", file=sys.stderr)
+            if name in old_texts and name in texts:
+                for line in changed_lines(old_texts[name], texts[name]):
+                    print(line, file=sys.stderr)
         print(f"{len(diff)} of {len(hashes)} entries differ", file=sys.stderr)
         return 1 if diff else 0
     return 0

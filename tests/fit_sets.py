@@ -17,7 +17,8 @@ It prints JSON: per set, each fit's `rse`, `total_sweeps` and
 `refine_sweeps`, the `_sweep` passes by stack size and the seconds spent
 in `als_fit`.  With --against, the JSON of an earlier run (of the parent
 tree, say), it then prints on stderr, per set both runs hold, how the
-fits moved from that run to this one (see `compare`).
+fits moved from that run to this one (see `compare`), then each fit whose
+rse rose by more than LISTED_RISE, as its case and old -> new rse.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from tncompress.training import train_stn
 TRAIN_STEPS = {"mlp": 600, "tinycnn": 200}
 BUDGETS = (1.5, 2.0, 3.0)
 RANDOM_SET_SIZE = 600
+LISTED_RISE = 1e-5      # the per-fit rise that ALS changes are gated on
 
 
 def random_fit_target(i):
@@ -120,8 +122,10 @@ def compare(parent, change):
     """Per set that both runs hold: the mean rse, parent and change; how
     many fits got better, worse or stayed the same, matched by case name
     and compared as exact floats; the largest rise as (rise, case), None
-    if no fit rose; the `_sweep` passes by stack size and in total, and
-    the seconds in `als_fit`, each as (parent, change)."""
+    if no fit rose; every fit whose rse rose by more than LISTED_RISE, as
+    (case, parent rse, change rse), largest rise first; the `_sweep`
+    passes by stack size and in total, and the seconds in `als_fit`, each
+    as (parent, change)."""
     out = {}
     for name in [name for name in change if name in parent]:
         before = {f["case"]: f["rse"] for f in parent[name]["fits"]}
@@ -141,6 +145,9 @@ def compare(parent, change):
             "same": sum(r == 0 for r in rises.values()),
             "largest_rise": max(((r, case) for case, r in rises.items()
                                  if r > 0), default=None),
+            "risen": sorted(((case, before[case], after[case])
+                             for case, r in rises.items() if r > LISTED_RISE),
+                            key=lambda fit: fit[1] - fit[2]),
             "passes": passes,
             "total_passes": tuple(sum(p) for p in zip(*passes.values())),
             "als_fit_s": (parent[name]["als_fit_s"],
@@ -160,7 +167,10 @@ def print_comparison(comparison, file):
                                     in c["passes"].items())
               + f", total {c['total_passes'][0]} -> {c['total_passes'][1]}"
               f"; als_fit {c['als_fit_s'][0]:.2f} -> "
-              f"{c['als_fit_s'][1]:.2f} s", file=file)
+              f"{c['als_fit_s'][1]:.2f} s; {len(c['risen'])} rose by more "
+              f"than {LISTED_RISE:g}", file=file)
+        for case, old, new in c["risen"]:
+            print(f"  {case}: {old!r} -> {new!r}", file=file)
 
 
 def main():

@@ -374,17 +374,21 @@ def test_fit_sets_compares_two_runs_fit_by_fit():
         return {"fits": [{"case": c, "rse": r} for c, r in rses.items()],
                 "passes": passes, "als_fit_s": seconds}
 
-    parent = {"random": run({"a": 0.5, "b": 0.25, "c": 0.1, "d": 0.2},
+    parent = {"random": run({"a": 0.5, "b": 0.25, "c": 0.1, "d": 0.2,
+                             "e": 0.4, "f": 0.7},
                             {"16": 10, "8": 4, "1": 6}, 2.0),
               "trained": run({"x": 1.0}, {"1": 1}, 1.0)}
-    change = {"random": run({"d": 0.2, "c": 0.3, "b": 0.125, "a": 0.5},
+    change = {"random": run({"d": 0.2, "c": 0.3, "b": 0.125, "a": 0.5,
+                             "e": 0.400005, "f": 0.71},
                             {"16": 7, "1": 9}, 1.5)}
     [(name, c)] = fit_sets.compare(parent, change).items()
     assert name == "random"
-    assert c["mean_rse"] == (np.mean([0.5, 0.25, 0.1, 0.2]),
-                             np.mean([0.5, 0.125, 0.3, 0.2]))
-    assert (c["better"], c["worse"], c["same"]) == (1, 1, 2)
+    assert c["mean_rse"] == (np.mean([0.5, 0.25, 0.1, 0.2, 0.4, 0.7]),
+                             np.mean([0.5, 0.125, 0.3, 0.2, 0.400005, 0.71]))
+    assert (c["better"], c["worse"], c["same"]) == (1, 3, 2)
     assert c["largest_rise"] == (0.3 - 0.1, "c")
+    # "e" rose by less than the listed rise
+    assert c["risen"] == [("c", 0.1, 0.3), ("f", 0.7, 0.71)]
     assert c["passes"] == {"16": (10, 7), "8": (4, 0), "1": (6, 9)}
     assert c["total_passes"] == (20, 16)
     assert c["als_fit_s"] == (2.0, 1.5)

@@ -25,7 +25,7 @@ def test_the_grid_gives_the_recorded_bytes(tmp_path):
         + f"\nrecorded: {recorded['environment']}\nhere: {here}\n"
         f"to record this environment's hashes instead, run "
         f"`{cli_bytes.REGENERATE}`")
-    hashes = cli_bytes.run(tmp_path)
+    hashes, _ = cli_bytes.run(tmp_path)
     diff = cli_bytes.differing(recorded["hashes"], hashes)
     assert diff == [], (
         f"{len(diff)} of {len(recorded['hashes'])} entries differ from "

@@ -141,8 +141,7 @@ def test_a_topology_is_a_value():
     assert np.array_equal(contract_network(f), greedy_network(f))
 
 
-def test_plan_builds_the_als_tables_only_when_read():
-    # `complements` and `folds` are ALS's; a forward pass builds neither
+def test_a_fit_reuses_the_plan_a_forward_built():
     contraction.stored_plan.cache_clear()
     topo = TNTopology((4, 8, 2, 4), {p: 2 for p in mode_pairs(4)})
     f = random_factor_set(topo, seed=0)
@@ -151,13 +150,10 @@ def test_plan_builds_the_als_tables_only_when_read():
     plan = stored_plan(topo)
     assert list(plan._steps) == [fc_key(topo, tplan, 3)]
     assert contraction.stored_plan.cache_info().currsize == 1
-    assert "complements" not in vars(plan) and "folds" not in vars(plan)
-    complement_matrix(f, 2)
-    assert "complements" in vars(plan) and "folds" not in vars(plan)
     # ALS sweeps on the plan the forward pass ran on
     als_fit(contract_network(random_factor_set(topo, seed=1)), topo,
             AlsConfig(max_sweeps=1))
-    assert stored_plan(topo) is plan and "folds" in vars(plan)
+    assert stored_plan(topo) is plan
 
 
 def test_a_fit_and_a_forward_on_its_loaded_topology_share_a_plan(tmp_path):

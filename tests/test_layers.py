@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedy_einsum import greedy_fc
-from tncompress import layers, toynet
+from tncompress import contraction, layers, toynet
 from tncompress.contraction import contract_network
 from tncompress.layers import (TensorizationPlan, complexity_conv,
                                complexity_fc, conv2d_dense, conv2d_tn,
@@ -281,9 +281,9 @@ class TestWindows:
 
 def test_conv_plan_keys_fix_the_batch_and_the_input_size():
     """One factor set through `conv2d_tn` at batches 1, 7 and 256 and two
-    input sizes, and back, in one process: a stage that replayed the steps
-    compiled for another batch or spatial size would give that shape's
-    values or fail."""
+    input sizes, and back, in one process: every call matches the dense
+    conv of the contracted kernel, and counts the staged FLOPs, whatever
+    batch or spatial size ran before it."""
     r = {(1, 2): 2, (1, 3): 1, (1, 4): 3, (2, 3): 2, (2, 4): 2, (3, 4): 3}
     k, s, t = 3, 2, 5
     f = random_factor_set(TNTopology((k, k, s, t), r), seed=21)
@@ -304,6 +304,16 @@ def test_conv_plan_keys_fix_the_batch_and_the_input_size():
                 + batch * wo * ho * k * k * r[1, 3] * r[2, 3] * r[1, 4]
                 * r[2, 4] * r[3, 4]
                 + batch * wo * ho * t * r[1, 4] * r[2, 4] * r[3, 4])
+
+
+def test_conv2d_tn_compiles_no_store_key():
+    """The staged conv is the reference the stored `contract_network` path
+    is checked against, so it leaves the contraction store empty."""
+    f = random_factor_set(uniform_topology((3, 3, 2, 5), 2), seed=23)
+    contraction.stored_plan.cache_clear()
+    for batch in (1, 256):
+        conv2d_tn(np.ones((batch, 8, 8, 2)), f)
+    assert contraction.stored_plan.cache_info().currsize == 0
 
 
 class TestFcForward:
