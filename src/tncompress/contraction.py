@@ -1,25 +1,24 @@
 """Contraction engine for generalized tensor networks.
 
 The one place that turns a factor set into einsum operands and contracts
-it: the whole network, the network less one factor (ALS's complement) and,
-in `layers.fc_tn`, factors against an input.  A per-topology
-`ContractionPlan` holds the integer einsum labels and a compiled step list
-for each contraction over them, compiled on first use.  A step list is
-numpy's own contraction list for the greedy path without its memory cap,
-`GREEDY` (capped, a path may end in one naive multi-operand `c_einsum`;
-uncapped, every step of a factor network is pairwise): the operand
-positions each step pops and that step's einsum string, and for a pairwise
-step the parse numpy's `bmm_einsum` makes of it (the one-operand einsums
-that prepare each side, the reshapes, the output permutation and whether
-the pair is a pure multiply).  Replaying it calls the kernels
+it: the whole network or the network less one factor (ALS's complement).
+A per-topology `ContractionPlan` holds the integer einsum labels and a
+step list for each contraction over them, compiled on first use: numpy's
+own contraction list for the greedy path without its memory cap, `GREEDY`
+(capped, a path may end in one naive multi-operand `c_einsum`; uncapped,
+every step of a factor network is pairwise), the operand positions each
+step pops and that step's einsum string, and for a pairwise step the parse
+numpy's `bmm_einsum` makes of it (the one-operand einsums that prepare
+each side, the reshapes, the output permutation and whether the pair is a
+pure multiply).  Replaying it calls the kernels
 np.einsum(optimize=GREEDY) reaches (`c_einsum`, `matmul` or `multiply`,
 reshape and transpose) in the same order on the same operands, so a plan
 gives the same bits and skips the per-call parsing, path and dispatch work.
 
 A process-wide store keyed on the topology, `stored_plan`, is the only
-source of plans: every network contraction, ALS sweep and `fc_tn` call runs
-on the plan of its factor set's topology, so each contraction is compiled
-once per process for each set of sublists and operand shapes.
+source of plans: every network contraction and ALS sweep runs on the plan
+of its factor set's topology, so each contraction is compiled once per
+process for each left-out factor and stack size.
 """
 
 from __future__ import annotations
@@ -39,13 +38,20 @@ from .topology import TNFactorSet, TNTopology, mode_pairs
 GREEDY = ("greedy", sys.maxsize)     # no cap on an intermediate's size
 
 
+def network_labels(order: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Each factor's einsum labels in an N = `order` network (modes 0..N-1,
+    bonds N, N+1, ... in `mode_pairs` order) and its batch label, N(N+1)/2."""
+    bond = {pair: order + i for i, pair in enumerate(mode_pairs(order))}
+    return tuple(tuple(k - 1 if j == k else bond[(min(j, k), max(j, k))]
+                       for j in range(1, order + 1))
+                 for k in range(1, order + 1)), order + len(bond)
+
+
 class ContractionPlan:
-    """Labels of one topology (modes 0..N-1, bonds N, N+1, ... in
-    `mode_pairs` order), the operands of a factor set over them, the output
-    labels and row count of each complement matrix and the fold of each
-    block solution into its factor (ALS's tables), and a step list for
-    every network contracted over it, compiled on first use.  N(N+1)/2,
-    the first label left free, is the batch label.
+    """The `network_labels` of one topology, the output labels and row
+    count of each complement matrix and the fold of each block solution
+    into its factor (ALS's tables), and a step list for every network
+    contracted over them, compiled on first use.
 
     A stack of K factor sets (`TNFactorSet` with batch K > 0) is contracted
     in one pass under the batch label: it leads every factor's labels and
@@ -60,21 +66,16 @@ class ContractionPlan:
     A pairwise step's parse is `bmm_einsum`'s, made from the shapes of the
     compiling call; replaying it runs what `bmm_einsum` runs with its
     default order="K".  A one-operand step's parse is None: it is one
-    `c_einsum`.  The step lists are a memo of
-    np.einsum(*operands, optimize=GREEDY), keyed on every sublist and
-    operand shape.  Plans come from `stored_plan` alone.
+    `c_einsum`.  A step list is keyed on (left-out factor, stack size),
+    which with the topology fix every sublist and operand shape.  Plans
+    come from `stored_plan` alone.
     """
 
     def __init__(self, topo: TNTopology):
         self.topology = topo
         order = topo.order
-        bond = {pair: order + i for i, pair in enumerate(mode_pairs(order))}
-        self.labels = tuple(
-            tuple(k - 1 if j == k else bond[(min(j, k), max(j, k))]
-                  for j in range(1, order + 1))
-            for k in range(1, order + 1))
+        self.labels, self.batch_label = network_labels(order)
         self.modes = tuple(range(order))
-        self.batch_label = order + len(bond)
         self._steps: dict[tuple, list] = {}
         dims = topo.dims
         # n -> (output labels, row count) of complement_matrix(f, n): the
@@ -92,28 +93,24 @@ class ContractionPlan:
                           [0, n, *range(1, n), *range(n + 1, order + 1)])
                       for n in range(1, order + 1)}
 
-    def operands(self, f: TNFactorSet, skip: int = 0) -> tuple[list, tuple]:
-        """f's factors as interleaved einsum operands, less factor `skip`
-        (1-based; 0 keeps all), and the stack labels: (batch label,) or ()."""
-        stack = (self.batch_label,) if f.batch else ()
-        operands = []
-        for k, (fac, labs) in enumerate(zip(f.factors, self.labels), start=1):
-            if k != skip:
-                operands += [fac, stack + labs]
-        return operands, stack
-
-    def einsum(self, *operands) -> np.ndarray:
-        """np.einsum(*operands, optimize=GREEDY) over interleaved operands
-        with tuple sublists, by replaying the step list stored under
-        (input sublists, output sublist, operand shapes)."""
-        arrays = list(operands[:-1:2])
-        key = (operands[1::2], operands[-1], tuple(a.shape for a in arrays))
-        steps = self._steps.get(key)
+    def contract(self, f: TNFactorSet, skip: int = 0) -> np.ndarray:
+        """np.einsum(..., optimize=GREEDY) over f's factors less factor
+        `skip` (1-based; 0 keeps all), to the stack's labels then the modes,
+        or to complement `skip`'s then the stack's, by replaying the step
+        list stored under (skip, f.batch)."""
+        arrays = [fac for k, fac in enumerate(f.factors, start=1) if k != skip]
+        steps = self._steps.get((skip, f.batch))
         if steps is None:       # parses are filled in as this call meets them
-            _, contraction_list = np.einsum_path(*operands, optimize=GREEDY,
-                                                 einsum_call=True)
-            steps = self._steps[key] = [[inds, eq, None]
-                                        for inds, eq, _ in contraction_list]
+            stack = (self.batch_label,) if f.batch else ()
+            subs = [stack + labs for k, labs in enumerate(self.labels, start=1)
+                    if k != skip]
+            out = (self.complements[skip][0] + stack if skip
+                   else stack + self.modes)
+            _, contraction_list = np.einsum_path(
+                *(x for pair in zip(arrays, subs) for x in pair), out,
+                optimize=GREEDY, einsum_call=True)
+            steps = self._steps[skip, f.batch] = [
+                [inds, eq, None] for inds, eq, _ in contraction_list]
         for step in steps:
             inds, eq, parse = step
             ops = [arrays.pop(i) for i in inds]
@@ -143,9 +140,10 @@ class ContractionPlan:
         return arrays[0]
 
 
-# The process-wide plan of each topology, made on first use.  TNTopology is
-# a value, so equal dims and ranks share one plan; the store keeps the
-# plans of _STORED_PLANS topologies, least recently used out first.
+# The process-wide plan of each topology, made on first use, that every ALS
+# sweep and network contraction runs on.  TNTopology is a value, so equal
+# dims and ranks share one plan; the store keeps the plans of _STORED_PLANS
+# topologies, least recently used out first.
 _STORED_PLANS = 64
 stored_plan = lru_cache(maxsize=_STORED_PLANS)(ContractionPlan)
 
@@ -153,9 +151,7 @@ stored_plan = lru_cache(maxsize=_STORED_PLANS)(ContractionPlan)
 def contract_network(f: TNFactorSet) -> np.ndarray:
     """Multilinear contraction over all shared bond indices, one network per
     set of a stack, on the stored plan of f's topology."""
-    plan = stored_plan(f.topology)
-    operands, stack = plan.operands(f)
-    return plan.einsum(*operands, stack + plan.modes)
+    return stored_plan(f.topology).contract(f)
 
 
 def complement_matrix(f: TNFactorSet, n: int) -> np.ndarray:
@@ -164,9 +160,8 @@ def complement_matrix(f: TNFactorSet, n: int) -> np.ndarray:
     columns run over the bonds incident to mode n (ascending partner); for
     a stack of K sets, a K x rows x columns stack of them."""
     plan = stored_plan(f.topology)
-    operands, stack = plan.operands(f, skip=n)
-    out, rows = plan.complements[n]
-    full = plan.einsum(*operands, out + stack)
+    full = plan.contract(f, skip=n)
+    rows = plan.complements[n][1]
     if not f.batch:
         return full.reshape((rows, -1), order="F")
     # the batch label comes last, so each set's matrix is laid out as alone

@@ -20,7 +20,7 @@ from math import isqrt
 
 import numpy as np
 
-from .contraction import contract_network, stored_plan
+from .contraction import GREEDY, contract_network, network_labels
 from .errors import TopologyError
 from .tensor import as_array
 from .topology import TNFactorSet
@@ -138,7 +138,7 @@ def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
     The convolution stage is one `conv2d_dense` call: its batch is the
     samples times the in-channel factor's bond to the out-channel factor
     (B·r34 x W x H x r13·r23), and its kernel the merged spatial factors
-    (K x K x r13·r23 x r14·r24).  The other three stages are plain
+    (K x K x r13·r23 x r14·r24).  The other three stages are greedy
     `np.einsum` calls, sharing no code with the `contract_network` path.
 
     x is W x H x S or a B x W x H x S batch, with the output shaped as in
@@ -161,13 +161,13 @@ def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
     r14, r24, r34 = z4.shape[0], z4.shape[1], z4.shape[2]
     # bonds a c d e f g join factors 1-2 1-3 1-4 2-3 2-4 3-4; b is the sample
     # channel stage over the full spatial extent, its bond g in the batch
-    p = np.einsum("bwhs,cesg->bgwhce", x, z3)
+    p = np.einsum("bwhs,cesg->bgwhce", x, z3, optimize=GREEDY)
     # spatial factors merged over their shared bond
-    merged = np.einsum("kacd,alef->klcedf", z1, z2)
+    merged = np.einsum("kacd,alef->klcedf", z1, z2, optimize=GREEDY)
     q = conv2d_dense(p.reshape(b * r34, w, h, r13 * r23),
                      merged.reshape(k, k, r13 * r23, r14 * r24))
     y = np.einsum("bgwhdf,dfgt->bwht",
-                  q.reshape(b, r34, wo, ho, r14, r24), z4)
+                  q.reshape(b, r34, wo, ho, r14, r24), z4, optimize=GREEDY)
     if single:
         y = y[0]
     if not count_flops:
@@ -182,21 +182,21 @@ def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
 def fc_tn(x: np.ndarray, f: TNFactorSet, plan: TensorizationPlan) -> np.ndarray:
     """TN-format linear map: fold x into its input factorization, contract
     it with the factor network, flatten the output factorization.  x is an
-    N-vector, giving an M-vector, or a B x N batch, giving B x M.  The
-    samples take the batch label of the stored `ContractionPlan` of f's
-    topology."""
+    N-vector, giving an M-vector, or a B x N batch, giving B x M: one
+    greedy `np.einsum` over f's `network_labels`, the samples under the
+    batch label, off the contraction store."""
     if f.batch or f.topology.dims != plan.dims:
         raise ValueError("factor set is a stack or its dims do not match the "
                          "tensorization plan")
     xb, single = _leading_batch(x, 1)
     if xb.ndim != 2 or xb.shape[1] != plan.cols:
         raise ValueError(f"input length {np.shape(x)} does not match plan")
-    net = stored_plan(f.topology)
+    labels, batch = network_labels(f.topology.order)
     m = len(plan.out_factors)
     xt = xb.T.reshape(plan.in_factors + (len(xb),), order="F")
-    factors, _ = net.operands(f)
-    out = net.einsum(xt, net.modes[m:] + (net.batch_label,), *factors,
-                     (net.batch_label,) + net.modes[:m])
+    out = np.einsum(xt, (*range(m, f.topology.order), batch),
+                    *(x for pair in zip(f.factors, labels) for x in pair),
+                    (batch, *range(m)), optimize=GREEDY)
     out = out.reshape((len(xb), plan.rows), order="F")
     return out[0] if single else out
 

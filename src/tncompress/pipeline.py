@@ -124,6 +124,11 @@ class _Layer:
     plan: TensorizationPlan | None = None
     kept_dense: bool = False
 
+    @property
+    def modes(self) -> tuple[int, ...]:
+        """The dims of the tensor the layer decomposes (an FC's plan's)."""
+        return self.plan.dims if self.plan else self.dims
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run a float64 batch through the dense op.  A TN layer contracts
         its factors on its first forward: at these sizes that and the dense
@@ -169,9 +174,8 @@ def container_layers(container: ModelContainer) -> list[_Layer]:
         if fmt == "dense":
             layer.weight = tensor(f"layer{i}/weight", dims)
         elif fmt == "tn":
-            modes = layer.plan.dims if layer.plan else dims
-            topo = _parsed(manifest, f"layer.{i}.ranks",
-                           lambda text: TNTopology(modes, _decode_ranks(text)))
+            topo = _parsed(manifest, f"layer.{i}.ranks", lambda text:
+                           TNTopology(layer.modes, _decode_ranks(text)))
             layer.factors = TNFactorSet(topo, [
                 tensor(f"layer{i}/factor{k}", topo.factor_shape(k + 1))
                 for k in range(topo.order)])
@@ -228,8 +232,7 @@ def _prepare(container: ModelContainer) -> _Prepared:
     layers = container_layers(container)
     if any(layer.fmt != "dense" for layer in layers):
         raise FormatError("can only compress a dense-format model")
-    tensors = [layer.weight.reshape(layer.plan.dims if layer.plan
-                                    else layer.dims, order="F")
+    tensors = [layer.weight.reshape(layer.modes, order="F")
                for layer in layers]
     return _Prepared(seed, layers, tensors,
                      [retention_curves(t)[0] for t in tensors])

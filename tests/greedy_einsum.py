@@ -39,26 +39,35 @@ def factor_operands(f):
     return operands, stack
 
 
+def greedy_contract(f, skip=0):
+    """ContractionPlan.contract(f, skip): the network less factor `skip`
+    (1-based; 0 keeps all), to the stack's label then the modes for the
+    whole network, and for a complement to its remaining modes ascending,
+    the bonds of `skip` by ascending partner, then the stack's label."""
+    order = f.topology.order
+    labels, _ = layout(order)
+    operands, stack = factor_operands(f)
+    if not skip:
+        return np.einsum(*operands, stack + list(range(order)),
+                         optimize=GREEDY)
+    rest = operands[:2 * skip - 2] + operands[2 * skip:]
+    modes = [k for k in range(order) if k != skip - 1]
+    bonds = [lab for lab in labels[skip - 1] if lab != skip - 1]
+    return np.einsum(*rest, modes + bonds + stack, optimize=GREEDY)
+
+
 def greedy_network(f):
     """contract_network(f): the full contraction, a stack's sets first."""
-    operands, stack = factor_operands(f)
-    return np.einsum(*operands, stack + list(range(f.topology.order)),
-                     optimize=GREEDY)
+    return greedy_contract(f)
 
 
 def greedy_complement(f, n):
-    """complement_matrix(f, n): the network without factor n, its remaining
-    modes ascending, then the bonds of n by ascending partner, as a matrix
-    of (remaining modes) x (bonds of n), a stack's sets first."""
-    topo, order = f.topology, f.topology.order
-    labels, _ = layout(order)
-    operands, stack = factor_operands(f)
-    rest = operands[:2 * n - 2] + operands[2 * n:]
-    modes = [k for k in range(order) if k != n - 1]
-    bonds = [lab for lab in labels[n - 1] if lab != n - 1]
-    full = np.einsum(*rest, modes + bonds + stack, optimize=GREEDY)
+    """complement_matrix(f, n): the network without factor n as a matrix of
+    (remaining modes) x (bonds of n), a stack's sets first."""
+    topo = f.topology
     rows = int(np.prod(topo.dims)) // topo.dims[n - 1]
-    matrix = full.reshape((rows, -1) + (f.batch,) * bool(f.batch), order="F")
+    matrix = greedy_contract(f, n).reshape(
+        (rows, -1) + (f.batch,) * bool(f.batch), order="F")
     return np.moveaxis(matrix, -1, 0) if f.batch else matrix
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy._core import einsumfunc
 
 import fit_sets
-from greedy_einsum import GREEDY, greedy_complement
+from greedy_einsum import greedy_complement, greedy_contract
 from tncompress import als, contraction
 from tncompress.als import (AlsConfig, AlsResult, _sweep, als_fit,
                             complement_matrix)
@@ -84,10 +84,14 @@ def test_als_fit_compiles_each_plan_key_once(topo, monkeypatch):
     result = als_fit(target, topo, AlsConfig(seed=1))
     # the restarts ran more than one round of stacked sweeps
     assert result.attempts > als._ROUND
-    # one compile per key: the full network, and each complement n both
-    # for a stack of 2·_ROUND (the first two rounds) and of one (refine),
-    # of the network without the scalar modes
-    assert len(calls) == 2 * without_scalar_modes(topo)[1].order + 1
+    # one compile per key of the network without the scalar modes: the
+    # full network, and each complement n both for a stack of 2·_ROUND
+    # (the first two rounds) and of one (refine)
+    core = without_scalar_modes(topo)[1]
+    modes = range(1, core.order + 1)
+    assert set(contraction.stored_plan(core)._steps) == {(0, 0)} | {
+        (n, stack) for n in modes for stack in (2 * als._ROUND, 1)}
+    assert len(calls) == 2 * core.order + 1
 
 
 @pytest.mark.parametrize("topo", PINNED_TOPOLOGIES)
@@ -95,9 +99,8 @@ def test_als_fit_replay_gives_np_einsum_bits(topo, monkeypatch):
     target = np.random.default_rng(topo.order).standard_normal(topo.dims)
     cfg = AlsConfig(max_sweeps=20, seed=2)
     replayed = als_fit(target, topo, cfg)
-    monkeypatch.setattr(ContractionPlan, "einsum",
-                        lambda self, *operands:
-                        np.einsum(*operands, optimize=GREEDY))
+    monkeypatch.setattr(ContractionPlan, "contract",
+                        lambda self, f, skip=0: greedy_contract(f, skip))
     direct = als_fit(target, topo, cfg)
     assert np.array_equal(replayed.history, direct.history)
     for got, want in zip(replayed.factors.factors, direct.factors.factors):

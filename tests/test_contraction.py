@@ -1,19 +1,16 @@
 """Contraction engine against closed forms and the brute-force oracle."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy._core import einsumfunc
 
-from greedy_einsum import (GREEDY, greedy_complement, greedy_fc,
-                           greedy_network, layout)
+from greedy_einsum import (GREEDY, factor_operands, greedy_complement,
+                           greedy_network)
 from tncompress import contraction, layers, pipeline
 from tncompress.als import AlsConfig, als_fit, complement_matrix
-from tncompress.contraction import (ContractionPlan, contract_network,
-                                    stored_plan)
+from tncompress.contraction import contract_network, stored_plan
 from tncompress.model_io import load_model, save_model
 from tncompress.oracles import brute_force_contract
 from tncompress.tensor import k_unfold
@@ -145,10 +142,11 @@ def test_a_fit_reuses_the_plan_a_forward_built():
     contraction.stored_plan.cache_clear()
     topo = TNTopology((4, 8, 2, 4), {p: 2 for p in mode_pairs(4)})
     f = random_factor_set(topo, seed=0)
-    tplan = layers.TensorizationPlan((4, 8), (2, 4))
-    layers.fc_tn(np.ones((3, 8)), f, tplan)
+    layer = pipeline._Layer(0, "fc", "tn", (32, 8), factors=f,
+                            plan=layers.TensorizationPlan((4, 8), (2, 4)))
+    layer.forward(np.ones((3, 8)))
     plan = stored_plan(topo)
-    assert list(plan._steps) == [fc_key(topo, tplan, 3)]
+    assert list(plan._steps) == [(0, 0)]
     assert contraction.stored_plan.cache_info().currsize == 1
     # ALS sweeps on the plan the forward pass ran on
     als_fit(contract_network(random_factor_set(topo, seed=1)), topo,
@@ -168,82 +166,9 @@ def test_a_fit_and_a_forward_on_its_loaded_topology_share_a_plan(tmp_path):
     target = contract_network(layer.factors)
     contraction.stored_plan.cache_clear()
     als_fit(target, fitted, AlsConfig(max_sweeps=2))
-    layers.fc_tn(np.ones((3, layer.plan.cols)), layer.factors, layer.plan)
+    layer.forward(np.ones((3, layer.plan.cols)))
     info = contraction.stored_plan.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-
-
-def factor_shapes(topo):
-    return [topo.factor_shape(k) for k in range(1, topo.order + 1)]
-
-
-def network_key(topo, stack=0):
-    """The store key of contract_network on a stack of `stack` sets of topo
-    (0: one set): input sublists, output sublist, operand shapes."""
-    labels, batch = layout(topo.order)
-    lead, size = ((batch,), (stack,)) if stack else ((), ())
-    return (tuple(lead + labs for labs in labels),
-            lead + tuple(range(topo.order)),
-            tuple(size + shape for shape in factor_shapes(topo)))
-
-
-def fc_key(topo, tplan, batch):
-    """The store key of fc_tn on a batch of `batch` inputs under tplan: the
-    folded input over the in-modes and the batch label, then the factors."""
-    labels, label = layout(topo.order)
-    m = len(tplan.out_factors)
-    return (((*range(m, topo.order), label), *labels),
-            (label, *range(m)),
-            ((*tplan.in_factors, batch), *factor_shapes(topo)))
-
-
-def test_fc_keys_fix_the_split_and_the_batch():
-    # one stored plan serves every split of its dims at every batch size,
-    # each under a key of its own
-    contraction.stored_plan.cache_clear()
-    topo = TNTopology((4, 8, 2, 4), {p: 2 for p in mode_pairs(4)})
-    f = random_factor_set(topo, seed=0)
-    rng = np.random.default_rng(0)
-    splits = [layers.TensorizationPlan((4, 8), (2, 4)),
-              layers.TensorizationPlan((4,), (8, 2, 4))]
-    for tplan in splits + splits[::-1]:
-        for batch in (1, 512, 1):
-            x = rng.standard_normal((batch, tplan.cols))
-            assert np.array_equal(layers.fc_tn(x, f, tplan),
-                                  greedy_fc(x, f, tplan))
-    assert set(stored_plan(topo)._steps) == {
-        fc_key(topo, tplan, batch) for tplan in splits for batch in (1, 512)}
-
-
-def test_one_subscript_set_keeps_one_step_list_per_shape_tuple(monkeypatch):
-    # fc at batches 1, 7 and 256 and the network at stacks 1 and 16, each
-    # shape met again after another: every call gives the greedy bits, and
-    # each distinct shape tuple is compiled once, under an entry of its own
-    compiles = []
-    real_einsum_path = np.einsum_path
-
-    def counting_einsum_path(*args, **kwargs):
-        compiles.append(args)
-        return real_einsum_path(*args, **kwargs)
-
-    monkeypatch.setattr(np, "einsum_path", counting_einsum_path)
-    contraction.stored_plan.cache_clear()
-    topo = TNTopology((4, 8, 2, 4), dict(zip(mode_pairs(4),
-                                             (2, 1, 3, 2, 2, 1))))
-    f = random_factor_set(topo, seed=0)
-    tplan = layers.TensorizationPlan((4, 8), (2, 4))
-    rng = np.random.default_rng(0)
-    for batch in (1, 7, 256, 7, 1, 256, 1):
-        x = rng.standard_normal((batch, tplan.cols))
-        assert np.array_equal(layers.fc_tn(x, f, tplan),
-                              greedy_fc(x, f, tplan))
-    for stack in (1, 16, 1, 16):
-        fs = factor_sets(topo, stack, stack)
-        assert np.array_equal(contract_network(fs), greedy_keys(fs)[0])
-    expected = {fc_key(topo, tplan, batch) for batch in (1, 7, 256)}
-    expected |= {network_key(topo, stack) for stack in (1, 16)}
-    assert set(stored_plan(topo)._steps) == expected
-    assert len(compiles) == len(expected) == 5
 
 
 def test_the_store_holds_at_most_its_bound():
@@ -255,24 +180,9 @@ def test_the_store_holds_at_most_its_bound():
     info = contraction.stored_plan.cache_info()
     assert info.maxsize == info.currsize == bound
     # the least recently used topologies were dropped, the rest kept
-    assert list(stored_plan(topos[-1])._steps) == [network_key(topos[-1])]
+    assert list(stored_plan(topos[-1])._steps) == [(0, 0)]
     assert not stored_plan(topos[0])._steps
     assert contraction.stored_plan.cache_info().currsize == bound
-
-
-@st.composite
-def contractions(draw):
-    """(input sublists, output sublist, shapes) of one np.einsum call: 1-4
-    operands over labels 0-5 (a label may repeat within a sublist), each
-    label of extent 1-3, and an output of distinct labels from the inputs."""
-    extent = draw(st.lists(st.integers(1, 3), min_size=6, max_size=6))
-    sublists = tuple(draw(st.lists(
-        st.lists(st.integers(0, 5), max_size=3).map(tuple),
-        min_size=1, max_size=4)))
-    used = sorted(set().union(*sublists))
-    out = tuple(draw(st.permutations(used)))[:draw(st.integers(0, len(used)))]
-    return sublists, out, tuple(tuple(extent[lab] for lab in sub)
-                                for sub in sublists)
 
 
 # layer 0 of seed 4's perfbench mlp keep-dense-kappa model and seed 3's
@@ -282,15 +192,15 @@ CAPPED_TOPOLOGY = TNTopology((4, 8, 2, 4), {
     (1, 2): 3, (1, 3): 2, (1, 4): 2, (2, 3): 2, (2, 4): 2, (3, 4): 2})
 FOUND_TOPOLOGY = TNTopology((4, 8, 2, 4), {
     (1, 2): 3, (1, 3): 2, (1, 4): 2, (2, 3): 2, (2, 4): 3, (3, 4): 1})
-# network keys of both, one set and a stack of 16, whose capped greedy path
-# and uncapped one give different bits
-CAPPED_KEYS = [network_key(FOUND_TOPOLOGY), network_key(CAPPED_TOPOLOGY, 16)]
+# the first as one set and the second as a stack of 16: the capped greedy
+# path of each network gives other bits than the uncapped one
+CAPPED_SETS = [(FOUND_TOPOLOGY, 0), (CAPPED_TOPOLOGY, 16)]
 
 
 def test_the_capped_keys_end_in_a_multi_operand_step():
-    for sublists, out, shapes in CAPPED_KEYS:
-        operands = [x for shape, sub in zip(shapes, sublists)
-                    for x in (np.ones(shape), sub)]
+    for topo, stack in CAPPED_SETS:
+        operands, out = factor_operands(factor_sets(topo, 0, stack))
+        out += list(range(topo.order))
         _, capped = np.einsum_path(*operands, out, optimize="greedy",
                                    einsum_call=True)
         _, uncapped = np.einsum_path(*operands, out, optimize=GREEDY,
@@ -299,39 +209,15 @@ def test_the_capped_keys_end_in_a_multi_operand_step():
         assert all(len(step[0]) == 2 for step in uncapped)
 
 
-@settings(max_examples=200, deadline=None)
-@given(first=contractions(), others=st.lists(contractions(), max_size=2),
-       repeats=st.lists(st.integers(0, 4), max_size=6),
-       seed=st.integers(0, 2 ** 32 - 1))
-@example(first=(((0, 1), (1, 2)), (0, 2), ((2, 3), (3, 4))), others=[],
-         repeats=[1, 0, 1], seed=0)
-@example(first=CAPPED_KEYS[0], others=[], repeats=[0], seed=3)
-@example(first=CAPPED_KEYS[1], others=[CAPPED_KEYS[0]], repeats=[3, 0],
-         seed=4)
-def test_the_store_is_a_memo_of_greedy_einsum(first, others, repeats, seed):
-    # the first contraction also comes with its output reversed (the same
-    # inputs and shapes: a (0, 2) output then (2, 0) is the example) and
-    # with every extent one larger (the same sublists); each is called
-    # once, then the repeats call them again, alternating
-    sublists, out, shapes = first
-    specs = [first, (sublists, out[::-1], shapes),
-             (sublists, out, tuple(tuple(d + 1 for d in shape)
-                                   for shape in shapes)), *others]
-    order = [*range(len(specs)), *(i % len(specs) for i in repeats)]
-    rng = np.random.default_rng(seed)
-    calls = []
-    for sublists, out, shapes in (specs[i] for i in order):
-        operands = []
-        for sub, shape in zip(sublists, shapes):
-            operands += [rng.standard_normal(shape), sub]
-        calls.append((*operands, out))
-    expected = [np.einsum(*ops, optimize=GREEDY) for ops in calls]
-    plan = ContractionPlan(uniform_topology((2, 2), 1))
-    with mock.patch.object(np, "einsum_path", wraps=np.einsum_path) as path:
-        for ops, want in zip(calls, expected):
-            assert np.array_equal(plan.einsum(*ops), want)
-    assert set(plan._steps) == set(specs)
-    assert path.call_count == len(set(specs))
+def test_the_capped_networks_give_the_uncapped_greedy_bits():
+    # every key of each, compiled by the first factor values and replayed
+    # on the next
+    for topo, stack in CAPPED_SETS:
+        contraction.stored_plan.cache_clear()
+        for seed in (3, 4):
+            fs = factor_sets(topo, seed, stack)
+            for got, want in zip(planned_keys(fs), greedy_keys(fs)):
+                assert np.array_equal(got, want)
 
 
 # the most bond assignments a drawn stack's brute-force sums may loop over
@@ -360,10 +246,10 @@ def stacked_topologies(draw):
 @example(drawn=(CAPPED_TOPOLOGY, 0), seed=4)
 @example(drawn=(CAPPED_TOPOLOGY, 16), seed=4)
 def test_every_compiled_step_is_pairwise(drawn, seed):
-    # the network and every complement of the stack, and for one set the
-    # fc keys at batch 1 and 256 under a split of its modes: each within
-    # 1e-12 of the brute-force sum, and no stored step pops more than two
-    # operands
+    # the network and every complement of the stack, and for one set
+    # fc_tn at batch 1 and 256 under a split of its modes: each within
+    # 1e-12 of the brute-force sum; the store holds the network's and the
+    # complements' keys, and no stored step pops more than two operands
     topo, stack = drawn
     order = topo.order
     contraction.stored_plan.cache_clear()
@@ -390,17 +276,7 @@ def test_every_compiled_step_is_pairwise(drawn, seed):
             x = rng.standard_normal((batch, tplan.cols))
             assert rel_err(layers.fc_tn(x, fs, tplan), x @ matrix.T) <= 1e-12
     steps = stored_plan(topo)._steps
-    assert len(steps) == 1 + order + 2 * (not stack)
+    assert set(steps) == {(skip, stack) for skip in range(order + 1)}
     assert all(len(inds) <= 2 for step_list in steps.values()
                for inds, _, _ in step_list)
 
-
-def test_a_list_sublist_is_refused():
-    # the store keys on the sublists themselves, so they must be tuples
-    plan = ContractionPlan(uniform_topology((2, 2), 1))
-    a = np.ones((2, 3))
-    with pytest.raises(TypeError):
-        plan.einsum(a, [0, 1], (0,))
-    with pytest.raises(TypeError):
-        plan.einsum(a, (0, 1), [0])
-    assert not plan._steps

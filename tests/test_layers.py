@@ -306,13 +306,22 @@ def test_conv_plan_keys_fix_the_batch_and_the_input_size():
                 + batch * wo * ho * t * r[1, 4] * r[2, 4] * r[3, 4])
 
 
-def test_conv2d_tn_compiles_no_store_key():
-    """The staged conv is the reference the stored `contract_network` path
-    is checked against, so it leaves the contraction store empty."""
-    f = random_factor_set(uniform_topology((3, 3, 2, 5), 2), seed=23)
+@pytest.mark.parametrize("kind", ["conv2d_tn", "fc_tn"])
+def test_the_staged_forwards_compile_no_store_key(kind):
+    """The staged forwards are the reference the stored `contract_network`
+    path is checked against, so they leave the contraction store empty."""
+    if kind == "conv2d_tn":
+        f = random_factor_set(uniform_topology((3, 3, 2, 5), 2), seed=23)
+        forward = lambda x: conv2d_tn(x, f)
+        shape = (8, 8, 2)
+    else:
+        plan = plan_tensorization(32, 8)
+        f = random_factor_set(uniform_topology(plan.dims, 2), seed=23)
+        forward = lambda x: fc_tn(x, f, plan)
+        shape = (8,)
     contraction.stored_plan.cache_clear()
     for batch in (1, 256):
-        conv2d_tn(np.ones((batch, 8, 8, 2)), f)
+        forward(np.ones((batch, *shape)))
     assert contraction.stored_plan.cache_info().currsize == 0
 
 
