@@ -3,17 +3,23 @@
 The one place that turns a factor set into einsum operands and contracts
 it: the whole network or the network less one factor (ALS's complement).
 A per-topology `ContractionPlan` holds the integer einsum labels and a
-step list for each contraction over them, compiled on first use: numpy's
-own contraction list for the greedy path without its memory cap, `GREEDY`
-(capped, a path may end in one naive multi-operand `c_einsum`; uncapped,
-every step of a factor network is pairwise), the operand positions each
-step pops and that step's einsum string, and for a pairwise step the parse
-numpy's `bmm_einsum` makes of it (the one-operand einsums that prepare
-each side, the reshapes, the output permutation and whether the pair is a
-pure multiply).  Replaying it calls the kernels
-np.einsum(optimize=GREEDY) reaches (`c_einsum`, `matmul` or `multiply`,
-reshape and transpose) in the same order on the same operands, so a plan
-gives the same bits and skips the per-call parsing, path and dispatch work.
+step list for each contraction over them, compiled on first use from
+numpy's own contraction list for the greedy path without its memory cap,
+`GREEDY` (capped, a path may end in one naive multi-operand einsum;
+uncapped, every step of a factor network is pairwise).
+
+Each pairwise step is compiled as numpy's `bmm_einsum` runs it.  A label
+of extent > 1 is batch (on both operands and the output), contracted (on
+both only) or kept (on one operand and the output), each class in term
+order.  Each operand is transposed to (batch, kept, contracted) and
+reshaped to one axis per class, one `matmul` contracts them, and a reshape
+and transpose take the product to the output's labels.  Where every
+contracted label has extent 1, each operand is instead transposed and
+reshaped to the output's label order and one broadcast `multiply` forms
+the product: its layout then follows the operands' as numpy's does, where
+a `matmul` would give other strides and the steps after it other bits.  So
+a replay gives np.einsum(..., optimize=GREEDY)'s bits, on public numpy,
+without its per-call parsing, path and dispatch work.
 
 A process-wide store keyed on the topology, `stored_plan`, is the only
 source of plans: every network contraction and ALS sweep runs on the plan
@@ -28,14 +34,49 @@ import sys
 from functools import lru_cache
 
 import numpy as np
-# The one-operand kernel np.einsum runs and the pairwise parse its
-# `bmm_einsum` makes (numpy >= 2.4); a numpy without them fails here, at
-# import.
-from numpy._core.einsumfunc import _parse_eq_to_batch_matmul, c_einsum
 
 from .topology import TNFactorSet, TNTopology, mode_pairs
 
 GREEDY = ("greedy", sys.maxsize)     # no cap on an intermediate's size
+
+
+def _pair_step(term_a: str, term_b: str, out: str, extent: dict) -> tuple:
+    """(op, perm_a, shape_a, perm_b, shape_b, shape_ab, perm_ab), which run
+    the einsum `term_a,term_b->out` on a and b as op(a.transpose(perm_a)
+    .reshape(shape_a), b.transpose(perm_b).reshape(shape_b))
+    .reshape(shape_ab).transpose(perm_ab).  As in a factor network, a label
+    has one extent and is in `out` unless both terms hold it."""
+    wide = [ix for ix in dict.fromkeys(term_a + term_b) if extent[ix] > 1]
+    shared = [ix for ix in wide if ix in term_a and ix in term_b]
+    batch = [ix for ix in shared if ix in out]
+    summed = [ix for ix in shared if ix not in out]
+    keep_a = [ix for ix in wide if ix not in term_b]
+    keep_b = [ix for ix in wide if ix not in term_a]
+
+    def perm(term, lead):       # lead's axes first, then the extent-1 rest
+        first = [term.index(ix) for ix in lead]
+        return tuple(first + [i for i in range(len(term)) if i not in first])
+
+    def shape(*groups):
+        return tuple(math.prod(extent[ix] for ix in g) for g in groups)
+
+    if not summed:      # a broadcast multiply, each side in output order
+        return (np.multiply,
+                perm(term_a, [ix for ix in out if ix in term_a]),
+                tuple(extent[ix] if ix in term_a else 1 for ix in out),
+                perm(term_b, [ix for ix in out if ix in term_b]),
+                tuple(extent[ix] if ix in term_b else 1 for ix in out),
+                tuple(extent[ix] for ix in out), tuple(range(len(out))))
+    head = [batch] if batch else []     # no batch axis without batch labels
+    ones = [ix for ix in out if extent[ix] == 1]
+    produced = ones + batch + keep_a + keep_b
+    return (np.matmul,
+            perm(term_a, batch + keep_a + summed),
+            shape(*head, keep_a, summed),
+            perm(term_b, batch + summed + keep_b),
+            shape(*head, summed, keep_b),
+            tuple(extent[ix] for ix in produced),
+            tuple(produced.index(ix) for ix in out))
 
 
 def network_labels(order: int) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -61,14 +102,13 @@ class ContractionPlan:
     would get alone wherever its factors are laid out as they would be
     alone.
 
-    A step is (operand positions to pop, einsum string, parse), taken from
-    np.einsum_path(..., einsum_call=True), the list np.einsum itself walks.
-    A pairwise step's parse is `bmm_einsum`'s, made from the shapes of the
-    compiling call; replaying it runs what `bmm_einsum` runs with its
-    default order="K".  A one-operand step's parse is None: it is one
-    `c_einsum`.  A step list is keyed on (left-out factor, stack size),
-    which with the topology fix every sublist and operand shape.  Plans
-    come from `stored_plan` alone.
+    A step is (operand positions to pop, kernels): for a pair of the list
+    np.einsum_path(..., einsum_call=True) gives, the one np.einsum itself
+    walks, `_pair_step`'s, made from the compiling call's shapes; for the
+    one operand of an order-2 network's complement, a permutation.  A step
+    list is keyed on (left-out factor, stack size), which with the topology
+    fix every operand shape, and is whole once compiled.  Plans come from
+    `stored_plan` alone.
     """
 
     def __init__(self, topo: TNTopology):
@@ -76,7 +116,7 @@ class ContractionPlan:
         order = topo.order
         self.labels, self.batch_label = network_labels(order)
         self.modes = tuple(range(order))
-        self._steps: dict[tuple, list] = {}
+        self._steps: dict[tuple, tuple] = {}
         dims = topo.dims
         # n -> (output labels, row count) of complement_matrix(f, n): the
         # remaining modes ascending, then the bonds incident to mode n
@@ -100,7 +140,7 @@ class ContractionPlan:
         list stored under (skip, f.batch)."""
         arrays = [fac for k, fac in enumerate(f.factors, start=1) if k != skip]
         steps = self._steps.get((skip, f.batch))
-        if steps is None:       # parses are filled in as this call meets them
+        if steps is None:
             stack = (self.batch_label,) if f.batch else ()
             subs = [stack + labs for k, labs in enumerate(self.labels, start=1)
                     if k != skip]
@@ -109,34 +149,27 @@ class ContractionPlan:
             _, contraction_list = np.einsum_path(
                 *(x for pair in zip(arrays, subs) for x in pair), out,
                 optimize=GREEDY, einsum_call=True)
-            steps = self._steps[skip, f.batch] = [
-                [inds, eq, None] for inds, eq, _ in contraction_list]
-        for step in steps:
-            inds, eq, parse = step
+            shapes, compiled = [fac.shape for fac in arrays], []
+            for inds, eq, _ in contraction_list:
+                terms, labs = eq.split("->")
+                ins = [shapes.pop(i) for i in inds]
+                extent = dict(zip(terms.replace(",", ""), sum(ins, ())))
+                shapes.append(tuple(extent[ix] for ix in labs))
+                compiled.append((inds, tuple(map(terms.index, labs)))
+                                if len(inds) == 1 else
+                                (inds, *_pair_step(*terms.split(","), labs,
+                                                   extent)))
+            steps = self._steps[skip, f.batch] = tuple(compiled)
+        for inds, *kernels in steps:
             ops = [arrays.pop(i) for i in inds]
-            if len(ops) != 2:
-                arrays.append(c_einsum(eq, *ops))
+            if len(ops) == 1:
+                arrays.append(ops[0].transpose(*kernels))
                 continue
             a, b = ops
-            if parse is None:
-                parse = step[2] = _parse_eq_to_batch_matmul(eq, a.shape,
-                                                            b.shape)
-            eq_a, eq_b, shape_a, shape_b, shape_ab, perm, pure = parse
-            if eq_a is not None:
-                a = c_einsum(eq_a, a)
-            if shape_a is not None:
-                a = a.reshape(shape_a)
-            if eq_b is not None:
-                b = c_einsum(eq_b, b)
-            if shape_b is not None:
-                b = b.reshape(shape_b)
-            if pure:
-                arrays.append(np.multiply(a, b))
-                continue
-            ab = np.matmul(a, b)
-            if shape_ab is not None:
-                ab = ab.reshape(shape_ab)
-            arrays.append(ab if perm is None else ab.transpose(perm))
+            op, pa, sa, pb, sb, sab, pab = kernels
+            arrays.append(op(a.transpose(pa).reshape(sa),
+                             b.transpose(pb).reshape(sb))
+                          .reshape(sab).transpose(pab))
         return arrays[0]
 
 

@@ -138,8 +138,8 @@ def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
     The convolution stage is one `conv2d_dense` call: its batch is the
     samples times the in-channel factor's bond to the out-channel factor
     (B·r34 x W x H x r13·r23), and its kernel the merged spatial factors
-    (K x K x r13·r23 x r14·r24).  The other three stages are greedy
-    `np.einsum` calls, sharing no code with the `contract_network` path.
+    (K x K x r13·r23 x r14·r24).  The other three stages are one
+    `np.tensordot` each, sharing no code with the `contract_network` path.
 
     x is W x H x S or a B x W x H x S batch, with the output shaped as in
     `conv2d_dense`.  The FLOP count covers the whole call: the spatial
@@ -160,14 +160,15 @@ def conv2d_tn(x, f: TNFactorSet, count_flops: bool = False):
     r12, r13, r23 = z1.shape[1], z1.shape[2], z2.shape[2]
     r14, r24, r34 = z4.shape[0], z4.shape[1], z4.shape[2]
     # bonds a c d e f g join factors 1-2 1-3 1-4 2-3 2-4 3-4; b is the sample
-    # channel stage over the full spatial extent, its bond g in the batch
-    p = np.einsum("bwhs,cesg->bgwhce", x, z3, optimize=GREEDY)
-    # spatial factors merged over their shared bond
-    merged = np.einsum("kacd,alef->klcedf", z1, z2, optimize=GREEDY)
+    # channel stage over the full spatial extent, bwhceg -> bgwhce
+    p = np.tensordot(x, z3, axes=(3, 2)).transpose(0, 5, 1, 2, 3, 4)
+    # spatial factors merged over their shared bond, kcdlef -> klcedf
+    merged = np.tensordot(z1, z2, axes=(1, 0)).transpose(0, 3, 1, 4, 2, 5)
     q = conv2d_dense(p.reshape(b * r34, w, h, r13 * r23),
                      merged.reshape(k, k, r13 * r23, r14 * r24))
-    y = np.einsum("bgwhdf,dfgt->bwht",
-                  q.reshape(b, r34, wo, ho, r14, r24), z4, optimize=GREEDY)
+    # out-channel stage, bgwhdf x dfgt -> bwht
+    y = np.tensordot(q.reshape(b, r34, wo, ho, r14, r24), z4,
+                     axes=((4, 5, 1), (0, 1, 2)))
     if single:
         y = y[0]
     if not count_flops:

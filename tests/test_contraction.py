@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy._core import einsumfunc
 
 from greedy_einsum import (GREEDY, factor_operands, greedy_complement,
-                           greedy_network)
+                           greedy_contract, greedy_network)
 from tncompress import contraction, layers, pipeline
 from tncompress.als import AlsConfig, als_fit, complement_matrix
 from tncompress.contraction import contract_network, stored_plan
@@ -89,6 +89,20 @@ def planned_keys(f):
         complement_matrix(f, n) for n in range(1, f.topology.order + 1)]
 
 
+def assert_greedy_layouts(f):
+    """Each key's replay, plan.contract(f, skip), holds the direct greedy
+    einsum's bits with its strides on every axis of extent > 1: the same
+    values laid out otherwise would feed the steps after it, and a fit's
+    later sweeps, other operands."""
+    plan = stored_plan(f.topology)
+    for skip in range(f.topology.order + 1):
+        got, want = plan.contract(f, skip), greedy_contract(f, skip)
+        assert np.array_equal(got, want)
+        wide = [i for i, d in enumerate(want.shape) if d > 1]
+        assert ([got.strides[i] for i in wide]
+                == [want.strides[i] for i in wide]), (skip, wide)
+
+
 def factor_sets(topo, seed, batch):
     if not batch:
         return random_factor_set(topo, seed)
@@ -105,6 +119,7 @@ def test_replayed_steps_give_greedy_bits_for_every_key(seed, batch,
     first = factor_sets(topo, seed, batch)      # compiles every key
     for got, want in zip(planned_keys(first), greedy_keys(first)):
         assert np.array_equal(got, want)
+    assert_greedy_layouts(first)
     fresh = factor_sets(topo, seed + 100, batch)
     expected = greedy_keys(fresh)
 
@@ -112,12 +127,15 @@ def test_replayed_steps_give_greedy_bits_for_every_key(seed, batch,
         raise AssertionError("a replay parsed or planned a step again")
 
     # np.einsum pairs through einsumfunc.bmm_einsum and plans through
-    # einsum_path; a replay runs the stored parses and reaches neither
-    monkeypatch.setattr(einsumfunc, "bmm_einsum", compiled_already)
-    monkeypatch.setattr(einsumfunc, "einsum_path", compiled_already)
-    monkeypatch.setattr(np, "einsum_path", compiled_already)
-    for got, want in zip(planned_keys(fresh), expected):
+    # einsum_path; a replay runs the compiled steps and reaches neither
+    with monkeypatch.context() as patched:
+        patched.setattr(einsumfunc, "bmm_einsum", compiled_already)
+        patched.setattr(einsumfunc, "einsum_path", compiled_already)
+        patched.setattr(np, "einsum_path", compiled_already)
+        replayed = planned_keys(fresh)
+    for got, want in zip(replayed, expected):
         assert np.array_equal(got, want)
+    assert_greedy_layouts(fresh)
 
 
 def test_a_topology_is_a_value():
@@ -218,6 +236,7 @@ def test_the_capped_networks_give_the_uncapped_greedy_bits():
             fs = factor_sets(topo, seed, stack)
             for got, want in zip(planned_keys(fs), greedy_keys(fs)):
                 assert np.array_equal(got, want)
+            assert_greedy_layouts(fs)
 
 
 # the most bond assignments a drawn stack's brute-force sums may loop over
@@ -249,7 +268,8 @@ def test_every_compiled_step_is_pairwise(drawn, seed):
     # the network and every complement of the stack, and for one set
     # fc_tn at batch 1 and 256 under a split of its modes: each within
     # 1e-12 of the brute-force sum; the store holds the network's and the
-    # complements' keys, and no stored step pops more than two operands
+    # complements' keys, every step of which pops two operands but an
+    # order-2 complement's one step, which pops its one factor
     topo, stack = drawn
     order = topo.order
     contraction.stored_plan.cache_clear()
@@ -277,6 +297,7 @@ def test_every_compiled_step_is_pairwise(drawn, seed):
             assert rel_err(layers.fc_tn(x, fs, tplan), x @ matrix.T) <= 1e-12
     steps = stored_plan(topo)._steps
     assert set(steps) == {(skip, stack) for skip in range(order + 1)}
-    assert all(len(inds) <= 2 for step_list in steps.values()
-               for inds, _, _ in step_list)
+    for (skip, _), step_list in steps.items():
+        pops = {len(inds) for inds, *_ in step_list}
+        assert pops == ({1} if skip and order == 2 else {2}), (skip, pops)
 

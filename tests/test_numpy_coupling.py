@@ -7,9 +7,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-DECLARED = {"numpy._core.einsumfunc._parse_eq_to_batch_matmul",
-            "numpy._core.einsumfunc.c_einsum",
-            "numpy.linalg._umath_linalg.solve"}
+DECLARED = {"numpy.linalg._umath_linalg.solve"}
 
 
 def numpy_uses(tree) -> set[str]:
