@@ -10,7 +10,9 @@ curve is kept alongside as metadata only.
 
 One cut rule, `_cut`, checks kappa and cuts a stack of cumulative curves
 in one vectorized pass; it serves both the mode-pair curves
-(`ranks_from_curves`, padded to one stack) and `effective_rank`.
+(`ranks_from_curves`, padded to one stack) and `effective_rank`, which
+takes its squared spectra from Gram eigenvalues where they give the
+singular values' cut.
 
 Under a storage budget, `budget_kappa` finds the largest retention-curve
 value (or 1.0) whose rank tables fit, by an exact search over those values.
@@ -25,11 +27,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, NumericError
 from .tensor import as_array, mn_unfold, singular_values
 from .topology import TNTopology, mode_pairs, tn_param_count
 
 _EPS = 1e-12
+# effective_rank's Gram route: a curve value this close to the cut, or a
+# Gram trace outside this open range (float64's normal range, with room for
+# the sum of squares), sends a matrix to its singular values
+_GRAM_MARGIN = 1e-9
+_GRAM_TRACE = (2.0 ** -900, 2.0 ** 1000)
 
 
 @dataclass(frozen=True)
@@ -59,13 +66,17 @@ def retention_curves(t) -> tuple[dict, dict]:
     return curves, energy
 
 
+def _check_kappa(kappa: float) -> None:
+    if not 0.0 < kappa <= 1.0:
+        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+
+
 def _cut(curves: np.ndarray, lengths, kappa: float) -> list[int]:
     """Per row of a C x k stack of non-decreasing cumulative curves, the
     smallest x whose value reaches kappa, capped at the row's length (the
     curve's own, before any padding), or that length if none does; kappa
     must lie in (0, 1]."""
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+    _check_kappa(kappa)
     # the values that reach kappa form a suffix of a curve, so the first of
     # them sits at the count of those that do not (a NaN does not)
     first = np.add.reduce(~(curves >= kappa - _EPS), axis=-1)
@@ -138,15 +149,51 @@ def kappa_for_budget(t, target_ratio: float) -> BudgetSearchResult:
     return BudgetSearchResult(kappa, selection, a.size / tn, tn, a.size)
 
 
-def effective_rank(mat: np.ndarray, kappa: float) -> int | list[int]:
-    """Smallest x with ||sigma_{1:x}||^2 / ||sigma||^2 >= kappa; 0 for the
-    zero matrix, whose curve is empty.  Given a stack of matrices, a list
-    with each matrix's rank, equal to one call per matrix."""
-    sq = singular_values(np.asarray(mat)) ** 2
+def _spectrum_curves(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative share curves of a C x k stack of descending squared
+    spectra, and each row's length: k, or 0 for a zero spectrum, whose
+    curve counts as empty."""
     total = sq.sum(axis=-1, keepdims=True)
     live = total > 0
     curves = np.cumsum(sq, axis=-1) / np.where(live, total, 1.0)
-    k = sq.shape[-1]
-    # a zero matrix's curve counts as empty, so its rank is 0
-    ranks = _cut(curves.reshape(-1, k), k * live.reshape(-1), kappa)
-    return ranks if sq.ndim > 1 else ranks[0]
+    return curves, sq.shape[-1] * live.reshape(-1)
+
+
+def effective_rank(mat: np.ndarray, kappa: float) -> int | list[int]:
+    """Smallest x with ||sigma_{1:x}||^2 / ||sigma||^2 >= kappa; 0 for the
+    zero matrix, whose curve is empty.  Given a stack of matrices, a list
+    with each matrix's rank, equal to one call per matrix.
+
+    The squared spectrum is the eigenvalues of the smaller Gram matrix, MᵀM
+    or MMᵀ.  They differ from sigma^2 by a few roundoffs of the trace
+    (Weyl's bound; the symmetric eigensolver is backward stable), so each
+    curve value by far less than _GRAM_MARGIN, and the cut is that of the
+    singular values unless a value lies within the margin of it.  Such a
+    matrix, and one whose Gram trace lies outside _GRAM_TRACE, where squares
+    may under- or overflow, is recomputed from its singular values."""
+    _check_kappa(kappa)
+    mats = np.ascontiguousarray(mat, dtype=np.float64)
+    if not np.isfinite(mats).all():
+        raise NumericError("SVD input contains non-finite entries")
+    rows, cols = mats.shape[-2:]
+    stack = mats.reshape(-1, rows, cols)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = (stack.transpose(0, 2, 1) @ stack if rows >= cols
+                else stack @ stack.transpose(0, 2, 1))
+        trace = np.trace(gram, axis1=1, axis2=2)
+    lo, hi = _GRAM_TRACE
+    slow = ~((lo < trace) & (trace < hi))
+    fast = np.flatnonzero(~slow)
+    # ascending eigenvalues, reversed and clipped at 0: a descending squared
+    # spectrum; every such curve is live, as its trace is positive
+    sq = np.maximum(np.linalg.eigvalsh(gram[fast])[:, ::-1], 0.0)
+    curves, lengths = _spectrum_curves(sq)
+    ranks = np.zeros(len(stack), dtype=int)
+    ranks[fast] = _cut(curves, lengths, kappa)
+    # the last value decides nothing, as the cut is capped at the length
+    slow[fast] = (np.abs(curves[:, :-1] - (kappa - _EPS))
+                  <= _GRAM_MARGIN).any(axis=1)
+    if slow.any():
+        curves, lengths = _spectrum_curves(singular_values(stack[slow]) ** 2)
+        ranks[slow] = _cut(curves, lengths, kappa)
+    return ranks.tolist() if mats.ndim > 2 else int(ranks[0])

@@ -10,7 +10,7 @@ Weights are stored as float32; all arithmetic runs in float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -58,8 +58,11 @@ def make_stripes(seed: int) -> Dataset:
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross entropy, batch accuracy, and the logit gradient."""
     n, c = logits.shape
-    # the ufunc reductions that max() and sum() call, without their wrappers
-    logits = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    # the row max as a fold over the columns, one call per class rather
+    # than a reduction's inner loop per row; a max is exact, so its bits do
+    # not depend on the order.  The sum is the ufunc reduction that sum()
+    # calls, as a column fold would change its bits for c >= 3
+    logits = logits - reduce(np.maximum, logits.T)[:, None]
     probs = np.exp(logits)
     probs /= np.add.reduce(probs, axis=1, keepdims=True)
     # each row's label entry by flat index; indexing arange(c) first raises

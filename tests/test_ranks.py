@@ -48,6 +48,28 @@ def draw_stack(data, c, m, n):
     return stack
 
 
+def draw_scaled_stack(data, c, m, n):
+    """A c x m x n stack of full, zero, rank-2 and cut-edge matrices, each
+    times its own 2^k, k in [-560, 520]: from squares that underflow to 0
+    to a Gram trace that overflows.  A cut-edge matrix has random singular
+    vectors and a squared-spectrum share of exactly kappa - 1e-12 after its
+    first j values, so rounding puts its curve on either side of the cut."""
+    stack = draw_stack(data, c, m, n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    k = min(m, n)
+    for mat in stack:
+        if k > 1 and data.draw(st.booleans()):
+            kappa = data.draw(st.sampled_from(KAPPAS))
+            j = data.draw(st.integers(1, k - 1))
+            sq = np.r_[np.full(j, (kappa - 1e-12) / j),
+                       np.full(k - j, (1 - kappa + 1e-12) / (k - j))]
+            u = np.linalg.qr(rng.standard_normal((m, k)))[0]
+            v = np.linalg.qr(rng.standard_normal((n, k)))[0]
+            mat[:] = (u * np.sqrt(sq)) @ v.T
+        mat[:] = np.ldexp(mat, data.draw(st.integers(-560, 520)))
+    return stack
+
+
 class TestEffectiveRank:
     def test_identity_half_energy(self):
         assert effective_rank(np.eye(4), 0.5) == 2
@@ -112,6 +134,33 @@ class TestEffectiveRank:
         for kappa in KAPPAS:
             assert effective_rank(stack, kappa) == [
                 reference_effective_rank(mat, kappa) for mat in stack]
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_gram_route_gives_the_reference_ranks(self, data):
+        """Gram eigenvalues, with their SVD fallback near the cut and
+        outside the Gram trace's safe range, give reference_effective_rank
+        (the singular values' cut) for every matrix, scale and kappa."""
+        c = data.draw(st.integers(1, 6))
+        m, n = data.draw(st.sampled_from(
+            [(1, 1), (1, 5), (1, 24), (7, 1), (2, 2), (3, 4), (9, 13),
+             (20, 24), (32, 8), (9, 4)]))
+        stack = draw_scaled_stack(data, c, m, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for kappa in KAPPAS:
+                assert effective_rank(stack, kappa) == [
+                    reference_effective_rank(mat, kappa) for mat in stack]
+
+    @pytest.mark.parametrize("mat, kappa, rank", [
+        (np.diag([3.0, 1.0, 0.0]), 0.9, 1),
+        (np.eye(4), 0.5, 2),
+        # every entry's square underflows to 0, so the Gram trace is 0,
+        # but the squared singular value does not: not the zero matrix
+        (np.full((20, 24), 2.0 ** -538), 0.5, 1)])
+    def test_exact_shares_keep_the_reference_rank(self, mat, kappa, rank):
+        assert reference_effective_rank(mat, kappa) == rank
+        assert effective_rank(mat, kappa) == rank
+        assert effective_rank(np.stack([mat, mat]), kappa) == [rank, rank]
 
 
 class TestDetermineRanks:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tncompress import admm, training
+from tncompress import admm, ranks, training
 from tncompress.admm import AdmmConfig, balanced_unfold
 from tncompress.errors import TrainingError
 from tncompress.ranks import effective_rank
@@ -398,6 +398,27 @@ class TestChunkedLog:
         assert calls == {"effective_rank": 2 * chunks,
                          "balanced_unfold": 2 * chunks}
         assert len(draws) == chunks
+
+    @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
+    def test_log_ranks_come_from_gram_eigenvalues(self, monkeypatch, arch):
+        """A 130-step log (three chunks) takes every effective rank from
+        Gram eigenvalues and computes no singular values, while an exact
+        share at the cut is recomputed from them once: a change that sends
+        every matrix to the SVD fallback fails here."""
+        calls = []
+        real = ranks.singular_values
+
+        def counted(mat):
+            calls.append(np.shape(mat))
+            return real(mat)
+        monkeypatch.setattr(ranks, "singular_values", counted)
+        cfg = AdmmConfig(max_steps=130, period=7, seed=0)
+        _, log = train_stn(make_net(arch, 0), make_dataset(arch, 0), cfg,
+                           log=True)
+        assert len(log.rows) == 130
+        assert calls == []
+        assert effective_rank(np.diag([3.0, 1.0, 0.0]), 0.9) == 1
+        assert calls == [(1, 3, 3)]
 
     def test_large_batch_draws_fewer_steps_at_once(self, monkeypatch):
         """A batch of 33 with a cap of 99 indices draws 3 steps at a time,
