@@ -60,9 +60,9 @@ import numpy as np
 # here, at import.
 from numpy.linalg._umath_linalg import solve as _lapack_solve
 
-from .contraction import complement_matrix, contract_network, stored_plan
+from .contraction import complement_matrix, contract_network
 from .errors import NumericError, TopologyError
-from .tensor import as_array, k_unfold
+from .tensor import as_array, k_unfold, row_norms
 from .topology import (TNFactorSet, TNTopology, random_factor_stack,
                        without_scalar_modes)
 
@@ -103,15 +103,22 @@ class AlsResult:
     refine_sweeps: int      # sweeps of the best start after its stack
 
 
+def _mode_tables(a: np.ndarray) -> dict[int, tuple]:
+    """Per mode n of the target a: A_(n), and the permutation and inverse
+    that fold a stack of factor n to and from its blocks.  The inverse
+    transposes it to (sets, I_n, bonds...), which reshapes in F order to
+    I_n x (bond product), columns little-endian over n's bonds."""
+    return {n: (k_unfold(a, n),
+                [0, *range(2, n + 1), 1, *range(n + 1, a.ndim + 1)],
+                [0, n, *range(1, n), *range(n + 1, a.ndim + 1)])
+            for n in range(1, a.ndim + 1)}
+
+
 def _residual(unfolding: np.ndarray, block: np.ndarray, design: np.ndarray,
               norm: float) -> np.ndarray:
     """‖A_(N) − X·Dᵀ‖ / ‖A‖ of each set of a stack, for its last block X and
-    that block's design D: X·Dᵀ is the mode-N unfolding of the network.
-    Each squared norm is np.vdot's, by the kernel np.vdot runs."""
-    res = unfolding - block @ design.mT
-    k = len(res)
-    return np.sqrt((res.reshape(k, 1, -1) @ res.reshape(k, -1, 1))
-                   .reshape(k)) / norm
+    that block's design D: X·Dᵀ is the mode-N unfolding of the network."""
+    return row_norms(unfolding - block @ design.mT) / norm
 
 
 def _block_solutions(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -124,7 +131,7 @@ def _block_solutions(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _lapack_solve(gram, rhs.mT, signature="dd->d").mT
 
 
-def _sweep(f: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray]):
+def _sweep(f: TNFactorSet, norm: float, tables: dict[int, tuple]):
     """Update every factor of f in place, in mode order, by its proximal
     block solution; return the relative error afterwards, ‖A_(N) − X·Dᵀ‖
     / ‖A‖ for the last block X and its design D.  Block n solves
@@ -132,12 +139,11 @@ def _sweep(f: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray]):
     X_prev is factor n unfolded, ρ = _PROX·tr(G)/r + _PROX_FLOOR for r
     columns.  f is a stack of K sets, and K errors are returned; each set
     has its own ρ and solve, so a non-finite set is NaN in its slot alone."""
-    folds = stored_plan(f.topology).folds
     for n in range(1, f.topology.order + 1):
+        unfolding, perm, inverse = tables[n]
         design = complement_matrix(f, n)
         gram = design.mT @ design
-        rhs = unfoldings[n] @ design
-        perm, inverse = folds[n]
+        rhs = unfolding @ design
         folded = f.factors[n - 1].transpose(inverse)
         prev = folded.reshape(rhs.shape, order="F")
         r = gram.shape[-1]
@@ -147,19 +153,19 @@ def _sweep(f: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray]):
         block = _block_solutions(gram, rhs + rho[:, None, None] * prev)
         f.factors[n - 1] = block.reshape(folded.shape,
                                          order="F").transpose(perm)
-    return _residual(unfoldings[n], block, design, norm)
+    return _residual(unfolding, block, design, norm)
 
 
-def _rse(f: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray]):
+def _rse(f: TNFactorSet, norm: float, tables: dict[int, tuple]):
     """The relative error of each set of the stack f, read as `_sweep`
     reads it, from its last factor unfolded as a block: one complement,
     where contracting the network can cost as much as a sweep."""
     n = f.topology.order
+    unfolding, _, inverse = tables[n]
     design = complement_matrix(f, n)
-    inverse = stored_plan(f.topology).folds[n][1]
     block = f.factors[n - 1].transpose(inverse).reshape(
         (f.batch, f.topology.dims[n - 1], design.shape[-1]), order="F")
-    return _residual(unfoldings[n], block, design, norm)
+    return _residual(unfolding, block, design, norm)
 
 
 def _winner(stack: TNFactorSet, own: slice, rses: list):
@@ -171,7 +177,7 @@ def _winner(stack: TNFactorSet, own: slice, rses: list):
             [float(r[k]) for r in rses])
 
 
-def _round(stack: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray],
+def _round(stack: TNFactorSet, norm: float, tables: dict[int, tuple],
            tol: float, budget: int, ratio: float = _STALL_RATIO,
            prev: float = np.inf) -> list[np.ndarray]:
     """Sweep a stack of sets, whose rse is prev, side by side until each
@@ -186,13 +192,13 @@ def _round(stack: TNFactorSet, norm: float, unfoldings: dict[int, np.ndarray],
     rses = []
     while len(rses) < budget:
         before = list(stack.factors)
-        rse = _sweep(stack, norm, unfoldings)
+        rse = _sweep(stack, norm, tables)
         s = len(rses) + 1
         if s >= 2:
             candidate = [z0 + np.sqrt(s) * (z - z0)
                          for z0, z in zip(before, stack.factors)]
             err = _rse(TNFactorSet(stack.topology, candidate,
-                                   batch=stack.batch), norm, unfoldings)
+                                   batch=stack.batch), norm, tables)
             keep = err < rse
             stack.factors[:] = [
                 np.where(keep.reshape((-1,) + (1,) * (z.ndim - 1)), c, z)
@@ -239,7 +245,7 @@ def als_fit(t, topo: TNTopology, cfg: AlsConfig = AlsConfig()) -> AlsResult:
 def _fit(a: np.ndarray, topo: TNTopology, norm: float,
          cfg: AlsConfig) -> AlsResult:
     """als_fit of a nonzero target a, of norm `norm`, on topo as it is."""
-    unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
+    tables = _mode_tables(a)
     used = attempts = 0
     best_f, best = None, [np.inf]   # the best start's factors and history
     size, done = 2 * _ROUND, False
@@ -248,7 +254,7 @@ def _fit(a: np.ndarray, topo: TNTopology, norm: float,
                  for k in range(attempts, attempts + size)]
         stack = TNFactorSet(topo, random_factor_stack(topo, seeds),
                             batch=size)
-        rses = _round(stack, norm, unfoldings, cfg.tol, cfg.max_sweeps - used)
+        rses = _round(stack, norm, tables, cfg.tol, cfg.max_sweeps - used)
         used += len(rses)
         for j in range(0, size, _ROUND):
             attempts += _ROUND
@@ -264,7 +270,7 @@ def _fit(a: np.ndarray, topo: TNTopology, norm: float,
         raise NumericError("no ALS start has a finite block update")
     refined = 0
     if used < cfg.max_sweeps and best[-1] > cfg.tol:
-        rses = _round(best_f, norm, unfoldings, cfg.tol,
+        rses = _round(best_f, norm, tables, cfg.tol,
                       cfg.max_sweeps - used, ratio=cfg.tol, prev=best[-1])
         best += [float(r[0]) for r in rses]
         refined = len(rses)

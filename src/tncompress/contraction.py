@@ -90,8 +90,7 @@ def network_labels(order: int) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 class ContractionPlan:
     """The `network_labels` of one topology, the output labels and row
-    count of each complement matrix and the fold of each block solution
-    into its factor (ALS's tables), and a step list for every network
+    count of each complement matrix, and a step list for every network
     contracted over them, compiled on first use.
 
     A stack of K factor sets (`TNFactorSet` with batch K > 0) is contracted
@@ -125,13 +124,6 @@ class ContractionPlan:
                 + tuple(lab for lab in self.labels[n - 1] if lab != n - 1),
                 math.prod(dims) // dims[n - 1])
             for n in range(1, order + 1)}
-        # n -> (permutation, inverse): the inverse transposes a stack of
-        # factor n to (sets, I_n, bonds...), which reshapes in F order to
-        # its blocks, I_n x (bond product) with columns little-endian over
-        # the bonds of n; the permutation moves axis 1 back to n
-        self.folds = {n: ([0, *range(2, n + 1), 1, *range(n + 1, order + 1)],
-                          [0, n, *range(1, n), *range(n + 1, order + 1)])
-                      for n in range(1, order + 1)}
 
     def contract(self, f: TNFactorSet, skip: int = 0) -> np.ndarray:
         """np.einsum(..., optimize=GREEDY) over f's factors less factor

@@ -97,6 +97,8 @@ def _decode_ranks(text: str) -> dict:
         pair, r = item.split(":")
         m, n = pair.split("-")
         ranks[(int(m), int(n))] = int(r)
+    if _encode_ranks(ranks) != text:    # not as compress writes a table
+        raise ValueError(text)
     return ranks
 
 

@@ -12,7 +12,8 @@ One cut rule, `_cut`, checks kappa and cuts a stack of cumulative curves
 in one vectorized pass; it serves both the mode-pair curves
 (`ranks_from_curves`, padded to one stack) and `effective_rank`, which
 takes its squared spectra from Gram eigenvalues where they give the
-singular values' cut.
+singular values' cut.  One share rule, `_share_curves`, makes each curve
+either of them cuts, and the energy curves.
 
 Under a storage budget, `budget_kappa` finds the largest retention-curve
 value (or 1.0) whose rank tables fit, by an exact search over those values.
@@ -47,10 +48,14 @@ class RankSelection:
     energy_curves: dict[tuple[int, int], np.ndarray]
 
 
-def _cumulative(v: np.ndarray) -> np.ndarray:
-    """Cumulative share of v's sum; all ones for a zero vector."""
-    total = v.sum()
-    return np.cumsum(v) / total if total > 0 else np.ones_like(v)
+def _share_curves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cumulative share curve of each vector along v's last axis (a
+    vector, or a stack of them), and its length: a zero vector's curve is
+    all ones, of length 0."""
+    total = v.sum(axis=-1, keepdims=True)
+    live = total > 0
+    curves = np.cumsum(v, axis=-1) / np.where(live, total, 1.0)
+    return np.where(live, curves, 1.0), v.shape[-1] * live[..., 0]
 
 
 def retention_curves(t) -> tuple[dict, dict]:
@@ -61,8 +66,8 @@ def retention_curves(t) -> tuple[dict, dict]:
     for m, n in mode_pairs(a.ndim):
         # C x I_m x I_n: the frontal slices, one SVD call for all of them
         s = singular_values(np.moveaxis(mn_unfold(a, m, n), -1, 0))
-        curves[(m, n)] = _cumulative(s.sum(axis=0) ** 2)
-        energy[(m, n)] = _cumulative((s ** 2).sum(axis=0))
+        curves[(m, n)], energy[(m, n)] = _share_curves(
+            np.array([s.sum(axis=0) ** 2, (s ** 2).sum(axis=0)]))[0]
     return curves, energy
 
 
@@ -149,16 +154,6 @@ def kappa_for_budget(t, target_ratio: float) -> BudgetSearchResult:
     return BudgetSearchResult(kappa, selection, a.size / tn, tn, a.size)
 
 
-def _spectrum_curves(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative share curves of a C x k stack of descending squared
-    spectra, and each row's length: k, or 0 for a zero spectrum, whose
-    curve counts as empty."""
-    total = sq.sum(axis=-1, keepdims=True)
-    live = total > 0
-    curves = np.cumsum(sq, axis=-1) / np.where(live, total, 1.0)
-    return curves, sq.shape[-1] * live.reshape(-1)
-
-
 def effective_rank(mat: np.ndarray, kappa: float) -> int | list[int]:
     """Smallest x with ||sigma_{1:x}||^2 / ||sigma||^2 >= kappa; 0 for the
     zero matrix, whose curve is empty.  Given a stack of matrices, a list
@@ -187,13 +182,13 @@ def effective_rank(mat: np.ndarray, kappa: float) -> int | list[int]:
     # ascending eigenvalues, reversed and clipped at 0: a descending squared
     # spectrum; every such curve is live, as its trace is positive
     sq = np.maximum(np.linalg.eigvalsh(gram[fast])[:, ::-1], 0.0)
-    curves, lengths = _spectrum_curves(sq)
+    curves, lengths = _share_curves(sq)
     ranks = np.zeros(len(stack), dtype=int)
     ranks[fast] = _cut(curves, lengths, kappa)
     # the last value decides nothing, as the cut is capped at the length
     slow[fast] = (np.abs(curves[:, :-1] - (kappa - _EPS))
                   <= _GRAM_MARGIN).any(axis=1)
     if slow.any():
-        curves, lengths = _spectrum_curves(singular_values(stack[slow]) ** 2)
+        curves, lengths = _share_curves(singular_values(stack[slow]) ** 2)
         ranks[slow] = _cut(curves, lengths, kappa)
     return ranks.tolist() if mats.ndim > 2 else int(ranks[0])

@@ -116,6 +116,15 @@ def frobenius_norm(t) -> float:
     return float(np.linalg.norm(a.astype(np.float64).ravel()))
 
 
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """The 2-norm of each of the K rows of a stack (a row's trailing axes
+    read as one vector), by the dot kernel np.linalg.norm runs on one
+    vector: row k's is np.linalg.norm(rows[k]), bit for bit."""
+    k = len(rows)
+    return np.sqrt((rows.reshape(k, 1, -1) @ rows.reshape(k, -1, 1))
+                   .reshape(k))
+
+
 @dataclass(frozen=True)
 class SvdResult:
     """Thin SVD with input = u @ diag(s) @ v.T and s non-increasing."""

@@ -15,6 +15,7 @@ from .admm import (AdmmConfig, AdmmState, admm_w_update, admm_y_update,
 from .errors import ConfigError, TrainingError
 from .model_io import write_csv
 from .ranks import effective_rank
+from .tensor import row_norms
 from .toynet import Dataset
 
 LOG_RANK_KAPPA = 0.9
@@ -74,12 +75,9 @@ class TrainingLog:
         # shapes as np.stack does, in fewer µs)
         stacks = [np.array(weights) for weights in zip(*step_ws)]
         for i, (stack, zs) in enumerate(zip(stacks, zip(*step_zs))):
-            diff = (np.array(zs) - stack).reshape(len(stack), -1)
-            # the dot kernel np.linalg.norm runs on one vector
-            gaps = np.sqrt(diff[:, None, :] @ diff[:, :, None])
-            key = f"gap_l{i}"
-            for row, gap in zip(rows, gaps.ravel().tolist()):
-                row[key] = f"{gap:.6f}"
+            gaps = row_norms(np.array(zs) - stack).tolist()
+            for row, gap in zip(rows, gaps):
+                row[f"gap_l{i}"] = f"{gap:.6f}"
         for i, stack in enumerate(stacks):
             unfolded, plan = balanced_unfold(stack[0])
             # a step's weight is the stack's slice, its mode m the stack's

@@ -18,7 +18,10 @@ It prints JSON: per set, each fit's `rse`, `total_sweeps` and
 in `als_fit`.  With --against, the JSON of an earlier run (of the parent
 tree, say), it then prints on stderr, per set both runs hold, how the
 fits moved from that run to this one (see `compare`), then each fit whose
-rse rose by more than LISTED_RISE, as its case and old -> new rse.
+rse rose by more than LISTED_RISE, as its case and old -> new rse.  It
+then exits 1 if any fit's rse or any count of `_sweep` passes differs
+from that run's (see `moved`), and 0 if every bit was kept: a change that
+keeps ALS's bits expects 0, and a named ALS change expects 1.
 """
 
 from __future__ import annotations
@@ -156,6 +159,14 @@ def compare(parent, change):
     return out
 
 
+def moved(comparison):
+    """Whether any fit's rse, or any count of `_sweep` passes by stack size,
+    differs between the two runs that `compare` compared."""
+    return any(c["better"] or c["worse"]
+               or any(p != q for p, q in c["passes"].values())
+               for c in comparison.values())
+
+
 def print_comparison(comparison, file):
     for name, c in comparison.items():
         rise = c["largest_rise"]
@@ -191,8 +202,9 @@ def main():
         with open(args.against) as f:
             parent = json.load(f)
         # the stack sizes keyed as the JSON keys them
-        print_comparison(compare(parent, json.loads(json.dumps(out))),
-                         sys.stderr)
+        comparison = compare(parent, json.loads(json.dumps(out)))
+        print_comparison(comparison, sys.stderr)
+        sys.exit(1 if moved(comparison) else 0)
 
 
 if __name__ == "__main__":

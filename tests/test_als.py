@@ -1,5 +1,7 @@
 """Alternating least squares fitting."""
 
+import json
+import sys
 import warnings
 
 import numpy as np
@@ -231,7 +233,7 @@ def sweep_inputs(topo, seed):
     """A random target and start (a stack of one) for one topology, with
     what _sweep takes."""
     a = np.random.default_rng(seed).standard_normal(topo.dims)
-    unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
+    unfoldings = als._mode_tables(a)
     return (stack_of([random_factor_set(topo, seed)]), a,
             float(np.linalg.norm(a)), unfoldings)
 
@@ -399,6 +401,43 @@ def test_fit_sets_compares_two_runs_fit_by_fit():
         fit_sets.compare(parent, {"trained": run({"y": 1.0}, {}, 1.0)})
 
 
+def test_fit_sets_against_fails_when_a_fit_moved():
+    # --against exits 1 on any moved rse or `_sweep` pass count, whichever
+    # way it moved, and on nothing else: the seconds may differ
+    def run(rses, passes, seconds=1.0):
+        return {"fits": [{"case": c, "rse": r} for c, r in rses.items()],
+                "passes": passes, "als_fit_s": seconds}
+
+    parent = {"random": run({"a": 0.5, "b": 0.25}, {"16": 10, "1": 6}),
+              "trained": run({"x": 1.0}, {"1": 1})}
+    kept = {"random": run({"b": 0.25, "a": 0.5}, {"1": 6, "16": 10}, 2.0),
+            "trained": run({"x": 1.0}, {"1": 1}, 0.5)}
+    assert not fit_sets.moved(fit_sets.compare(parent, kept))
+    for change in (
+            {"random": run({"a": 0.5, "b": 0.25 - 2 ** -54},
+                           {"16": 10, "1": 6})},
+            {"trained": run({"x": 1.0 + 2 ** -52}, {"1": 1})},
+            {"random": run({"a": 0.5, "b": 0.25}, {"16": 10, "1": 7})},
+            {"random": run({"a": 0.5, "b": 0.25},
+                           {"16": 10, "8": 1, "1": 6})}):
+        assert fit_sets.moved(fit_sets.compare(parent, change)), change
+
+
+def test_fit_sets_against_exits_by_that_rule(tmp_path, monkeypatch, capsys):
+    real_cases = fit_sets.random_cases
+    monkeypatch.setattr(fit_sets, "random_cases", lambda: real_cases(2))
+    monkeypatch.setattr(sys, "argv", ["fit_sets.py", "--set", "random"])
+    fit_sets.main()
+    parent, path = json.loads(capsys.readouterr().out), tmp_path / "p.json"
+    monkeypatch.setattr(sys, "argv", [*sys.argv, "--against", str(path)])
+    for rise, code in ((0.0, 0), (1e-9, 1)):
+        parent["random"]["fits"][1]["rse"] += rise
+        path.write_text(json.dumps(parent))
+        with pytest.raises(SystemExit) as exc:
+            fit_sets.main()
+        assert exc.value.code == code
+
+
 FIT_CASES = [("trained-like", uniform_topology((6, 6, 6), 2))] + [
     ("planted", topo) for topo in PINNED_TOPOLOGIES]
 
@@ -507,7 +546,7 @@ def sequential_als_fit(t, topo, cfg=AlsConfig(), dropped=frozenset(),
         return als_fit(t, topo, cfg)
     kept, core = without_scalar_modes(topo)
     a = a.reshape(core.dims)
-    unfoldings = {n: k_unfold(a, n) for n in range(1, core.order + 1)}
+    unfoldings = als._mode_tables(a)
     used = attempts = 0
     best_f, best = None, [np.inf]
     size, done = 2 * als._ROUND, False
@@ -672,7 +711,7 @@ def first_stack_to_tol(a, topo, cfg):
     """The history of each start of the first stack, swept alone until it
     reaches tol or has spent the budget."""
     norm = float(np.linalg.norm(a))
-    unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
+    unfoldings = als._mode_tables(a)
     histories = []
     for k in range(2 * als._ROUND):
         seed = cfg.seed + als._SEED_STRIDE * k
@@ -756,7 +795,7 @@ def test_a_round_is_each_start_swept_alone(data):
     seeds = [seed + k for k in range(data.draw(st.integers(2, 4)))]
     a = np.random.default_rng(seed).standard_normal(dims)
     norm = float(np.linalg.norm(a))
-    unfoldings = {n: k_unfold(a, n) for n in range(1, order + 1)}
+    unfoldings = als._mode_tables(a)
     stack = TNFactorSet(topo, als.random_factor_stack(topo, seeds),
                         batch=len(seeds))
     rses = als._round(stack, norm, unfoldings, AlsConfig().tol,
@@ -804,7 +843,7 @@ def test_a_dead_start_stays_out_of_its_round(monkeypatch):
     topo = PINNED_TOPOLOGIES[2]
     a = fit_target(topo, 1, False)
     norm = float(np.linalg.norm(a))
-    unfoldings = {n: k_unfold(a, n) for n in range(1, topo.order + 1)}
+    unfoldings = als._mode_tables(a)
     poison_starts(monkeypatch, {0})
     starts = [TNFactorSet(topo, als.random_factor_stack(topo, seeds),
                           batch=len(seeds)) for seeds in ([0, 1], [1])]
@@ -1010,7 +1049,7 @@ def assert_stacked_sweep_is_each_set_alone(stack, sets, a):
     stack of one: the same rse and factors, bit for bit, the blocks of a
     singular gram included.  Returns the stack's rse."""
     norm = float(np.linalg.norm(a))
-    unfoldings = {n: k_unfold(a, n) for n in range(1, a.ndim + 1)}
+    unfoldings = als._mode_tables(a)
     rse = _sweep(stack, norm, unfoldings)
     for k, f in enumerate(sets):
         one = stack_of([f])

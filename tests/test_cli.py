@@ -399,6 +399,13 @@ class TestExitCodes:
          LOADERS),
         ("tn", edit_ranks(0, lambda r: r.replace(":", ":9", 1)),
          "layer0/factor0", LOADERS),
+        # tables compress could not have written, each of which decodes to
+        # the stored one: a pair named twice, the later rank the true one,
+        # and a rank written as " +2"
+        ("tn", edit_ranks(0, lambda r: r.replace(":", ":9", 1).split(";")[0]
+                          + ";" + r), "layer.0.ranks", LOADERS),
+        ("tn", edit_ranks(1, lambda r: r.replace(":", ": +", 1)),
+         "layer.1.ranks", LOADERS),
         ("dense", lambda c: c.manifest.update(seed="x"), "seed",
          ("compress", "tradeoff")),
         ("dense", lambda c: c.manifest.update(seed="-1"), "seed",
@@ -407,7 +414,8 @@ class TestExitCodes:
          ("tradeoff",)),
     ], ids=["no-format", "no-weight", "weight-vs-arch", "no-arch",
             "tn-bad-ranks", "tn-zero-rank", "tn-missing-pair",
-            "factor-vs-ranks", "bad-seed", "negative-seed", "bad-data-seed"])
+            "factor-vs-ranks", "tn-repeated-pair", "tn-signed-rank",
+            "bad-seed", "negative-seed", "bad-data-seed"])
     def test_incomplete_model_file_is_two(self, workspace, tn_model, tmp_path,
                                           capsys, model, edit, key, commands):
         path = tn_model if model == "tn" else workspace / "dense.stnz"

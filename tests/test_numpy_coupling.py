@@ -1,18 +1,37 @@
-"""The package reaches into numpy's private modules at exactly the symbols
-that `pyproject.toml`'s numpy bound and the README name, so a new private
-use fails here until both are updated with it."""
+"""The package reaches into numpy's private modules, and passes numpy's
+hidden keywords, at exactly the uses that `pyproject.toml`'s numpy bound
+and the README name, so a new private use fails here until both are
+updated with it."""
 
 import ast
+import pkgutil
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-DECLARED = {"numpy.linalg._umath_linalg.solve"}
+DECLARED = {"numpy.linalg._umath_linalg.solve",
+            "numpy.einsum_path(einsum_call=)"}
+
+
+def dotted(node, bound) -> str | None:
+    """The full path of a numpy name, or of an attribute chain on one, that
+    node reads; None if it reads none."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in bound:
+        return ".".join([bound[node.id], *reversed(attrs)])
+    return None
 
 
 def numpy_uses(tree) -> set[str]:
     """The dotted numpy names a module imports or reads through an
-    attribute of an imported numpy name, each as its full path."""
+    attribute of an imported numpy name, each as its full path, and, as
+    `path(keyword=)`, each keyword passed to a numpy callable whose
+    docstring does not name it: a hidden option, private as an
+    underscored name is."""
     bound, uses = {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -28,19 +47,21 @@ def numpy_uses(tree) -> set[str]:
                 uses.add(path)
                 bound[alias.asname or alias.name] = path
     for node in ast.walk(tree):
-        attrs = []
-        while isinstance(node, ast.Attribute):
-            attrs.append(node.attr)
-            node = node.value
-        if attrs and isinstance(node, ast.Name) and node.id in bound:
-            uses.add(".".join([bound[node.id], *reversed(attrs)]))
+        if isinstance(node, ast.Attribute) and (path := dotted(node, bound)):
+            uses.add(path)
+        if isinstance(node, ast.Call) and (
+                callee := dotted(node.func, bound)):
+            doc = pkgutil.resolve_name(callee).__doc__ or ""
+            uses |= {f"{callee}({kw.arg}=)" for kw in node.keywords
+                     if kw.arg and not re.search(rf"\b{kw.arg}\b", doc)}
     # a prefix of a longer use (np._core of np._core.einsumfunc) is not one
     return {u for u in uses if not any(v.startswith(u + ".") for v in uses)}
 
 
 def is_private(path: str) -> bool:
-    return any(part.startswith("_") and not part.endswith("__")
-               for part in path.split("."))
+    return path.endswith("=)") or any(
+        part.startswith("_") and not part.endswith("__")
+        for part in path.split("."))
 
 
 def test_private_numpy_uses_are_the_declared_ones():
@@ -71,10 +92,14 @@ def test_the_scan_sees_every_form_of_use():
         "np.linalg.solve\n"
         "ul.inv\n"
         "_core.umath\n"
-        "np.__version__\n")
+        "np.__version__\n"
+        "np.einsum_path('i', x, optimize=False, einsum_call=True)\n"
+        "norm(x, axis=0)\n")
     uses = numpy_uses(tree)
     assert {u for u in uses if is_private(u)} == {
         "numpy._core.multiarray", "numpy._core.einsumfunc.bmm_einsum",
-        "numpy.linalg._umath_linalg.inv", "numpy._core.umath"}
+        "numpy.linalg._umath_linalg.inv", "numpy._core.umath",
+        "numpy.einsum_path(einsum_call=)"}
     assert {u for u in uses if not is_private(u)} == {
-        "numpy.linalg.solve", "numpy.linalg.norm", "numpy.__version__"}
+        "numpy.linalg.solve", "numpy.linalg.norm", "numpy.__version__",
+        "numpy.einsum_path"}

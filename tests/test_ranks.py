@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tncompress.errors import BudgetError
 from tncompress.oracles import generate_cp
-from tncompress.ranks import (budget_kappa, determine_ranks,
+from tncompress.ranks import (_share_curves, budget_kappa, determine_ranks,
                               effective_rank, kappa_for_budget,
                               ranks_from_curves, retention_curves)
 from tncompress.tensor import mn_unfold, singular_values
@@ -410,3 +410,28 @@ def test_retention_curves_match_the_per_slice_loop(data):
         assert got.keys() == want.keys()
         for pair in want:
             assert np.array_equal(got[pair], want[pair]), pair
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_share_curves_are_each_vectors_cumsum_over_its_sum(data):
+    """A vector, or a stack of 1-5, of length 1-12, with some vectors zero:
+    a zero vector's curve is all ones and its length 0, and any other's
+    curve is np.cumsum(v) / v.sum(), bit for bit, and its length the
+    vector's."""
+    shape = tuple(data.draw(st.lists(st.integers(1, 5), max_size=1))) + (
+        data.draw(st.integers(1, 12)),)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    v = rng.random(shape) * 2.0 ** data.draw(st.integers(-40, 40))
+    rows = v.reshape(-1, shape[-1])
+    rows[data.draw(st.lists(st.integers(0, len(rows) - 1),
+                            max_size=len(rows)))] = 0.0
+    curves, lengths = _share_curves(v)
+    assert curves.shape == shape and np.shape(lengths) == shape[:-1]
+    for curve, length, row in zip(curves.reshape(rows.shape),
+                                  np.reshape(lengths, -1), rows):
+        if row.any():
+            assert np.array_equal(curve, np.cumsum(row) / row.sum())
+            assert length == row.size
+        else:
+            assert np.array_equal(curve, np.ones_like(row)) and length == 0

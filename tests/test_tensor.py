@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tncompress.errors import NumericError
 from tncompress.tensor import (DenseTensor, fold_k, frobenius_norm, k_unfold,
-                               mn_unfold, singular_values, svd)
+                               mn_unfold, row_norms, singular_values, svd)
 
 
 def small_dims(max_order=4, max_dim=4):
@@ -129,3 +129,22 @@ class TestSvd:
         a = np.array([[3.0, 0.0], [0.0, 4.0]])
         assert frobenius_norm(a) == pytest.approx(5.0)
         assert frobenius_norm(DenseTensor.from_array(a)) == pytest.approx(5.0)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_row_norms_are_each_rows_linalg_norm(data):
+    """K x n stacks, K and n from 1, some rows zero, each row scaled by its
+    own 2^k, so that some squares under- or overflow: each row's norm is
+    np.linalg.norm's of that row, bit for bit."""
+    k, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 80))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    scales = data.draw(st.lists(st.integers(-600, 600), min_size=k,
+                                max_size=k))
+    rows = rng.standard_normal((k, n)) * 2.0 ** np.array(scales)[:, None]
+    rows[data.draw(st.lists(st.integers(0, k - 1), max_size=k))] = 0.0
+    with np.errstate(over="ignore"):
+        got = row_norms(rows)
+        want = [np.linalg.norm(row) for row in rows]
+    assert got.shape == (k,)
+    assert np.array_equal(got, want)
