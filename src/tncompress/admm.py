@@ -119,13 +119,14 @@ class AdmmState:
 
 
 def admm_w_update(state: AdmmState, gradients: list[np.ndarray],
-                  cfg: AdmmConfig) -> None:
+                  cfg: AdmmConfig, *, w64=None) -> None:
     """Gradient step on the loss plus the augmented quadratic coupling:
     W <- W - lr * (grad + lam * mu * (W - Z - Y / mu)).  With lam = 0 this
     is exactly a plain SGD step and reads neither Z, Y nor mu, so training
-    at lam = 0 runs no Z- or Y-update."""
+    at lam = 0 runs no Z- or Y-update.  w64 is state.w in float64 when the
+    caller has it; else each weight is converted here."""
     for i, g in enumerate(gradients):
-        w = state.w[i].astype(np.float64)
+        w = state.w[i].astype(np.float64) if w64 is None else w64[i]
         step = np.asarray(g, dtype=np.float64)
         if cfg.lam != 0.0:
             step = step + cfg.lam * state.mu * (

@@ -5,6 +5,14 @@ Two architectures: an 8 -> 32 -> 2 MLP with a rectifier, and a tiny CNN
 (1 x 8 x 8 input, one 3x3 valid conv to 4 channels, rectifier, flatten to
 144, linear to 2).  Both use a softmax cross-entropy head and no biases.
 Weights are stored as float32; all arithmetic runs in float64.
+
+`loss_and_grads(x, y)` makes everything it reads from x, y and the
+weights.  A training loop makes what does not change where it does not
+change and passes it by keyword: the inputs once per run, mapped by the
+net's `step_inputs` (the mlp's float64 rows, the tinycnn's per-image conv
+windows), of which each step takes its batch's rows; the labels' flat
+indices once per chunk of steps, by `label_indices`; one float64 image of
+the weights per step; and no batch accuracy unless it logs one.
 """
 
 from __future__ import annotations
@@ -55,29 +63,47 @@ def make_stripes(seed: int) -> Dataset:
         patterns[y] + 0.5 * rng.standard_normal((len(y), 8, 8)))[..., None])
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross entropy, batch accuracy, and the logit gradient."""
+def label_indices(labels, batch: int, classes: int) -> np.ndarray:
+    """Each label's flat index into its row of (batch, classes)
+    probabilities, the batch along the last axis of labels, so a stack of
+    batches takes one vectorized pass.  Indexing arange(classes) first
+    raises IndexError for a label outside [-classes, classes) and wraps a
+    negative one, as probs[rows, labels] does, so no index reaches a
+    neighbouring row."""
+    return np.arange(0, batch * classes, classes) + np.arange(classes)[labels]
+
+
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, *,
+                          at=None, accuracy: bool = True):
+    """Mean cross entropy, batch accuracy, and the logit gradient.  `at` is
+    label_indices(labels, n, C) when the caller has it; with accuracy false
+    the accuracy is None, and labels are read only to make `at`."""
     n, c = logits.shape
     # the row max as a fold over the columns, one call per class rather
     # than a reduction's inner loop per row; a max is exact, so its bits do
     # not depend on the order.  The sum is the ufunc reduction that sum()
-    # calls, as a column fold would change its bits for c >= 3
+    # calls: on numpy 2.4.6 a left column fold has its bits only for c <= 7
     logits = logits - reduce(np.maximum, logits.T)[:, None]
     probs = np.exp(logits)
     probs /= np.add.reduce(probs, axis=1, keepdims=True)
-    # each row's label entry by flat index; indexing arange(c) first raises
-    # IndexError for a label outside [-c, c) and wraps a negative one, as
-    # probs[rows, labels] does, so no index reaches a neighbouring row
-    at = np.arange(0, n * c, c) + np.arange(c)[labels]
+    # each row's label entry by flat index, read once for the loss and
+    # written once for the gradient
+    if at is None:
+        at = label_indices(labels, n, c)
     flat = probs.reshape(-1)
     picked = flat[at]
     # -(sum / n) as -mean() computes it, in fewer calls; negating the sum
     # keeps the -0.0 of a batch whose labels all have probability 1
     loss = -float(np.add.reduce(np.log(picked + 1e-300))) / n
-    acc = int(np.count_nonzero(logits.argmax(axis=1) == labels)) / n
+    acc = (int(np.count_nonzero(logits.argmax(axis=1) == labels)) / n
+           if accuracy else None)
     flat[at] = picked - 1.0         # probs becomes the gradient in place
     probs /= n
     return loss, acc, probs
+
+
+def _float64(weights) -> list[np.ndarray]:
+    return [w.astype(np.float64) for w in weights]
 
 
 def _draw_weights(seed: int, shapes) -> list[np.ndarray]:
@@ -101,17 +127,29 @@ class MLP:
         self.weights = _draw_weights(seed, self.weight_shapes)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        w1, w2 = (w.astype(np.float64) for w in self.weights)
+        w1, w2 = _float64(self.weights)
         h = np.maximum(np.asarray(x, dtype=np.float64) @ w1.T, 0.0)
         return h @ w2.T
 
-    def loss_and_grads(self, x, y):
-        w1, w2 = (w.astype(np.float64) for w in self.weights)
-        x = np.asarray(x, dtype=np.float64)
+    @staticmethod
+    def step_inputs(x) -> np.ndarray:
+        """x as a training step reads it: float64 rows."""
+        return np.asarray(x, dtype=np.float64)
+
+    def loss_and_grads(self, x, y, *, prepared=False, w64=None, at=None,
+                       accuracy=True):
+        """Loss, accuracy and weight gradients on batch x with labels y.
+        A training loop passes x as rows of step_inputs (prepared), the
+        weights as float64 (w64) and the labels' flat indices (at), each
+        made once where it does not change; the loss head reads at and
+        accuracy (see softmax_cross_entropy)."""
+        w1, w2 = _float64(self.weights) if w64 is None else w64
+        x = x if prepared else self.step_inputs(x)
         pre = x @ w1.T
         h = np.maximum(pre, 0.0)
         logits = h @ w2.T
-        loss, acc, dlogits = softmax_cross_entropy(logits, y)
+        loss, acc, dlogits = softmax_cross_entropy(logits, y, at=at,
+                                                   accuracy=accuracy)
         dw2 = dlogits.T @ h
         dh = (dlogits @ w2) * (pre > 0)
         dw1 = dh.T @ x
@@ -135,21 +173,34 @@ class TinyCNN:
         return a.transpose(0, 3, 2, 1).reshape(a.shape[0], -1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        kc, wfc = (w.astype(np.float64) for w in self.weights)
+        kc, wfc = _float64(self.weights)
         pre = conv2d_dense(np.asarray(x, dtype=np.float64), kc)
         return self._flatten(np.maximum(pre, 0.0)) @ wfc.T
 
-    def loss_and_grads(self, x, y):
-        kc, wfc = (w.astype(np.float64) for w in self.weights)
+    def step_inputs(self, x) -> np.ndarray:
+        """x as a training step reads it: the B x W' x H' x K·K·S float64
+        conv windows of each image, so a batch's rows reshape to its window
+        matrix."""
         x = np.asarray(x, dtype=np.float64)
-        k = len(kc)
-        win = conv_windows(x, k)    # the kernel gradient reuses it
+        k = len(self.weights[0])
+        win = conv_windows(x, k)
+        return win.reshape(len(x), x.shape[1] - k + 1, x.shape[2] - k + 1,
+                           win.shape[1])
+
+    def loss_and_grads(self, x, y, *, prepared=False, w64=None, at=None,
+                       accuracy=True):
+        """As MLP.loss_and_grads."""
+        kc, wfc = _float64(self.weights) if w64 is None else w64
+        rows = x if prepared else self.step_inputs(x)
+        # the window matrix, which the kernel gradient reuses
+        win = rows.reshape(-1, rows.shape[-1])
         pre = (win @ kc.reshape(win.shape[1], -1)).reshape(
-            len(x), x.shape[1] - k + 1, x.shape[2] - k + 1, -1)
+            *rows.shape[:3], -1)
         act = np.maximum(pre, 0.0)
         flat = self._flatten(act)
         logits = flat @ wfc.T
-        loss, acc, dlogits = softmax_cross_entropy(logits, y)
+        loss, acc, dlogits = softmax_cross_entropy(logits, y, at=at,
+                                                   accuracy=accuracy)
         dwfc = dlogits.T @ flat
         dflat = dlogits @ wfc
         dact = dflat.reshape(act.shape[0], act.shape[3], act.shape[2],

@@ -1,7 +1,14 @@
 """Structure-aware training loop: SGD with periodic ADMM rounds that pull
 every weight tensor toward a low-rank balanced unfolding.  At lam = 0 no
 round runs, as a W-update there reads neither Z, Y nor mu: mu stays mu0
-and Z the initial weights in float64, so a log's gap_l* is ||W0 - W||."""
+and Z the initial weights in float64, so a log's gap_l* is ||W0 - W||.
+
+The loop does each piece of work as often as its inputs change: the
+net's step inputs once per run; the batch indices, their labels and the
+labels' flat indices once per chunk of steps; and per step one row take,
+one float64 image of the weights that the loss and the W-update share,
+one loss_and_grads and one admm_w_update call, and the batch accuracy only
+when the step is logged."""
 
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ from .errors import ConfigError, TrainingError
 from .model_io import write_csv
 from .ranks import effective_rank
 from .tensor import row_norms
-from .toynet import Dataset
+from .toynet import Dataset, label_indices
 
 LOG_RANK_KAPPA = 0.9
 # steps per index draw and per stacked gap and effective-rank pass, and so
@@ -109,6 +116,9 @@ def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
     state = AdmmState.init(net.weights, cfg)
     history = TrainingLog(layer_count=len(net.weights)) if log else None
     n = len(data.x_train)
+    # per run: the inputs as a step reads them (the tinycnn's window rows)
+    inputs = net.step_inputs(data.x_train)
+    classes = len(net.weights[-1])  # the last layer has a row per class
     # a chunk's indices are one draw; they equal one draw per step, since
     # the generator buffers its spare 32-bit half in the bit generator
     chunk = max(1, min(LOG_CHUNK, CHUNK_INDICES // cfg.batch_size))
@@ -122,22 +132,31 @@ def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
             except ValueError as exc:   # a size numpy cannot address
                 raise ConfigError(
                     f"batch {cfg.batch_size} is too large: {exc}") from None
-            for step, idx in enumerate(draws, start=first):
+            # per chunk: its labels and their flat indices into each step's
+            # probabilities; an out-of-range label raises IndexError here
+            labels = data.y_train.take(draws)
+            at = label_indices(labels, cfg.batch_size, classes)
+            for step, (idx, y, y_at) in enumerate(zip(draws, labels, at),
+                                                  start=first):
                 net.weights = state.w
-                # take gathers the same rows as x_train[idx], in fewer µs
+                # per step: one float64 image of the weights, which the
+                # loss and the W-update both read
+                w64 = [w.astype(np.float64) for w in state.w]
+                # take gathers the same rows as inputs[idx], in fewer µs
                 loss, acc, grads = net.loss_and_grads(
-                    data.x_train.take(idx, axis=0), data.y_train[idx])
+                    inputs.take(idx, axis=0), y, prepared=True, w64=w64,
+                    at=y_at, accuracy=history is not None)
                 if not isfinite(loss):
                     raise TrainingError(
                         f"loss became non-finite at step {step}", step)
                 if cfg.lam and step % cfg.period == 0:
-                    admm_w_update(state, grads, cfg)
+                    admm_w_update(state, grads, cfg, w64=w64)
                     # the round's SVT would refuse them without the step
                     _check_weights(state.w, step)
                     admm_z_update(state)
                     admm_y_update(state, cfg)
                 else:
-                    admm_w_update(state, grads, sgd)
+                    admm_w_update(state, grads, sgd, w64=w64)
                 state.step = step
                 if history is not None:
                     history.record(step, loss, acc, state)

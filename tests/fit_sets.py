@@ -18,10 +18,15 @@ It prints JSON: per set, each fit's `rse`, `total_sweeps` and
 in `als_fit`.  With --against, the JSON of an earlier run (of the parent
 tree, say), it then prints on stderr, per set both runs hold, how the
 fits moved from that run to this one (see `compare`), then each fit whose
-rse rose by more than LISTED_RISE, as its case and old -> new rse.  It
-then exits 1 if any fit's rse or any count of `_sweep` passes differs
-from that run's (see `moved`), and 0 if every bit was kept: a change that
-keeps ALS's bits expects 0, and a named ALS change expects 1.
+rse rose by more than LISTED_RISE, as its case and old -> new rse.  The
+`als_fit` seconds of the two runs are not on that line: the runs were
+made at different times, not interleaved, so their difference reads the
+host's load as much as the change.  They follow on a line of their own,
+labelled as two separate runs; a timing claim needs interleaved runs of
+both trees.  It then exits 1 if any fit's rse or any count of `_sweep`
+passes differs from that run's (see `moved`), and 0 if every bit was
+kept: a change that keeps ALS's bits expects 0, and a named ALS change
+expects 1.
 """
 
 from __future__ import annotations
@@ -177,11 +182,14 @@ def print_comparison(comparison, file):
               "passes " + ", ".join(f"{size}: {p} -> {q}" for size, (p, q)
                                     in c["passes"].items())
               + f", total {c['total_passes'][0]} -> {c['total_passes'][1]}"
-              f"; als_fit {c['als_fit_s'][0]:.2f} -> "
-              f"{c['als_fit_s'][1]:.2f} s; {len(c['risen'])} rose by more "
-              f"than {LISTED_RISE:g}", file=file)
+              f"; {len(c['risen'])} rose by more than {LISTED_RISE:g}",
+              file=file)
         for case, old, new in c["risen"]:
             print(f"  {case}: {old!r} -> {new!r}", file=file)
+        print(f"{name}: als_fit seconds of two separate, non-interleaved "
+              f"runs (not a comparison): earlier run "
+              f"{c['als_fit_s'][0]:.2f} s, this run {c['als_fit_s'][1]:.2f} s",
+              file=file)
 
 
 def main():

@@ -1,5 +1,6 @@
 """Alternating least squares fitting."""
 
+import io
 import json
 import sys
 import warnings
@@ -421,6 +422,23 @@ def test_fit_sets_against_fails_when_a_fit_moved():
             {"random": run({"a": 0.5, "b": 0.25},
                            {"16": 10, "8": 1, "1": 6})}):
         assert fit_sets.moved(fit_sets.compare(parent, change)), change
+
+
+def test_fit_sets_prints_its_seconds_apart_from_the_comparison():
+    # the two runs' als_fit seconds were timed at different times, so they
+    # get a labelled line of their own and are not printed as a change
+    def run(seconds):
+        return {"fits": [{"case": "a", "rse": 0.5}], "passes": {"1": 1},
+                "als_fit_s": seconds}
+
+    out = io.StringIO()
+    fit_sets.print_comparison(
+        fit_sets.compare({"random": run(2.7)}, {"random": run(2.2)}), out)
+    comparison, seconds = out.getvalue().splitlines()
+    assert "als_fit" not in comparison and " s;" not in comparison
+    assert seconds == ("random: als_fit seconds of two separate, "
+                       "non-interleaved runs (not a comparison): earlier run "
+                       "2.70 s, this run 2.20 s")
 
 
 def test_fit_sets_against_exits_by_that_rule(tmp_path, monkeypatch, capsys):

@@ -251,6 +251,73 @@ class TestTrainingLoop:
         assert len(lines) == 6
         assert lines[0] == "step,loss,accuracy,mu,gap_l0,gap_l1,effrank_l0,effrank_l1"
 
+    @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
+    @pytest.mark.parametrize("period", [1, 7, 100])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("batch", [1, 32, 33])
+    def test_unlogged_run_gives_the_per_step_weights(self, arch, period, lam,
+                                                     batch, reference_steps):
+        """Without the log, 130 steps (two full chunks and a remainder of 2)
+        give the per-step loop's weights bit for bit."""
+        data = make_dataset(arch, 1)
+        cfg = AdmmConfig(lam=lam, period=period, max_steps=130,
+                         batch_size=batch, seed=2)
+        net, log = train_stn(make_net(arch, 2), data, cfg)
+        assert log is None
+        *_, (_, _, _, state) = reference_steps(make_net(arch, 2), data, cfg)
+        for got, want in zip(net.weights, state.w, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
+    @pytest.mark.parametrize("log", [False, True])
+    def test_a_step_calls_the_loss_and_the_w_update_once(self, monkeypatch,
+                                                         arch, log):
+        """An N-step run calls its net class's loss_and_grads and
+        training.admm_w_update N times each, as perfbench counts them per
+        op, and asks for the batch accuracy only when it logs."""
+        cls = type(make_net(arch, 0))
+        real_loss, real_update = cls.loss_and_grads, training.admm_w_update
+        asked, updates = [], []
+
+        def loss_and_grads(self, x, y, **kwargs):
+            asked.append(kwargs.get("accuracy", True))
+            return real_loss(self, x, y, **kwargs)
+
+        def admm_w_update(*args, **kwargs):
+            updates.append(args[2].lam)
+            return real_update(*args, **kwargs)
+
+        monkeypatch.setattr(cls, "loss_and_grads", loss_and_grads)
+        monkeypatch.setattr(training, "admm_w_update", admm_w_update)
+        cfg = AdmmConfig(lam=0.5, period=7, max_steps=130, seed=0)
+        train_stn(make_net(arch, 0), make_dataset(arch, 0), cfg, log=log)
+        assert asked == [log] * 130
+        assert updates == [0.5 if step % 7 == 0 else 0.0
+                           for step in range(1, 131)]
+
+    @pytest.mark.parametrize("label", [2, -3])
+    @pytest.mark.parametrize("log", [False, True])
+    def test_an_out_of_range_label_raises_at_its_chunks_start(
+            self, monkeypatch, label, log):
+        """A label outside [-2, 2) that step 41 draws raises IndexError
+        before the first step of its chunk runs."""
+        data = make_blobs(0)
+        cfg = AdmmConfig(max_steps=130, seed=0)
+        draws = np.random.default_rng(cfg.seed).integers(
+            0, len(data.y_train), size=(training.LOG_CHUNK, cfg.batch_size))
+        data.y_train[draws[40, 0]] = label
+        steps = []
+        real = MLP.loss_and_grads
+
+        def loss_and_grads(self, *args, **kwargs):
+            steps.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(MLP, "loss_and_grads", loss_and_grads)
+        with pytest.raises(IndexError):
+            train_stn(make_net("mlp", 0), data, cfg, log=log)
+        assert steps == []
+
 
 def per_step_reference(net, data, cfg, reference_steps):
     """The ADMM training loop, which runs every round (at lam = 0 too),
@@ -321,8 +388,8 @@ def diverging_mlp(at: int):
     net, steps = make_net("mlp", 0), itertools.count(1)
     real = net.loss_and_grads
 
-    def loss_and_grads(x, y):
-        loss, acc, grads = real(x, y)
+    def loss_and_grads(x, y, **kwargs):
+        loss, acc, grads = real(x, y, **kwargs)
         return loss, acc, grads if next(steps) != at else [
             g * 1e300 for g in grads]
 
