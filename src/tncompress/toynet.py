@@ -12,7 +12,8 @@ change and passes it by keyword: the inputs once per run, mapped by the
 net's `step_inputs` (the mlp's float64 rows, the tinycnn's per-image conv
 windows), of which each step takes its batch's rows; the labels' flat
 indices once per chunk of steps, by `label_indices`; one float64 image of
-the weights per step; and no batch accuracy unless it logs one.
+the weights per step; and, by `report`, in the accuracy's place the
+step's logits, which a log reads per chunk of steps, or nothing.
 """
 
 from __future__ import annotations
@@ -74,10 +75,12 @@ def label_indices(labels, batch: int, classes: int) -> np.ndarray:
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, *,
-                          at=None, accuracy: bool = True):
-    """Mean cross entropy, batch accuracy, and the logit gradient.  `at` is
-    label_indices(labels, n, C) when the caller has it; with accuracy false
-    the accuracy is None, and labels are read only to make `at`."""
+                          at=None, report="accuracy"):
+    """Mean cross entropy, a report on the batch, and the logit gradient.
+    report "accuracy" reports the batch accuracy, "logits" the logits less
+    their row max, whose argmax gives the accuracy, and None nothing.
+    `at` is label_indices(labels, n, C) when the caller has it; labels are
+    read only for the accuracy and to make `at`."""
     n, c = logits.shape
     # the row max as a fold over the columns, one call per class rather
     # than a reduction's inner loop per row; a max is exact, so its bits do
@@ -95,11 +98,13 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, *,
     # -(sum / n) as -mean() computes it, in fewer calls; negating the sum
     # keeps the -0.0 of a batch whose labels all have probability 1
     loss = -float(np.add.reduce(np.log(picked + 1e-300))) / n
-    acc = (int(np.count_nonzero(logits.argmax(axis=1) == labels)) / n
-           if accuracy else None)
+    if report == "accuracy":
+        report = int(np.count_nonzero(logits.argmax(axis=1) == labels)) / n
+    elif report == "logits":
+        report = logits
     flat[at] = picked - 1.0         # probs becomes the gradient in place
     probs /= n
-    return loss, acc, probs
+    return loss, report, probs
 
 
 def _float64(weights) -> list[np.ndarray]:
@@ -137,23 +142,24 @@ class MLP:
         return np.asarray(x, dtype=np.float64)
 
     def loss_and_grads(self, x, y, *, prepared=False, w64=None, at=None,
-                       accuracy=True):
+                       report="accuracy"):
         """Loss, accuracy and weight gradients on batch x with labels y.
         A training loop passes x as rows of step_inputs (prepared), the
         weights as float64 (w64) and the labels' flat indices (at), each
-        made once where it does not change; the loss head reads at and
-        accuracy (see softmax_cross_entropy)."""
+        made once where it does not change; the loss head reads at, and
+        report names what stands in the accuracy's place (see
+        softmax_cross_entropy)."""
         w1, w2 = _float64(self.weights) if w64 is None else w64
         x = x if prepared else self.step_inputs(x)
         pre = x @ w1.T
         h = np.maximum(pre, 0.0)
         logits = h @ w2.T
-        loss, acc, dlogits = softmax_cross_entropy(logits, y, at=at,
-                                                   accuracy=accuracy)
+        loss, report, dlogits = softmax_cross_entropy(logits, y, at=at,
+                                                      report=report)
         dw2 = dlogits.T @ h
         dh = (dlogits @ w2) * (pre > 0)
         dw1 = dh.T @ x
-        return loss, acc, [dw1, dw2]
+        return loss, report, [dw1, dw2]
 
 
 class TinyCNN:
@@ -188,7 +194,7 @@ class TinyCNN:
                            win.shape[1])
 
     def loss_and_grads(self, x, y, *, prepared=False, w64=None, at=None,
-                       accuracy=True):
+                       report="accuracy"):
         """As MLP.loss_and_grads."""
         kc, wfc = _float64(self.weights) if w64 is None else w64
         rows = x if prepared else self.step_inputs(x)
@@ -199,15 +205,15 @@ class TinyCNN:
         act = np.maximum(pre, 0.0)
         flat = self._flatten(act)
         logits = flat @ wfc.T
-        loss, acc, dlogits = softmax_cross_entropy(logits, y, at=at,
-                                                   accuracy=accuracy)
+        loss, report, dlogits = softmax_cross_entropy(logits, y, at=at,
+                                                      report=report)
         dwfc = dlogits.T @ flat
         dflat = dlogits @ wfc
         dact = dflat.reshape(act.shape[0], act.shape[3], act.shape[2],
                              act.shape[1]).transpose(0, 3, 2, 1)
         dpre = dact * (pre > 0)
         dk = (win.T @ dpre.reshape(len(win), -1)).reshape(kc.shape)
-        return loss, acc, [dk, dwfc]
+        return loss, report, [dk, dwfc]
 
 
 NETS = {net.arch: net for net in (MLP, TinyCNN)}

@@ -7,18 +7,18 @@ The loop does each piece of work as often as its inputs change: the
 net's step inputs once per run; the batch indices, their labels and the
 labels' flat indices once per chunk of steps; and per step one row take,
 one float64 image of the weights that the loss and the W-update share,
-one loss_and_grads and one admm_w_update call, and the batch accuracy only
-when the step is logged."""
+one loss_and_grads and one admm_w_update call.  A logged step hands the
+log its loss, logits and state, which the log reads per chunk of steps."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from math import isfinite
+from dataclasses import replace
+from math import isfinite, prod
 
 import numpy as np
 
-from .admm import (AdmmConfig, AdmmState, admm_w_update, admm_y_update,
-                   admm_z_update, balanced_unfold)
+from .admm import (AdmmConfig, AdmmState, BipartitionPlan, admm_w_update,
+                   admm_y_update, admm_z_update, balanced_unfold)
 from .errors import ConfigError, TrainingError
 from .model_io import write_csv
 from .ranks import effective_rank
@@ -35,72 +35,102 @@ LOG_CHUNK = 64
 CHUNK_INDICES = 1 << 16
 
 
-@dataclass
 class TrainingLog:
-    """Per-step rows of loss, accuracy, mu, ADMM gaps and effective ranks.
+    """Per-step loss, accuracy, mu, ADMM gaps and effective ranks, kept as
+    columns.
 
-    The training loop draws its batch indices per chunk of LOG_CHUNK (64)
-    steps, and the log takes its gaps and effective ranks per chunk too: a
-    step's are filled in when its chunk is flushed, with, per layer, one
-    stacked dot product in float64 and one stacked effective_rank call for
-    the whole chunk."""
+    record() keeps only what a step produces: its loss and mu, its labels
+    and shifted logits, and references to its W and Z.  Every LOG_CHUNK
+    (64) steps the log flushes them: per layer, the chunk's weights stacked
+    once, its gaps against the one Z that each run of steps between two
+    ADMM rounds shares, and one effective_rank call on the chunk's balanced
+    unfoldings, by plans taken once per log; and the chunk's batch
+    accuracies as hit counts, from one argmax over its stacked logits.
+    write_csv formats each column once, each distinct accuracy and mu once,
+    and rows is a view built from the columns."""
 
-    layer_count: int
-    rows: list[dict] = field(default_factory=list)
-    # per recorded step, its W and Z lists: the step replaces every array
-    # it changes, so references suffice
-    _pending: list[tuple[list[np.ndarray], list[np.ndarray]]] = field(
-        default_factory=list, repr=False)
+    def __init__(self, plans: list[BipartitionPlan]):
+        self.plans = plans
+        self._batch = 0
+        self._loss: list[float] = []
+        self._mu: list[float] = []
+        self._hits: list[int] = []
+        self._gaps: list[list[float]] = [[] for _ in plans]
+        self._ranks: list[list[int]] = [[] for _ in plans]
+        # per recorded step, (loss, mu, logits, labels, W, Z): the step
+        # replaces every array it changes, so references suffice
+        self._pending: list[tuple] = []
 
     def header(self) -> list[str]:
-        cols = ["step", "loss", "accuracy", "mu"]
-        for i in range(self.layer_count):
-            cols.append(f"gap_l{i}")
-        for i in range(self.layer_count):
-            cols.append(f"effrank_l{i}")
-        return cols
+        layers = range(len(self.plans))
+        return ["step", "loss", "accuracy", "mu",
+                *(f"gap_l{i}" for i in layers),
+                *(f"effrank_l{i}" for i in layers)]
 
-    def record(self, step, loss, acc, state: AdmmState) -> None:
+    def record(self, loss, logits, labels, state: AdmmState) -> None:
+        """Keep the next step's record; a log's steps are 1, 2, ...,
+        recorded in order, and logits are the loss head's report."""
         # a full chunk is flushed when the next step is recorded, so its
         # ranks are never taken before that step's loss check or the final
         # weight check
         if len(self._pending) == LOG_CHUNK:
             self.flush()
-        self.rows.append({"step": step, "loss": f"{loss:.6f}",
-                          "accuracy": f"{acc:.4f}", "mu": f"{state.mu:.6f}"})
-        self._pending.append((list(state.w), list(state.z)))
+        self._pending.append((loss, state.mu, logits, labels,
+                              tuple(state.w), tuple(state.z)))
 
     def flush(self) -> None:
-        """Fill in the gaps and effective ranks of the steps recorded since
-        the last flush."""
+        """Fill in the columns of the steps recorded since the last flush."""
         if not self._pending:
             return
-        rows = self.rows[-len(self._pending):]
-        step_ws, step_zs = zip(*self._pending)
-        # per layer, its chunk of weights stacked once, steps first: the
-        # gaps and the effective ranks both read it (np.array stacks equal
-        # shapes as np.stack does, in fewer µs)
-        stacks = [np.array(weights) for weights in zip(*step_ws)]
-        for i, (stack, zs) in enumerate(zip(stacks, zip(*step_zs))):
-            gaps = row_norms(np.array(zs) - stack).tolist()
-            for row, gap in zip(rows, gaps):
-                row[f"gap_l{i}"] = f"{gap:.6f}"
-        for i, stack in enumerate(stacks):
-            unfolded, plan = balanced_unfold(stack[0])
+        losses, mus, logits, labels, step_ws, step_zs = zip(*self._pending)
+        self._pending.clear()
+        self._loss += losses
+        self._mu += mus
+        self._batch = len(labels[0])
+        # each step's hits by the head's accuracy rule, for the whole chunk
+        self._hits += np.count_nonzero(
+            np.array(logits).argmax(axis=2) == np.array(labels),
+            axis=1).tolist()
+        for plan, ws, zs, gaps, ranks in zip(self.plans, zip(*step_ws),
+                                             zip(*step_zs), self._gaps,
+                                             self._ranks):
+            # the chunk's weights stacked once, steps first: the gaps and
+            # the effective ranks both read it (np.array stacks equal
+            # shapes as np.stack does, in fewer µs)
+            stack = np.array(ws)
+            # Z changes only at a round, so each run of steps between two
+            # rounds takes its gaps against the one Z it shares
+            cuts = [j for j in range(1, len(zs)) if zs[j] is not zs[j - 1]]
+            for z, part in zip((zs[j] for j in (0, *cuts)),
+                               np.split(stack, cuts)):
+                gaps += row_norms(z - part).tolist()
             # a step's weight is the stack's slice, its mode m the stack's
             # axis m; with the step first and fastest, one F-order reshape
             # gives each step's matrix in balanced_unfold's layout
+            height = prod(plan.dims[m - 1] for m in plan.row_modes)
             mats = np.transpose(
                 stack, (0, *plan.row_modes, *plan.col_modes)).reshape(
-                    (len(stack), *unfolded.shape), order="F")
-            key = f"effrank_l{i}"
-            for row, rank in zip(rows, effective_rank(mats, LOG_RANK_KAPPA)):
-                row[key] = rank
-        self._pending.clear()
+                    (len(stack), height, -1), order="F")
+            ranks += effective_rank(mats, LOG_RANK_KAPPA)
+
+    def _columns(self) -> list:
+        accuracy = {k: f"{k / self._batch:.4f}" for k in set(self._hits)}
+        mu = {m: f"{m:.6f}" for m in set(self._mu)}
+        return [range(1, len(self._loss) + 1),
+                [f"{v:.6f}" for v in self._loss],
+                [accuracy[k] for k in self._hits],
+                [mu[m] for m in self._mu],
+                *([f"{g:.6f}" for g in gaps] for gaps in self._gaps),
+                *self._ranks]
+
+    @property
+    def rows(self) -> list[dict]:
+        """Each step's row, as a dict keyed by the header."""
+        header = self.header()
+        return [dict(zip(header, row)) for row in zip(*self._columns())]
 
     def write_csv(self, path) -> None:
-        header = self.header()
-        write_csv(path, [header, *([r[c] for c in header] for r in self.rows)])
+        write_csv(path, [self.header(), *zip(*self._columns())])
 
 
 def _check_weights(weights: list[np.ndarray], step: int) -> None:
@@ -114,7 +144,11 @@ def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
     rng = np.random.default_rng(cfg.seed)
     sgd = replace(cfg, lam=0.0)     # a W-update with lam = 0 is plain SGD
     state = AdmmState.init(net.weights, cfg)
-    history = TrainingLog(layer_count=len(net.weights)) if log else None
+    # the log's unfolding plans, once per run
+    history = (TrainingLog([balanced_unfold(w)[1] for w in net.weights])
+               if log else None)
+    # a logged step hands the log its logits, and no step an accuracy
+    report = "logits" if log else None
     n = len(data.x_train)
     # per run: the inputs as a step reads them (the tinycnn's window rows)
     inputs = net.step_inputs(data.x_train)
@@ -143,9 +177,9 @@ def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
                 # loss and the W-update both read
                 w64 = [w.astype(np.float64) for w in state.w]
                 # take gathers the same rows as inputs[idx], in fewer µs
-                loss, acc, grads = net.loss_and_grads(
+                loss, logits, grads = net.loss_and_grads(
                     inputs.take(idx, axis=0), y, prepared=True, w64=w64,
-                    at=y_at, accuracy=history is not None)
+                    at=y_at, report=report)
                 if not isfinite(loss):
                     raise TrainingError(
                         f"loss became non-finite at step {step}", step)
@@ -159,7 +193,7 @@ def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
                     admm_w_update(state, grads, sgd, w64=w64)
                 state.step = step
                 if history is not None:
-                    history.record(step, loss, acc, state)
+                    history.record(loss, logits, y, state)
         # the loss sees a step's input weights, so not the last update's
         _check_weights(state.w, state.step)
         if history is not None:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tncompress import admm, ranks, training
+import log_cost
+from tncompress import admm, ranks, toynet, training
 from tncompress.admm import AdmmConfig, balanced_unfold
 from tncompress.errors import TrainingError
 from tncompress.ranks import effective_rank
@@ -274,24 +275,43 @@ class TestTrainingLoop:
                                                          arch, log):
         """An N-step run calls its net class's loss_and_grads and
         training.admm_w_update N times each, as perfbench counts them per
-        op, and asks for the batch accuracy only when it logs."""
+        op.  It asks the loss head for the logits exactly when it logs and
+        never for the batch accuracy, and no step takes an argmax of its
+        logits: the log takes one per chunk, of the stacked logits."""
         cls = type(make_net(arch, 0))
         real_loss, real_update = cls.loss_and_grads, training.admm_w_update
-        asked, updates = [], []
+        real_head = toynet.softmax_cross_entropy
+        asked, heads, argmaxes, updates = [], [], [], []
+
+        class Watched(np.ndarray):
+            """Logits that record each argmax taken of them or of an array
+            made from them, such as the head's shifted logits."""
+
+            def argmax(self, *args, **kwargs):
+                argmaxes.append(self.shape)
+                return super().argmax(*args, **kwargs)
 
         def loss_and_grads(self, x, y, **kwargs):
-            asked.append(kwargs.get("accuracy", True))
+            asked.append(kwargs.get("report", "accuracy"))
             return real_loss(self, x, y, **kwargs)
+
+        def head(logits, labels, **kwargs):
+            heads.append(kwargs.get("report", "accuracy"))
+            loss, report, grad = real_head(logits.view(Watched), labels,
+                                           **kwargs)
+            return loss, report, grad.view(np.ndarray)
 
         def admm_w_update(*args, **kwargs):
             updates.append(args[2].lam)
             return real_update(*args, **kwargs)
 
         monkeypatch.setattr(cls, "loss_and_grads", loss_and_grads)
+        monkeypatch.setattr(toynet, "softmax_cross_entropy", head)
         monkeypatch.setattr(training, "admm_w_update", admm_w_update)
         cfg = AdmmConfig(lam=0.5, period=7, max_steps=130, seed=0)
         train_stn(make_net(arch, 0), make_dataset(arch, 0), cfg, log=log)
-        assert asked == [log] * 130
+        assert asked == heads == ["logits" if log else None] * 130
+        assert argmaxes == []
         assert updates == [0.5 if step % 7 == 0 else 0.0
                            for step in range(1, 131)]
 
@@ -361,10 +381,11 @@ def count_draws(monkeypatch) -> list[tuple]:
 
 
 def assert_log_matches_per_step(arch, period, lam, batch, tmp_path,
-                                reference_steps):
-    """130 steps: two full 64-step chunks and a remainder of 2."""
+                                reference_steps, steps=130):
+    """The log's rows and CSV bytes are the per-step reference's; 130
+    steps are two full 64-step chunks and a remainder of 2."""
     data = make_dataset(arch, 1)
-    cfg = AdmmConfig(lam=lam, period=period, max_steps=130,
+    cfg = AdmmConfig(lam=lam, period=period, max_steps=steps,
                      batch_size=batch, seed=2)
     net, log = train_stn(make_net(arch, 2), data, cfg, log=True)
     weights, rows = per_step_reference(make_net(arch, 2), data, cfg,
@@ -428,6 +449,30 @@ class TestChunkedLog:
     @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
     @pytest.mark.parametrize("period", [1, 7, 100])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("steps", [1, 64])
+    def test_chunk_edges_match_per_step_rows(self, arch, period, lam, steps,
+                                             tmp_path, reference_steps):
+        """test_matches_per_step_rows at the chunk edges: one step is a lone
+        partial chunk, and 64 steps one full chunk that only the final
+        flush empties."""
+        assert_log_matches_per_step(arch, period, lam, 32, tmp_path,
+                                    reference_steps, steps)
+
+    @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_short_draws_match_per_step_rows(self, monkeypatch, arch, lam,
+                                             tmp_path, reference_steps):
+        """With a cap of 99 indices a batch of 33 draws 3 steps at a time,
+        out of step with the log's 64-step flushes (see
+        test_large_batch_draws_fewer_steps_at_once), so the log carries each
+        step's labels across draws."""
+        monkeypatch.setattr(training, "CHUNK_INDICES", 99)
+        assert_log_matches_per_step(arch, 7, lam, 33, tmp_path,
+                                    reference_steps)
+
+    @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
+    @pytest.mark.parametrize("period", [1, 7, 100])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
     @pytest.mark.parametrize("batch", [1, 33])
     def test_odd_batch_matches_per_step_rows(self, arch, period, lam, batch,
                                              tmp_path, reference_steps):
@@ -439,6 +484,8 @@ class TestChunkedLog:
     @pytest.mark.parametrize("steps", [1, 64, 130])
     def test_log_costs_one_stacked_rank_per_layer_per_chunk(self, monkeypatch,
                                                            steps):
+        """A logged run takes one effective_rank call per layer and chunk,
+        and each layer's unfolding plan once per run."""
         calls = {"effective_rank": 0, "balanced_unfold": 0}
 
         def counted(owner, name):
@@ -462,8 +509,7 @@ class TestChunkedLog:
         draws.clear()
         _, log = train_stn(nets[1], data, cfg, log=True)
         assert len(log.rows) == steps
-        assert calls == {"effective_rank": 2 * chunks,
-                         "balanced_unfold": 2 * chunks}
+        assert calls == {"effective_rank": 2 * chunks, "balanced_unfold": 2}
         assert len(draws) == chunks
 
     @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
@@ -500,3 +546,23 @@ class TestChunkedLog:
         assert draws == [(3, 33)] * 3 + [(1, 33)]
         for a, b in zip(net.weights, expected.weights):
             assert np.array_equal(a, b)
+
+
+def test_log_cost_prints_each_arch_and_the_logs_split(capsys):
+    """tests/log_cost.py, which re-makes the README's `--log` cost figures,
+    runs at one run of 20 steps per arch, prints a line per arch with the
+    log's parts and puts back every name it wraps."""
+    wrapped = (training.effective_rank, training.TrainingLog.flush,
+               training.TrainingLog.write_csv)
+    assert log_cost.main(["--runs", "1", "--steps", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines] == ["mlp", "tinycnn"]
+    for line in lines:
+        assert "20 steps, min of 1 runs" in line
+        for part in (*log_cost.PARTS, "per-step record"):
+            assert part in line
+    assert (training.effective_rank, training.TrainingLog.flush,
+            training.TrainingLog.write_csv) == wrapped
+    best = log_cost.measure("mlp", 3, 1)
+    assert set(best) == {"train", "train --log", *log_cost.PARTS}
+    assert all(0 <= value < 60 for value in best.values())
