@@ -21,7 +21,7 @@ from .layers import (TensorizationPlan, conv2d_dense, conv2d_tn,  # noqa: F401
 from .model_io import (ModelContainer, check_outputs, load_model,
                        parse_key_values, read_text, save_model, write_csv)
 from .ranks import budget_kappa, ranks_from_curves, retention_curves
-from .toynet import (ARCHS, NETS, TinyCNN, eval_split, make_dataset,
+from .toynet import (ARCHS, NETS, TinyCNN, eval_split, hits, make_dataset,
                      make_net, softmax_cross_entropy)
 from .topology import (TNFactorSet, TNTopology, prune_rank_one_edges,
                        tn_param_count)
@@ -322,8 +322,8 @@ def evaluate_container(container: ModelContainer, data_seed: int) -> dict:
         logits = model_logits(layers, x_test)
         if not np.isfinite(logits).all():
             raise NumericError("the model's logits are non-finite")
-        loss, acc, _ = softmax_cross_entropy(logits, y_test)
-    return {"loss": loss, "accuracy": acc}
+        loss, _ = softmax_cross_entropy(logits, y_test)
+    return {"loss": loss, "accuracy": int(hits(logits, y_test)) / len(y_test)}
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,15 @@ Two architectures: an 8 -> 32 -> 2 MLP with a rectifier, and a tiny CNN
 144, linear to 2).  Both use a softmax cross-entropy head and no biases.
 Weights are stored as float32; all arithmetic runs in float64.
 
-`loss_and_grads(x, y)` makes everything it reads from x, y and the
-weights.  A training loop makes what does not change where it does not
-change and passes it by keyword: the inputs once per run, mapped by the
-net's `step_inputs` (the mlp's float64 rows, the tinycnn's per-image conv
-windows), of which each step takes its batch's rows; the labels' flat
-indices once per chunk of steps, by `label_indices`; one float64 image of
-the weights per step; and, by `report`, in the accuracy's place the
-step's logits, which a log reads per chunk of steps, or nothing.
+`loss_and_grads(x, y)` makes everything it reads from x, y and
+`net.weights`, and returns the loss, the raw logits and the weight
+gradients.  A training loop makes what does not change where it does not
+change: the inputs once per run, mapped by the net's `step_inputs` (the
+mlp's float64 rows, the tinycnn's per-image conv windows), of which each
+step takes its batch's rows (`prepared`); the labels' flat indices once per
+chunk of steps, by `label_indices` (`at`); and one float64 image of the
+weights per step, set as `net.weights`, which the loss reads without a
+copy.  `hits` is the one accuracy rule.
 """
 
 from __future__ import annotations
@@ -75,12 +76,10 @@ def label_indices(labels, batch: int, classes: int) -> np.ndarray:
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, *,
-                          at=None, report="accuracy"):
-    """Mean cross entropy, a report on the batch, and the logit gradient.
-    report "accuracy" reports the batch accuracy, "logits" the logits less
-    their row max, whose argmax gives the accuracy, and None nothing.
-    `at` is label_indices(labels, n, C) when the caller has it; labels are
-    read only for the accuracy and to make `at`."""
+                          at=None):
+    """Mean cross entropy and the logit gradient.  `at` is
+    label_indices(labels, n, C) when the caller has it; labels are read
+    only to make `at`."""
     n, c = logits.shape
     # the row max as a fold over the columns, one call per class rather
     # than a reduction's inner loop per row; a max is exact, so its bits do
@@ -98,17 +97,21 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, *,
     # -(sum / n) as -mean() computes it, in fewer calls; negating the sum
     # keeps the -0.0 of a batch whose labels all have probability 1
     loss = -float(np.add.reduce(np.log(picked + 1e-300))) / n
-    if report == "accuracy":
-        report = int(np.count_nonzero(logits.argmax(axis=1) == labels)) / n
-    elif report == "logits":
-        report = logits
     flat[at] = picked - 1.0         # probs becomes the gradient in place
     probs /= n
-    return loss, report, probs
+    return loss, probs
+
+
+def hits(logits: np.ndarray, labels: np.ndarray):
+    """How many rows' argmax, the first maximal column, is the label: over
+    the last two axes, so a stack of batches gives one count per batch.
+    On finite logits this is the count of the head's row-max-shifted
+    logits, since x - max is 0 exactly where x is the max."""
+    return np.count_nonzero(logits.argmax(-1) == labels, axis=-1)
 
 
 def _float64(weights) -> list[np.ndarray]:
-    return [w.astype(np.float64) for w in weights]
+    return [np.asarray(w, dtype=np.float64) for w in weights]
 
 
 def _draw_weights(seed: int, shapes) -> list[np.ndarray]:
@@ -141,25 +144,21 @@ class MLP:
         """x as a training step reads it: float64 rows."""
         return np.asarray(x, dtype=np.float64)
 
-    def loss_and_grads(self, x, y, *, prepared=False, w64=None, at=None,
-                       report="accuracy"):
-        """Loss, accuracy and weight gradients on batch x with labels y.
-        A training loop passes x as rows of step_inputs (prepared), the
-        weights as float64 (w64) and the labels' flat indices (at), each
-        made once where it does not change; the loss head reads at, and
-        report names what stands in the accuracy's place (see
-        softmax_cross_entropy)."""
-        w1, w2 = _float64(self.weights) if w64 is None else w64
+    def loss_and_grads(self, x, y, *, prepared=False, at=None):
+        """Loss, raw logits and weight gradients on batch x with labels y.
+        A training loop passes x as rows of step_inputs (prepared) and the
+        labels' flat indices (at), each made once where it does not
+        change; the loss head reads at."""
+        w1, w2 = _float64(self.weights)
         x = x if prepared else self.step_inputs(x)
         pre = x @ w1.T
         h = np.maximum(pre, 0.0)
         logits = h @ w2.T
-        loss, report, dlogits = softmax_cross_entropy(logits, y, at=at,
-                                                      report=report)
+        loss, dlogits = softmax_cross_entropy(logits, y, at=at)
         dw2 = dlogits.T @ h
         dh = (dlogits @ w2) * (pre > 0)
         dw1 = dh.T @ x
-        return loss, report, [dw1, dw2]
+        return loss, logits, [dw1, dw2]
 
 
 class TinyCNN:
@@ -193,10 +192,9 @@ class TinyCNN:
         return win.reshape(len(x), x.shape[1] - k + 1, x.shape[2] - k + 1,
                            win.shape[1])
 
-    def loss_and_grads(self, x, y, *, prepared=False, w64=None, at=None,
-                       report="accuracy"):
+    def loss_and_grads(self, x, y, *, prepared=False, at=None):
         """As MLP.loss_and_grads."""
-        kc, wfc = _float64(self.weights) if w64 is None else w64
+        kc, wfc = _float64(self.weights)
         rows = x if prepared else self.step_inputs(x)
         # the window matrix, which the kernel gradient reuses
         win = rows.reshape(-1, rows.shape[-1])
@@ -205,15 +203,14 @@ class TinyCNN:
         act = np.maximum(pre, 0.0)
         flat = self._flatten(act)
         logits = flat @ wfc.T
-        loss, report, dlogits = softmax_cross_entropy(logits, y, at=at,
-                                                      report=report)
+        loss, dlogits = softmax_cross_entropy(logits, y, at=at)
         dwfc = dlogits.T @ flat
         dflat = dlogits @ wfc
         dact = dflat.reshape(act.shape[0], act.shape[3], act.shape[2],
                              act.shape[1]).transpose(0, 3, 2, 1)
         dpre = dact * (pre > 0)
         dk = (win.T @ dpre.reshape(len(win), -1)).reshape(kc.shape)
-        return loss, report, [dk, dwfc]
+        return loss, logits, [dk, dwfc]
 
 
 NETS = {net.arch: net for net in (MLP, TinyCNN)}

@@ -6,9 +6,9 @@ and Z the initial weights in float64, so a log's gap_l* is ||W0 - W||.
 The loop does each piece of work as often as its inputs change: the
 net's step inputs once per run; the batch indices, their labels and the
 labels' flat indices once per chunk of steps; and per step one row take,
-one float64 image of the weights that the loss and the W-update share,
-one loss_and_grads and one admm_w_update call.  A logged step hands the
-log its loss, logits and state, which the log reads per chunk of steps."""
+one float64 image of the weights, read by the loss as net.weights and by
+the W-update, one loss_and_grads and one admm_w_update call.  A logged
+step hands the log its loss, logits and state, read per chunk of steps."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .errors import ConfigError, TrainingError
 from .model_io import write_csv
 from .ranks import effective_rank
 from .tensor import row_norms
-from .toynet import Dataset, label_indices
+from .toynet import Dataset, hits, label_indices
 
 LOG_RANK_KAPPA = 0.9
 # steps per index draw and per stacked gap and effective-rank pass, and so
@@ -40,12 +40,12 @@ class TrainingLog:
     columns.
 
     record() keeps only what a step produces: its loss and mu, its labels
-    and shifted logits, and references to its W and Z.  Every LOG_CHUNK
+    and logits, and references to its W and Z.  Every LOG_CHUNK
     (64) steps the log flushes them: per layer, the chunk's weights stacked
     once, its gaps against the one Z that each run of steps between two
     ADMM rounds shares, and one effective_rank call on the chunk's balanced
     unfoldings, by plans taken once per log; and the chunk's batch
-    accuracies as hit counts, from one argmax over its stacked logits.
+    accuracies as one `hits` count over its stacked logits.
     write_csv formats each column once, each distinct accuracy and mu once,
     and rows is a view built from the columns."""
 
@@ -69,7 +69,7 @@ class TrainingLog:
 
     def record(self, loss, logits, labels, state: AdmmState) -> None:
         """Keep the next step's record; a log's steps are 1, 2, ...,
-        recorded in order, and logits are the loss head's report."""
+        recorded in order, and logits are its loss_and_grads logits."""
         # a full chunk is flushed when the next step is recorded, so its
         # ranks are never taken before that step's loss check or the final
         # weight check
@@ -87,10 +87,7 @@ class TrainingLog:
         self._loss += losses
         self._mu += mus
         self._batch = len(labels[0])
-        # each step's hits by the head's accuracy rule, for the whole chunk
-        self._hits += np.count_nonzero(
-            np.array(logits).argmax(axis=2) == np.array(labels),
-            axis=1).tolist()
+        self._hits += hits(np.array(logits), np.array(labels)).tolist()
         for plan, ws, zs, gaps, ranks in zip(self.plans, zip(*step_ws),
                                              zip(*step_zs), self._gaps,
                                              self._ranks):
@@ -140,15 +137,16 @@ def _check_weights(weights: list[np.ndarray], step: int) -> None:
 
 def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
     """SGD with one ADMM round every cfg.period steps, none at lam = 0;
-    returns the net and, when log is true, its TrainingLog (else None)."""
+    returns the net and, when log is true, its TrainingLog (else None).
+    Each step sets net.weights to its float64 image of the weights, so a
+    TrainingError leaves there the image the failing step read; a run that
+    returns leaves the float32 weights."""
     rng = np.random.default_rng(cfg.seed)
     sgd = replace(cfg, lam=0.0)     # a W-update with lam = 0 is plain SGD
     state = AdmmState.init(net.weights, cfg)
     # the log's unfolding plans, once per run
     history = (TrainingLog([balanced_unfold(w)[1] for w in net.weights])
                if log else None)
-    # a logged step hands the log its logits, and no step an accuracy
-    report = "logits" if log else None
     n = len(data.x_train)
     # per run: the inputs as a step reads them (the tinycnn's window rows)
     inputs = net.step_inputs(data.x_train)
@@ -163,7 +161,8 @@ def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
             try:
                 draws = rng.integers(0, n, size=(
                     min(chunk, cfg.max_steps + 1 - first), cfg.batch_size))
-            except ValueError as exc:   # a size numpy cannot address
+            # a size numpy cannot address or allocate
+            except (ValueError, MemoryError) as exc:
                 raise ConfigError(
                     f"batch {cfg.batch_size} is too large: {exc}") from None
             # per chunk: its labels and their flat indices into each step's
@@ -172,14 +171,12 @@ def train_stn(net, data: Dataset, cfg: AdmmConfig, log: bool = False):
             at = label_indices(labels, cfg.batch_size, classes)
             for step, (idx, y, y_at) in enumerate(zip(draws, labels, at),
                                                   start=first):
-                net.weights = state.w
                 # per step: one float64 image of the weights, which the
-                # loss and the W-update both read
-                w64 = [w.astype(np.float64) for w in state.w]
+                # loss reads as net.weights and the W-update as w64
+                net.weights = w64 = [w.astype(np.float64) for w in state.w]
                 # take gathers the same rows as inputs[idx], in fewer µs
                 loss, logits, grads = net.loss_and_grads(
-                    inputs.take(idx, axis=0), y, prepared=True, w64=w64,
-                    at=y_at, report=report)
+                    inputs.take(idx, axis=0), y, prepared=True, at=y_at)
                 if not isfinite(loss):
                     raise TrainingError(
                         f"loss became non-finite at step {step}", step)

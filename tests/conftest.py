@@ -32,15 +32,17 @@ def save_non_finite():
 def admm_steps(net, data, cfg):
     """The ADMM training loop with one batch-index draw per step and every
     round's W, Z and Y updates, at lam = 0 too; yields (step, loss,
-    accuracy, state) after each step."""
+    accuracy, state) after each step, the accuracy the share of the batch
+    whose logits' argmax is its label."""
     rng = np.random.default_rng(cfg.seed)
     state = AdmmState.init(net.weights, cfg)
     with np.errstate(all="ignore"):
         for step in range(1, cfg.max_steps + 1):
             idx = rng.integers(0, len(data.x_train), size=cfg.batch_size)
             net.weights = state.w
-            loss, acc, grads = net.loss_and_grads(data.x_train[idx],
-                                                  data.y_train[idx])
+            y = data.y_train[idx]
+            loss, logits, grads = net.loss_and_grads(data.x_train[idx], y)
+            acc = float((logits.argmax(axis=1) == y).mean())
             if step % cfg.period == 0:
                 admm_w_update(state, grads, cfg)
                 admm_z_update(state)

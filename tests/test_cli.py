@@ -505,7 +505,7 @@ class TestExitCodes:
         ("train", "mu0 = 1e39\nmu_max = 1e40\nperiod = 10\ndata_seed = 5\n",
          "weights became non-finite at step 20"),
         ("train", "batch = 1000000000000000\ndata_seed = 5\n",
-         "Unable to allocate"),
+         "batch 1000000000000000 is too large: Unable to allocate"),
         ("train", "batch = 2000000000000000000\nseed = 0\ndata_seed = 0\n",
          "batch 2000000000000000000 is too large"),
         ("train", "batch = 10000000000000000000000000\ndata_seed = 0\n",

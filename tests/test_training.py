@@ -17,13 +17,14 @@ from tncompress.errors import TrainingError
 from tncompress.ranks import effective_rank
 from tncompress.toynet import (MLP, TinyCNN, eval_split, make_blobs,
                                make_dataset, make_net, make_stripes,
-                               softmax_cross_entropy, toy_backward)
+                               hits, softmax_cross_entropy, toy_backward)
 from tncompress.training import train_sgd, train_stn
 
 
 def evaluate_net(net, x: np.ndarray, y: np.ndarray) -> dict:
     logits = net.forward(x)
-    loss, acc, _ = softmax_cross_entropy(logits, y)
+    loss, _ = softmax_cross_entropy(logits, y)
+    acc = float((logits.argmax(axis=1) == y).mean())
     return {"loss": loss, "accuracy": acc}
 
 
@@ -107,7 +108,7 @@ class TestNets:
     def test_softmax_cross_entropy_uniform(self):
         logits = np.zeros((4, 2))
         labels = np.array([0, 1, 0, 1])
-        loss, _, grad = softmax_cross_entropy(logits, labels)
+        loss, grad = softmax_cross_entropy(logits, labels)
         assert loss == pytest.approx(np.log(2.0))
         assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-12)
 
@@ -123,7 +124,9 @@ class TestNets:
             logits = np.round(logits)
         # a label in [-classes, 0) names a class from the end, as an index
         labels = rng.integers(-classes, classes, batch)
-        loss, acc, grad = softmax_cross_entropy(logits.copy(), labels)
+        loss, grad = softmax_cross_entropy(logits.copy(), labels)
+        # the reference's accuracy is hits' count on the raw logits
+        acc = int(hits(logits, labels)) / batch
         ref_loss, ref_acc, ref_grad = reference_softmax_cross_entropy(
             logits, labels)
         assert type(loss) is float and type(acc) is float
@@ -162,6 +165,59 @@ class TestNets:
         net = make_net("mlp", 0)
         with pytest.raises(ValueError):
             toy_backward(net, np.zeros((4, 5)), np.zeros(4, dtype=int))
+
+
+def loop_hits(logits, labels) -> int:
+    """Rows whose first maximal column is the label, one row at a time."""
+    count = 0
+    for row, label in zip(logits, labels):
+        best = 0
+        for j, v in enumerate(row):
+            if v > row[best]:
+                best = j
+        count += best == label
+    return count
+
+
+# finite extremes: the largest magnitudes, whose differences overflow, the
+# smallest subnormal and normal magnitudes, and both zeros
+EXTREMES = np.array([1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e-310, 0.0, -0.0, 1.0])
+
+
+class TestHits:
+    @given(steps=st.integers(1, 5), batch=st.integers(1, 9),
+           classes=st.integers(1, 4),
+           kind=st.sampled_from(["random", "tied", "extreme"]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_hits_is_the_per_row_count_and_the_shifted_logits_count(
+            self, steps, batch, classes, kind, seed):
+        """On a stack of batches and on each batch, hits counts the rows
+        whose first maximal column is the label, as a loop does, and as the
+        argmax of the logits less their row max counts on finite rows."""
+        rng = np.random.default_rng(seed)
+        shape = (steps, batch, classes)
+        if kind == "extreme":
+            stack = rng.choice(EXTREMES, shape)
+        else:
+            stack = rng.standard_normal(shape) * 3.0
+            if kind == "tied":
+                stack = np.round(stack)
+        labels = rng.integers(-classes, classes, (steps, batch))
+        with np.errstate(over="ignore"):
+            shifted = stack - stack.max(axis=-1, keepdims=True)
+        want = [loop_hits(b, y) for b, y in zip(stack, labels)]
+        assert hits(stack, labels).tolist() == want
+        assert [int(hits(b, y)) for b, y in zip(stack, labels)] == want
+        assert [int(np.count_nonzero(b.argmax(axis=1) == y))
+                for b, y in zip(shifted, labels)] == want
+
+    def test_a_tie_goes_to_the_first_maximal_column(self):
+        logits = np.array([[1.0, 3.0, 3.0], [2.0, 2.0, 2.0],
+                           [-0.0, 0.0, -1.0], [5e-324, 5e-324, 0.0]])
+        assert int(hits(logits, np.array([1, 0, 0, 0]))) == 4
+        assert int(hits(logits, np.array([2, 1, 1, 1]))) == 0
 
 
 class TestTrainingLoop:
@@ -275,13 +331,14 @@ class TestTrainingLoop:
                                                          arch, log):
         """An N-step run calls its net class's loss_and_grads and
         training.admm_w_update N times each, as perfbench counts them per
-        op.  It asks the loss head for the logits exactly when it logs and
-        never for the batch accuracy, and no step takes an argmax of its
-        logits: the log takes one per chunk, of the stacked logits."""
+        op.  Every loss call reads float64 net.weights equal to state.w bit
+        for bit and is passed only `at` and `prepared`, the loss head only
+        `at`, and no step takes an argmax of its logits: the log takes one
+        per chunk, of the stacked logits."""
         cls = type(make_net(arch, 0))
         real_loss, real_update = cls.loss_and_grads, training.admm_w_update
         real_head = toynet.softmax_cross_entropy
-        asked, heads, argmaxes, updates = [], [], [], []
+        asked, heads, argmaxes, seen, states, updates = [], [], [], [], [], []
 
         class Watched(np.ndarray):
             """Logits that record each argmax taken of them or of an array
@@ -292,28 +349,36 @@ class TestTrainingLoop:
                 return super().argmax(*args, **kwargs)
 
         def loss_and_grads(self, x, y, **kwargs):
-            asked.append(kwargs.get("report", "accuracy"))
-            return real_loss(self, x, y, **kwargs)
+            asked.append(sorted(kwargs))
+            seen.append(list(self.weights))
+            loss, logits, grads = real_loss(self, x, y, **kwargs)
+            return loss, logits.view(Watched), grads
 
         def head(logits, labels, **kwargs):
-            heads.append(kwargs.get("report", "accuracy"))
-            loss, report, grad = real_head(logits.view(Watched), labels,
-                                           **kwargs)
-            return loss, report, grad.view(np.ndarray)
+            heads.append(sorted(kwargs))
+            loss, grad = real_head(logits.view(Watched), labels, **kwargs)
+            return loss, grad.view(np.ndarray)
 
-        def admm_w_update(*args, **kwargs):
-            updates.append(args[2].lam)
-            return real_update(*args, **kwargs)
+        def admm_w_update(state, *args, **kwargs):
+            states.append(list(state.w))
+            updates.append(args[1].lam)
+            return real_update(state, *args, **kwargs)
 
         monkeypatch.setattr(cls, "loss_and_grads", loss_and_grads)
         monkeypatch.setattr(toynet, "softmax_cross_entropy", head)
         monkeypatch.setattr(training, "admm_w_update", admm_w_update)
         cfg = AdmmConfig(lam=0.5, period=7, max_steps=130, seed=0)
         train_stn(make_net(arch, 0), make_dataset(arch, 0), cfg, log=log)
-        assert asked == heads == ["logits" if log else None] * 130
+        assert asked == [["at", "prepared"]] * 130
+        assert heads == [["at"]] * 130
         assert argmaxes == []
         assert updates == [0.5 if step % 7 == 0 else 0.0
                            for step in range(1, 131)]
+        assert len(seen) == len(states) == 130
+        for got, want in zip(seen, states):
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == np.float64 and w.dtype == np.float32
+                assert g.tobytes() == w.astype(np.float64).tobytes()
 
     @pytest.mark.parametrize("label", [2, -3])
     @pytest.mark.parametrize("log", [False, True])
@@ -410,8 +475,8 @@ def diverging_mlp(at: int):
     real = net.loss_and_grads
 
     def loss_and_grads(x, y, **kwargs):
-        loss, acc, grads = real(x, y, **kwargs)
-        return loss, acc, grads if next(steps) != at else [
+        loss, logits, grads = real(x, y, **kwargs)
+        return loss, logits, grads if next(steps) != at else [
             g * 1e300 for g in grads]
 
     net.loss_and_grads = loss_and_grads
