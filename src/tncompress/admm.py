@@ -13,8 +13,8 @@ from math import isfinite, log
 
 import numpy as np
 
-from .errors import NumericError
-from .tensor import as_array, bipartitions, generalized_unfold, svd
+from .tensor import (as_array, bipartitions, generalized_fold,
+                     generalized_unfold, svd)
 
 
 @dataclass(frozen=True)
@@ -46,19 +46,13 @@ def balanced_unfold(t) -> tuple[np.ndarray, BipartitionPlan]:
 
 def balanced_fold(mat: np.ndarray, plan: BipartitionPlan) -> np.ndarray:
     """Inverse of balanced_unfold given its plan."""
-    perm = [m - 1 for m in plan.row_modes + plan.col_modes]
-    shaped = np.asarray(mat).reshape([plan.dims[p] for p in perm], order="F")
-    inverse = np.argsort(perm)
-    return np.transpose(shaped, inverse)
+    return generalized_fold(mat, plan.row_modes, plan.col_modes, plan.dims)
 
 
 def svt(mat: np.ndarray, tau: float) -> np.ndarray:
     """Singular value thresholding, the proximal map of tau * nuclear norm."""
     if tau <= 0:
         raise ValueError("threshold must be positive")
-    mat = np.asarray(mat)
-    if not np.all(np.isfinite(mat)):
-        raise NumericError("SVT input contains non-finite entries")
     res = svd(mat)
     shrunk = np.maximum(res.s - tau, 0.0)
     return (res.u * shrunk) @ res.v.T

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, NumericError
+from .errors import BudgetError
 from .tensor import as_array, mn_unfold, singular_values
 from .topology import TNTopology, mode_pairs, tn_param_count
 
@@ -165,11 +165,10 @@ def effective_rank(mat: np.ndarray, kappa: float) -> int | list[int]:
     curve value by far less than _GRAM_MARGIN, and the cut is that of the
     singular values unless a value lies within the margin of it.  Such a
     matrix, and one whose Gram trace lies outside _GRAM_TRACE, where squares
-    may under- or overflow, is recomputed from its singular values."""
+    may under- or overflow, is recomputed from its singular values; so is a
+    non-finite one, whose trace is NaN or inf: singular_values refuses it."""
     _check_kappa(kappa)
     mats = np.ascontiguousarray(mat, dtype=np.float64)
-    if not np.isfinite(mats).all():
-        raise NumericError("SVD input contains non-finite entries")
     rows, cols = mats.shape[-2:]
     stack = mats.reshape(-1, rows, cols)
     with np.errstate(over="ignore", invalid="ignore"):

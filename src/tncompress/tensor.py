@@ -72,17 +72,16 @@ def k_unfold(t, k: int) -> np.ndarray:
     a = as_array(t)
     if not 1 <= k <= a.ndim:
         raise ValueError(f"mode {k} out of range for order-{a.ndim} tensor")
-    return np.moveaxis(a, k - 1, 0).reshape((a.shape[k - 1], -1), order="F")
+    rest = [m for m in range(1, a.ndim + 1) if m != k]
+    return generalized_unfold(a, (k,), rest)
 
 
 def fold_k(mat: np.ndarray, dims, k: int) -> np.ndarray:
     """Inverse of k_unfold for the given full dimension vector."""
-    dims = tuple(dims)
     if not 1 <= k <= len(dims):
         raise ValueError(f"mode {k} out of range for order-{len(dims)} tensor")
-    rest = dims[:k - 1] + dims[k:]
-    a = np.asarray(mat).reshape((dims[k - 1],) + rest, order="F")
-    return np.moveaxis(a, 0, k - 1)
+    rest = [m for m in range(1, len(dims) + 1) if m != k]
+    return generalized_fold(mat, (k,), rest, dims)
 
 
 def mn_unfold(t, m: int, n: int) -> np.ndarray:
@@ -104,11 +103,23 @@ def bipartitions(order: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [(a, tuple(m for m in modes if m not in a)) for a in lefts]
 
 
-def generalized_unfold(t: np.ndarray, row_modes, col_modes) -> np.ndarray:
-    axes = [m - 1 for m in row_modes] + [m - 1 for m in col_modes]
-    a = np.transpose(np.asarray(t), axes)
-    rows = math.prod(t.shape[m - 1] for m in row_modes)
-    return a.reshape((rows, -1), order="F")
+def generalized_unfold(t, row_modes, col_modes) -> np.ndarray:
+    """Rows by the little-endian multi-index over row_modes, columns over
+    col_modes, each in the order given.  Axes in front of the named modes
+    are a stack, kept in front: one unfolding per slice."""
+    a = np.asarray(t)
+    lead = a.ndim - len(row_modes) - len(col_modes)
+    axes = [*range(lead), *(lead + m - 1 for m in (*row_modes, *col_modes))]
+    rows = math.prod(a.shape[lead + m - 1] for m in row_modes)
+    return np.transpose(a, axes).reshape((*a.shape[:lead], rows, -1),
+                                         order="F")
+
+
+def generalized_fold(mat, row_modes, col_modes, dims) -> np.ndarray:
+    """Inverse of generalized_unfold for one matrix of a dims tensor."""
+    perm = [m - 1 for m in (*row_modes, *col_modes)]
+    shaped = np.asarray(mat).reshape([dims[p] for p in perm], order="F")
+    return np.transpose(shaped, np.argsort(perm))
 
 
 def frobenius_norm(t) -> float:

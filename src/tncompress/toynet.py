@@ -4,7 +4,10 @@ datasets they train on.
 Two architectures: an 8 -> 32 -> 2 MLP with a rectifier, and a tiny CNN
 (1 x 8 x 8 input, one 3x3 valid conv to 4 channels, rectifier, flatten to
 144, linear to 2).  Both use a softmax cross-entropy head and no biases.
-Weights are stored as float32; all arithmetic runs in float64.
+Weights are stored as float32; all arithmetic runs in float64, as a net
+computes on `self.weights` as held and each weight meets float64 rows.  A
+product with a transposed weight is np.dot, whose promoted copy keeps the
+weight's layout and so an explicit cast's bits; matmul's does not at batch 1.
 
 `loss_and_grads(x, y)` makes everything it reads from x, y and
 `net.weights`, and returns the loss, the raw logits and the weight
@@ -13,8 +16,7 @@ change: the inputs once per run, mapped by the net's `step_inputs` (the
 mlp's float64 rows, the tinycnn's per-image conv windows), of which each
 step takes its batch's rows (`prepared`); the labels' flat indices once per
 chunk of steps, by `label_indices` (`at`); and one float64 image of the
-weights per step, set as `net.weights`, which the loss reads without a
-copy.  `hits` is the one accuracy rule.
+weights per step, set as `net.weights`.  `hits` is the one accuracy rule.
 """
 
 from __future__ import annotations
@@ -110,10 +112,6 @@ def hits(logits: np.ndarray, labels: np.ndarray):
     return np.count_nonzero(logits.argmax(-1) == labels, axis=-1)
 
 
-def _float64(weights) -> list[np.ndarray]:
-    return [np.asarray(w, dtype=np.float64) for w in weights]
-
-
 def _draw_weights(seed: int, shapes) -> list[np.ndarray]:
     """float32 weights of each shape, standard normal over the square root
     of the fan-in: an out x in matrix's in, a K x K x S x T kernel's
@@ -135,9 +133,9 @@ class MLP:
         self.weights = _draw_weights(seed, self.weight_shapes)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        w1, w2 = _float64(self.weights)
-        h = np.maximum(np.asarray(x, dtype=np.float64) @ w1.T, 0.0)
-        return h @ w2.T
+        w1, w2 = self.weights
+        h = np.maximum(np.dot(np.asarray(x, dtype=np.float64), w1.T), 0.0)
+        return np.dot(h, w2.T)
 
     @staticmethod
     def step_inputs(x) -> np.ndarray:
@@ -149,11 +147,11 @@ class MLP:
         A training loop passes x as rows of step_inputs (prepared) and the
         labels' flat indices (at), each made once where it does not
         change; the loss head reads at."""
-        w1, w2 = _float64(self.weights)
+        w1, w2 = self.weights
         x = x if prepared else self.step_inputs(x)
-        pre = x @ w1.T
+        pre = np.dot(x, w1.T)
         h = np.maximum(pre, 0.0)
-        logits = h @ w2.T
+        logits = np.dot(h, w2.T)
         loss, dlogits = softmax_cross_entropy(logits, y, at=at)
         dw2 = dlogits.T @ h
         dh = (dlogits @ w2) * (pre > 0)
@@ -178,9 +176,9 @@ class TinyCNN:
         return a.transpose(0, 3, 2, 1).reshape(a.shape[0], -1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        kc, wfc = _float64(self.weights)
+        kc, wfc = self.weights
         pre = conv2d_dense(np.asarray(x, dtype=np.float64), kc)
-        return self._flatten(np.maximum(pre, 0.0)) @ wfc.T
+        return np.dot(self._flatten(np.maximum(pre, 0.0)), wfc.T)
 
     def step_inputs(self, x) -> np.ndarray:
         """x as a training step reads it: the B x W' x H' x K·K·S float64
@@ -194,7 +192,7 @@ class TinyCNN:
 
     def loss_and_grads(self, x, y, *, prepared=False, at=None):
         """As MLP.loss_and_grads."""
-        kc, wfc = _float64(self.weights)
+        kc, wfc = self.weights
         rows = x if prepared else self.step_inputs(x)
         # the window matrix, which the kernel gradient reuses
         win = rows.reshape(-1, rows.shape[-1])
@@ -202,7 +200,7 @@ class TinyCNN:
             *rows.shape[:3], -1)
         act = np.maximum(pre, 0.0)
         flat = self._flatten(act)
-        logits = flat @ wfc.T
+        logits = np.dot(flat, wfc.T)
         loss, dlogits = softmax_cross_entropy(logits, y, at=at)
         dwfc = dlogits.T @ flat
         dflat = dlogits @ wfc

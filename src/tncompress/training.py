@@ -13,7 +13,7 @@ step hands the log its loss, logits and state, read per chunk of steps."""
 from __future__ import annotations
 
 from dataclasses import replace
-from math import isfinite, prod
+from math import isfinite
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .admm import (AdmmConfig, AdmmState, BipartitionPlan, admm_w_update,
 from .errors import ConfigError, TrainingError
 from .model_io import write_csv
 from .ranks import effective_rank
-from .tensor import row_norms
+from .tensor import generalized_unfold, row_norms
 from .toynet import Dataset, hits, label_indices
 
 LOG_RANK_KAPPA = 0.9
@@ -43,9 +43,9 @@ class TrainingLog:
     and logits, and references to its W and Z.  Every LOG_CHUNK
     (64) steps the log flushes them: per layer, the chunk's weights stacked
     once, its gaps against the one Z that each run of steps between two
-    ADMM rounds shares, and one effective_rank call on the chunk's balanced
-    unfoldings, by plans taken once per log; and the chunk's batch
-    accuracies as one `hits` count over its stacked logits.
+    ADMM rounds shares, and one effective_rank call on its balanced
+    unfoldings, one generalized_unfold by plans taken once per log; and the
+    chunk's batch accuracies as one `hits` count over its stacked logits.
     write_csv formats each column once, each distinct accuracy and mu once,
     and rows is a view built from the columns."""
 
@@ -101,14 +101,10 @@ class TrainingLog:
             for z, part in zip((zs[j] for j in (0, *cuts)),
                                np.split(stack, cuts)):
                 gaps += row_norms(z - part).tolist()
-            # a step's weight is the stack's slice, its mode m the stack's
-            # axis m; with the step first and fastest, one F-order reshape
-            # gives each step's matrix in balanced_unfold's layout
-            height = prod(plan.dims[m - 1] for m in plan.row_modes)
-            mats = np.transpose(
-                stack, (0, *plan.row_modes, *plan.col_modes)).reshape(
-                    (len(stack), height, -1), order="F")
-            ranks += effective_rank(mats, LOG_RANK_KAPPA)
+            # the steps' balanced unfoldings, the step axis a stack
+            ranks += effective_rank(
+                generalized_unfold(stack, plan.row_modes, plan.col_modes),
+                LOG_RANK_KAPPA)
 
     def _columns(self) -> list:
         accuracy = {k: f"{k / self._batch:.4f}" for k in set(self._hits)}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tncompress.admm import (AdmmConfig, AdmmState, admm_w_update,
                              admm_y_update, admm_z_update, balanced_fold,
                              balanced_unfold, svt)
+from tncompress.errors import NumericError
 from tncompress.tensor import singular_values, svd
 
 
@@ -90,6 +91,17 @@ class TestSvt:
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
             svt(np.eye(2), 0.0)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_a_non_finite_matrix(self, bad, stacked):
+        """A NaN or inf matrix, alone or inside a finite stack, raises
+        svd's NumericError."""
+        mats = np.random.default_rng(6).standard_normal((3, 4, 4))
+        mats[1, 2, 0] = bad
+        with pytest.raises(NumericError,
+                           match="^SVD input contains non-finite entries$"):
+            svt(mats if stacked else mats[1], 0.5)
 
 
 class TestAdmmUpdates:

@@ -1126,7 +1126,10 @@ def test_a_singular_slot_is_the_slot_alone():
 def test_a_singular_gram_of_a_stacked_proximal_solve_is_finite():
     rng = np.random.default_rng(3)
     designs = rng.standard_normal((6, 9, 4))
-    designs[4, :, 3] = designs[4, :, 1]     # set 4's gram is exactly singular
+    # set 4's gram is exactly singular on every BLAS kernel: a zero column
+    # gives a zero row and column, where two equal columns give equal ones
+    # only if the kernel sums them alike
+    designs[4, :, 3] = 0.0
     designs[2, 0, 0] = np.nan               # set 2 is a start gone NaN
     gram = designs.mT @ designs
     rhs = rng.standard_normal((6, 5, 4))

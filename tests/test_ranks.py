@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tncompress.errors import BudgetError
+from tncompress.errors import BudgetError, NumericError
 from tncompress.oracles import generate_cp
 from tncompress.ranks import (_share_curves, budget_kappa, determine_ranks,
                               effective_rank, kappa_for_budget,
@@ -86,6 +86,17 @@ class TestEffectiveRank:
 
     def test_zero_matrix(self):
         assert effective_rank(np.zeros((3, 3)), 0.5) == 0
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_a_non_finite_matrix(self, bad, stacked):
+        """A NaN or inf matrix, alone or inside a finite stack, takes the
+        singular-value route, where singular_values refuses it."""
+        mats = np.random.default_rng(6).standard_normal((3, 4, 5))
+        mats[1, 2, 0] = bad
+        with pytest.raises(NumericError,
+                           match="^SVD input contains non-finite entries$"):
+            effective_rank(mats if stacked else mats[1], 0.9)
 
     def test_kappa_range(self):
         with pytest.raises(ValueError):

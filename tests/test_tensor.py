@@ -1,12 +1,15 @@
 """Dense tensor primitives: little-endian flattening, unfoldings, SVD."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tncompress.errors import NumericError
-from tncompress.tensor import (DenseTensor, fold_k, frobenius_norm, k_unfold,
+from tncompress.tensor import (DenseTensor, fold_k, frobenius_norm,
+                               generalized_fold, generalized_unfold, k_unfold,
                                mn_unfold, row_norms, singular_values, svd)
 
 
@@ -61,6 +64,43 @@ class TestUnfoldings:
         a = rng.standard_normal(dims)
         for k in range(1, len(dims) + 1):
             assert np.array_equal(fold_k(k_unfold(a, k), dims, k), a)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_a_stack_unfolds_slice_by_slice_and_folds_back(self, data):
+        """Orders 2-4, dims 1-4, a random bipartition with its modes in
+        random order, and one or two stack axes of 1-4: each entry sits at
+        the little-endian row and column of its modes, the stack's
+        unfolding is each slice's bit for bit, and generalized_fold inverts
+        it."""
+        dims = data.draw(small_dims())
+        modes = data.draw(st.permutations(range(1, len(dims) + 1)))
+        cut = data.draw(st.integers(1, len(dims) - 1))
+        rows, cols = tuple(modes[:cut]), tuple(modes[cut:])
+        stack = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1,
+                                         max_size=2)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        a = rng.standard_normal(stack + tuple(dims))
+
+        def offset(index, part):
+            flat, stride = 0, 1
+            for m in part:
+                flat += index[m - 1] * stride
+                stride *= dims[m - 1]
+            return flat
+
+        mats = generalized_unfold(a, rows, cols)
+        assert mats.shape == stack + (math.prod(dims[m - 1] for m in rows),
+                                      math.prod(dims[m - 1] for m in cols))
+        for k in np.ndindex(*stack):
+            mat = generalized_unfold(a[k], rows, cols)
+            assert mats[k].tobytes() == mat.tobytes()
+            for index in np.ndindex(*dims):
+                assert mat[offset(index, rows), offset(index, cols)] \
+                    == a[k + index]
+            back = generalized_fold(mat, rows, cols, dims)
+            assert back.shape == a[k].shape
+            assert back.tobytes() == a[k].tobytes()
 
     def test_mn_unfold_slices(self):
         a = np.random.default_rng(3).standard_normal((2, 3, 4, 2))

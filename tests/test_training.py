@@ -161,6 +161,34 @@ class TestNets:
             denom = max(np.linalg.norm(n), 1e-12)
             assert np.linalg.norm(a - n) / denom <= 1e-3
 
+    @pytest.mark.parametrize("batch", [1, 7, 32])
+    @pytest.mark.parametrize("arch", ["mlp", "tinycnn"])
+    def test_float32_weights_compute_as_their_float64_copies(self, arch,
+                                                             batch):
+        """A net computes on its weights as held: on its float32 weights,
+        loss, logits, gradients and forward equal those on float64 copies
+        bit for bit, prepared or not."""
+        narrow = make_net(arch, seed=3)
+        wide = make_net(arch, seed=3)
+        wide.weights = [w.astype(np.float64) for w in narrow.weights]
+        data = make_dataset(arch, seed=4)
+        x, y = data.x_train[:batch], data.y_train[:batch]
+        for call in (lambda net: net.loss_and_grads(x, y),
+                     lambda net: net.loss_and_grads(
+                         net.step_inputs(x), y, prepared=True)):
+            loss, logits, grads = call(narrow)
+            want_loss, want_logits, want_grads = call(wide)
+            assert np.float64(loss).tobytes() == \
+                np.float64(want_loss).tobytes()
+            for got, want in zip([logits, *grads],
+                                 [want_logits, *want_grads]):
+                assert got.dtype == want.dtype == np.float64
+                assert got.tobytes() == want.tobytes()
+        logits, want = narrow.forward(x), wide.forward(x)
+        assert logits.dtype == want.dtype == np.float64
+        assert logits.tobytes() == want.tobytes()
+        assert all(w.dtype == np.float32 for w in narrow.weights)
+
     def test_backward_checks_batch_shape(self):
         net = make_net("mlp", 0)
         with pytest.raises(ValueError):
